@@ -120,7 +120,7 @@ def _cmd_search(args):
     subject = load_file(args.subject)
     from fractions import Fraction
     coeffs = tuple(Fraction(c) for c in args.coeffs.split(","))
-    spec = SearchSpec(args.target, coeffs, args.bound, args.seed)
+    spec = SearchSpec(args.target, coeffs, args.bound)
     found, report = grid_search(spec, subject)
     if args.output:
         dim = len(found[0]) if found else 0
@@ -179,7 +179,6 @@ def build_parser():
     p.add_argument("subject")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--coeffs", default="-1,0,1")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_search)
 

@@ -20,9 +20,8 @@ from .algebra import PreAlgebra, CheckReport, PreconditionError, _report, \
 from .bialgebra import Bialgebra
 from .bimodule import multiplication_operators, act
 from .linalg import (
-    eye, transpose, mat_add, mat_sub, mat_neg, mat_mul, mat_eq, mat_is_zero,
-    zeros_mat, zeros_t3, apply2, apply_slot3, t3_add, t3_sub, t3_neg,
-    t3_is_zero,
+    ZERO, eye, transpose, mat_add, mat_sub, mat_neg, mat_mul, mat_eq,
+    mat_is_zero, apply2, apply_slot3, t3_add, t3_sub, t3_is_zero,
 )
 
 
@@ -56,52 +55,74 @@ def r_is_symmetric(r) -> bool:
 # placed products
 # ---------------------------------------------------------------------------
 
-def placed_product(m1, pos1, m2, pos2, c):
-    """Product of two placed r-elements, as a rank-3 tensor out[slot1][slot2][slot3].
+def placed_product(m1, pos1, m2, pos2, rows, out, sign=1):
+    """Add sign times the product of two placed r-elements to out.
 
     m1 sits at slots pos1 = (p1, q1) (first component at p1, second at q1)
     and m2 at pos2; the placements must share exactly one slot.  At the
-    shared slot the two meeting components are multiplied by the structure
-    tensor c (m1's component on the left); the free components stay put.
+    shared slot the two meeting components are multiplied by a structure
+    tensor given as sparse rows (see structure_tensors), m1's component on
+    the left; the free components stay put.  out is a rank-3 tensor stored
+    flat, entry [s1][s2][s3] at (s1 * n + s2) * n + s3.  Only the nonzero
+    entries of the factors and of the structure rows are visited.
     """
     shared = set(pos1) & set(pos2)
     if len(shared) != 1 or set(pos1) | set(pos2) != {1, 2, 3}:
         raise PreconditionError("placed_product: placements must cover the "
                                 "three slots and share exactly one")
     s = shared.pop()
-    free1 = pos1[0] if pos1[1] == s else pos1[1]
-    free2 = pos2[0] if pos2[1] == s else pos2[1]
     n = len(m1)
-    out = zeros_t3(n)
-    idx = [0, 0, 0]
-    for i1 in range(n):
-        for i2 in range(n):
-            x1 = m1[i1][i2]
-            if x1 == 0:
+    stride = (n * n, n, 1)
+    step = stride[s - 1]
+    f2 = _placed_nonzeros(m2, pos2, s, stride)
+    for a, off1, x1 in _placed_nonzeros(m1, pos1, s, stride):
+        row_a = rows[a]
+        if sign < 0:
+            x1 = -x1
+        for b, off2, x2 in f2:
+            entries = row_a[b]
+            if not entries:
                 continue
-            a = i1 if pos1[0] == s else i2
-            u = i2 if pos1[0] == s else i1
-            for j1 in range(n):
-                for j2 in range(n):
-                    x2 = m2[j1][j2]
-                    if x2 == 0:
-                        continue
-                    b = j1 if pos2[0] == s else j2
-                    v = j2 if pos2[0] == s else j1
-                    coeff = x1 * x2
-                    idx[free1 - 1] = u
-                    idx[free2 - 1] = v
-                    row = c[a][b]
-                    for k in range(n):
-                        if row[k] != 0:
-                            idx[s - 1] = k
-                            out[idx[0]][idx[1]][idx[2]] += coeff * row[k]
+            coeff = x1 * x2
+            base = off1 + off2
+            for k, ck in entries:
+                out[base + k * step] += coeff * ck
+
+
+def _placed_nonzeros(m, pos, s, stride):
+    """The nonzero entries of an r-element placed at pos, as triples
+    (component at the shared slot s, flat offset of the free component,
+    coefficient)."""
+    p, q = pos
+    out = []
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x != 0:
+                if p == s:
+                    out.append((i, j * stride[q - 1], x))
+                else:
+                    out.append((j, i * stride[p - 1], x))
     return out
 
 
-def _structure_tensors(palg: PreAlgebra):
-    return {"prec": palg.prec, "succ": palg.succ,
-            "dot": t3_add(palg.prec, palg.succ)}
+def _zeros_flat(n):
+    return [ZERO] * (n * n * n)
+
+
+def _unflatten(flat, n):
+    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+            for i in range(n)]
+
+
+def structure_tensors(palg: PreAlgebra):
+    """The three products of a pre-algebra (prec, succ and dot = prec +
+    succ) as sparse rows: rows[a][b] lists the pairs (k, c[a][b][k]) with a
+    nonzero coefficient.  Built once per check or search and handed to
+    evaluate_expression and placed_product."""
+    return {op: [[[(k, x) for k, x in enumerate(row) if x != 0]
+                  for row in plane] for plane in c]
+            for op, c in (("prec", palg.prec), ("succ", palg.succ),
+                          ("dot", t3_add(palg.prec, palg.succ)))}
 
 
 def pairwise_tensor_product(palg: PreAlgebra, a, b, slots, op):
@@ -114,9 +135,11 @@ def pairwise_tensor_product(palg: PreAlgebra, a, b, slots, op):
     if op not in ("prec", "succ", "dot"):
         raise PreconditionError("pairwise_tensor_product: unknown op %r"
                                 % (op,))
-    c = _structure_tensors(palg)[op]
-    return placed_product(a, (digits[0], digits[1]), b,
-                          (digits[2], digits[3]), c)
+    n = palg.dimension
+    out = _zeros_flat(n)
+    placed_product(a, (digits[0], digits[1]), b, (digits[2], digits[3]),
+                   structure_tensors(palg)[op], out)
+    return _unflatten(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +162,16 @@ def sigma13_expression(terms):
     return tuple((sign, rel(f1), op, rel(f2)) for sign, f1, op, f2 in terms)
 
 
-def evaluate_expression(palg: PreAlgebra, terms, mats):
-    """Evaluate a term list; mats maps factor tags to coefficient matrices."""
-    c = _structure_tensors(palg)
-    n = palg.dimension
-    out = zeros_t3(n)
+def evaluate_expression(c, terms, mats):
+    """Evaluate a term list on the structure tensors c of a pre-algebra
+    (see structure_tensors); mats maps factor tags to coefficient matrices.
+    Every signed term is added into one output tensor."""
+    n = len(c["prec"])
+    out = _zeros_flat(n)
     for sign, (t1, p1, q1), op, (t2, p2, q2) in terms:
-        v = placed_product(mats[t1], (p1, q1), mats[t2], (p2, q2), c[op])
-        out = t3_add(out, v if sign > 0 else t3_neg(v))
-    return out
+        placed_product(mats[t1], (p1, q1), mats[t2], (p2, q2), c[op], out,
+                       sign)
+    return _unflatten(out, n)
 
 
 def _rpair_mats(rp: RPair):
@@ -199,7 +223,8 @@ def mnpq(palg: PreAlgebra, rp: RPair, which):
         raise PreconditionError("mnpq: unknown expression %r" % (which,))
     if rp.dimension != palg.dimension:
         raise PreconditionError("mnpq: dimension mismatch")
-    return evaluate_expression(palg, _EXPRESSIONS[key], _rpair_mats(rp))
+    return evaluate_expression(structure_tensors(palg), _EXPRESSIONS[key],
+                               _rpair_mats(rp))
 
 
 def _apply_middle(m, pos, slot, op):
@@ -219,16 +244,22 @@ def rprime(palg: PreAlgebra, rp: RPair, x):
       [(id (x) (R_prec(x)+L_succ(x)) (x) id) r_prec@32] succ (r_prec+r_succ)@12
     - [((L_prec(x)+R_succ(x)) (x) id (x) id) r_prec@31] succ (r_prec+r_succ)@21
     """
-    ops = multiplication_operators(palg)
-    succ = palg.succ
+    return _rprime(structure_tensors(palg), multiplication_operators(palg),
+                   rp, x)
+
+
+def _rprime(c, ops, rp, x):
+    succ = c["succ"]
     s12 = mat_add(rp.r_prec, rp.r_succ)
     op1 = mat_add(ops["R_prec"][x], ops["L_succ"][x])
     op2 = mat_add(ops["L_prec"][x], ops["R_succ"][x])
-    t1 = placed_product(_apply_middle(rp.r_prec, (3, 2), 2, op1), (3, 2),
-                        s12, (1, 2), succ)
-    t2 = placed_product(_apply_middle(rp.r_prec, (3, 1), 1, op2), (3, 1),
-                        s12, (2, 1), succ)
-    return t3_sub(t1, t2)
+    n = len(s12)
+    out = _zeros_flat(n)
+    placed_product(_apply_middle(rp.r_prec, (3, 2), 2, op1), (3, 2),
+                   s12, (1, 2), succ, out)
+    placed_product(_apply_middle(rp.r_prec, (3, 1), 1, op2), (3, 1),
+                   s12, (2, 1), succ, out, -1)
+    return _unflatten(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +341,45 @@ def _quadratic_residuals(palg, ops, rp, i, j):
             ("coboundary-3", res3), ("coboundary-4", res4))
 
 
-def _dual_structure_residuals(palg, ops, rp, i):
-    """The two cubic conditions on the basis element e_i, as rank-3
-    residuals; the companion tensors are obtained from M and M', P' through
-    the decoration flip and the outer slot swap."""
-    mats = _rpair_mats(rp)
-    Ls, Rp = ops["L_succ"], ops["R_prec"]
-    Ld, Rd = ops["L_dot"], ops["R_dot"]
-    m_expr = _EXPRESSIONS["M"]
-    mv = evaluate_expression(palg, m_expr, mats)
-    pv = evaluate_expression(palg, flp_expression(m_expr), mats)
-    nv = evaluate_expression(palg, sigma13_expression(flp_expression(m_expr)),
-                             mats)
-    qv = evaluate_expression(
-        palg, flp_expression(sigma13_expression(flp_expression(m_expr))), mats)
-    res1 = t3_sub(t3_add(apply_slot3(mv, 3, Ls[i]),
-                         apply_slot3(pv, 3, Rp[i])),
-                  t3_add(apply_slot3(nv, 1, Rp[i]),
-                         apply_slot3(qv, 1, Ls[i])))
-    mp = evaluate_expression(palg, _EXPRESSIONS["M'"], mats)
-    np_ = evaluate_expression(palg, flp_expression(_EXPRESSIONS["M'"]), mats)
-    pp = evaluate_expression(palg, _EXPRESSIONS["P'"], mats)
-    qp = evaluate_expression(palg, flp_expression(_EXPRESSIONS["P'"]), mats)
-    res2 = t3_sub(t3_add(apply_slot3(mp, 3, Ld[i]),
-                         apply_slot3(np_, 3, Rd[i]),
-                         rprime(palg, rp, i)),
-                  t3_add(apply_slot3(pp, 1, Rp[i]),
-                         apply_slot3(qp, 1, Ls[i])))
-    return (("dual-structure-1", res1), ("dual-structure-2", res2))
+def _first_kind_tensors(c, expr, mats):
+    """M, flp M, sigma13 flp M and flp sigma13 flp M of a cubic expression;
+    none of them depends on the basis element, so they are evaluated once
+    per check."""
+    flp = flp_expression(expr)
+    swapped = sigma13_expression(flp)
+    return tuple(evaluate_expression(c, e, mats)
+                 for e in (expr, flp, swapped, flp_expression(swapped)))
+
+
+def _cubic_first_kind(ops, tensors, i):
+    """((id(x)id(x)L_succ(x)) - (R_prec(x)(x)id(x)id) sigma13.flp
+    + (id(x)id(x)R_prec(x)) flp - (L_succ(x)(x)id(x)id) flp.sigma13.flp)
+    applied to an expression, given its _first_kind_tensors."""
+    mv, pv, nv, qv = tensors
+    return t3_sub(t3_add(apply_slot3(mv, 3, ops["L_succ"][i]),
+                         apply_slot3(pv, 3, ops["R_prec"][i])),
+                  t3_add(apply_slot3(nv, 1, ops["R_prec"][i]),
+                         apply_slot3(qv, 1, ops["L_succ"][i])))
+
+
+def _second_kind_tensors(c, m_expr, p_expr, mats):
+    """M, flp M, P and flp P, evaluated once per check."""
+    return tuple(evaluate_expression(c, e, mats)
+                 for e in (m_expr, flp_expression(m_expr),
+                           p_expr, flp_expression(p_expr)))
+
+
+def _cubic_second_kind(ops, tensors, i, rterm=None):
+    """((id(x)id(x)L_dot(x)) + (id(x)id(x)R_dot(x)) flp) M + R
+    - ((R_prec(x)(x)id(x)id) + (L_succ(x)(x)id(x)id) flp) P, given the
+    _second_kind_tensors of M and P."""
+    mv, nv, pv, qv = tensors
+    pos = t3_add(apply_slot3(mv, 3, ops["L_dot"][i]),
+                 apply_slot3(nv, 3, ops["R_dot"][i]))
+    if rterm is not None:
+        pos = t3_add(pos, rterm)
+    return t3_sub(pos, t3_add(apply_slot3(pv, 1, ops["R_prec"][i]),
+                              apply_slot3(qv, 1, ops["L_succ"][i])))
 
 
 def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
@@ -345,7 +387,8 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
     """The six condition families whose joint validity is equivalent to the
     coboundary comultiplications making (A, A*) a bialgebra: four quadratic
     conditions over basis pairs, and two cubic dual-structure conditions
-    over basis elements."""
+    over basis elements (the companion tensors of M and M', P' come from
+    the decoration flip and the outer slot swap)."""
     base = check_identities(palg, "pre-anti-flexible")
     if not base.passed:
         raise PreconditionError("check_coboundary_conditions: base fails the "
@@ -357,19 +400,31 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
     ops = multiplication_operators(palg)
     n = palg.dimension
     failures = []
+
+    def note(label, where, res, zero):
+        if not zero(res):
+            failures.append((label, where, res))
+            return not all_failures
+        return False
+
     for i in range(n):
         for j in range(n):
             for label, res in _quadratic_residuals(palg, ops, rp, i, j):
-                if not mat_is_zero(res):
-                    failures.append((label, (i, j), res))
-                    if not all_failures:
-                        return _report("coboundary-conditions", failures)
-    for i in range(n):
-        for label, res in _dual_structure_residuals(palg, ops, rp, i):
-            if not t3_is_zero(res):
-                failures.append((label, (i,), res))
-                if not all_failures:
+                if note(label, (i, j), res, mat_is_zero):
                     return _report("coboundary-conditions", failures)
+    c = structure_tensors(palg)
+    mats = _rpair_mats(rp)
+    first = _first_kind_tensors(c, _EXPRESSIONS["M"], mats)
+    second = _second_kind_tensors(c, _EXPRESSIONS["M'"], _EXPRESSIONS["P'"],
+                                  mats)
+    for i in range(n):
+        if note("dual-structure-1", (i,), _cubic_first_kind(ops, first, i),
+                t3_is_zero):
+            return _report("coboundary-conditions", failures)
+        if note("dual-structure-2", (i,),
+                _cubic_second_kind(ops, second, i, _rprime(c, ops, rp, i)),
+                t3_is_zero):
+            return _report("coboundary-conditions", failures)
     return _report("coboundary-conditions", failures, all_failures)
 
 
@@ -377,16 +432,24 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
 # the Yang-Baxter-type equation
 # ---------------------------------------------------------------------------
 
+_PAFYBE = ((1, ("r", 2, 3), "dot", ("r", 1, 2)),
+           (-1, ("r", 1, 2), "prec", ("r", 1, 3)),
+           (-1, ("r", 1, 3), "succ", ("r", 2, 3)))
+
+
 def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     """The quadratic equation r_23 . r_12 = r_12 prec r_13 + r_13 succ r_23
     for a single r-element; symmetry of r is not required (use
     r_is_symmetric to report it separately)."""
     if len(r) != palg.dimension:
         raise PreconditionError("check_pafybe: dimension mismatch")
-    terms = ((1, ("r", 2, 3), "dot", ("r", 1, 2)),
-             (-1, ("r", 1, 2), "prec", ("r", 1, 3)),
-             (-1, ("r", 1, 3), "succ", ("r", 2, 3)))
-    res = evaluate_expression(palg, terms, {"r": r})
+    return pafybe_core(structure_tensors(palg), r, all_failures)
+
+
+def pafybe_core(c, r, all_failures=False) -> CheckReport:
+    """check_pafybe on the structure tensors of the pre-algebra, built once
+    by the caller; the dimension of r is not checked."""
+    res = evaluate_expression(c, _PAFYBE, {"r": r})
     failures = [] if t3_is_zero(res) else [("pafybe", (), res)]
     return _report("pafybe", failures, all_failures)
 
@@ -445,52 +508,6 @@ _CASE2_PP = ((-1, ("r", 3, 1), "dot", ("r", 2, 3)),
              (1, ("r", 2, 1), "succ", ("r", 3, 1)))
 
 
-def _case1_rprime(palg, ops, r, x):
-    """[(id (x) (R_prec(x)+L_succ(x)) (x) id) r@32] succ (r@12 - r@21)
-    - [((L_prec(x)+R_succ(x)) (x) id (x) id) r@31] succ (r@21 - r@12)."""
-    succ = palg.succ
-    op1 = mat_add(ops["R_prec"][x], ops["L_succ"][x])
-    op2 = mat_add(ops["L_prec"][x], ops["R_succ"][x])
-    m1 = _apply_middle(r, (3, 2), 2, op1)
-    m2 = _apply_middle(r, (3, 1), 1, op2)
-    t1 = t3_sub(placed_product(m1, (3, 2), r, (1, 2), succ),
-                placed_product(m1, (3, 2), r, (2, 1), succ))
-    t2 = t3_sub(placed_product(m2, (3, 1), r, (2, 1), succ),
-                placed_product(m2, (3, 1), r, (1, 2), succ))
-    return t3_sub(t1, t2)
-
-
-def _cubic_first_kind(palg, ops, expr, mats, i):
-    """((id(x)id(x)L_succ(x)) - (R_prec(x)(x)id(x)id) sigma13.flp
-    + (id(x)id(x)R_prec(x)) flp - (L_succ(x)(x)id(x)id) flp.sigma13.flp)
-    applied to an expression."""
-    mv = evaluate_expression(palg, expr, mats)
-    pv = evaluate_expression(palg, flp_expression(expr), mats)
-    nv = evaluate_expression(palg, sigma13_expression(flp_expression(expr)),
-                             mats)
-    qv = evaluate_expression(
-        palg, flp_expression(sigma13_expression(flp_expression(expr))), mats)
-    return t3_sub(t3_add(apply_slot3(mv, 3, ops["L_succ"][i]),
-                         apply_slot3(pv, 3, ops["R_prec"][i])),
-                  t3_add(apply_slot3(nv, 1, ops["R_prec"][i]),
-                         apply_slot3(qv, 1, ops["L_succ"][i])))
-
-
-def _cubic_second_kind(palg, ops, m_expr, p_expr, mats, i, rterm=None):
-    """((id(x)id(x)L_dot(x)) + (id(x)id(x)R_dot(x)) flp) M + R
-    - ((R_prec(x)(x)id(x)id) + (L_succ(x)(x)id(x)id) flp) P."""
-    mv = evaluate_expression(palg, m_expr, mats)
-    nv = evaluate_expression(palg, flp_expression(m_expr), mats)
-    pv = evaluate_expression(palg, p_expr, mats)
-    qv = evaluate_expression(palg, flp_expression(p_expr), mats)
-    pos = t3_add(apply_slot3(mv, 3, ops["L_dot"][i]),
-                 apply_slot3(nv, 3, ops["R_dot"][i]))
-    if rterm is not None:
-        pos = t3_add(pos, rterm)
-    return t3_sub(pos, t3_add(apply_slot3(pv, 1, ops["R_prec"][i]),
-                              apply_slot3(qv, 1, ops["L_succ"][i])))
-
-
 def special_case_conditions(palg: PreAlgebra, r, case,
                             all_failures=False) -> CheckReport:
     """The per-case condition sets, each equation reported individually;
@@ -543,13 +560,18 @@ def special_case_conditions(palg: PreAlgebra, r, case,
                     return _report("special-case-one", failures)
                 if note("case-one-B", (i, j), res_b, mat_is_zero):
                     return _report("special-case-one", failures)
+        c = structure_tensors(palg)
+        first = _first_kind_tensors(c, _CASE1_M, mats)
+        second = _second_kind_tensors(c, _CASE1_MP, _CASE1_PP, mats)
+        rp = special_case_rpair(r, "one")
         for i in range(n):
-            res_c = _cubic_first_kind(palg, ops, _CASE1_M, mats, i)
-            res_d = _cubic_second_kind(palg, ops, _CASE1_MP, _CASE1_PP, mats,
-                                       i, _case1_rprime(palg, ops, r, i))
-            if note("case-one-C", (i,), res_c, t3_is_zero):
+            if note("case-one-C", (i,), _cubic_first_kind(ops, first, i),
+                    t3_is_zero):
                 return _report("special-case-one", failures)
-            if note("case-one-D", (i,), res_d, t3_is_zero):
+            if note("case-one-D", (i,),
+                    _cubic_second_kind(ops, second, i,
+                                       _rprime(c, ops, rp, i)),
+                    t3_is_zero):
                 return _report("special-case-one", failures)
         return _report("special-case-one", failures, all_failures)
 
@@ -567,11 +589,14 @@ def special_case_conditions(palg: PreAlgebra, r, case,
                                ("case-two-C", res_c), ("case-two-D", res_d)):
                 if note(label, (i, j), res, mat_is_zero):
                     return _report("special-case-two", failures)
+    c = structure_tensors(palg)
+    first = _first_kind_tensors(c, _CASE2_M, mats)
+    second = _second_kind_tensors(c, _CASE2_MP, _CASE2_PP, mats)
     for i in range(n):
-        res_e = _cubic_first_kind(palg, ops, _CASE2_M, mats, i)
-        res_f = _cubic_second_kind(palg, ops, _CASE2_MP, _CASE2_PP, mats, i)
-        if note("case-two-E", (i,), res_e, t3_is_zero):
+        if note("case-two-E", (i,), _cubic_first_kind(ops, first, i),
+                t3_is_zero):
             return _report("special-case-two", failures)
-        if note("case-two-F", (i,), res_f, t3_is_zero):
+        if note("case-two-F", (i,), _cubic_second_kind(ops, second, i),
+                t3_is_zero):
             return _report("special-case-two", failures)
     return _report("special-case-two", failures, all_failures)

@@ -21,11 +21,13 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
     check_pre_bimodule
-from .coboundary import RPair, check_pafybe, check_coboundary_conditions
+from .coboundary import RPair, check_pafybe, check_coboundary_conditions, \
+    pafybe_core, structure_tensors
 from .matched import AfMatchedPair, PreMatchedPair, check_af_matched, \
     check_pre_matched
 from .operators import OOperator, check_rota_baxter, check_o_operator, \
-    check_two_cocycle, check_r_double_consistency
+    check_two_cocycle, check_r_double_consistency, o_operator_core, \
+    require_af_bimodule, require_anti_flexible, rota_baxter_core
 from .linalg import vec_is_zero
 
 FORMAT_VERSION = 1
@@ -170,21 +172,32 @@ def _parse_pre_algebra(doc, path):
     return PreAlgebra(n, prec, succ, names)
 
 
+def _parse_embedded(doc, kind, path):
+    """An algebra or pre-algebra embedded in another structure.  Its
+    "kind", which the package writes, is optional but must name the
+    expected structure."""
+    if not isinstance(doc, dict):
+        raise FormatError(path + ": expected an embedded object")
+    doc = dict(doc)
+    got = doc.pop("kind", kind)
+    if got != kind:
+        raise FormatError("%s.kind: expected %r, got %r" % (path, kind, got))
+    return _PARSERS[kind](doc, path)
+
+
 def _parse_bimodule(doc, path):
     variant = doc.pop("variant", None)
     base_doc = doc.pop("base", None)
-    if not isinstance(base_doc, dict):
-        raise FormatError(path + ".base: expected an embedded object")
     m = _dim(doc, path, "space_dim")
     if variant == "anti-flexible":
-        base = _parse_algebra(dict(base_doc), path + ".base")
+        base = _parse_embedded(base_doc, "algebra", path + ".base")
         n = base.dimension
         l = _mats(doc.pop("l", None), n, m, m, path + ".l")
         r = _mats(doc.pop("r", None), n, m, m, path + ".r")
         _reject_unknown(doc, path)
         return AfBimodule(base, m, l, r)
     if variant == "pre":
-        base = _parse_pre_algebra(dict(base_doc), path + ".base")
+        base = _parse_embedded(base_doc, "pre-algebra", path + ".base")
         n = base.dimension
         maps = [_mats(doc.pop(k, None), n, m, m, "%s.%s" % (path, k))
                 for k in ("l_succ", "r_succ", "l_prec", "r_prec")]
@@ -196,8 +209,8 @@ def _parse_bimodule(doc, path):
 def _parse_matched(doc, path):
     variant = doc.pop("variant", None)
     if variant == "anti-flexible":
-        algA = _parse_algebra(dict(doc.pop("A", {})), path + ".A")
-        algB = _parse_algebra(dict(doc.pop("B", {})), path + ".B")
+        algA = _parse_embedded(doc.pop("A", None), "algebra", path + ".A")
+        algB = _parse_embedded(doc.pop("B", None), "algebra", path + ".B")
         n, m = algA.dimension, algB.dimension
         lA = _mats(doc.pop("lA", None), n, m, m, path + ".lA")
         rA = _mats(doc.pop("rA", None), n, m, m, path + ".rA")
@@ -206,8 +219,10 @@ def _parse_matched(doc, path):
         _reject_unknown(doc, path)
         return AfMatchedPair(algA, algB, lA, rA, lB, rB)
     if variant == "pre":
-        palgA = _parse_pre_algebra(dict(doc.pop("A", {})), path + ".A")
-        palgB = _parse_pre_algebra(dict(doc.pop("B", {})), path + ".B")
+        palgA = _parse_embedded(doc.pop("A", None), "pre-algebra",
+                                path + ".A")
+        palgB = _parse_embedded(doc.pop("B", None), "pre-algebra",
+                                path + ".B")
         n, m = palgA.dimension, palgB.dimension
         mapsA = [_mats(doc.pop(k, None), n, m, m, "%s.%s" % (path, k))
                  for k in ("ls_A", "rs_A", "lp_A", "rp_A")]
@@ -393,7 +408,7 @@ def report_to_json(command, rep: CheckReport, elapsed=0.0):
            "verdict": "pass" if rep.passed else "fail",
            "identity": rep.identity_name, "witness": None,
            "failure_count": len(rep.failures),
-           "wall_time_ms": int(elapsed * 1000)}
+           "wall_time_ms": elapsed * 1000.0}
     if rep.witness is not None:
         label, idx, res = rep.witness
         out["witness"] = {"identity": label,
@@ -406,9 +421,9 @@ def report_to_json(command, rep: CheckReport, elapsed=0.0):
 def run_check(command, inputs, kind=None, all_failures=False):
     """Dispatch a named check over parsed inputs and return a JSON-ready
     report (verdict, first witness, wall time)."""
-    start = time.monotonic()
+    start = time.perf_counter()
     rep = _dispatch_check(command, inputs, kind, all_failures)
-    return report_to_json(command, rep, time.monotonic() - start)
+    return report_to_json(command, rep, time.perf_counter() - start)
 
 
 def _as_rpair(obj):
@@ -513,10 +528,11 @@ SEARCH_TARGETS = ("rota-baxter", "pafybe-symmetric", "o-operator")
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """A bounded grid search.  The coefficient set keeps the first of equal
+    values, in order, so every candidate of the grid is distinct."""
     target: str
     coefficient_set: tuple = (Fraction(-1), Fraction(0), Fraction(1))
     bound: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.target not in SEARCH_TARGETS:
@@ -524,21 +540,17 @@ class SearchSpec:
                                     % (self.target,))
         if not self.coefficient_set:
             raise PreconditionError("SearchSpec: empty coefficient set")
-        object.__setattr__(self, "coefficient_set",
-                           tuple(Fraction(c) for c in self.coefficient_set))
-
-
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("ANTIFLEX_THREADS", "1")))
-    except ValueError:
-        return 1
+        object.__setattr__(self, "coefficient_set", tuple(dict.fromkeys(
+            Fraction(c) for c in self.coefficient_set)))
 
 
 def grid_search(spec: SearchSpec, subject):
     """Exhaustively enumerate candidate matrices with entries drawn from
-    the coefficient set, in lexicographic order, validating each with the
-    module checker for the target.  Returns (found, report)."""
+    the coefficient set, in lexicographic order, and keep those that pass
+    the module check for the target.  prepare() runs the check's
+    precondition on the subject once, before the enumeration, and returns
+    the test that runs only the check's core on each candidate.  Returns
+    (found, report)."""
     coeffs = spec.coefficient_set
     if spec.target == "rota-baxter":
         n = subject.dimension
@@ -548,7 +560,10 @@ def grid_search(spec: SearchSpec, subject):
         nfree = n * n
         shape = [(i, j) for i in range(n) for j in range(n)]
         build = lambda vals: _fill_matrix(n, n, shape, vals)
-        accept = lambda m: check_rota_baxter(subject, m).passed
+
+        def prepare():
+            require_anti_flexible(subject, "check_rota_baxter")
+            return lambda m: rota_baxter_core(subject, m).passed
     elif spec.target == "pafybe-symmetric":
         n = subject.dimension
         if n > spec.bound:
@@ -557,7 +572,10 @@ def grid_search(spec: SearchSpec, subject):
         shape = [(i, j) for i in range(n) for j in range(i, n)]
         nfree = len(shape)
         build = lambda vals: _fill_symmetric(n, shape, vals)
-        accept = lambda m: check_pafybe(subject, m).passed
+
+        def prepare():
+            tensors = structure_tensors(subject)
+            return lambda r: pafybe_core(tensors, r).passed
     elif spec.target == "o-operator":
         n = subject.base.dimension
         m = subject.space_dim
@@ -567,7 +585,10 @@ def grid_search(spec: SearchSpec, subject):
         nfree = n * m
         shape = [(i, j) for i in range(n) for j in range(m)]
         build = lambda vals: _fill_matrix(n, m, shape, vals)
-        accept = lambda t: check_o_operator(OOperator(subject, t)).passed
+
+        def prepare():
+            require_af_bimodule(subject, "check_o_operator")
+            return lambda t: o_operator_core(subject, t).passed
     else:
         raise PreconditionError("grid_search: unknown target %r"
                                 % (spec.target,))
@@ -575,20 +596,13 @@ def grid_search(spec: SearchSpec, subject):
     if size > 10 ** 8:
         raise PreconditionError("grid_search: search space has %d candidates "
                                 "(limit 10^8)" % size)
-    found = []
-    seen = set()
-    for vals in itertools.product(coeffs, repeat=nfree):
-        cand = build(vals)
-        key = tuple(map(tuple, cand))
-        if key in seen:
-            continue
-        seen.add(key)
-        if accept(cand):
-            found.append(cand)
+    accept = prepare()
+    found = [cand for cand in map(build, itertools.product(coeffs,
+                                                           repeat=nfree))
+             if accept(cand)]
     report = {"format_version": FORMAT_VERSION, "target": spec.target,
-              "candidates": size, "found": len(found), "seed": spec.seed,
-              "coefficient_set": [_fmt(c) for c in coeffs],
-              "workers": _worker_count()}
+              "candidates": size, "found": len(found),
+              "coefficient_set": [_fmt(c) for c in coeffs]}
     return found, report
 
 

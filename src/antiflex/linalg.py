@@ -259,10 +259,11 @@ def solve(m, b):
 
 
 def mat_rank(m):
-    """Exact rank by Gaussian elimination."""
+    """Exact rank by Gaussian elimination over Fraction pivots, so that int
+    input is never divided in float."""
     if not m or not m[0]:
         return 0
-    a = [list(row) for row in m]
+    a = [[Fraction(x) for x in row] for row in m]
     rows, cols = len(a), len(a[0])
     rank = 0
     for col in range(cols):

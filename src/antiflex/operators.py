@@ -27,27 +27,37 @@ from .linalg import (
 # Rota-Baxter operators and the induced half-products
 # ---------------------------------------------------------------------------
 
-def check_rota_baxter(alg: Algebra, alpha) -> CheckReport:
-    """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs."""
+def require_anti_flexible(alg: Algebra, caller):
+    """Raise PreconditionError, naming the caller, unless the base algebra
+    passes the anti-flexible check."""
     rep = check_identities(alg, "anti-flexible")
     if not rep.passed:
-        raise PreconditionError("check_rota_baxter: base fails the "
-                                "anti-flexible check; witness %r"
-                                % (rep.witness,))
+        raise PreconditionError("%s: base fails the anti-flexible check; "
+                                "witness %r" % (caller, rep.witness))
+
+
+def check_rota_baxter(alg: Algebra, alpha) -> CheckReport:
+    """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs."""
+    require_anti_flexible(alg, "check_rota_baxter")
+    return rota_baxter_core(alg, alpha)
+
+
+def rota_baxter_core(alg: Algebra, alpha) -> CheckReport:
+    """check_rota_baxter without its precondition, for callers that have
+    validated the base once (grid_search)."""
     n = alg.dimension
-    failures = []
+    basis = [basis_vec(n, i) for i in range(n)]
+    cols = [[alpha[k][i] for k in range(n)] for i in range(n)]
     for i in range(n):
-        bx = [alpha[k][i] for k in range(n)]
+        bx = cols[i]
         for j in range(n):
-            y = basis_vec(n, j)
-            by = mat_vec(alpha, y)
+            by = cols[j]
             res = vec_sub(alg.mul(bx, by),
-                          mat_vec(alpha, vec_add(alg.mul(basis_vec(n, i), by),
-                                                 alg.mul(bx, y))))
+                          mat_vec(alpha, vec_add(alg.mul(basis[i], by),
+                                                 alg.mul(bx, basis[j]))))
             if not vec_is_zero(res):
-                failures.append(("rota-baxter", (i, j), res))
-                return _report("rota-baxter", failures)
-    return _report("rota-baxter", failures)
+                return _report("rota-baxter", [("rota-baxter", (i, j), res)])
+    return _report("rota-baxter", [])
 
 
 def _rb_defect(alg, alpha, x, y):
@@ -64,11 +74,7 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
       (a(x)*a(y) - a(x*a(y)+a(x)*y)) * z
         + z * (a(y)*a(x) - a(y*a(x)+a(y)*x)) = 0.
     """
-    rep = check_identities(alg, "anti-flexible")
-    if not rep.passed:
-        raise PreconditionError("check_generalized_rb: base fails the "
-                                "anti-flexible check; witness %r"
-                                % (rep.witness,))
+    require_anti_flexible(alg, "check_generalized_rb")
     n = alg.dimension
     basis = [basis_vec(n, i) for i in range(n)]
     failures = []
@@ -116,24 +122,37 @@ class OOperator:
         object.__setattr__(self, "T", tuple(tuple(row) for row in t))
 
 
+def require_af_bimodule(bm: AfBimodule, caller):
+    """Raise PreconditionError, naming the caller, unless the bimodule
+    passes its check."""
+    rep = check_af_bimodule(bm)
+    if not rep.passed:
+        raise PreconditionError("%s: the bimodule fails its check; witness %r"
+                                % (caller, rep.witness))
+
+
 def check_o_operator(oo: OOperator, all_failures=False) -> CheckReport:
     """T(u)*T(v) = T(l(T(u))v + r(T(v))u) over all basis pairs of V."""
-    rep = check_af_bimodule(oo.bimodule)
-    if not rep.passed:
-        raise PreconditionError("check_o_operator: the bimodule fails its "
-                                "check; witness %r" % (rep.witness,))
-    bm = oo.bimodule
+    require_af_bimodule(oo.bimodule, "check_o_operator")
+    return o_operator_core(oo.bimodule, oo.T, all_failures)
+
+
+def o_operator_core(bm: AfBimodule, T, all_failures=False) -> CheckReport:
+    """check_o_operator without its precondition, for callers that have
+    validated the bimodule once (grid_search); T is a (dim A) x (dim V)
+    matrix."""
     alg = bm.base
     n = alg.dimension
     m = bm.space_dim
-    cols = [[oo.T[k][i] for k in range(n)] for i in range(m)]
+    cols = [[T[k][i] for k in range(n)] for i in range(m)]
+    lT = [act(bm.l, col) for col in cols]
+    rT = [act(bm.r, col) for col in cols]
     failures = []
     for i in range(m):
         for j in range(m):
-            inner = vec_add(mat_vec(act(bm.l, cols[i]), basis_vec(m, j)),
-                            mat_vec(act(bm.r, cols[j]), basis_vec(m, i)))
-            res = vec_sub(alg.mul(cols[i], cols[j]),
-                          mat_vec(oo.T, inner))
+            # l(T(u_i)) u_j + r(T(u_j)) u_i
+            inner = [lT[i][k][j] + rT[j][k][i] for k in range(m)]
+            res = vec_sub(alg.mul(cols[i], cols[j]), mat_vec(T, inner))
             if not vec_is_zero(res):
                 failures.append(("o-operator", (i, j), res))
                 if not all_failures:

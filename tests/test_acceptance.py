@@ -263,20 +263,22 @@ def test_criterion_09():
 @criterion(10, "tensor-calculus symmetry remarks")
 def test_criterion_10():
     from antiflex.coboundary import _CASE2_M, _CASE2_PP, _EXPRESSIONS, \
-        _rpair_mats, evaluate_expression, flp_expression, sigma13_expression
+        _rpair_mats, evaluate_expression, flp_expression, sigma13_expression, \
+        structure_tensors
     subjects = [PreAlgebra(1, zeros_t3(1), zeros_t3(1))] + DIM2_PRE
     qt2 = from_associative(CORPUS["qt2"], "succ-left")
     subjects.append(canonical_solution(qt2)[0])  # dimension 4
     rng = seeded(100010)
     for subject in subjects:
         n = subject.dimension
+        c = structure_tensors(subject)
         for _ in range(100):
             rp = RPair(sparse_mat(rng, n, rng.choice([1, 2, 3])),
                        sparse_mat(rng, n, rng.choice([1, 2, 3])))
             mats = _rpair_mats(rp)
 
             def ev(terms):
-                return evaluate_expression(subject, terms, mats)
+                return evaluate_expression(c, terms, mats)
 
             m = _EXPRESSIONS["M"]
             flp_m = flp_expression(m)
@@ -289,8 +291,8 @@ def test_criterion_10():
             assert mnpq(subject, rp, "Q'") == \
                 ev(flp_expression(_EXPRESSIONS["P'"]))
             rmats = {"r": rp.r_succ}
-            assert evaluate_expression(subject, _CASE2_PP, rmats) == \
-                permute3(evaluate_expression(subject, _CASE2_M, rmats),
+            assert evaluate_expression(c, _CASE2_PP, rmats) == \
+                permute3(evaluate_expression(c, _CASE2_M, rmats),
                          "sigma123")
 
 

@@ -70,8 +70,16 @@ def test_pairwise_tensor_product_oracle():
     rng = seeded(87)
     patterns = ("12.13", "12.23", "23.12", "21.13", "13.23", "31.23",
                 "32.21", "21.31", "23.31", "13.21", "12.31", "32.12")
-    for palg in DIM2_PRE[:2]:
-        a, b = rand_mat(rng, 2), rand_mat(rng, 2)
+    cases = [(palg, rand_mat(rng, 2), rand_mat(rng, 2))
+             for palg in DIM2_PRE[:2]]
+    # the dim-3 and dim-4 corpus splittings, with dense and sparse factors
+    for name in ("ut2", "m2"):
+        palg = from_associative(CORPUS[name], "succ-left")
+        n = palg.dimension
+        cases.append((palg, rand_mat(rng, n), rand_mat(rng, n)))
+        cases.append((palg, sparse_mat(rng, n, 2), sparse_mat(rng, n, 3)))
+        cases.append((palg, sparse_mat(rng, n, 1), rand_mat(rng, n)))
+    for palg, a, b in cases:
         for slots in patterns:
             for op in ("prec", "succ", "dot"):
                 assert pairwise_tensor_product(palg, a, b, slots, op) == \
@@ -98,16 +106,18 @@ def test_symmetry_remarks():
 
 def _flp_tensor(palg, rp, which):
     from antiflex.coboundary import _EXPRESSIONS, _rpair_mats, \
-        evaluate_expression, flp_expression
-    return evaluate_expression(palg, flp_expression(_EXPRESSIONS[which]),
+        evaluate_expression, flp_expression, structure_tensors
+    return evaluate_expression(structure_tensors(palg),
+                               flp_expression(_EXPRESSIONS[which]),
                                _rpair_mats(rp))
 
 
 def _flp_tensor_of(expected_n, palg, rp, which):
     from antiflex.coboundary import _EXPRESSIONS, _rpair_mats, \
-        evaluate_expression, flp_expression, sigma13_expression
+        evaluate_expression, flp_expression, sigma13_expression, \
+        structure_tensors
     return evaluate_expression(
-        palg, flp_expression(sigma13_expression(
+        structure_tensors(palg), flp_expression(sigma13_expression(
             flp_expression(_EXPRESSIONS[which]))), _rpair_mats(rp))
 
 
@@ -188,14 +198,16 @@ def test_special_cases_on_canonical():
 
 
 def test_case_two_p2_equals_sigma123_m2():
-    from antiflex.coboundary import _CASE2_M, _CASE2_PP, evaluate_expression
+    from antiflex.coboundary import _CASE2_M, _CASE2_PP, \
+        evaluate_expression, structure_tensors
     rng = seeded(107)
     for trial in range(20):
         palg = DIM2_PRE[trial % len(DIM2_PRE)]
         r = rand_mat(rng, 2)
         mats = {"r": r}
-        m2 = evaluate_expression(palg, _CASE2_M, mats)
-        p2 = evaluate_expression(palg, _CASE2_PP, mats)
+        c = structure_tensors(palg)
+        m2 = evaluate_expression(c, _CASE2_M, mats)
+        p2 = evaluate_expression(c, _CASE2_PP, mats)
         assert p2 == permute3(m2, "sigma123")
 
 

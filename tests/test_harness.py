@@ -1,12 +1,18 @@
 import json
 import os
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from antiflex.algebra import Algebra, PreconditionError
+from antiflex.algebra import Algebra, PreconditionError, from_associative
+from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
+    regular_pre_bimodule
 from antiflex.cli import main
-from antiflex.coboundary import RPair
+from antiflex.coboundary import RPair, check_pafybe
+from antiflex.matched import dual_pre_matched, standard_dual_matched
+from antiflex.operators import OOperator, check_o_operator, \
+    check_rota_baxter
 from antiflex.harness import (
     CORPUS_DIR, FormatError, LinearMap, RElement, SearchSpec, corpus_names,
     grid_search, load_corpus, load_file, parse_file, random_element_oracle,
@@ -165,3 +171,109 @@ def test_cli_oracle_and_search(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["report"]["found"] == len(doc["results"]) > 0
     capsys.readouterr()
+
+
+def test_round_trip_bimodules_and_matched_pairs():
+    # the embedded algebras carry their "kind"; parsing accepts it
+    palg = from_associative(CORPUS["qt2"], "succ-left")
+    objs = [regular_af_bimodule(CORPUS["ut2"]), regular_pre_bimodule(palg),
+            standard_dual_matched(palg, palg), dual_pre_matched(palg, palg)]
+    for obj in objs:
+        raw = serialize(obj)
+        assert b'"kind": "algebra"' in raw or b'"kind": "pre-algebra"' in raw
+        assert serialize(parse_file(raw)) == raw
+
+
+def test_embedded_kind_must_name_the_structure():
+    doc = json.loads(serialize(regular_af_bimodule(CORPUS["t3"])))
+    doc["base"]["kind"] = "pre-algebra"
+    with pytest.raises(FormatError, match=r"bimodule\.base\.kind"):
+        parse_file(json.dumps(doc))
+    doc = json.loads(serialize(dual_pre_matched(DIM2_PRE[0], DIM2_PRE[0])))
+    doc["B"]["kind"] = "algebra"
+    with pytest.raises(FormatError, match=r"matched-pair\.B\.kind"):
+        parse_file(json.dumps(doc))
+
+
+def test_cli_checks_package_written_bimodule(tmp_path, capsys):
+    bm = tmp_path / "bimodule.json"
+    zero = tmp_path / "zero.json"
+    save_file(bm, regular_af_bimodule(CORPUS["ut2"]))
+    save_file(zero, LinearMap(3, 3, [[Fraction(0)] * 3 for _ in range(3)]))
+    assert main(["check", "bimodule", str(bm)]) == 0
+    assert main(["check", "o-operator", str(bm), str(zero)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_json_wall_time_is_float_ms(capsys):
+    assert main(["check", "algebra", _corpus_path("q1"), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert isinstance(rep["wall_time_ms"], float)
+    assert rep["wall_time_ms"] > 0
+
+
+def test_cli_search_repeated_coefficients(tmp_path, capsys):
+    docs = []
+    for coeffs in ("0,1,1", "0,1"):
+        out = tmp_path / ("found-%d.json" % len(docs))
+        assert main(["search", "rota-baxter", _corpus_path("t3"),
+                     "--coeffs", coeffs, "-o", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0] == docs[1]
+    assert docs[0]["report"]["candidates"] == 16
+    assert "workers" not in docs[0]["report"]
+    assert "seed" not in docs[0]["report"]
+    capsys.readouterr()
+
+
+def _grid(shape, coeffs, rows, cols, symmetric=False):
+    """Every candidate of a grid, in the order grid_search enumerates it."""
+    for vals in product(coeffs, repeat=len(shape)):
+        m = [[Fraction(0)] * cols for _ in range(rows)]
+        for (i, j), v in zip(shape, vals):
+            m[i][j] = v
+            if symmetric:
+                m[j][i] = v
+        yield m
+
+
+def test_grid_search_matches_public_checkers():
+    coeffs = (Fraction(-1), Fraction(0), Fraction(1))
+    full = [(i, j) for i in range(2) for j in range(2)]
+    upper = [(i, j) for i in range(2) for j in range(i, 2)]
+    for name in ("qt2", "t3"):
+        alg = CORPUS[name]
+        found, _ = grid_search(SearchSpec("rota-baxter", coeffs, 2), alg)
+        assert found == [m for m in _grid(full, coeffs, 2, 2)
+                         if check_rota_baxter(alg, m).passed]
+        bm = regular_af_bimodule(alg)
+        found, _ = grid_search(SearchSpec("o-operator", coeffs, 2), bm)
+        assert found == [t for t in _grid(full, coeffs, 2, 2)
+                         if check_o_operator(OOperator(bm, t)).passed]
+    for palg in DIM2_PRE:
+        found, _ = grid_search(SearchSpec("pafybe-symmetric", coeffs, 2),
+                               palg)
+        assert found == [r for r in _grid(upper, coeffs, 2, 2, True)
+                         if check_pafybe(palg, r).passed]
+
+
+def test_grid_search_precondition_errors():
+    bad = Algebra(2, bump_t3(CORPUS["t3"].product, 0, 1, 0))
+    with pytest.raises(PreconditionError) as direct:
+        check_rota_baxter(bad, [[Fraction(0)] * 2 for _ in range(2)])
+    with pytest.raises(PreconditionError) as searched:
+        grid_search(SearchSpec("rota-baxter", bound=2), bad)
+    assert str(searched.value) == str(direct.value)
+    assert str(direct.value).startswith(
+        "check_rota_baxter: base fails the anti-flexible check; witness ")
+    regular = regular_af_bimodule(CORPUS["t3"])
+    l = [[list(row) for row in m] for m in regular.l]
+    l[0][0][0] += 1
+    bm = AfBimodule(regular.base, 2, l, regular.r)
+    with pytest.raises(PreconditionError) as direct:
+        check_o_operator(OOperator(bm, [[Fraction(0)] * 2] * 2))
+    with pytest.raises(PreconditionError) as searched:
+        grid_search(SearchSpec("o-operator", bound=2), bm)
+    assert str(searched.value) == str(direct.value)
+    assert str(direct.value).startswith(
+        "check_o_operator: the bimodule fails its check; witness ")

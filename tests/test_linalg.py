@@ -123,6 +123,9 @@ def test_inverse_solve_rank():
     assert mat_rank(m) == 2
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert mat_rank(singular) == 1
+    # int input is eliminated exactly (a float elimination gives 1 here)
+    assert mat_rank([[10 ** 17, 10 ** 17 + 1], [10 ** 17 + 1, 10 ** 17 + 2]]) \
+        == 2
     try:
         mat_inverse(singular)
         assert False, "expected SingularMatrixError"
