@@ -17,8 +17,8 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     _report, check_identities, underlying_algebra
 from .bimodule import multiplication_operators, act
 from .linalg import (
-    eye, transpose, zeros_t3, mat_add, mat_sub, mat_neg, mat_mul,
-    mat_is_zero, mat_vec, apply2, t3_is_zero, t3_sub, vec_is_zero,
+    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, mat_is_zero,
+    mat_vec, apply2, t3_is_zero, t3_sub, vec_is_zero,
 )
 from .matched import (
     standard_dual_matched, dual_pre_matched, check_af_matched,
@@ -51,10 +51,7 @@ class Bialgebra:
 
 def comult_of_element(delta, coeffs):
     """D(x) as a matrix for x = sum coeffs[i] e_i."""
-    n = len(delta)
-    out = [[sum(coeffs[i] * delta[i][j][k] for i in range(n))
-            for k in range(n)] for j in range(n)]
-    return out
+    return act(delta, coeffs)
 
 
 def dual_products_from_comult(delta_prec, delta_succ) -> PreAlgebra:
@@ -89,17 +86,32 @@ def comult_from_products(palg: PreAlgebra):
 
 def _cofirst(delta, other, i):
     """(D_delta (x) id) D_other (e_i) as a rank-3 coefficient tensor
-    t[p][q][k]."""
+    t[p][q][k] = sum_j other[i][j][k] delta[j][p][q], over nonzero terms."""
     n = len(delta)
-    return [[[sum(other[i][j][k] * delta[j][p][q] for j in range(n))
-              for k in range(n)] for q in range(n)] for p in range(n)]
+    t = zeros_t3(n)
+    for j, row in enumerate(other[i]):
+        for k, o in enumerate(row):
+            if o:
+                for p, drow in enumerate(delta[j]):
+                    for q, d in enumerate(drow):
+                        if d:
+                            t[p][q][k] += o * d
+    return t
 
 
 def _cosecond(delta, other, i):
-    """(id (x) D_delta) D_other (e_i) as t[j][p][q]."""
+    """(id (x) D_delta) D_other (e_i) as t[j][p][q] = sum_k other[i][j][k]
+    delta[k][p][q], over nonzero terms."""
     n = len(delta)
-    return [[[sum(other[i][j][k] * delta[k][p][q] for k in range(n))
-              for q in range(n)] for p in range(n)] for j in range(n)]
+    t = zeros_t3(n)
+    for j, row in enumerate(other[i]):
+        for k, o in enumerate(row):
+            if o:
+                for p, drow in enumerate(delta[k]):
+                    for q, d in enumerate(drow):
+                        if d:
+                            t[j][p][q] += o * d
+    return t
 
 
 def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
@@ -164,15 +176,25 @@ def bialgebra_condition_residuals(palg: PreAlgebra, delta_prec, delta_succ,
           = (Rs(y) (x) id)sDs(x) - (id (x) Lp(y))sDp(x)
             + (id (x) Rp(x) - Ls(x) (x) id)D(y)
     """
-    n = palg.dimension
-    ops = multiplication_operators(palg)
+    return _condition_residuals(
+        palg, delta_prec, delta_succ,
+        _condition_invariants(palg, delta_prec, delta_succ), i, j)
+
+
+def _condition_invariants(palg, delta_prec, delta_succ):
+    """What the four conditions share over every basis pair: the regular
+    operators of palg, the identity matrix and D = Dp + Ds."""
+    return (multiplication_operators(palg), eye(palg.dimension),
+            [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)])
+
+
+def _condition_residuals(palg, delta_prec, delta_succ, invariants, i, j):
+    """bialgebra_condition_residuals, given the _condition_invariants."""
+    ops, I, dsum = invariants
     Lp, Rp = ops["L_prec"], ops["R_prec"]
     Ls, Rs = ops["L_succ"], ops["R_succ"]
     Ld, Rd = ops["L_dot"], ops["R_dot"]
-    I = eye(n)
-    dsum = [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)]
-
-    from .linalg import basis_vec
+    n = palg.dimension
     x, y = basis_vec(n, i), basis_vec(n, j)
     Ds_x, Ds_y = delta_succ[i], delta_succ[j]
     Dp_x, Dp_y = delta_prec[i], delta_prec[j]
@@ -225,11 +247,12 @@ def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
                                 "pre-anti-flexible check; witness %r"
                                 % (rep.witness,))
     n = palg.dimension
+    invariants = _condition_invariants(palg, delta_prec, delta_succ)
     failures = []
     for i in range(n):
         for j in range(n):
-            for label, idx, res in bialgebra_condition_residuals(
-                    palg, delta_prec, delta_succ, i, j):
+            for label, idx, res in _condition_residuals(
+                    palg, delta_prec, delta_succ, invariants, i, j):
                 if not mat_is_zero(res):
                     failures.append((label, idx, res))
                     if not all_failures:
@@ -246,7 +269,8 @@ class ConsistencyError(AssertionError):
     come from an implementation bug, never from user input."""
 
 
-def verify_bialgebra(b: Bialgebra, _return_routes=False) -> CheckReport:
+def verify_bialgebra(b: Bialgebra, all_failures=False,
+                     _return_routes=False) -> CheckReport:
     """Joint verdict of the four equivalent characterizations.
 
     Routes, each a full pass/fail verdict:
@@ -255,7 +279,9 @@ def verify_bialgebra(b: Bialgebra, _return_routes=False) -> CheckReport:
       3. the induced double algebra is anti-flexible and the canonical skew
          form on it is closed;
       4. the eight-map dual-action pre pair passes the pre matched check.
-    Any disagreement among the routes raises ConsistencyError.
+    Any disagreement among the routes raises ConsistencyError.  A failing
+    verdict carries route 1's witness, and with all_failures every failing
+    condition of route 1.
     """
     base_ok = check_identities(b.palg, "pre-anti-flexible").passed
     via_comult = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ)
@@ -271,7 +297,8 @@ def verify_bialgebra(b: Bialgebra, _return_routes=False) -> CheckReport:
                            witness=("structure",
                                     "base" if not base_ok else "dual", None))
 
-    conds = check_bialgebra_conditions(b.palg, b.delta_prec, b.delta_succ)
+    conds = check_bialgebra_conditions(b.palg, b.delta_prec, b.delta_succ,
+                                       all_failures)
     route1 = conds.passed
 
     mp = standard_dual_matched(b.palg, dual, check_inputs=False)
@@ -319,7 +346,6 @@ def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
     if len(psi) != nB or any(len(r) != nA for r in psi):
         raise PreconditionError("check_bialgebra_hom: psi must be a "
                                 "dst-dim x src-dim matrix")
-    from .linalg import basis_vec
     failures = []
 
     def note(label, idx, res):

@@ -58,14 +58,12 @@ def act(maps, coeffs):
     cols = len(maps[0][0])
     out = zeros_mat(rows, cols)
     for c, m in zip(coeffs, maps):
-        if c == 0:
+        if not c:
             continue
-        for i in range(rows):
-            row = m[i]
-            orow = out[i]
-            for j in range(cols):
-                if row[j] != 0:
-                    orow[j] += c * row[j]
+        for orow, row in zip(out, m):
+            for j, x in enumerate(row):
+                if x:
+                    orow[j] += c * x
     return out
 
 

@@ -139,7 +139,7 @@ def _names(doc, n, path):
 
 def _dim(doc, path, key="dimension"):
     n = doc.pop(key, None)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError("%s.%s: expected a positive integer" % (path, key))
     return n
 
@@ -458,14 +458,15 @@ def _dispatch_check(command, inputs, kind, all_failures):
             return check_af_matched(mp, all_failures)
         return check_pre_matched(mp, all_failures)
     if command == "bialgebra":
-        return verify_bialgebra(inputs[0])
+        return verify_bialgebra(inputs[0], all_failures)
     if command == "pafybe":
         return check_pafybe(inputs[0], _as_matrix(inputs[1]), all_failures)
     if command == "coboundary":
         return check_coboundary_conditions(inputs[0], _as_rpair(inputs[1]),
                                            all_failures)
     if command == "rota-baxter":
-        return check_rota_baxter(inputs[0], _as_matrix(inputs[1]))
+        return check_rota_baxter(inputs[0], _as_matrix(inputs[1]),
+                                 all_failures)
     if command == "o-operator":
         return check_o_operator(OOperator(inputs[0],
                                           _as_matrix(inputs[1])),
@@ -474,7 +475,8 @@ def _dispatch_check(command, inputs, kind, all_failures):
         return check_two_cocycle(inputs[0], _as_matrix(inputs[1]),
                                  all_failures)
     if command == "r-double":
-        return check_r_double_consistency(inputs[0], _as_matrix(inputs[1]))
+        return check_r_double_consistency(inputs[0], _as_matrix(inputs[1]),
+                                          all_failures)
     raise FormatError("unknown check command %r" % (command,))
 
 

@@ -5,6 +5,12 @@ package is an exact zero-test: there is no epsilon anywhere.  Vectors are
 lists of Fractions, matrices are row-major nested lists (acting on column
 vectors), and rank-3 tensors are triply nested lists.  All functions are
 pure; callers must not mutate returned values that they share.
+
+The sums, differences, negations and contractions touch only exact
+nonzeros: a term with a factor that is an exact zero (int 0 or
+Fraction(0)) is skipped, and nothing else is.  Every sum starts from ZERO,
+so each result is exact, equal to its dense definition (the sum over every
+index), and made of Fractions also when the inputs are ints.
 """
 
 from __future__ import annotations
@@ -53,16 +59,51 @@ def basis_vec(n, i):
 # vector / matrix arithmetic
 # ---------------------------------------------------------------------------
 
+def _nonzeros(v):
+    """The pairs (index, entry) of the exact nonzeros of v."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _combine(pos, neg=()):
+    """sum(pos) - sum(neg) for vectors of one length, adding only their
+    nonzeros into ZERO."""
+    out = [ZERO] * len(pos[0])
+    for v in pos:
+        for i, x in enumerate(v):
+            if x:
+                out[i] += x
+    for v in neg:
+        for i, x in enumerate(v):
+            if x:
+                out[i] -= x
+    return out
+
+
+def _rows_times(a, b_rows, cols):
+    """The matrix product of the rows a with a matrix of cols columns given
+    by the nonzeros of its rows (see _nonzeros): row by row, each nonzero
+    a_ik meets only the nonzeros of row k."""
+    out = []
+    for row in a:
+        acc = [ZERO] * cols
+        for x, bk in zip(row, b_rows):
+            if x:
+                for j, y in bk:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
 def vec_add(*vs):
-    n = len(vs[0])
-    return [sum((v[i] for v in vs), ZERO) for i in range(n)]
+    return _combine(vs)
 
 
 def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
+    return _combine((u,), (v,))
+
 
 def vec_neg(v):
-    return [-a for a in v]
+    return [ZERO - a if a else ZERO for a in v]
 
 
 def vec_scale(c, v):
@@ -70,42 +111,48 @@ def vec_scale(c, v):
 
 
 def vec_is_zero(v):
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    acc = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc += a * b
+    return acc
 
 
 def mat_add(*ms):
-    return [[sum((m[i][j] for m in ms), ZERO) for j in range(len(ms[0][0]))]
-            for i in range(len(ms[0]))]
+    return [_combine(rows) for rows in zip(*ms)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [_combine((ra,), (rb,)) for ra, rb in zip(a, b)]
 
 
 def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+    return [[ZERO - x if x else ZERO for x in row] for row in a]
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    bt = transpose(b)
-    return [[dot(a[i], bt[j]) for j in range(cols)] for i in range(rows)]
+    return _rows_times(a, [_nonzeros(row) for row in b], len(b[0]))
 
 
 def mat_vec(m, v):
-    return [dot(row, v) for row in m]
+    nz = _nonzeros(v)
+    out = []
+    for row in m:
+        acc = ZERO
+        for j, x in nz:
+            a = row[j]
+            if a:
+                acc += a * x
+        out.append(acc)
+    return out
 
 
 def mat_is_zero(m):
-    return all(x == 0 for row in m for x in row)
+    return not any(map(any, m))
 
 
 def transpose(m):
@@ -131,30 +178,21 @@ def commutator(a, b):
 # ---------------------------------------------------------------------------
 
 def t3_add(*ts):
-    n1, n2, n3 = len(ts[0]), len(ts[0][0]), len(ts[0][0][0])
-    return [[[sum((t[i][j][k] for t in ts), ZERO) for k in range(n3)]
-             for j in range(n2)] for i in range(n1)]
+    return [[_combine(rows) for rows in zip(*planes)] for planes in zip(*ts)]
 
 
 def t3_sub(a, b):
-    return [[[x - y for x, y in zip(ra, rb)]
-             for ra, rb in zip(pa, pb)] for pa, pb in zip(a, b)]
+    return [[_combine((ra,), (rb,)) for ra, rb in zip(pa, pb)]
+            for pa, pb in zip(a, b)]
 
 
 def t3_neg(a):
-    return [[[-x for x in row] for row in plane] for plane in a]
-
-
-def t3_scale(c, a):
-    return [[[c * x for x in row] for row in plane] for plane in a]
+    return [[[ZERO - x if x else ZERO for x in row] for row in plane]
+            for plane in a]
 
 
 def t3_is_zero(t):
-    return all(x == 0 for plane in t for row in plane for x in row)
-
-
-def t3_eq(a, b):
-    return a == b
+    return not any(any(row) for plane in t for row in plane)
 
 
 def contract_product(c, x, y):
@@ -164,19 +202,17 @@ def contract_product(c, x, y):
     n3 = len(c[0][0])
     if len(x) != n1 or len(y) != n2:
         raise ValueError("contract_product: dimension mismatch")
-    out = zeros_vec(n3)
-    for i, xi in enumerate(x):
-        if xi == 0:
+    out = [ZERO] * n3
+    y_nz = _nonzeros(y)
+    for xi, ci in zip(x, c):
+        if not xi:
             continue
-        ci = c[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            cij = ci[j]
-            for k in range(n3):
-                if cij[k] != 0:
-                    out[k] += coeff * cij[k]
+        for j, yj in y_nz:
+            cij = _nonzeros(ci[j])
+            if cij:
+                coeff = xi * yj
+                for k, ck in cij:
+                    out[k] += coeff * ck
     return out
 
 
@@ -212,18 +248,22 @@ def apply2(p, q, m):
 
 
 def apply_slot3(t, slot, p):
-    """Apply operator p at one tensor slot (1, 2 or 3) of a rank-3 element."""
-    n = len(t)
-    rng = range(n)
+    """Apply operator p at one tensor slot (1, 2 or 3) of a rank-3 element.
+
+    Each slot is one matrix product: p times t flattened to (slot 1, slots
+    2-3) for slot 1, p times each plane t[i] for slot 2, and each plane
+    times p^T for slot 3."""
     if slot == 1:
-        return [[[sum((p[i][m] * t[m][j][k] for m in rng), ZERO)
-                  for k in rng] for j in rng] for i in rng]
+        n2, n3 = len(t[0]), len(t[0][0])
+        flat = _rows_times(p, [_nonzeros([x for row in plane for x in row])
+                               for plane in t], n2 * n3)
+        return [[r[j * n3:(j + 1) * n3] for j in range(n2)] for r in flat]
     if slot == 2:
-        return [[[sum((p[j][m] * t[i][m][k] for m in rng), ZERO)
-                  for k in rng] for j in rng] for i in rng]
+        return [_rows_times(p, [_nonzeros(row) for row in plane],
+                            len(plane[0])) for plane in t]
     if slot == 3:
-        return [[[sum((p[k][m] * t[i][j][m] for m in rng), ZERO)
-                  for k in rng] for j in rng] for i in rng]
+        pt = [_nonzeros(col) for col in zip(*p)]
+        return [_rows_times(plane, pt, len(p)) for plane in t]
     raise ValueError("apply_slot3: slot must be 1, 2 or 3")
 
 

@@ -17,7 +17,7 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     check_pre_bimodule, multiplication_operators
 from .linalg import (
-    ONE, basis_vec, vec_add, vec_sub, vec_neg, vec_is_zero, zeros_t3,
+    ONE, basis_vec, dot, vec_add, vec_sub, vec_neg, vec_is_zero, zeros_t3,
     zeros_mat, mat_add, mat_vec, transpose,
 )
 
@@ -514,17 +514,17 @@ def omega_double_check(d: Algebra, all_failures=False) -> CheckReport:
         raise PreconditionError("omega_double_check: odd dimension")
     n = d.dimension // 2
 
-    def w(u, v):
-        return sum(u[p] * v[n + p] - u[n + p] * v[p] for p in range(n))
-
+    # w(u, v) = <u, Jv> with Jv = (dual part of v, -(A part of v)), so the
+    # cyclic sum is one dot product of concatenated vectors
     basis = [basis_vec(2 * n, i) for i in range(2 * n)]
+    paired = [v[n:] + vec_neg(v[:n]) for v in basis]
     failures = []
     for i in range(2 * n):
         for j in range(2 * n):
             for k in range(2 * n):
                 x, y, z = basis[i], basis[j], basis[k]
-                res = (w(d.mul(x, y), z) + w(d.mul(y, z), x)
-                       + w(d.mul(z, x), y))
+                res = dot(d.mul(x, y) + d.mul(y, z) + d.mul(z, x),
+                          paired[k] + paired[i] + paired[j])
                 if res != 0:
                     failures.append(("cyclic-form", (i, j, k), [res]))
                     if not all_failures:

@@ -36,18 +36,19 @@ def require_anti_flexible(alg: Algebra, caller):
                                 "witness %r" % (caller, rep.witness))
 
 
-def check_rota_baxter(alg: Algebra, alpha) -> CheckReport:
+def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs."""
     require_anti_flexible(alg, "check_rota_baxter")
-    return rota_baxter_core(alg, alpha)
+    return rota_baxter_core(alg, alpha, all_failures)
 
 
-def rota_baxter_core(alg: Algebra, alpha) -> CheckReport:
+def rota_baxter_core(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     """check_rota_baxter without its precondition, for callers that have
     validated the base once (grid_search)."""
     n = alg.dimension
     basis = [basis_vec(n, i) for i in range(n)]
     cols = [[alpha[k][i] for k in range(n)] for i in range(n)]
+    failures = []
     for i in range(n):
         bx = cols[i]
         for j in range(n):
@@ -56,8 +57,10 @@ def rota_baxter_core(alg: Algebra, alpha) -> CheckReport:
                           mat_vec(alpha, vec_add(alg.mul(basis[i], by),
                                                  alg.mul(bx, basis[j]))))
             if not vec_is_zero(res):
-                return _report("rota-baxter", [("rota-baxter", (i, j), res)])
-    return _report("rota-baxter", [])
+                failures.append(("rota-baxter", (i, j), res))
+                if not all_failures:
+                    return _report("rota-baxter", failures)
+    return _report("rota-baxter", failures, all_failures)
 
 
 def _rb_defect(alg, alpha, x, y):
@@ -282,14 +285,15 @@ def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
     return PreAlgebra(2 * n, prec, succ, names)
 
 
-def check_r_double_consistency(palg: PreAlgebra, r) -> CheckReport:
+def check_r_double_consistency(palg: PreAlgebra, r,
+                               all_failures=False) -> CheckReport:
     """Whether the assembled double is itself pre-anti-flexible; for
     symmetric r this holds exactly when r solves the Yang-Baxter-type
     equation."""
-    rep = check_identities(assembled_double(palg, r), "pre-anti-flexible")
-    failures = [("r-double", rep.witness[1], rep.witness[2])] \
-        if not rep.passed else []
-    return _report("r-double", failures)
+    rep = check_identities(assembled_double(palg, r), "pre-anti-flexible",
+                           all_failures)
+    failures = [("r-double", idx, res) for _label, idx, res in rep.failures]
+    return _report("r-double", failures, all_failures)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ def test_canonical_bialgebra_all_routes_pass():
         assert routes == (True, True, True, True)
 
 
+def test_ut2_double_case_one_all_routes_pass():
+    palg = from_associative(CORPUS["ut2"], "succ-left")
+    double, r = canonical_solution(palg)
+    b = special_case_bialgebra(double, r, "one")
+    assert b.dimension == 6
+    assert verify_bialgebra(b, _return_routes=True) == \
+        (True, True, True, True)
+
+
 def test_conditions_perturbation_fails_together():
     b = _canonical_bialgebras()[1]
     dp = [[list(row) for row in m] for m in b.delta_prec]

@@ -5,20 +5,22 @@ from itertools import product
 
 import pytest
 
-from antiflex.algebra import Algebra, PreconditionError, from_associative
+from antiflex.algebra import Algebra, PreconditionError, from_associative, \
+    identity_residuals
+from antiflex.bialgebra import Bialgebra, bialgebra_condition_residuals
 from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
     regular_pre_bimodule
 from antiflex.cli import main
-from antiflex.coboundary import RPair, check_pafybe
+from antiflex.coboundary import RPair, check_pafybe, special_case_bialgebra
 from antiflex.matched import dual_pre_matched, standard_dual_matched
-from antiflex.operators import OOperator, check_o_operator, \
-    check_rota_baxter
+from antiflex.operators import OOperator, assembled_double, \
+    canonical_solution, check_o_operator, check_rota_baxter
 from antiflex.harness import (
     CORPUS_DIR, FormatError, LinearMap, RElement, SearchSpec, corpus_names,
     grid_search, load_corpus, load_file, parse_file, random_element_oracle,
     run_check, save_file, serialize,
 )
-from antiflex.linalg import zeros_t3
+from antiflex.linalg import eye, mat_is_zero, vec_is_zero, zeros_t3
 
 from helpers import CORPUS, DIM2_PRE, bump_t3
 
@@ -277,3 +279,73 @@ def test_grid_search_precondition_errors():
     assert str(searched.value) == str(direct.value)
     assert str(direct.value).startswith(
         "check_o_operator: the bimodule fails its check; witness ")
+
+
+def test_bool_dimension_rejected():
+    raw = json.loads(open(os.path.join(CORPUS_DIR, "q1.json")).read())
+    raw["dimension"] = True
+    with pytest.raises(FormatError, match=r"algebra\.dimension: expected a "
+                                          r"positive integer"):
+        parse_file(json.dumps(raw))
+    doc = {"format_version": 1, "kind": "linear-map", "rows": 1,
+           "cols": True, "matrix": [["1"]]}
+    with pytest.raises(FormatError, match=r"linear-map\.cols"):
+        parse_file(json.dumps(doc))
+
+
+def _failure_count(argv, capsys):
+    """Run a failing CLI check with --all-witnesses --json and return its
+    reported failure_count."""
+    assert main(argv + ["--all-witnesses", "--json"]) == 1
+    return json.loads(capsys.readouterr().out)["failure_count"]
+
+
+def test_cli_all_witnesses_rota_baxter(tmp_path, capsys):
+    # the identity map fails B(x)B(y) = B(xB(y) + B(x)y) exactly where
+    # x*y != 0: at three of the four basis pairs of qt2
+    ident = tmp_path / "id.json"
+    save_file(ident, LinearMap(2, 2, eye(2)))
+    c = CORPUS["qt2"].product
+    expected = sum(1 for i in range(2) for j in range(2) if any(c[i][j]))
+    assert expected == 3
+    assert _failure_count(["check", "rota-baxter", _corpus_path("qt2"),
+                           str(ident)], capsys) == expected
+
+
+def test_cli_all_witnesses_bialgebra(tmp_path, capsys):
+    # the products of one passing bialgebra with the comultiplications of
+    # another: both structures pass, the compatibility conditions do not
+    def bialgebra(split):
+        double, r = canonical_solution(from_associative(CORPUS["qt2"],
+                                                        split))
+        return special_case_bialgebra(double, r, "one")
+    a, b = bialgebra("succ-left"), bialgebra("prec-right")
+    cross = Bialgebra(a.palg, b.delta_prec, b.delta_succ)
+    path = tmp_path / "cross.json"
+    save_file(path, cross)
+    n = cross.dimension
+    expected = sum(1 for i in range(n) for j in range(n)
+                   for _label, _idx, res in bialgebra_condition_residuals(
+                       cross.palg, cross.delta_prec, cross.delta_succ, i, j)
+                   if not mat_is_zero(res))
+    assert expected > 1
+    assert _failure_count(["check", "bialgebra", str(path)],
+                          capsys) == expected
+
+
+def test_cli_all_witnesses_r_double(tmp_path, capsys):
+    palg = DIM2_PRE[0]
+    r = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]]
+    path = tmp_path / "r.json"
+    save_file(path, RElement(2, r))
+    pre = tmp_path / "pre.json"
+    save_file(pre, palg)
+    double = assembled_double(palg, r)
+    basis = [[Fraction(int(i == k)) for k in range(4)] for i in range(4)]
+    expected = sum(1 for x in basis for y in basis for z in basis
+                   for _label, res in identity_residuals(
+                       double, "pre-anti-flexible", x, y, z)
+                   if not vec_is_zero(res))
+    assert expected > 1
+    assert _failure_count(["check", "r-double", str(pre), str(path)],
+                          capsys) == expected
