@@ -13,14 +13,13 @@ tuple in lexicographic order so they are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import (
     Tensor3, Vector,
-    contract_product, t3_add, t3_sub, t3_is_zero, t3_neg,
-    vec_add, vec_sub, vec_is_zero, basis_vec, zeros_t3, zeros_vec,
-    mat_inverse, mat_vec, transpose, SingularMatrixError,
+    contract_product, t3_add, t3_sub, vec_add, vec_sub, vec_is_zero, dot,
+    basis_vec, zeros_t3, mat_inverse, mat_vec, transpose, SingularMatrixError,
 )
 
 
@@ -119,31 +118,27 @@ ALGEBRA_KINDS = ("associative", "anti-flexible")
 PREALGEBRA_KINDS = ("pre-anti-flexible", "dendriform")
 
 
-def _algebra_residuals(alg, kind, x, y, z):
-    """Residual vectors of the defining identities on one element triple."""
-    if kind == "associative":
-        return [("associativity", triple(alg, x, y, z))]
-    if kind == "anti-flexible":
-        return [("anti-flexible", vec_sub(triple(alg, x, y, z),
-                                          triple(alg, z, y, x)))]
-    raise ValueError("unknown algebra identity kind %r" % (kind,))
+# the element-level residual of each identity, by label
+IDENTITIES = {
+    "associativity": lambda alg, x, y, z: triple(alg, x, y, z),
+    "anti-flexible": lambda alg, x, y, z: vec_sub(triple(alg, x, y, z),
+                                                  triple(alg, z, y, x)),
+    "pre-anti-flexible-m": lambda p, x, y, z: vec_sub(
+        pre_triple(p, x, y, z, "m"), pre_triple(p, z, y, x, "m")),
+    "pre-anti-flexible-lr": lambda p, x, y, z: vec_sub(
+        pre_triple(p, x, y, z, "l"), pre_triple(p, z, y, x, "r")),
+    "dendriform-m": lambda p, x, y, z: pre_triple(p, x, y, z, "m"),
+    "dendriform-l": lambda p, x, y, z: pre_triple(p, x, y, z, "l"),
+    "dendriform-r": lambda p, x, y, z: pre_triple(p, x, y, z, "r"),
+}
 
-
-def _prealgebra_residuals(palg, kind, x, y, z):
-    if kind == "pre-anti-flexible":
-        return [
-            ("pre-anti-flexible-m", vec_sub(pre_triple(palg, x, y, z, "m"),
-                                            pre_triple(palg, z, y, x, "m"))),
-            ("pre-anti-flexible-lr", vec_sub(pre_triple(palg, x, y, z, "l"),
-                                             pre_triple(palg, z, y, x, "r"))),
-        ]
-    if kind == "dendriform":
-        return [
-            ("dendriform-m", pre_triple(palg, x, y, z, "m")),
-            ("dendriform-l", pre_triple(palg, x, y, z, "l")),
-            ("dendriform-r", pre_triple(palg, x, y, z, "r")),
-        ]
-    raise ValueError("unknown pre-algebra identity kind %r" % (kind,))
+# the identities that define each kind, in checking order
+KIND_IDENTITIES = {
+    "associative": ("associativity",),
+    "anti-flexible": ("anti-flexible",),
+    "pre-anti-flexible": ("pre-anti-flexible-m", "pre-anti-flexible-lr"),
+    "dendriform": ("dendriform-m", "dendriform-l", "dendriform-r"),
+}
 
 
 def identity_residuals(subject, kind, x, y, z):
@@ -155,12 +150,13 @@ def identity_residuals(subject, kind, x, y, z):
     if isinstance(subject, Algebra):
         if kind not in ALGEBRA_KINDS:
             raise PreconditionError("kind %r needs a pre-algebra subject" % (kind,))
-        return _algebra_residuals(subject, kind, x, y, z)
-    if isinstance(subject, PreAlgebra):
+    elif isinstance(subject, PreAlgebra):
         if kind not in PREALGEBRA_KINDS:
             raise PreconditionError("kind %r needs a single-product algebra" % (kind,))
-        return _prealgebra_residuals(subject, kind, x, y, z)
-    raise TypeError("subject must be an Algebra or PreAlgebra")
+    else:
+        raise TypeError("subject must be an Algebra or PreAlgebra")
+    return [(label, IDENTITIES[label](subject, x, y, z))
+            for label in KIND_IDENTITIES[kind]]
 
 
 def check_identities(subject, kind, all_failures=False) -> CheckReport:
@@ -230,27 +226,29 @@ def from_associative(assoc: Algebra, variant) -> PreAlgebra:
     return PreAlgebra(n, flipped, zero, assoc.basis_names)
 
 
-def check_cyclic_form(alg: Algebra, omega) -> CheckReport:
-    """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples."""
+def check_cyclic_form(alg: Algebra, omega, all_failures=False) -> CheckReport:
+    """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples.
+
+    With w(u, v) = u^T omega v, w(e_i*e_j, e_k) is the dot product of the
+    product row c[i][j] with column k of omega.
+    """
     n = alg.dimension
-    basis = [basis_vec(n, i) for i in range(n)]
-
-    def w(u, v):
-        return sum((u[i] * omega[i][j] * v[j]
-                    for i in range(n) for j in range(n) if omega[i][j] != 0),
-                   zeros_vec(1)[0])
-
+    if len(omega) != n or any(len(row) != n for row in omega):
+        raise PreconditionError("check_cyclic_form: omega must be %d x %d"
+                                % (n, n))
+    c = alg.product
+    cols = transpose(omega)
     failures = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                res = (w(alg.mul(x, y), z) + w(alg.mul(y, z), x)
-                       + w(alg.mul(z, x), y))
+                res = (dot(c[i][j], cols[k]) + dot(c[j][k], cols[i])
+                       + dot(c[k][i], cols[j]))
                 if res != 0:
                     failures.append(("cyclic-form", (i, j, k), [res]))
-                    return _report("cyclic-form", failures)
-    return _report("cyclic-form", failures)
+                    if not all_failures:
+                        return _report("cyclic-form", failures)
+    return _report("cyclic-form", failures, all_failures)
 
 
 def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:

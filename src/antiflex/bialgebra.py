@@ -280,22 +280,22 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
          form on it is closed;
       4. the eight-map dual-action pre pair passes the pre matched check.
     Any disagreement among the routes raises ConsistencyError.  A failing
-    verdict carries route 1's witness, and with all_failures every failing
-    condition of route 1.
+    verdict carries the witness of the first failing check among the base
+    identities, the dual co-identities and route 1, and with all_failures
+    every failure of that check.
     """
-    base_ok = check_identities(b.palg, "pre-anti-flexible").passed
-    via_comult = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ)
+    base = check_identities(b.palg, "pre-anti-flexible", all_failures)
+    via_comult = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ,
+                                            all_failures)
     dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
     dual_ok = check_identities(dual, "pre-anti-flexible").passed
     if via_comult.passed != dual_ok:
         raise ConsistencyError("co-identity route and induced-product route "
                                "disagree on the dual structure")
-    structures_ok = base_ok and dual_ok
-
-    if not structures_ok:
-        return CheckReport(False, "bialgebra",
-                           witness=("structure",
-                                    "base" if not base_ok else "dual", None))
+    for structure in (base, via_comult):
+        if not structure.passed:
+            return CheckReport(False, "bialgebra", witness=structure.witness,
+                               failures=structure.failures)
 
     conds = check_bialgebra_conditions(b.palg, b.delta_prec, b.delta_succ,
                                        all_failures)

@@ -15,9 +15,9 @@ from .algebra import PreconditionError, from_associative, \
 from .bimodule import AfBimodule, PreBimodule, semidirect_pre
 from .coboundary import RPair, SPECIAL_CASES, coboundary_bialgebra, \
     special_case_bialgebra
-from .harness import FormatError, LinearMap, RElement, SearchSpec, \
-    CHECK_COMMANDS, SEARCH_TARGETS, grid_search, load_file, \
-    random_element_oracle, run_check, save_file, _emit
+from .harness import FormatError, RElement, SearchSpec, CHECK_COMMANDS, \
+    SEARCH_TARGETS, as_matrix, grid_search, load_file, \
+    random_element_oracle, run_check, save_file, search_results
 from .linalg import SingularMatrixError
 from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
     build_pre_double
@@ -27,14 +27,6 @@ from .operators import OOperator, canonical_solution, induced_pre_from_map, \
 CONSTRUCT_WHATS = ("semidirect", "double", "coboundary", "canonical-r",
                    "from-o-operator", "from-form", "from-associative",
                    "from-rb")
-
-
-def _matrix_input(obj):
-    if isinstance(obj, RElement):
-        return obj.r
-    if isinstance(obj, LinearMap):
-        return obj.matrix
-    raise FormatError("expected an r-element or linear-map file")
 
 
 def _cmd_check(args):
@@ -75,7 +67,7 @@ def _construct(args):
         if args.case is None:
             raise FormatError("a single-matrix r-element needs --case "
                               "(one of %s)" % (SPECIAL_CASES,))
-        return special_case_bialgebra(palg, _matrix_input(relt),
+        return special_case_bialgebra(palg, as_matrix(relt),
                                       args.case), None
     if what == "canonical-r":
         (palg,) = inputs
@@ -87,17 +79,17 @@ def _construct(args):
             raise FormatError("from-o-operator expects a bimodule file with "
                               "variant 'anti-flexible'")
         double, r = solution_from_o_operator(OOperator(bm,
-                                                       _matrix_input(tmap)))
+                                                       as_matrix(tmap)))
         return RElement(double.dimension, r), double
     if what == "from-form":
         alg, omega = inputs
-        return induce_pre_from_form(alg, _matrix_input(omega)), None
+        return induce_pre_from_form(alg, as_matrix(omega)), None
     if what == "from-associative":
         (alg,) = inputs
         return from_associative(alg, args.variant), None
     if what == "from-rb":
         alg, alpha = inputs
-        return induced_pre_from_map(alg, _matrix_input(alpha)), None
+        return induced_pre_from_map(alg, as_matrix(alpha)), None
     raise FormatError("unknown construction %r" % (what,))
 
 
@@ -123,12 +115,8 @@ def _cmd_search(args):
     spec = SearchSpec(args.target, coeffs, args.bound)
     found, report = grid_search(spec, subject)
     if args.output:
-        dim = len(found[0]) if found else 0
-        if args.target == "pafybe-symmetric":
-            results = [_emit(RElement(dim, m)) for m in found]
-        else:
-            results = [_emit(LinearMap(len(m), len(m[0]), m)) for m in found]
-        doc = {"report": report, "results": results}
+        doc = {"report": report,
+               "results": search_results(args.target, found)}
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

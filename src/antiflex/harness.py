@@ -432,7 +432,7 @@ def _as_rpair(obj):
     raise FormatError("expected an r-element with r_prec/r_succ payloads")
 
 
-def _as_matrix(obj):
+def as_matrix(obj):
     if isinstance(obj, RElement):
         return obj.r
     if isinstance(obj, LinearMap):
@@ -460,22 +460,22 @@ def _dispatch_check(command, inputs, kind, all_failures):
     if command == "bialgebra":
         return verify_bialgebra(inputs[0], all_failures)
     if command == "pafybe":
-        return check_pafybe(inputs[0], _as_matrix(inputs[1]), all_failures)
+        return check_pafybe(inputs[0], as_matrix(inputs[1]), all_failures)
     if command == "coboundary":
         return check_coboundary_conditions(inputs[0], _as_rpair(inputs[1]),
                                            all_failures)
     if command == "rota-baxter":
-        return check_rota_baxter(inputs[0], _as_matrix(inputs[1]),
+        return check_rota_baxter(inputs[0], as_matrix(inputs[1]),
                                  all_failures)
     if command == "o-operator":
         return check_o_operator(OOperator(inputs[0],
-                                          _as_matrix(inputs[1])),
+                                          as_matrix(inputs[1])),
                                 all_failures)
     if command == "cocycle-form":
-        return check_two_cocycle(inputs[0], _as_matrix(inputs[1]),
+        return check_two_cocycle(inputs[0], as_matrix(inputs[1]),
                                  all_failures)
     if command == "r-double":
-        return check_r_double_consistency(inputs[0], _as_matrix(inputs[1]),
+        return check_r_double_consistency(inputs[0], as_matrix(inputs[1]),
                                           all_failures)
     raise FormatError("unknown check command %r" % (command,))
 
@@ -606,6 +606,14 @@ def grid_search(spec: SearchSpec, subject):
               "candidates": size, "found": len(found),
               "coefficient_set": [_fmt(c) for c in coeffs]}
     return found, report
+
+
+def search_results(target, found):
+    """The candidates a grid search found, as the documents of their files:
+    r-elements for pafybe-symmetric, linear maps for the other targets."""
+    if target == "pafybe-symmetric":
+        return [_emit(RElement(len(m), m)) for m in found]
+    return [_emit(LinearMap(len(m), len(m[0]), m)) for m in found]
 
 
 def _fill_matrix(rows, cols, shape, vals):

@@ -179,6 +179,16 @@ def test_induce_pre_from_form_rejects_noncyclic():
             induce_pre_from_form(d, omega)
 
 
+def test_cyclic_form_rejects_wrong_shape():
+    # a form file of the wrong size is bad input, not an index error
+    alg = CORPUS["qt2"]
+    for omega in ([[Fraction(1)]], [[Fraction(1), Fraction(0)]], eye(3)):
+        with pytest.raises(PreconditionError, match="omega must be 2 x 2"):
+            check_cyclic_form(alg, omega)
+        with pytest.raises(PreconditionError, match="omega must be 2 x 2"):
+            induce_pre_from_form(alg, omega)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_multilinearity_bridge_property(seed):

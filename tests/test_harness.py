@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from antiflex.algebra import Algebra, PreconditionError, from_associative, \
-    identity_residuals
+from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
+    from_associative, identity_residuals
 from antiflex.bialgebra import Bialgebra, bialgebra_condition_residuals
 from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
     regular_pre_bimodule
@@ -349,3 +349,26 @@ def test_cli_all_witnesses_r_double(tmp_path, capsys):
     assert expected > 1
     assert _failure_count(["check", "r-double", str(pre), str(path)],
                           capsys) == expected
+
+
+def test_cli_bialgebra_structure_failure_reports(tmp_path, capsys):
+    # a failing dual (a raised comultiplication entry) or base structure
+    # is a fail verdict carrying that structure check's own witness
+    double, r = canonical_solution(from_associative(CORPUS["q1"],
+                                                    "succ-left"))
+    b = special_case_bialgebra(double, r, "one")
+    dp = bump_t3(b.delta_prec, 0, 0, 0)
+    broken_base = PreAlgebra(b.dimension, bump_t3(b.palg.prec, 0, 0, 0),
+                             b.palg.succ)
+    for obj, prefix in ((Bialgebra(b.palg, dp, b.delta_succ), "co-identity-"),
+                        (Bialgebra(broken_base, b.delta_prec, b.delta_succ),
+                         "pre-anti-flexible-")):
+        path = tmp_path / "broken.json"
+        save_file(path, obj)
+        assert main(["check", "bialgebra", str(path)]) == 1
+        assert "bialgebra: fail  [%s" % prefix in capsys.readouterr().out
+        assert main(["check", "bialgebra", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail"
+        assert report["witness"]["identity"].startswith(prefix)
+        assert report["failure_count"] == 1

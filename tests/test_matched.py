@@ -1,15 +1,24 @@
 from fractions import Fraction
 
-from antiflex.algebra import Algebra, PreAlgebra, check_identities, \
+import pytest
+
+from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
+    _report, check_cyclic_form, check_identities, from_associative, \
     underlying_algebra
+from antiflex.bialgebra import dual_products_from_comult
+from antiflex.coboundary import special_case_bialgebra
 from antiflex.matched import (
-    AfMatchedPair, build_af_double, build_pre_double, check_af_matched,
-    check_pre_matched, dual_pre_matched, omega_double_check, omega_matrix,
+    AfMatchedPair, PreMatchedPair, build_af_double, build_pre_double,
+    check_af_matched, check_pre_matched, condition_residuals,
+    dual_pre_matched, omega_double_check, omega_matrix,
     standard_dual_matched, summed_af_matched,
 )
-from antiflex.linalg import mat_neg, zeros_mat, zeros_t3
+from antiflex.linalg import basis_vec, mat_neg, vec_is_zero, zeros_mat, \
+    zeros_t3
+from antiflex.operators import canonical_solution
 
-from helpers import CORPUS, DIM2_PRE, seeded
+from helpers import CORPUS, DIM2_PRE, rand_t3, seeded
+from matched_reference import reference_residuals
 
 
 def _zero_pre(n):
@@ -121,3 +130,118 @@ def test_omega_equivalence_with_matched():
         assert ok == omega_ok
         seen[ok] += 1
     assert seen[True]
+
+
+# ---------------------------------------------------------------------------
+# the condition table against the conditions written out term for term
+# ---------------------------------------------------------------------------
+
+def _random_pairs(rng):
+    """Pairs with random products and actions: neither the factors, nor the
+    bimodules, nor the compatibility conditions hold."""
+    def maps(n, m):  # one m x m matrix per basis element of an n-space
+        return [[[Fraction(rng.randint(-2, 2)) for _ in range(m)]
+                 for _ in range(m)] for _ in range(n)]
+
+    out = []
+    for nA, nB in ((2, 3), (3, 2), (1, 2)):
+        out.append(AfMatchedPair(
+            Algebra(nA, rand_t3(rng, nA, 2)), Algebra(nB, rand_t3(rng, nB, 2)),
+            maps(nA, nB), maps(nA, nB), maps(nB, nA), maps(nB, nA)))
+        out.append(PreMatchedPair(
+            PreAlgebra(nA, rand_t3(rng, nA), rand_t3(rng, nA)),
+            PreAlgebra(nB, rand_t3(rng, nB), rand_t3(rng, nB)),
+            *[maps(nA, nB) for _ in range(4)],
+            *[maps(nB, nA) for _ in range(4)]))
+    return out
+
+
+def _bialgebra_pairs():
+    """The route 2 and route 4 pairs of the case-one and case-two
+    bialgebras of qt2, t3 and ut2 and of their same-dimension crosses (the
+    products of one with the comultiplications of another), and two failing
+    crosses: qt2 split succ-left with qt2 split prec-right."""
+    def bialgebra(name, case, split="succ-left"):
+        double, r = canonical_solution(from_associative(CORPUS[name], split))
+        return special_case_bialgebra(double, r, case)
+
+    def pairs(a, b):
+        dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
+        return (standard_dual_matched(a.palg, dual, False),
+                dual_pre_matched(a.palg, dual, False))
+
+    groups = [[bialgebra(name, case) for name in names
+               for case in ("one", "two")]
+              for names in (("qt2", "t3"), ("ut2",))]
+    out = [pairs(a, b) for group in groups for a in group for b in group]
+    left, right = bialgebra("qt2", "one"), \
+        bialgebra("qt2", "one", "prec-right")
+    return out + [pairs(left, right), pairs(right, left)]
+
+
+def test_condition_table_matches_reference_on_random_pairs():
+    rng = seeded(71)
+    for _ in range(2):
+        for mp in _random_pairs(rng):
+            table = list(condition_residuals(mp))
+            reference = reference_residuals(mp)
+            assert table == reference
+            nonzero = sum(1 for _l, _i, res in table if not vec_is_zero(res))
+            assert 2 * nonzero > len(table)
+
+
+def test_checkers_match_reference_on_bialgebra_pairs():
+    # the public reports equal those of a scan over the reference residuals
+    failing = 0
+    for mp, pmp in _bialgebra_pairs():
+        for pair, check, name in ((mp, check_af_matched, "af-matched"),
+                                  (pmp, check_pre_matched, "pre-matched")):
+            expected = [(label, idx, res) for label, idx, res
+                        in reference_residuals(pair) if not vec_is_zero(res)]
+            every = check(pair, all_failures=True)
+            assert every == _report(name, expected, True)
+            if expected:
+                assert check(pair) == _report(name, expected[:1])
+                failing += 1
+    assert failing == 4  # the af and the pre pair of each failing cross
+
+
+def test_component_bimodule_precondition():
+    rng = seeded(73)
+    af, pre = _random_pairs(rng)[:2]
+    with pytest.raises(PreconditionError,
+                       match="check_af_matched: component bimodule A-on-B "
+                             "fails; witness"):
+        check_af_matched(af)
+    with pytest.raises(PreconditionError,
+                       match="check_pre_matched: component bimodule A-on-B "
+                             "fails; witness"):
+        check_pre_matched(pre)
+
+
+def test_cyclic_form_all_failures():
+    # a skew form on t3 that is not cyclic: the check lists every failing
+    # basis triple, in order, with w(u, v) = u^T omega v written out
+    alg = CORPUS["t3"]
+    n = alg.dimension
+    omega = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(2)]]
+
+    def w(u, v):
+        return sum(u[p] * omega[p][q] * v[q]
+                   for p in range(n) for q in range(n))
+
+    basis = [basis_vec(n, i) for i in range(n)]
+    expected = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                res = (w(alg.mul(x, y), z) + w(alg.mul(y, z), x)
+                       + w(alg.mul(z, x), y))
+                if res:
+                    expected.append(("cyclic-form", (i, j, k), [res]))
+    assert len(expected) > 1
+    every = check_cyclic_form(alg, omega, all_failures=True)
+    assert not every.passed and list(every.failures) == expected
+    first = check_cyclic_form(alg, omega)
+    assert first.witness == expected[0] and first.failures == (expected[0],)
