@@ -5,21 +5,28 @@ e_i * e_j = sum_k c[i][j][k] e_k.  A `PreAlgebra` stores two products
 (written `prec` for x < y and `succ` for x > y below, after the usual
 half-shuffle notation) whose sum is the underlying single product.
 
-The identity checkers iterate over all basis index tuples; since every
-identity involved is multilinear, vanishing on basis tuples is equivalent
-to vanishing on all elements.  Witnesses are reported for the first failing
-tuple in lexicographic order so they are deterministic.
+Every identity the package checks is multilinear, so it holds on all
+elements exactly when it holds on basis tuples.  Each identity of
+`IDENTITIES` is also written in `COMPOSITIONS` as a signed sum of two-product
+compositions at permuted arguments, and `basis_residuals` evaluates those
+straight from the structure constants at any basis triple.
+
+Every checker of the package is one `scan` of a lazy stream of
+(label, index tuple, residual) in lexicographic order of the index tuples:
+the first nonzero residual is the witness, and unless every failure is
+asked for, nothing after it is evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .linalg import (
-    Tensor3, Vector,
-    contract_product, t3_add, t3_sub, vec_add, vec_sub, vec_is_zero, dot,
-    basis_vec, zeros_t3, mat_inverse, mat_vec, transpose, SingularMatrixError,
+    ZERO, Tensor3, Vector,
+    contract_product, t3_add, t3_sub, vec_add, vec_sub, dot,
+    zeros_t3, mat_inverse, mat_vec, transpose, SingularMatrixError,
 )
 
 
@@ -75,11 +82,36 @@ class CheckReport:
         return self.passed
 
 
-def _report(name, failures, all_failures=False):
+def _is_zero(res):
+    """Whether a residual (a list of scalars, or nested lists of them) is
+    exactly zero."""
+    if res and isinstance(res[0], (list, tuple)):
+        return all(map(_is_zero, res))
+    return not any(res)
+
+
+def scan(name, residuals, all_failures=False) -> CheckReport:
+    """The report of a check from its lazy stream of (label, index tuple,
+    residual): the first nonzero residual is the witness, and the stream is
+    read past it only to collect every failure when all_failures is set."""
+    failures = []
+    for failure in residuals:
+        if not _is_zero(failure[2]):
+            failures.append(failure)
+            if not all_failures:
+                break
     if not failures:
         return CheckReport(True, name)
     return CheckReport(False, name, witness=failures[0],
-                       failures=tuple(failures) if all_failures else (failures[0],))
+                       failures=tuple(failures) if all_failures
+                       else (failures[0],))
+
+
+def require_square(caller, what, m, n):
+    """Raise PreconditionError unless the matrix m is n x n."""
+    if len(m) != n or any(len(row) != n for row in m):
+        raise PreconditionError("%s: %s must be %d x %d"
+                                % (caller, what, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +173,109 @@ KIND_IDENTITIES = {
 }
 
 
-def identity_residuals(subject, kind, x, y, z):
-    """Residuals of the `kind` identities evaluated on one element triple.
+# Each identity of IDENTITIES as signed compositions of two products:
+# (sign, shape, c1, c2, order), where shape "L" is (u c1 v) c2 w, shape "R"
+# is u c1 (v c2 w), and order names the arguments u, v, w among x, y, z.
+# The products are "c" of an Algebra and "prec", "succ" and their sum "dot"
+# of a PreAlgebra.
+COMPOSITIONS = {
+    "associativity": ((1, "L", "c", "c", "xyz"), (-1, "R", "c", "c", "xyz")),
+    "anti-flexible": ((1, "L", "c", "c", "xyz"), (-1, "R", "c", "c", "xyz"),
+                      (-1, "L", "c", "c", "zyx"), (1, "R", "c", "c", "zyx")),
+    "pre-anti-flexible-m": (
+        (1, "L", "succ", "prec", "xyz"), (-1, "R", "succ", "prec", "xyz"),
+        (-1, "L", "succ", "prec", "zyx"), (1, "R", "succ", "prec", "zyx")),
+    "pre-anti-flexible-lr": (
+        (1, "L", "dot", "succ", "xyz"), (-1, "R", "succ", "succ", "xyz"),
+        (-1, "L", "prec", "prec", "zyx"), (1, "R", "prec", "dot", "zyx")),
+    "dendriform-m": ((1, "L", "succ", "prec", "xyz"),
+                     (-1, "R", "succ", "prec", "xyz")),
+    "dendriform-l": ((1, "L", "dot", "succ", "xyz"),
+                     (-1, "R", "succ", "succ", "xyz")),
+    "dendriform-r": ((1, "L", "prec", "prec", "xyz"),
+                     (-1, "R", "prec", "dot", "xyz")),
+}
 
-    Shared by the basis checker and the random-element oracle so that both
-    evaluate literally the same expressions.
+# the compositions with each order as positions in the index triple
+_TERMS = {label: tuple((sign, (shape, c1, c2),
+                        tuple("xyz".index(ch) for ch in order))
+                       for sign, shape, c1, c2, order in terms)
+          for label, terms in COMPOSITIONS.items()}
+
+
+def basis_residuals(structure):
+    """The function (label, (i, j, k)) -> residual of the identity `label`
+    of COMPOSITIONS at the basis triple (e_i, e_j, e_k), read straight from
+    the structure constants.
+
+    The nonzero coordinates of a product e_u c e_v, and of a composition
+    entry (e_u c1 e_v) c2 e_w or e_u c1 (e_v c2 e_w), are computed on first
+    use and then kept by the returned function alone: each is computed once
+    per check and freed with the function.
     """
+    d = structure.dimension
+    if isinstance(structure, Algebra):
+        dense = {"c": lambda u, v: structure.product[u][v]}
+    else:
+        prec, succ = structure.prec, structure.succ
+        dense = {"prec": lambda u, v: prec[u][v],
+                 "succ": lambda u, v: succ[u][v],
+                 "dot": lambda u, v: [a + b for a, b in zip(prec[u][v],
+                                                            succ[u][v])]}
+    rows = {name: [None] * (d * d) for name in dense}
+    tables = {}     # (shape, c1, c2) -> its entries, flat, None until used
+    compiled = {}   # label -> its terms with their tables
+
+    def row(name, u, v):
+        at = u * d + v
+        nz = rows[name][at]
+        if nz is None:
+            nz = rows[name][at] = [(k, x) for k, x in
+                                   enumerate(dense[name](u, v)) if x]
+        return nz
+
+    def compile_terms(label):
+        terms = compiled[label] = []
+        for sign, key, order in _TERMS[label]:
+            if key not in tables:
+                tables[key] = [None] * (d * d * d)
+            terms.append((sign, key[0] == "L", key[1], key[2], tables[key])
+                         + order)
+        return terms
+
+    def evaluate(label, idx):
+        out = [ZERO] * d
+        for sign, left, c1, c2, table, a, b, c in \
+                compiled.get(label) or compile_terms(label):
+            u, v, w = idx[a], idx[b], idx[c]
+            at = (u * d + v) * d + w
+            e = table[at]
+            if e is None:
+                acc = {}
+                if left:        # (e_u c1 e_v) c2 e_w
+                    for p, x in row(c1, u, v):
+                        for q, y in row(c2, p, w):
+                            acc[q] = acc.get(q, ZERO) + x * y
+                else:           # e_u c1 (e_v c2 e_w)
+                    for p, x in row(c2, v, w):
+                        for q, y in row(c1, u, p):
+                            acc[q] = acc.get(q, ZERO) + x * y
+                # vanishing entries share one empty tuple, so a mostly
+                # zero table costs one pointer per entry
+                e = table[at] = [(q, x) for q, x in acc.items() if x] or ()
+            if sign > 0:
+                for q, x in e:
+                    out[q] += x
+            else:
+                for q, x in e:
+                    out[q] -= x
+        return out
+
+    return evaluate
+
+
+def _kind_labels(subject, kind):
+    """The identity labels of `kind`, which must suit the subject."""
     if isinstance(subject, Algebra):
         if kind not in ALGEBRA_KINDS:
             raise PreconditionError("kind %r needs a pre-algebra subject" % (kind,))
@@ -155,25 +284,30 @@ def identity_residuals(subject, kind, x, y, z):
             raise PreconditionError("kind %r needs a single-product algebra" % (kind,))
     else:
         raise TypeError("subject must be an Algebra or PreAlgebra")
+    return KIND_IDENTITIES[kind]
+
+
+def identity_residuals(subject, kind, x, y, z):
+    """Residuals of the `kind` identities evaluated on one element triple,
+    through the element-level IDENTITIES: the reference that the
+    random-element oracle evaluates apart from basis_residuals."""
     return [(label, IDENTITIES[label](subject, x, y, z))
-            for label in KIND_IDENTITIES[kind]]
+            for label in _kind_labels(subject, kind)]
+
+
+def triple_residuals(evaluate, labels, n):
+    """(label, (i, j, k), residual) of each label at every basis triple of
+    an n-dimensional structure, given its basis_residuals."""
+    for idx in product(range(n), repeat=3):
+        for label in labels:
+            yield label, idx, evaluate(label, idx)
 
 
 def check_identities(subject, kind, all_failures=False) -> CheckReport:
     """Check the defining identities of `kind` over all basis triples."""
-    n = subject.dimension
-    basis = [basis_vec(n, i) for i in range(n)]
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for label, res in identity_residuals(
-                        subject, kind, basis[i], basis[j], basis[k]):
-                    if not vec_is_zero(res):
-                        failures.append((label, (i, j, k), res))
-                        if not all_failures:
-                            return _report(kind, failures, all_failures)
-    return _report(kind, failures, all_failures)
+    labels = _kind_labels(subject, kind)
+    return scan(kind, triple_residuals(basis_residuals(subject), labels,
+                                       subject.dimension), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +367,14 @@ def check_cyclic_form(alg: Algebra, omega, all_failures=False) -> CheckReport:
     product row c[i][j] with column k of omega.
     """
     n = alg.dimension
-    if len(omega) != n or any(len(row) != n for row in omega):
-        raise PreconditionError("check_cyclic_form: omega must be %d x %d"
-                                % (n, n))
+    require_square("check_cyclic_form", "omega", omega, n)
     c = alg.product
     cols = transpose(omega)
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = (dot(c[i][j], cols[k]) + dot(c[j][k], cols[i])
-                       + dot(c[k][i], cols[j]))
-                if res != 0:
-                    failures.append(("cyclic-form", (i, j, k), [res]))
-                    if not all_failures:
-                        return _report("cyclic-form", failures)
-    return _report("cyclic-form", failures, all_failures)
+    return scan("cyclic-form", (
+        ("cyclic-form", (i, j, k), [dot(c[i][j], cols[k])
+                                    + dot(c[j][k], cols[i])
+                                    + dot(c[k][i], cols[j])])
+        for i, j, k in product(range(n), repeat=3)), all_failures)
 
 
 def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
@@ -273,18 +399,15 @@ def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
         omega_t_inv = mat_inverse(transpose(omega))
     except SingularMatrixError as exc:
         raise SingularMatrixError("induce_pre_from_form: degenerate form") from exc
-    basis = [basis_vec(n, i) for i in range(n)]
+    # with x = e_i and y = e_j, w(x, y*e_k) = omega[i] . c[j][k] and
+    # w(y, e_k*x) = omega[j] . c[k][i]
+    c = alg.product
     prec = zeros_t3(n)
     succ = zeros_t3(n)
     for i in range(n):
         for j in range(n):
-            x, y = basis[i], basis[j]
-            rhs_prec = [sum(x[p] * omega[p][q] * alg.mul(y, basis[k])[q]
-                            for p in range(n) for q in range(n))
-                        for k in range(n)]
-            rhs_succ = [sum(y[p] * omega[p][q] * alg.mul(basis[k], x)[q]
-                            for p in range(n) for q in range(n))
-                        for k in range(n)]
+            rhs_prec = [dot(omega[i], c[j][k]) for k in range(n)]
+            rhs_succ = [dot(omega[j], c[k][i]) for k in range(n)]
             prec[i][j] = mat_vec(omega_t_inv, rhs_prec)
             succ[i][j] = mat_vec(omega_t_inv, rhs_succ)
     return PreAlgebra(n, prec, succ, alg.basis_names)

@@ -12,18 +12,18 @@ the verifier cross-checks against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    _report, check_identities, underlying_algebra
+from .algebra import PreAlgebra, CheckReport, PreconditionError, \
+    basis_residuals, check_identities, scan, triple_residuals
 from .bimodule import multiplication_operators, act
 from .linalg import (
-    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, mat_is_zero,
-    mat_vec, apply2, t3_is_zero, t3_sub, vec_is_zero,
+    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, mat_vec, apply2,
+    t3_sub,
 )
 from .matched import (
-    standard_dual_matched, dual_pre_matched, check_af_matched,
-    check_pre_matched, build_af_double, build_pre_double,
-    omega_double_check,
+    standard_dual_matched, dual_pre_matched, check_pre_matched,
+    build_af_double, omega_double_check, _af_matched_report,
 )
 
 
@@ -47,11 +47,6 @@ class Bialgebra:
     @property
     def dimension(self):
         return self.palg.dimension
-
-
-def comult_of_element(delta, coeffs):
-    """D(x) as a matrix for x = sum coeffs[i] e_i."""
-    return act(delta, coeffs)
 
 
 def dual_products_from_comult(delta_prec, delta_succ) -> PreAlgebra:
@@ -134,23 +129,18 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
     ss = [transpose(m) for m in delta_succ]
     dsum = [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)]
     ssum = [transpose(m) for m in dsum]
-    failures = []
-    for i in range(n):
-        res_m = t3_sub(
-            t3_sub(_cofirst(delta_succ, delta_prec, i),
-                   _cosecond(delta_prec, delta_succ, i)),
-            t3_sub(_cosecond(ss, sp, i), _cofirst(sp, ss, i)))
-        res_lr = t3_sub(
-            t3_sub(_cofirst(dsum, delta_succ, i),
-                   _cosecond(delta_succ, delta_succ, i)),
-            t3_sub(_cosecond(sp, sp, i), _cofirst(ssum, sp, i)))
-        for label, res in (("co-identity-m", res_m),
-                           ("co-identity-lr", res_lr)):
-            if not t3_is_zero(res):
-                failures.append((label, (i,), res))
-                if not all_failures:
-                    return _report("dual-pre-via-comult", failures)
-    return _report("dual-pre-via-comult", failures, all_failures)
+
+    def residuals():
+        for i in range(n):
+            yield "co-identity-m", (i,), t3_sub(
+                t3_sub(_cofirst(delta_succ, delta_prec, i),
+                       _cosecond(delta_prec, delta_succ, i)),
+                t3_sub(_cosecond(ss, sp, i), _cofirst(sp, ss, i)))
+            yield "co-identity-lr", (i,), t3_sub(
+                t3_sub(_cofirst(dsum, delta_succ, i),
+                       _cosecond(delta_succ, delta_succ, i)),
+                t3_sub(_cosecond(sp, sp, i), _cofirst(ssum, sp, i)))
+    return scan("dual-pre-via-comult", residuals(), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +189,10 @@ def _condition_residuals(palg, delta_prec, delta_succ, invariants, i, j):
     Ds_x, Ds_y = delta_succ[i], delta_succ[j]
     Dp_x, Dp_y = delta_prec[i], delta_prec[j]
     D_y = dsum[j]
-    Ds_xy = comult_of_element(delta_succ, palg.mul_dot(x, y))
-    Dp_yx = comult_of_element(delta_prec, palg.mul_dot(y, x))
-    D_xsy = comult_of_element(dsum, palg.mul_succ(x, y))
-    D_ypx = comult_of_element(dsum, palg.mul_prec(y, x))
+    Ds_xy = act(delta_succ, palg.mul_dot(x, y))
+    Dp_yx = act(delta_prec, palg.mul_dot(y, x))
+    D_xsy = act(dsum, palg.mul_succ(x, y))
+    D_ypx = act(dsum, palg.mul_prec(y, x))
 
     out = []
     r1 = mat_sub(
@@ -248,16 +238,11 @@ def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
                                 % (rep.witness,))
     n = palg.dimension
     invariants = _condition_invariants(palg, delta_prec, delta_succ)
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            for label, idx, res in _condition_residuals(
-                    palg, delta_prec, delta_succ, invariants, i, j):
-                if not mat_is_zero(res):
-                    failures.append((label, idx, res))
-                    if not all_failures:
-                        return _report("bialgebra-conditions", failures)
-    return _report("bialgebra-conditions", failures, all_failures)
+    return scan("bialgebra-conditions", (
+        failure for i, j in product(range(n), repeat=2)
+        for failure in _condition_residuals(palg, delta_prec, delta_succ,
+                                            invariants, i, j)),
+        all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +286,10 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
                                        all_failures)
     route1 = conds.passed
 
-    mp = standard_dual_matched(b.palg, dual, check_inputs=False)
-    route2 = check_af_matched(mp).passed
-
-    d = build_af_double(mp)
-    route3 = (check_identities(d, "anti-flexible").passed
-              and omega_double_check(d).passed)
-
-    pmp = dual_pre_matched(b.palg, dual, check_inputs=False)
-    route4 = check_pre_matched(pmp).passed
+    route2, route3 = _af_double_routes(
+        standard_dual_matched(b.palg, dual, check_inputs=False))
+    route4 = check_pre_matched(
+        dual_pre_matched(b.palg, dual, check_inputs=False)).passed
 
     verdicts = (route1, route2, route3, route4)
     if len(set(verdicts)) != 1:
@@ -324,14 +304,22 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
                        failures=conds.failures)
 
 
+def _af_double_routes(mp):
+    """The verdicts of routes 2 and 3, which read one evaluator of the same
+    double: route 2's conditions are blocks of route 3's identity on the
+    mixed triples, so each entry is computed once."""
+    d = build_af_double(mp)
+    evaluate = basis_residuals(d)
+    route2 = _af_matched_report(mp, evaluate).passed
+    route3 = (scan("anti-flexible", triple_residuals(
+        evaluate, ("anti-flexible",), d.dimension)).passed
+              and omega_double_check(d).passed)
+    return route2, route3
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms and the dual bialgebra
 # ---------------------------------------------------------------------------
-
-def _push_comult(psi, delta_i):
-    """(psi (x) psi) applied to a comultiplication value matrix."""
-    return apply2(psi, psi, delta_i)
-
 
 def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
                         all_failures=False) -> CheckReport:
@@ -346,55 +334,38 @@ def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
     if len(psi) != nB or any(len(r) != nA for r in psi):
         raise PreconditionError("check_bialgebra_hom: psi must be a "
                                 "dst-dim x src-dim matrix")
-    failures = []
+    return scan("bialgebra-hom", _hom_residuals(psi, src, dst), all_failures)
 
-    def note(label, idx, res):
-        failures.append((label, idx, res))
 
+def _hom_residuals(psi, src, dst):
+    nA, nB = src.dimension, dst.dimension
+    for i, j in product(range(nA), repeat=2):
+        x, y = basis_vec(nA, i), basis_vec(nA, j)
+        px, py = mat_vec(psi, x), mat_vec(psi, y)
+        for label, mine, theirs in (
+                ("hom-prec", src.palg.mul_prec(x, y),
+                 dst.palg.mul_prec(px, py)),
+                ("hom-succ", src.palg.mul_succ(x, y),
+                 dst.palg.mul_succ(px, py))):
+            yield label, (i, j), [a - b for a, b in
+                                  zip(mat_vec(psi, mine), theirs)]
     for i in range(nA):
-        for j in range(nA):
-            x, y = basis_vec(nA, i), basis_vec(nA, j)
-            px, py = mat_vec(psi, x), mat_vec(psi, y)
-            for label, mine, theirs in (
-                    ("hom-prec", src.palg.mul_prec(x, y),
-                     dst.palg.mul_prec(px, py)),
-                    ("hom-succ", src.palg.mul_succ(x, y),
-                     dst.palg.mul_succ(px, py))):
-                res = [a - b for a, b in zip(mat_vec(psi, mine), theirs)]
-                if not vec_is_zero(res):
-                    note(label, (i, j), res)
-                    if not all_failures:
-                        return _report("bialgebra-hom", failures)
-    for i in range(nA):
-        x = basis_vec(nA, i)
-        px = mat_vec(psi, x)
+        px = mat_vec(psi, basis_vec(nA, i))
         for label, dA, dB in (("hom-comult-prec", src.delta_prec,
                                dst.delta_prec),
                               ("hom-comult-succ", src.delta_succ,
                                dst.delta_succ)):
-            res = mat_sub(_push_comult(psi, dA[i]),
-                          comult_of_element(dB, px))
-            if not mat_is_zero(res):
-                note(label, (i,), res)
-                if not all_failures:
-                    return _report("bialgebra-hom", failures)
+            yield label, (i,), mat_sub(apply2(psi, psi, dA[i]), act(dB, px))
     # dual side: beta maps are the comultiplications dual to the products;
     # psi*: B* -> A* has matrix psi^T.
     betaA = comult_from_products(src.palg)
     betaB = comult_from_products(dst.palg)
     psit = transpose(psi)
     for s in range(nB):
-        a = basis_vec(nB, s)
-        pa = mat_vec(psit, a)
+        pa = mat_vec(psit, basis_vec(nB, s))
         for label, bB, bA in (("hom-beta-prec", betaB[0], betaA[0]),
                               ("hom-beta-succ", betaB[1], betaA[1])):
-            res = mat_sub(_push_comult(psit, bB[s]),
-                          comult_of_element(bA, pa))
-            if not mat_is_zero(res):
-                note(label, (s,), res)
-                if not all_failures:
-                    return _report("bialgebra-hom", failures)
-    return _report("bialgebra-hom", failures, all_failures)
+            yield label, (s,), mat_sub(apply2(psit, psit, bB[s]), act(bA, pa))
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:

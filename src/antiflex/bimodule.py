@@ -1,21 +1,25 @@
-"""Bimodules of anti-flexible and pre-anti-flexible algebras.
+"""Bimodules of anti-flexible and of pre-anti-flexible algebras.
 
 Action maps A -> End(V) are stored as lists of matrices, one per basis
 element of A, and extended linearly when evaluated on general elements.
-The checkers evaluate the defining matrix identities on all basis pairs,
-which is complete by bilinearity.
+
+A bimodule is an identity of its semidirect product A + V read on the
+V-block: the semidirect product has the identity of A exactly when the base
+has it and the bimodule identities hold.  On a triple with one argument a
+in V and two in A, the V-block of the identity of A + V is linear in a, so
+it is a matrix; each bimodule identity is one such block, a row of
+AF_BIMODULE or PRE_BIMODULE, and the checkers evaluate the rows on all
+basis pairs of A, which is complete by bilinearity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import Algebra, PreAlgebra, CheckReport, check_identities, \
-    underlying_algebra, PreconditionError, _report
-from .linalg import (
-    mat_add, mat_sub, mat_mul, mat_is_zero, mat_neg, transpose,
-    zeros_mat, zeros_t3, commutator,
-)
+from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
+    basis_residuals, scan, underlying_algebra
+from .linalg import mat_add, mat_neg, transpose, zeros_mat, zeros_t3
 
 
 @dataclass(frozen=True)
@@ -104,74 +108,58 @@ def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
 # checkers
 # ---------------------------------------------------------------------------
 
+# One row per bimodule identity: (label, identity of the semidirect
+# product, its arguments).  x, y are basis vectors of A and a of V; the row
+# is evaluated at (x, y) = (e_i, e_j) for the index pair (i, j), and column
+# t of its residual matrix is the V-block of the identity at a = v_t.
+#   af-bimodule-1:  l(x*y) - l(x)l(y) = r(x)r(y) - r(y*x)
+#   af-bimodule-2:  [l(x),r(y)] = [l(y),r(x)]
+# With ls/rs/lp/rp the succ/prec actions and l., r. their sums:
+#   pre-bimodule-1:  [rp(x), ls(y)] = [rp(y), ls(x)]
+#   pre-bimodule-2:  lp(x>y) - ls(x)lp(y) = rp(x)rs(y) - rs(y<x)
+#   pre-bimodule-3:  ls(x.y) - ls(x)ls(y) = rp(x)rp(y) - rp(y.x)
+#   pre-bimodule-4:  rs(x)l.(y) - ls(y)rs(x) = rp(y)lp(x) - lp(x)r.(y)
+#   pre-bimodule-5:  rs(x)r.(y) - rs(y>x) = lp(x<y) - lp(x)l.(y)
+AF_BIMODULE = (
+    ("af-bimodule-1", "anti-flexible", "xya"),
+    ("af-bimodule-2", "anti-flexible", "yax"),
+)
+
+PRE_BIMODULE = (
+    ("pre-bimodule-1", "pre-anti-flexible-m", "yax"),
+    ("pre-bimodule-2", "pre-anti-flexible-m", "xya"),
+    ("pre-bimodule-3", "pre-anti-flexible-lr", "xya"),
+    ("pre-bimodule-4", "pre-anti-flexible-lr", "yax"),
+    ("pre-bimodule-5", "pre-anti-flexible-lr", "ayx"),
+)
+
+
+def block_residuals(rows, semidirect, n):
+    """(label, (i, j), residual matrix) of each row at every basis pair of
+    the n-dimensional base of a semidirect product, in checking order."""
+    evaluate = basis_residuals(semidirect)
+    modules = range(n, semidirect.dimension)
+    compiled = [(label, identity, ["xya".index(ch) for ch in args])
+                for label, identity, args in rows]
+    for i, j in product(range(n), repeat=2):
+        for label, identity, (p, q, s) in compiled:
+            cols = []
+            for t in modules:
+                idx = (i, j, t)
+                cols.append(evaluate(identity, (idx[p], idx[q], idx[s]))[n:])
+            yield label, (i, j), transpose(cols)
+
+
 def check_af_bimodule(bm: AfBimodule, all_failures=False) -> CheckReport:
-    """l(x*y) - l(x)l(y) = r(x)r(y) - r(y*x) and [l(x),r(y)] = [l(y),r(x)],
-    evaluated for all basis pairs (x, y)."""
-    n = bm.base.dimension
-    c = bm.base.product
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            lxy = act(bm.l, c[i][j])
-            ryx = act(bm.r, c[j][i])
-            res1 = mat_sub(mat_sub(lxy, mat_mul(bm.l[i], bm.l[j])),
-                           mat_sub(mat_mul(bm.r[i], bm.r[j]), ryx))
-            res2 = mat_sub(commutator(bm.l[i], bm.r[j]),
-                           commutator(bm.l[j], bm.r[i]))
-            for label, res in (("af-bimodule-1", res1), ("af-bimodule-2", res2)):
-                if not mat_is_zero(res):
-                    failures.append((label, (i, j), res))
-                    if not all_failures:
-                        return _report("af-bimodule", failures)
-    return _report("af-bimodule", failures, all_failures)
-
-
-def pre_bimodule_residuals(bm: PreBimodule, i, j):
-    """The five pre-bimodule matrix identities on the basis pair (e_i, e_j).
-
-    With ls/rs/lp/rp the succ/prec action families and x = e_i, y = e_j:
-      1:  [rp(x), ls(y)] = [rp(y), ls(x)]
-      2:  lp(x>y) - ls(x)lp(y) = rp(x)rs(y) - rs(y<x)
-      3:  ls(x.y) - ls(x)ls(y) = rp(x)rp(y) - rp(y.x)
-      4:  rs(x)l.(y) - ls(y)rs(x) = rp(y)lp(x) - lp(x)r.(y)
-      5:  rs(x)r.(y) - rs(y>x) = lp(x<y) - lp(x)l.(y)
-    """
-    base = bm.base
-    ls, rs, lp, rp = bm.l_succ, bm.r_succ, bm.l_prec, bm.r_prec
-    ld, rd = bm.l_dot, bm.r_dot
-    prec, succ = base.prec, base.succ
-    dot_ij = [a + b for a, b in zip(prec[i][j], succ[i][j])]
-    dot_ji = [a + b for a, b in zip(prec[j][i], succ[j][i])]
-    res = []
-    res.append(("pre-bimodule-1",
-                mat_sub(commutator(rp[i], ls[j]), commutator(rp[j], ls[i]))))
-    res.append(("pre-bimodule-2",
-                mat_sub(mat_sub(act(lp, succ[i][j]), mat_mul(ls[i], lp[j])),
-                        mat_sub(mat_mul(rp[i], rs[j]), act(rs, prec[j][i])))))
-    res.append(("pre-bimodule-3",
-                mat_sub(mat_sub(act(ls, dot_ij), mat_mul(ls[i], ls[j])),
-                        mat_sub(mat_mul(rp[i], rp[j]), act(rp, dot_ji)))))
-    res.append(("pre-bimodule-4",
-                mat_sub(mat_sub(mat_mul(rs[i], ld[j]), mat_mul(ls[j], rs[i])),
-                        mat_sub(mat_mul(rp[j], lp[i]), mat_mul(lp[i], rd[j])))))
-    res.append(("pre-bimodule-5",
-                mat_sub(mat_sub(mat_mul(rs[i], rd[j]), act(rs, succ[j][i])),
-                        mat_sub(act(lp, prec[i][j]), mat_mul(lp[i], ld[j])))))
-    return res
+    """The two rows of AF_BIMODULE over all basis pairs."""
+    return scan("af-bimodule", block_residuals(
+        AF_BIMODULE, semidirect_af(bm), bm.base.dimension), all_failures)
 
 
 def check_pre_bimodule(bm: PreBimodule, all_failures=False) -> CheckReport:
-    """The five defining identities over all basis pairs."""
-    n = bm.base.dimension
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            for label, res in pre_bimodule_residuals(bm, i, j):
-                if not mat_is_zero(res):
-                    failures.append((label, (i, j), res))
-                    if not all_failures:
-                        return _report("pre-bimodule", failures)
-    return _report("pre-bimodule", failures, all_failures)
+    """The five rows of PRE_BIMODULE over all basis pairs."""
+    return scan("pre-bimodule", block_residuals(
+        PRE_BIMODULE, semidirect_pre(bm), bm.base.dimension), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +217,46 @@ def derive_bimodule(bm: PreBimodule, transform):
     raise ValueError("derive_bimodule: unknown transform %r" % (transform,))
 
 
+def direct_sum_tensor(cA, cB, lA, rA, lB, rB):
+    """The structure tensor on A + B, A-basis first, of the product
+    (x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a*b + lA(x)b + rA(y)a)
+    for x, y in A and a, b in B."""
+    nA, nB = len(cA), len(cB)
+    c = zeros_t3(nA + nB)
+    for i, j in product(range(nA), repeat=2):
+        c[i][j][:nA] = cA[i][j]
+    for s, t in product(range(nB), repeat=2):
+        c[nA + s][nA + t][nA:] = cB[s][t]
+    for s, j in product(range(nB), range(nA)):     # a * y
+        row = c[nA + s][j]
+        row[:nA] = [lB[s][k][j] for k in range(nA)]
+        row[nA:] = [rA[j][k][s] for k in range(nB)]
+    for i, t in product(range(nA), range(nB)):     # x * b
+        row = c[i][nA + t]
+        row[:nA] = [rB[t][k][i] for k in range(nA)]
+        row[nA:] = [lA[i][k][t] for k in range(nB)]
+    return c
+
+
+def _semidirect_tensor(c, l, r, m):
+    """The tensor on A + V of (x+u)(y+v) = x*y + l(x)v + r(y)u."""
+    zero = [zeros_mat(len(c))] * m
+    return direct_sum_tensor(c, zeros_t3(m), l, r, zero, zero)
+
+
+def _module_names(base, m):
+    return tuple(base.basis_names) + tuple("v%d" % (i + 1) for i in range(m))
+
+
+def semidirect_af(bm: AfBimodule) -> Algebra:
+    """The algebra on A + V with (x+u)(y+v) = x*y + l(x)v + r(y)u; it is
+    not validated (see semidirect_pre)."""
+    m = bm.space_dim
+    return Algebra(bm.base.dimension + m,
+                   _semidirect_tensor(bm.base.product, bm.l, bm.r, m),
+                   _module_names(bm.base, m))
+
+
 def semidirect_pre(bm: PreBimodule) -> PreAlgebra:
     """The pre-algebra on A + V with
     (x+u) < (y+v) = x<y + l_prec(x)v + r_prec(y)u  (and the > analog).
@@ -237,25 +265,8 @@ def semidirect_pre(bm: PreBimodule) -> PreAlgebra:
     pre-anti-flexible check exactly when the base passes and the bimodule
     identities hold, and the test suite exercises both directions.
     """
-    n = bm.base.dimension
-    m = bm.space_dim
-    d = n + m
-    prec = zeros_t3(d)
-    succ = zeros_t3(d)
-    for out, base_c, lmaps, rmaps in (
-            (prec, bm.base.prec, bm.l_prec, bm.r_prec),
-            (succ, bm.base.succ, bm.l_succ, bm.r_succ)):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i][j][k] = base_c[i][j][k]
-        for i in range(n):          # e_i  *  v_(j-n)  =  l(e_i) column
-            for j in range(m):
-                for k in range(m):
-                    out[i][n + j][n + k] = lmaps[i][k][j]
-        for i in range(m):          # u_(i-n)  *  e_j  =  r(e_j) column
-            for j in range(n):
-                for k in range(m):
-                    out[n + i][j][n + k] = rmaps[j][k][i]
-    names = tuple(bm.base.basis_names) + tuple("v%d" % (i + 1) for i in range(m))
-    return PreAlgebra(d, prec, succ, names)
+    base, m = bm.base, bm.space_dim
+    return PreAlgebra(base.dimension + m,
+                      _semidirect_tensor(base.prec, bm.l_prec, bm.r_prec, m),
+                      _semidirect_tensor(base.succ, bm.l_succ, bm.r_succ, m),
+                      _module_names(base, m))

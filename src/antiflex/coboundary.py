@@ -14,14 +14,15 @@ before evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .algebra import PreAlgebra, CheckReport, PreconditionError, _report, \
-    check_identities
+from .algebra import PreAlgebra, CheckReport, PreconditionError, \
+    check_identities, require_square, scan
 from .bialgebra import Bialgebra
 from .bimodule import multiplication_operators, act
 from .linalg import (
-    ZERO, eye, transpose, mat_add, mat_sub, mat_neg, mat_mul, mat_eq,
-    mat_is_zero, apply2, apply_slot3, t3_add, t3_sub, t3_is_zero,
+    ZERO, eye, transpose, mat_add, mat_sub, mat_neg, mat_mul, apply2,
+    apply_slot3, t3_add, t3_sub,
 )
 
 
@@ -48,7 +49,7 @@ class RPair:
 
 def r_is_symmetric(r) -> bool:
     """Whether the r-element is fixed by the tensor flip."""
-    return mat_eq(list(map(list, r)), transpose(r))
+    return list(map(list, r)) == transpose(r)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +238,6 @@ def _apply_middle(m, pos, slot, op):
     raise PreconditionError("operator slot not occupied by the placement")
 
 
-def rprime(palg: PreAlgebra, rp: RPair, x):
-    """The operator-decorated remainder tensor of the second dual-structure
-    condition, for the basis element x = e_x:
-
-      [(id (x) (R_prec(x)+L_succ(x)) (x) id) r_prec@32] succ (r_prec+r_succ)@12
-    - [((L_prec(x)+R_succ(x)) (x) id (x) id) r_prec@31] succ (r_prec+r_succ)@21
-    """
-    return _rprime(structure_tensors(palg), multiplication_operators(palg),
-                   rp, x)
-
-
 def _rprime(c, ops, rp, x):
     succ = c["succ"]
     s12 = mat_add(rp.r_prec, rp.r_succ)
@@ -399,33 +389,21 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
                                 "mismatch")
     ops = multiplication_operators(palg)
     n = palg.dimension
-    failures = []
 
-    def note(label, where, res, zero):
-        if not zero(res):
-            failures.append((label, where, res))
-            return not all_failures
-        return False
-
-    for i in range(n):
-        for j in range(n):
+    def residuals():
+        for i, j in product(range(n), repeat=2):
             for label, res in _quadratic_residuals(palg, ops, rp, i, j):
-                if note(label, (i, j), res, mat_is_zero):
-                    return _report("coboundary-conditions", failures)
-    c = structure_tensors(palg)
-    mats = _rpair_mats(rp)
-    first = _first_kind_tensors(c, _EXPRESSIONS["M"], mats)
-    second = _second_kind_tensors(c, _EXPRESSIONS["M'"], _EXPRESSIONS["P'"],
-                                  mats)
-    for i in range(n):
-        if note("dual-structure-1", (i,), _cubic_first_kind(ops, first, i),
-                t3_is_zero):
-            return _report("coboundary-conditions", failures)
-        if note("dual-structure-2", (i,),
-                _cubic_second_kind(ops, second, i, _rprime(c, ops, rp, i)),
-                t3_is_zero):
-            return _report("coboundary-conditions", failures)
-    return _report("coboundary-conditions", failures, all_failures)
+                yield label, (i, j), res
+        c = structure_tensors(palg)
+        mats = _rpair_mats(rp)
+        first = _first_kind_tensors(c, _EXPRESSIONS["M"], mats)
+        second = _second_kind_tensors(c, _EXPRESSIONS["M'"],
+                                      _EXPRESSIONS["P'"], mats)
+        for i in range(n):
+            yield "dual-structure-1", (i,), _cubic_first_kind(ops, first, i)
+            yield "dual-structure-2", (i,), _cubic_second_kind(
+                ops, second, i, _rprime(c, ops, rp, i))
+    return scan("coboundary-conditions", residuals(), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +419,15 @@ def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     """The quadratic equation r_23 . r_12 = r_12 prec r_13 + r_13 succ r_23
     for a single r-element; symmetry of r is not required (use
     r_is_symmetric to report it separately)."""
-    if len(r) != palg.dimension:
-        raise PreconditionError("check_pafybe: dimension mismatch")
+    require_square("check_pafybe", "r", r, palg.dimension)
     return pafybe_core(structure_tensors(palg), r, all_failures)
 
 
 def pafybe_core(c, r, all_failures=False) -> CheckReport:
     """check_pafybe on the structure tensors of the pre-algebra, built once
     by the caller; the dimension of r is not checked."""
-    res = evaluate_expression(c, _PAFYBE, {"r": r})
-    failures = [] if t3_is_zero(res) else [("pafybe", (), res)]
-    return _report("pafybe", failures, all_failures)
+    return scan("pafybe", [("pafybe", (), evaluate_expression(
+        c, _PAFYBE, {"r": r}))], all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -529,74 +505,53 @@ def special_case_conditions(palg: PreAlgebra, r, case,
     Ld, Rd = ops["L_dot"], ops["R_dot"]
     d = mat_sub(list(map(list, r)), transpose(r))       # r - sigma r
     mats = {"r": r}
-    failures = []
 
-    def note(label, where, res, zero):
-        if not zero(res):
-            failures.append((label, where, res))
-            return not all_failures
-        return False
-
-    if case == "one":
-        for i in range(n):
-            for j in range(n):
-                op_in = mat_add(act(Ls, palg.prec[i][j]),
-                                act(Rp, palg.succ[j][i]))
-                op_out = mat_add(act(Ls, palg.prec[j][i]),
-                                 act(Rp, palg.succ[i][j]))
-                res_a = mat_add(apply2(ident, op_in, d),
-                                apply2(op_out, ident, d),
-                                mat_neg(apply2(Rp[j], Ls[i], d)),
-                                mat_neg(apply2(Ls[j], Rp[i], d)))
-                res_b = mat_add(
-                    apply2(Rp[i], Rp[j], d), apply2(Ls[i], Ls[j], d),
-                    apply2(Ls[j], Ls[i], d), apply2(Rp[j], Rp[i], d),
-                    mat_neg(apply2(mat_add(mat_mul(Rp[i], Ls[j]),
-                                           mat_mul(Ls[i], Rp[j])), ident, d)),
-                    mat_neg(apply2(ident,
-                                   mat_add(mat_mul(Ls[i], Rp[j]),
-                                           mat_mul(Rp[i], Ls[j])), d)))
-                if note("case-one-A", (i, j), res_a, mat_is_zero):
-                    return _report("special-case-one", failures)
-                if note("case-one-B", (i, j), res_b, mat_is_zero):
-                    return _report("special-case-one", failures)
+    def case_one():
+        for i, j in product(range(n), repeat=2):
+            op_in = mat_add(act(Ls, palg.prec[i][j]),
+                            act(Rp, palg.succ[j][i]))
+            op_out = mat_add(act(Ls, palg.prec[j][i]),
+                             act(Rp, palg.succ[i][j]))
+            yield "case-one-A", (i, j), mat_add(
+                apply2(ident, op_in, d), apply2(op_out, ident, d),
+                mat_neg(apply2(Rp[j], Ls[i], d)),
+                mat_neg(apply2(Ls[j], Rp[i], d)))
+            yield "case-one-B", (i, j), mat_add(
+                apply2(Rp[i], Rp[j], d), apply2(Ls[i], Ls[j], d),
+                apply2(Ls[j], Ls[i], d), apply2(Rp[j], Rp[i], d),
+                mat_neg(apply2(mat_add(mat_mul(Rp[i], Ls[j]),
+                                       mat_mul(Ls[i], Rp[j])), ident, d)),
+                mat_neg(apply2(ident,
+                               mat_add(mat_mul(Ls[i], Rp[j]),
+                                       mat_mul(Rp[i], Ls[j])), d)))
         c = structure_tensors(palg)
         first = _first_kind_tensors(c, _CASE1_M, mats)
         second = _second_kind_tensors(c, _CASE1_MP, _CASE1_PP, mats)
         rp = special_case_rpair(r, "one")
         for i in range(n):
-            if note("case-one-C", (i,), _cubic_first_kind(ops, first, i),
-                    t3_is_zero):
-                return _report("special-case-one", failures)
-            if note("case-one-D", (i,),
-                    _cubic_second_kind(ops, second, i,
-                                       _rprime(c, ops, rp, i)),
-                    t3_is_zero):
-                return _report("special-case-one", failures)
-        return _report("special-case-one", failures, all_failures)
+            yield "case-one-C", (i,), _cubic_first_kind(ops, first, i)
+            yield "case-one-D", (i,), _cubic_second_kind(
+                ops, second, i, _rprime(c, ops, rp, i))
 
-    for i in range(n):
-        for j in range(n):
-            res_a = mat_add(apply2(Rp[j], Ld[i], d), apply2(Ls[j], Rd[i], d))
-            res_b = mat_add(apply2(Ls[i], Ld[j], d),
-                            mat_neg(apply2(Rp[j], Rd[i], d)),
-                            mat_neg(apply2(Ls[j], Ld[i], d)),
-                            apply2(Rp[i], Rd[j], d))
-            res_c = mat_add(apply2(Rs[j], Ls[i], d), apply2(Lp[j], Rp[i], d))
-            res_d = mat_add(apply2(Rp[i], Rs[j], d), apply2(Ls[i], Lp[j], d),
-                            apply2(Lp[j], Ls[i], d), apply2(Rs[j], Rp[i], d))
-            for label, res in (("case-two-A", res_a), ("case-two-B", res_b),
-                               ("case-two-C", res_c), ("case-two-D", res_d)):
-                if note(label, (i, j), res, mat_is_zero):
-                    return _report("special-case-two", failures)
-    c = structure_tensors(palg)
-    first = _first_kind_tensors(c, _CASE2_M, mats)
-    second = _second_kind_tensors(c, _CASE2_MP, _CASE2_PP, mats)
-    for i in range(n):
-        if note("case-two-E", (i,), _cubic_first_kind(ops, first, i),
-                t3_is_zero):
-            return _report("special-case-two", failures)
-        if note("case-two-F", (i,), _cubic_second_kind(ops, second, i),
-                t3_is_zero):
-            return _report("special-case-two", failures)
-    return _report("special-case-two", failures, all_failures)
+    def case_two():
+        for i, j in product(range(n), repeat=2):
+            yield "case-two-A", (i, j), mat_add(apply2(Rp[j], Ld[i], d),
+                                                apply2(Ls[j], Rd[i], d))
+            yield "case-two-B", (i, j), mat_add(
+                apply2(Ls[i], Ld[j], d), mat_neg(apply2(Rp[j], Rd[i], d)),
+                mat_neg(apply2(Ls[j], Ld[i], d)), apply2(Rp[i], Rd[j], d))
+            yield "case-two-C", (i, j), mat_add(apply2(Rs[j], Ls[i], d),
+                                                apply2(Lp[j], Rp[i], d))
+            yield "case-two-D", (i, j), mat_add(
+                apply2(Rp[i], Rs[j], d), apply2(Ls[i], Lp[j], d),
+                apply2(Lp[j], Ls[i], d), apply2(Rs[j], Rp[i], d))
+        c = structure_tensors(palg)
+        first = _first_kind_tensors(c, _CASE2_M, mats)
+        second = _second_kind_tensors(c, _CASE2_MP, _CASE2_PP, mats)
+        for i in range(n):
+            yield "case-two-E", (i,), _cubic_first_kind(ops, first, i)
+            yield "case-two-F", (i,), _cubic_second_kind(ops, second, i)
+
+    if case == "one":
+        return scan("special-case-one", case_one(), all_failures)
+    return scan("special-case-two", case_two(), all_failures)

@@ -440,49 +440,40 @@ def as_matrix(obj):
     raise FormatError("expected an r-element or linear-map payload")
 
 
+# each check command: (inputs, kind, all_failures) -> CheckReport
+_CHECKS = {
+    "algebra": lambda ins, kind, every: check_identities(
+        ins[0], kind or "anti-flexible", every),
+    "pre-algebra": lambda ins, kind, every: check_identities(
+        ins[0], kind or "pre-anti-flexible", every),
+    "bimodule": lambda ins, kind, every: (
+        check_af_bimodule if isinstance(ins[0], AfBimodule)
+        else check_pre_bimodule)(ins[0], every),
+    "matched-pair": lambda ins, kind, every: (
+        check_af_matched if isinstance(ins[0], AfMatchedPair)
+        else check_pre_matched)(ins[0], every),
+    "bialgebra": lambda ins, kind, every: verify_bialgebra(ins[0], every),
+    "pafybe": lambda ins, kind, every: check_pafybe(
+        ins[0], as_matrix(ins[1]), every),
+    "coboundary": lambda ins, kind, every: check_coboundary_conditions(
+        ins[0], _as_rpair(ins[1]), every),
+    "rota-baxter": lambda ins, kind, every: check_rota_baxter(
+        ins[0], as_matrix(ins[1]), every),
+    "o-operator": lambda ins, kind, every: check_o_operator(
+        OOperator(ins[0], as_matrix(ins[1])), every),
+    "cocycle-form": lambda ins, kind, every: check_two_cocycle(
+        ins[0], as_matrix(ins[1]), every),
+    "r-double": lambda ins, kind, every: check_r_double_consistency(
+        ins[0], as_matrix(ins[1]), every),
+}
+
+CHECK_COMMANDS = tuple(_CHECKS)
+
+
 def _dispatch_check(command, inputs, kind, all_failures):
-    if command == "algebra":
-        return check_identities(inputs[0], kind or "anti-flexible",
-                                all_failures)
-    if command == "pre-algebra":
-        return check_identities(inputs[0], kind or "pre-anti-flexible",
-                                all_failures)
-    if command == "bimodule":
-        bm = inputs[0]
-        if isinstance(bm, AfBimodule):
-            return check_af_bimodule(bm, all_failures)
-        return check_pre_bimodule(bm, all_failures)
-    if command == "matched-pair":
-        mp = inputs[0]
-        if isinstance(mp, AfMatchedPair):
-            return check_af_matched(mp, all_failures)
-        return check_pre_matched(mp, all_failures)
-    if command == "bialgebra":
-        return verify_bialgebra(inputs[0], all_failures)
-    if command == "pafybe":
-        return check_pafybe(inputs[0], as_matrix(inputs[1]), all_failures)
-    if command == "coboundary":
-        return check_coboundary_conditions(inputs[0], _as_rpair(inputs[1]),
-                                           all_failures)
-    if command == "rota-baxter":
-        return check_rota_baxter(inputs[0], as_matrix(inputs[1]),
-                                 all_failures)
-    if command == "o-operator":
-        return check_o_operator(OOperator(inputs[0],
-                                          as_matrix(inputs[1])),
-                                all_failures)
-    if command == "cocycle-form":
-        return check_two_cocycle(inputs[0], as_matrix(inputs[1]),
-                                 all_failures)
-    if command == "r-double":
-        return check_r_double_consistency(inputs[0], as_matrix(inputs[1]),
-                                          all_failures)
-    raise FormatError("unknown check command %r" % (command,))
-
-
-CHECK_COMMANDS = ("algebra", "pre-algebra", "bimodule", "matched-pair",
-                  "bialgebra", "pafybe", "coboundary", "rota-baxter",
-                  "o-operator", "cocycle-form", "r-double")
+    if command not in _CHECKS:
+        raise FormatError("unknown check command %r" % (command,))
+    return _CHECKS[command](inputs, kind, all_failures)
 
 
 # ---------------------------------------------------------------------------

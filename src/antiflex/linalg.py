@@ -159,16 +159,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def matrix_transpose_dual(phi):
-    """Dual of a linear map V -> W, i.e. the map W* -> V* with
-    <phi*(w*), v> = <w*, phi(v)>.  Concretely the transpose matrix."""
-    return transpose(phi)
-
-
-def mat_eq(a, b):
-    return a == b
-
-
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
@@ -219,13 +209,6 @@ def contract_product(c, x, y):
 # ---------------------------------------------------------------------------
 # tensor-square / tensor-cube elements and their permutations
 # ---------------------------------------------------------------------------
-
-def permute_tensor2(r):
-    """sigma(u (x) v) = v (x) u on an element of A (x) A: matrix transpose."""
-    if len(r) != len(r[0]):
-        raise ValueError("permute_tensor2: element of A(x)A must be square")
-    return transpose(r)
-
 
 def permute3(t, perm):
     """Index permutation of an element of A(x)A(x)A.

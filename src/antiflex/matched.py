@@ -19,23 +19,20 @@ so up to sign a lone argument sits in the middle or at an end: two
 conditions for each block.  Of the pre-anti-flexible identities, m has the
 same symmetry and lr has none, which gives five conditions for each block.
 Each condition is therefore one row of a table (AF_CONDITIONS,
-PRE_CONDITIONS), and both checkers scan their table over the basis tuples
-with one loop.
+PRE_CONDITIONS), read from the evaluator of the double (see
+algebra.basis_residuals) by one generator for both kinds of pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import Algebra, PreAlgebra, CheckReport, IDENTITIES, \
-    PreconditionError, _report, check_cyclic_form, check_identities, \
+from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
+    basis_residuals, check_cyclic_form, check_identities, scan, \
     underlying_algebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
-    check_pre_bimodule, multiplication_operators
-from .linalg import (
-    ONE, basis_vec, vec_neg, vec_is_zero, zeros_t3, zeros_mat, mat_add,
-    transpose,
-)
+    check_pre_bimodule, direct_sum_tensor, multiplication_operators
+from .linalg import ONE, vec_neg, zeros_mat, mat_add, transpose
 
 
 @dataclass(frozen=True)
@@ -111,20 +108,23 @@ def condition_residuals(mp):
     """(label, index tuple, residual) of every compatibility condition of a
     matched pair at every basis tuple, in checking order: for each i, the
     A rows over (i, j, s), then the B rows over (i, s, t)."""
+    double = build_af_double(mp) if isinstance(mp, AfMatchedPair) \
+        else build_pre_double(mp)
+    return _conditions(mp, basis_residuals(double))
+
+
+def _conditions(mp, evaluate):
+    """condition_residuals, given the basis_residuals of the double."""
     if isinstance(mp, AfMatchedPair):
-        double, nA, rows = build_af_double(mp), mp.algA.dimension, \
-            AF_CONDITIONS
+        nA, nB, rows = mp.algA.dimension, mp.algB.dimension, AF_CONDITIONS
     else:
-        double, nA, rows = build_pre_double(mp), mp.palgA.dimension, \
-            PRE_CONDITIONS
-    nB = double.dimension - nA
-    basis = [basis_vec(nA + nB, k) for k in range(nA + nB)]
+        nA, nB, rows = mp.palgA.dimension, mp.palgB.dimension, PRE_CONDITIONS
     # each argument letter: (its position in the index tuple, its offset)
     slots = {"A": {"x": (0, 0), "y": (1, 0), "a": (2, nA)},
              "B": {"x": (0, 0), "a": (1, nA), "b": (2, nA)}}
     blocks = {"A": slice(0, nA), "B": slice(nA, None)}
-    compiled = {side: [(label, IDENTITIES[identity],
-                        [slots[side][c] for c in args], blocks[side], sign)
+    compiled = {side: [(label, identity, [slots[side][c] for c in args],
+                        blocks[side], sign)
                        for label, block, identity, args, sign in rows
                        if block == side]
                 for side in ("A", "B")}
@@ -134,19 +134,10 @@ def condition_residuals(mp):
                 for v in range(nB):
                     idx = (i, u, v)
                     for label, identity, args, block, sign in compiled[side]:
-                        res = identity(double, *(basis[idx[p] + off]
-                                                 for p, off in args))[block]
-                        yield label, idx, res if sign > 0 else vec_neg(res)
-
-
-def _scan(name, mp, all_failures):
-    failures = []
-    for label, idx, res in condition_residuals(mp):
-        if not vec_is_zero(res):
-            failures.append((label, idx, res))
-            if not all_failures:
-                break
-    return _report(name, failures, all_failures)
+                        res = evaluate(identity, tuple(idx[p] + off
+                                                       for p, off in args))
+                        yield label, idx, res[block] if sign > 0 \
+                            else vec_neg(res[block])
 
 
 def _require_bimodules(caller, check, on_B, on_A):
@@ -160,11 +151,19 @@ def _require_bimodules(caller, check, on_B, on_A):
 
 def check_af_matched(mp: AfMatchedPair, all_failures=False) -> CheckReport:
     """The four compatibility conditions over all basis tuples."""
+    return _af_matched_report(mp, basis_residuals(build_af_double(mp)),
+                             all_failures)
+
+
+def _af_matched_report(mp: AfMatchedPair, evaluate,
+                      all_failures=False) -> CheckReport:
+    """check_af_matched, given the basis_residuals of the double, so that a
+    caller that also checks the whole double evaluates it once."""
     _require_bimodules(
         "check_af_matched", check_af_bimodule,
         AfBimodule(mp.algA, mp.algB.dimension, mp.lA, mp.rA),
         AfBimodule(mp.algB, mp.algA.dimension, mp.lB, mp.rB))
-    return _scan("af-matched", mp, all_failures)
+    return scan("af-matched", _conditions(mp, evaluate), all_failures)
 
 
 def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
@@ -175,7 +174,7 @@ def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
                     mp.ls_A, mp.rs_A, mp.lp_A, mp.rp_A),
         PreBimodule(mp.palgB, mp.palgA.dimension,
                     mp.ls_B, mp.rs_B, mp.lp_B, mp.rp_B))
-    return _scan("pre-matched", mp, all_failures)
+    return scan("pre-matched", condition_residuals(mp), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -184,69 +183,22 @@ def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
 
 def build_af_double(mp: AfMatchedPair) -> Algebra:
     """(x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a o b + lA(x)b + rA(y)a)."""
-    nA, nB = mp.algA.dimension, mp.algB.dimension
-    d = nA + nB
-    c = zeros_t3(d)
-    for i in range(nA):
-        for j in range(nA):
-            for k in range(nA):
-                c[i][j][k] = mp.algA.product[i][j][k]
-    for s in range(nB):
-        for t in range(nB):
-            for k in range(nB):
-                c[nA + s][nA + t][nA + k] = mp.algB.product[s][t][k]
-    for s in range(nB):       # a * y: lB(a)y in A and rA(y)a in B
-        for j in range(nA):
-            for k in range(nA):
-                c[nA + s][j][k] = mp.lB[s][k][j]
-            for k in range(nB):
-                c[nA + s][j][nA + k] = mp.rA[j][k][s]
-    for i in range(nA):       # x * b: rB(b)x in A and lA(x)b in B
-        for t in range(nB):
-            for k in range(nA):
-                c[i][nA + t][k] = mp.rB[t][k][i]
-            for k in range(nB):
-                c[i][nA + t][nA + k] = mp.lA[i][k][t]
     names = tuple(mp.algA.basis_names) + tuple(
         n + "'" for n in mp.algB.basis_names)
-    return Algebra(d, c, names)
+    return Algebra(mp.algA.dimension + mp.algB.dimension, direct_sum_tensor(
+        mp.algA.product, mp.algB.product, mp.lA, mp.rA, mp.lB, mp.rB), names)
 
 
 def build_pre_double(mp: PreMatchedPair) -> PreAlgebra:
     """(x+a) < (y+b) = {x<y + lpB(a)y + rpB(b)x} + {a<b + lpA(x)b + rpA(y)a},
     and the > analog, blockwise on A + B."""
-    nA, nB = mp.palgA.dimension, mp.palgB.dimension
-    d = nA + nB
-    prec = zeros_t3(d)
-    succ = zeros_t3(d)
-    for out, cA, cB, lXB, rXB, lXA, rXA in (
-            (prec, mp.palgA.prec, mp.palgB.prec,
-             mp.lp_B, mp.rp_B, mp.lp_A, mp.rp_A),
-            (succ, mp.palgA.succ, mp.palgB.succ,
-             mp.ls_B, mp.rs_B, mp.ls_A, mp.rs_A)):
-        for i in range(nA):
-            for j in range(nA):
-                for k in range(nA):
-                    out[i][j][k] = cA[i][j][k]
-        for s in range(nB):
-            for u in range(nB):
-                for k in range(nB):
-                    out[nA + s][nA + u][nA + k] = cB[s][u][k]
-        for s in range(nB):       # a ? y: lX_B(a)y in A and rX_A(y)a in B
-            for j in range(nA):
-                for k in range(nA):
-                    out[nA + s][j][k] = lXB[s][k][j]
-                for k in range(nB):
-                    out[nA + s][j][nA + k] = rXA[j][k][s]
-        for i in range(nA):       # x ? b: rX_B(b)x in A and lX_A(x)b in B
-            for u in range(nB):
-                for k in range(nA):
-                    out[i][nA + u][k] = rXB[u][k][i]
-                for k in range(nB):
-                    out[i][nA + u][nA + k] = lXA[i][k][u]
-    names = tuple(mp.palgA.basis_names) + tuple(
-        n + "'" for n in mp.palgB.basis_names)
-    return PreAlgebra(d, prec, succ, names)
+    A, B = mp.palgA, mp.palgB
+    names = tuple(A.basis_names) + tuple(n + "'" for n in B.basis_names)
+    return PreAlgebra(
+        A.dimension + B.dimension,
+        direct_sum_tensor(A.prec, B.prec, mp.lp_A, mp.rp_A, mp.lp_B, mp.rp_B),
+        direct_sum_tensor(A.succ, B.succ, mp.ls_A, mp.rs_A, mp.ls_B, mp.rs_B),
+        names)
 
 
 def summed_af_matched(mp: PreMatchedPair) -> AfMatchedPair:
@@ -263,6 +215,21 @@ def summed_af_matched(mp: PreMatchedPair) -> AfMatchedPair:
 # the standard dual pair and the skew form on A + A*
 # ---------------------------------------------------------------------------
 
+def _dual_operators(caller, palgA, palgAstar, check_inputs):
+    """The regular operator families of a pre-algebra and of a companion
+    structure on its dual, after the checks the dual pairs share."""
+    if palgA.dimension != palgAstar.dimension:
+        raise PreconditionError("%s: dimension mismatch" % caller)
+    if check_inputs:
+        for name, p in (("first", palgA), ("second", palgAstar)):
+            rep = check_identities(p, "pre-anti-flexible")
+            if not rep.passed:
+                raise PreconditionError(
+                    "%s: %s factor fails the pre-anti-flexible check; "
+                    "witness %r" % (caller, name, rep.witness))
+    return multiplication_operators(palgA), multiplication_operators(palgAstar)
+
+
 def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
                           check_inputs=True) -> AfMatchedPair:
     """The dual-action candidate matched pair (R*_prec, L*_succ) of the two
@@ -270,17 +237,8 @@ def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     dual space.  Validity is not asserted here: whether the compatibility
     conditions hold is exactly what check_af_matched and the skew-form
     criterion decide."""
-    if palgA.dimension != palgAstar.dimension:
-        raise PreconditionError("standard_dual_matched: dimension mismatch")
-    if check_inputs:
-        for name, p in (("first", palgA), ("second", palgAstar)):
-            rep = check_identities(p, "pre-anti-flexible")
-            if not rep.passed:
-                raise PreconditionError(
-                    "standard_dual_matched: %s factor fails the "
-                    "pre-anti-flexible check; witness %r" % (name, rep.witness))
-    opsA = multiplication_operators(palgA)
-    opsS = multiplication_operators(palgAstar)
+    opsA, opsS = _dual_operators("standard_dual_matched", palgA, palgAstar,
+                                 check_inputs)
     dual = lambda fam: tuple(transpose(m) for m in fam)
     return AfMatchedPair(
         underlying_algebra(palgA), underlying_algebra(palgAstar),
@@ -296,17 +254,8 @@ def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     four families of the dualized full bimodule, arranged so that the
     underlying algebra of this pair's pre double is the standard dual
     pair's double."""
-    if palgA.dimension != palgAstar.dimension:
-        raise PreconditionError("dual_pre_matched: dimension mismatch")
-    if check_inputs:
-        for name, p in (("first", palgA), ("second", palgAstar)):
-            rep = check_identities(p, "pre-anti-flexible")
-            if not rep.passed:
-                raise PreconditionError(
-                    "dual_pre_matched: %s factor fails the "
-                    "pre-anti-flexible check; witness %r" % (name, rep.witness))
-    opsA = multiplication_operators(palgA)
-    opsS = multiplication_operators(palgAstar)
+    opsA, opsS = _dual_operators("dual_pre_matched", palgA, palgAstar,
+                                 check_inputs)
     dual = lambda fam: tuple(transpose(m) for m in fam)
     negdual = lambda fam: tuple([[-v for v in row] for row in transpose(m)]
                                 for m in fam)

@@ -9,16 +9,17 @@ dual coordinates as matrix transposes throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    _report, check_identities
+    check_identities, require_square, scan
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     multiplication_operators, regular_pre_bimodule, derive_bimodule, \
     semidirect_pre
 from .coboundary import check_pafybe, r_is_symmetric
 from .linalg import (
     ONE, transpose, zeros_mat, zeros_t3, basis_vec,
-    vec_add, vec_sub, vec_neg, vec_is_zero, mat_vec,
+    vec_add, vec_sub, vec_neg, mat_vec,
     mat_inverse, mat_rank,
 )
 
@@ -38,6 +39,7 @@ def require_anti_flexible(alg: Algebra, caller):
 
 def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs."""
+    require_square("check_rota_baxter", "alpha", alpha, alg.dimension)
     require_anti_flexible(alg, "check_rota_baxter")
     return rota_baxter_core(alg, alpha, all_failures)
 
@@ -48,19 +50,12 @@ def rota_baxter_core(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     n = alg.dimension
     basis = [basis_vec(n, i) for i in range(n)]
     cols = [[alpha[k][i] for k in range(n)] for i in range(n)]
-    failures = []
-    for i in range(n):
-        bx = cols[i]
-        for j in range(n):
-            by = cols[j]
-            res = vec_sub(alg.mul(bx, by),
-                          mat_vec(alpha, vec_add(alg.mul(basis[i], by),
-                                                 alg.mul(bx, basis[j]))))
-            if not vec_is_zero(res):
-                failures.append(("rota-baxter", (i, j), res))
-                if not all_failures:
-                    return _report("rota-baxter", failures)
-    return _report("rota-baxter", failures, all_failures)
+    return scan("rota-baxter", (
+        ("rota-baxter", (i, j), vec_sub(
+            alg.mul(cols[i], cols[j]),
+            mat_vec(alpha, vec_add(alg.mul(basis[i], cols[j]),
+                                   alg.mul(cols[i], basis[j])))))
+        for i, j in product(range(n), repeat=2)), all_failures)
 
 
 def _rb_defect(alg, alpha, x, y):
@@ -80,18 +75,15 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
     require_anti_flexible(alg, "check_generalized_rb")
     n = alg.dimension
     basis = [basis_vec(n, i) for i in range(n)]
-    failures = []
-    for i in range(n):
-        for j in range(n):
+
+    def residuals():
+        for i, j in product(range(n), repeat=2):
             dij = _rb_defect(alg, alpha, basis[i], basis[j])
             dji = _rb_defect(alg, alpha, basis[j], basis[i])
             for k in range(n):
-                res = vec_add(alg.mul(dij, basis[k]), alg.mul(basis[k], dji))
-                if not vec_is_zero(res):
-                    failures.append(("generalized-rota-baxter", (i, j, k), res))
-                    if not all_failures:
-                        return _report("generalized-rota-baxter", failures)
-    return _report("generalized-rota-baxter", failures, all_failures)
+                yield "generalized-rota-baxter", (i, j, k), vec_add(
+                    alg.mul(dij, basis[k]), alg.mul(basis[k], dji))
+    return scan("generalized-rota-baxter", residuals(), all_failures)
 
 
 def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
@@ -150,17 +142,12 @@ def o_operator_core(bm: AfBimodule, T, all_failures=False) -> CheckReport:
     cols = [[T[k][i] for k in range(n)] for i in range(m)]
     lT = [act(bm.l, col) for col in cols]
     rT = [act(bm.r, col) for col in cols]
-    failures = []
-    for i in range(m):
-        for j in range(m):
-            # l(T(u_i)) u_j + r(T(u_j)) u_i
-            inner = [lT[i][k][j] + rT[j][k][i] for k in range(m)]
-            res = vec_sub(alg.mul(cols[i], cols[j]), mat_vec(T, inner))
-            if not vec_is_zero(res):
-                failures.append(("o-operator", (i, j), res))
-                if not all_failures:
-                    return _report("o-operator", failures)
-    return _report("o-operator", failures, all_failures)
+    # l(T(u_i)) u_j + r(T(u_j)) u_i
+    return scan("o-operator", (
+        ("o-operator", (i, j), vec_sub(
+            alg.mul(cols[i], cols[j]),
+            mat_vec(T, [lT[i][k][j] + rT[j][k][i] for k in range(m)])))
+        for i, j in product(range(m), repeat=2)), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +192,10 @@ def double_products_from_r(palg: PreAlgebra, r) -> RDoubleTable:
     The x . a line is the sum of the x < a and x > a lines (the only
     reading consistent with the half-product decomposition).
     """
+    n = palg.dimension
+    require_square("double_products_from_r", "r", r, n)
     if not r_is_symmetric(r):
         raise PreconditionError("double_products_from_r: r must be symmetric")
-    n = palg.dimension
     ops = multiplication_operators(palg)
     rmat = r_map_matrix(r)
     rimg = [[r[i][j] for j in range(n)] for i in range(n)]  # r(f_i) rows
@@ -221,9 +209,7 @@ def double_products_from_r(palg: PreAlgebra, r) -> RDoubleTable:
                         mat_vec(_dual_op(ops["L_dot"], rb), basis_vec(n, i)))
             s = vec_sub(mat_vec(_dual_op(ops["R_dot"], ra), basis_vec(n, j)),
                         mat_vec(_dual_op(ops["L_prec"], rb), basis_vec(n, i)))
-            for k in range(n):
-                prec[i][j][k] = p[k]
-                succ[i][j][k] = s[k]
+            prec[i][j], succ[i][j] = p, s
     dual = PreAlgebra(n, prec, succ,
                       tuple("f%d" % (i + 1) for i in range(n)))
 
@@ -267,19 +253,15 @@ def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
     n = palg.dimension
     prec = zeros_t3(2 * n)
     succ = zeros_t3(2 * n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                prec[i][j][k] = palg.prec[i][j][k]
-                succ[i][j][k] = palg.succ[i][j][k]
-                prec[n + i][n + j][n + k] = tab.dual.prec[i][j][k]
-                succ[n + i][n + j][n + k] = tab.dual.succ[i][j][k]
-        for s in range(n):
-            for k in range(2 * n):
-                prec[i][n + s][k] = tab.mixed["x_prec_a"][i][s][k]
-                succ[i][n + s][k] = tab.mixed["x_succ_a"][i][s][k]
-                prec[n + s][i][k] = tab.mixed["a_prec_x"][i][s][k]
-                succ[n + s][i][k] = tab.mixed["a_succ_x"][i][s][k]
+    mixed = tab.mixed
+    for i, j in product(range(n), repeat=2):
+        prec[i][j][:n], succ[i][j][:n] = palg.prec[i][j], palg.succ[i][j]
+        prec[n + i][n + j][n:] = tab.dual.prec[i][j]
+        succ[n + i][n + j][n:] = tab.dual.succ[i][j]
+        prec[i][n + j] = list(mixed["x_prec_a"][i][j])
+        succ[i][n + j] = list(mixed["x_succ_a"][i][j])
+        prec[n + j][i] = list(mixed["a_prec_x"][i][j])
+        succ[n + j][i] = list(mixed["a_succ_x"][i][j])
     names = tuple(palg.basis_names) + \
         tuple("f%d" % (i + 1) for i in range(n))
     return PreAlgebra(2 * n, prec, succ, names)
@@ -292,8 +274,9 @@ def check_r_double_consistency(palg: PreAlgebra, r,
     equation."""
     rep = check_identities(assembled_double(palg, r), "pre-anti-flexible",
                            all_failures)
-    failures = [("r-double", idx, res) for _label, idx, res in rep.failures]
-    return _report("r-double", failures, all_failures)
+    return scan("r-double", (("r-double", idx, res)
+                             for _label, idx, res in rep.failures),
+                all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +294,18 @@ def form_from_r(palg: PreAlgebra, r):
 def check_two_cocycle(palg: PreAlgebra, form, all_failures=False) -> CheckReport:
     """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples."""
     n = palg.dimension
-    failures = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                xy = palg.mul_dot(basis_vec(n, i), basis_vec(n, j))
-                zx = palg.mul_prec(basis_vec(n, k), basis_vec(n, i))
-                yz = palg.mul_succ(basis_vec(n, j), basis_vec(n, k))
-                lhs = sum(xy[p] * form[p][k] for p in range(n))
-                rhs = sum(form[j][p] * zx[p] for p in range(n)) + \
-                    sum(form[i][p] * yz[p] for p in range(n))
-                if lhs != rhs:
-                    failures.append(("two-cocycle", (i, j, k), lhs - rhs))
-                    if not all_failures:
-                        return _report("two-cocycle", failures)
-    return _report("two-cocycle", failures, all_failures)
+    require_square("check_two_cocycle", "form", form, n)
+
+    def residuals():
+        for i, j, k in product(range(n), repeat=3):
+            xy = palg.mul_dot(basis_vec(n, i), basis_vec(n, j))
+            zx = palg.mul_prec(basis_vec(n, k), basis_vec(n, i))
+            yz = palg.mul_succ(basis_vec(n, j), basis_vec(n, k))
+            lhs = sum(xy[p] * form[p][k] for p in range(n))
+            rhs = sum(form[j][p] * zx[p] for p in range(n)) + \
+                sum(form[i][p] * yz[p] for p in range(n))
+            yield "two-cocycle", (i, j, k), [lhs - rhs]
+    return scan("two-cocycle", residuals(), all_failures)
 
 
 def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
@@ -337,20 +317,16 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     n = palg.dimension
     ops = multiplication_operators(palg)
     rmat = r_map_matrix(r)
-    failures = []
-    for i in range(n):
-        ra = [r[i][j] for j in range(n)]
-        for j in range(n):
-            rb = [r[j][k] for k in range(n)]
+
+    def residuals():
+        for i, j in product(range(n), repeat=2):
+            ra, rb = list(r[i]), list(r[j])
             inner = vec_add(
                 mat_vec(_dual_op(ops["R_prec"], ra), basis_vec(n, j)),
                 mat_vec(_dual_op(ops["L_succ"], rb), basis_vec(n, i)))
-            res = vec_sub(palg.mul_dot(ra, rb), mat_vec(rmat, inner))
-            if not vec_is_zero(res):
-                failures.append(("operator-form", (i, j), res))
-                if not all_failures:
-                    return _report("operator-form", failures)
-    return _report("operator-form", failures, all_failures)
+            yield "operator-form", (i, j), vec_sub(palg.mul_dot(ra, rb),
+                                                   mat_vec(rmat, inner))
+    return scan("operator-form", residuals(), all_failures)
 
 
 def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:
@@ -373,9 +349,7 @@ def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:
                                       mat_vec(rinv, basis_vec(n, i))))
             s = mat_vec(rmat, mat_vec(transpose(ops["R_prec"][i]),
                                       mat_vec(rinv, basis_vec(n, j))))
-            for k in range(n):
-                prec[i][j][k] = p[k]
-                succ[i][j][k] = s[k]
+            prec[i][j], succ[i][j] = p, s
     return PreAlgebra(n, prec, succ, palg.basis_names)
 
 
@@ -408,9 +382,7 @@ def solution_from_o_operator(oo: OOperator):
         for j in range(m):
             p = mat_vec(act(bm.r, cols[j]), basis_vec(m, i))
             s = mat_vec(act(bm.l, cols[i]), basis_vec(m, j))
-            for k in range(m):
-                prec[i][j][k] = p[k]
-                succ[i][j][k] = s[k]
+            prec[i][j], succ[i][j] = p, s
     image = PreAlgebra(m, prec, succ)
     zero = tuple(zeros_mat(m) for _ in range(m))
     actions = PreBimodule(image, m,

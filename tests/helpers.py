@@ -5,7 +5,11 @@ import random
 from fractions import Fraction
 
 from antiflex.algebra import Algebra, PreAlgebra, from_associative
+from antiflex.bialgebra import dual_products_from_comult
+from antiflex.coboundary import special_case_bialgebra
 from antiflex.harness import corpus_names, load_corpus
+from antiflex.matched import dual_pre_matched, standard_dual_matched
+from antiflex.operators import canonical_solution
 
 CORPUS = {name: load_corpus(name) for name in corpus_names()}
 
@@ -91,3 +95,29 @@ def perturbed_pre_algebras(palg: PreAlgebra):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def split_bialgebra(name, case, split="succ-left"):
+    """The case-one or case-two bialgebra of the canonical solution on a
+    splitting of a corpus algebra."""
+    double, r = canonical_solution(from_associative(CORPUS[name], split))
+    return special_case_bialgebra(double, r, case)
+
+
+def bialgebra_pairs():
+    """The route 2 and route 4 pairs of the case-one and case-two
+    bialgebras of qt2, t3 and ut2 and of their same-dimension crosses (the
+    products of one with the comultiplications of another), and two failing
+    crosses: qt2 split succ-left with qt2 split prec-right."""
+    def pairs(a, b):
+        dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
+        return (standard_dual_matched(a.palg, dual, False),
+                dual_pre_matched(a.palg, dual, False))
+
+    groups = [[split_bialgebra(name, case) for name in names
+               for case in ("one", "two")]
+              for names in (("qt2", "t3"), ("ut2",))]
+    out = [pairs(a, b) for group in groups for a in group for b in group]
+    left, right = split_bialgebra("qt2", "one"), \
+        split_bialgebra("qt2", "one", "prec-right")
+    return out + [pairs(left, right), pairs(right, left)]

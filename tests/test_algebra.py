@@ -5,17 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiflex.algebra import (
-    Algebra, PreAlgebra, PreconditionError, check_cyclic_form,
-    check_identities, derived_products, from_associative,
-    induce_pre_from_form, pre_triple, triple, underlying_algebra,
+    ALGEBRA_KINDS, KIND_IDENTITIES, Algebra, PreAlgebra, PreconditionError,
+    check_cyclic_form, check_identities, derived_products, from_associative,
+    induce_pre_from_form, pre_triple, scan, triple, underlying_algebra,
 )
 from antiflex.linalg import basis_vec, contract_product, eye, vec_add, \
     vec_sub, zeros_t3
 from antiflex.matched import omega_matrix
 from antiflex.operators import canonical_solution
 
-from helpers import CORPUS, FROM_ASSOC_VARIANTS, bump_t3, rand_t3, \
-    rand_vec, seeded
+from helpers import CORPUS, FROM_ASSOC_VARIANTS, bump_t3, \
+    perturbed_algebras, perturbed_pre_algebras, rand_t3, rand_vec, seeded
+from identity_reference import reference_check_identities
 
 
 def test_corpus_algebras_pass():
@@ -205,3 +206,66 @@ def test_multilinearity_bridge_property(seed):
             if res != [Fraction(0)] * 2:
                 random_verdict = False
     assert basis_verdict == random_verdict
+
+
+# ---------------------------------------------------------------------------
+# the composition evaluator against the element-level residuals
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4),
+       st.sampled_from((0.05, 0.2, 0.5, 1.0)),
+       st.sampled_from(sorted(KIND_IDENTITIES)), st.booleans())
+def test_check_identities_matches_reference(seed, n, density, kind, every):
+    # random structures from sparse to dense: the same report, witness and
+    # failures as the per-tuple scan of the element-level residuals
+    rng = seeded(seed)
+
+    def tensor():
+        return [[[Fraction(rng.choice((-2, -1, 1, 3)))
+                  if rng.random() < density else Fraction(0)
+                  for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+    subject = Algebra(n, tensor()) if kind in ALGEBRA_KINDS \
+        else PreAlgebra(n, tensor(), tensor())
+    assert check_identities(subject, kind, every) == \
+        reference_check_identities(subject, kind, every)
+
+
+def test_check_identities_matches_reference_on_corpus():
+    # passing corpus structures, and single-entry perturbations of them
+    # whose first witness lies deep in the scan
+    subjects = []
+    for alg in CORPUS.values():
+        subjects += [alg] + [a for _, a in perturbed_algebras(alg)][::9]
+        for variant in ("succ-left", "prec-right"):
+            palg = from_associative(alg, variant)
+            subjects += [palg] + [p for _, p in
+                                  perturbed_pre_algebras(palg)][::13]
+    for subject in subjects:
+        kinds = ALGEBRA_KINDS if isinstance(subject, Algebra) \
+            else ("pre-anti-flexible", "dendriform")
+        for kind in kinds:
+            for every in (False, True):
+                assert check_identities(subject, kind, every) == \
+                    reference_check_identities(subject, kind, every)
+
+
+def test_scan_reads_no_further_than_the_first_witness():
+    def stream():
+        yield "zero", (0,), [Fraction(0), Fraction(0)]
+        yield "first", (1,), [[Fraction(0)], [Fraction(2)]]
+        yield "second", (2,), [Fraction(-1)]
+        raise AssertionError("the stream was read past its end")
+
+    first = scan("name", stream())
+    assert not first.passed and first.identity_name == "name"
+    assert first.witness == ("first", (1,), [[Fraction(0)], [Fraction(2)]])
+    assert first.failures == (first.witness,)
+    with pytest.raises(AssertionError, match="read past its end"):
+        scan("name", stream(), all_failures=True)
+    every = scan("name", [("a", (0,), [Fraction(1)]),
+                          ("b", (1,), [Fraction(0)]),
+                          ("c", (2,), [Fraction(3)])], all_failures=True)
+    assert [f[0] for f in every.failures] == ["a", "c"]
+    assert scan("name", [("a", (0,), [Fraction(0)])]).passed

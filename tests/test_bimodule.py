@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.algebra import PreconditionError, check_identities
+from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
+    check_identities, scan
 from antiflex.bimodule import (
-    AfBimodule, PreBimodule, check_af_bimodule, check_pre_bimodule,
-    derive_bimodule, regular_af_bimodule, regular_pre_bimodule,
-    semidirect_pre,
+    AF_BIMODULE, PRE_BIMODULE, AfBimodule, PreBimodule, block_residuals,
+    check_af_bimodule, check_pre_bimodule, derive_bimodule,
+    regular_af_bimodule, regular_pre_bimodule, semidirect_af, semidirect_pre,
 )
-from antiflex.linalg import mat_add, zeros_mat
+from antiflex.linalg import mat_add, mat_is_zero, zeros_mat
 
-from helpers import CORPUS, DIM2_PRE, all_corpus_pre, rand_mat, seeded
+from bimodule_reference import reference_residuals
+from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
+    rand_mat, rand_t3, seeded
 
 PRE_TRANSFORMS = ("reduced", "dual-full", "dual-reduced")
 AF_TRANSFORMS = ("af-sum", "af-outer", "af-dual-sum", "af-dual-outer")
@@ -125,3 +128,60 @@ def test_semidirect_equivalence_random():
         assert bim_ok == sd_ok
         agree += 1
     assert agree == 60
+
+
+# ---------------------------------------------------------------------------
+# the rows against the identities written out as matrix expressions
+# ---------------------------------------------------------------------------
+
+def _rows_match_reference(bm):
+    """The rows of a bimodule give the reference residuals tuple by tuple,
+    and its checker the report of a scan over them; returns whether the
+    bimodule fails."""
+    if isinstance(bm, AfBimodule):
+        rows, semidirect, check, name = AF_BIMODULE, semidirect_af(bm), \
+            check_af_bimodule, "af-bimodule"
+    else:
+        rows, semidirect, check, name = PRE_BIMODULE, semidirect_pre(bm), \
+            check_pre_bimodule, "pre-bimodule"
+    reference = reference_residuals(bm)
+    assert list(block_residuals(rows, semidirect, bm.base.dimension)) == \
+        reference
+    failing = [f for f in reference if not mat_is_zero(f[2])]
+    assert check(bm, all_failures=True) == scan(name, failing, True)
+    assert check(bm) == scan(name, failing)
+    return bool(failing)
+
+
+def test_rows_match_reference_on_random_bimodules():
+    # random bases and actions: most of these bimodules fail
+    rng = seeded(91)
+    failing = total = 0
+    for _ in range(3):
+        for n, m in ((1, 1), (2, 2), (2, 3), (3, 2)):
+            def maps():
+                return [rand_mat(rng, m, span=1) for _ in range(n)]
+            for bm in (AfBimodule(Algebra(n, rand_t3(rng, n)), m, maps(),
+                                  maps()),
+                       PreBimodule(PreAlgebra(n, rand_t3(rng, n),
+                                              rand_t3(rng, n)), m,
+                                   maps(), maps(), maps(), maps())):
+                failing += _rows_match_reference(bm)
+                total += 1
+    assert 2 * failing > total
+
+
+def test_rows_match_reference_on_component_bimodules():
+    # the component bimodules of the route 2 and route 4 matched pairs
+    seen = set()
+    for mp, pmp in bialgebra_pairs():
+        for bm in (AfBimodule(mp.algA, mp.algB.dimension, mp.lA, mp.rA),
+                   AfBimodule(mp.algB, mp.algA.dimension, mp.lB, mp.rB),
+                   PreBimodule(pmp.palgA, pmp.palgB.dimension, pmp.ls_A,
+                               pmp.rs_A, pmp.lp_A, pmp.rp_A),
+                   PreBimodule(pmp.palgB, pmp.palgA.dimension, pmp.ls_B,
+                               pmp.rs_B, pmp.lp_B, pmp.rp_B)):
+            if repr(bm) not in seen:
+                seen.add(repr(bm))
+                assert not _rows_match_reference(bm)
+    assert len(seen) > 10

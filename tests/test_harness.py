@@ -16,13 +16,15 @@ from antiflex.matched import dual_pre_matched, standard_dual_matched
 from antiflex.operators import OOperator, assembled_double, \
     canonical_solution, check_o_operator, check_rota_baxter
 from antiflex.harness import (
-    CORPUS_DIR, FormatError, LinearMap, RElement, SearchSpec, corpus_names,
+    CHECK_COMMANDS, CORPUS_DIR, FormatError, LinearMap, RElement,
+    SearchSpec, corpus_names,
     grid_search, load_corpus, load_file, parse_file, random_element_oracle,
     run_check, save_file, serialize,
 )
 from antiflex.linalg import eye, mat_is_zero, vec_is_zero, zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, bump_t3
+from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, bump_t3, \
+    split_bialgebra
 
 
 def test_corpus_round_trip_byte_identical():
@@ -372,3 +374,91 @@ def test_cli_bialgebra_structure_failure_reports(tmp_path, capsys):
         assert report["verdict"] == "fail"
         assert report["witness"]["identity"].startswith(prefix)
         assert report["failure_count"] == 1
+
+
+def _failing_inputs():
+    """One failing input per check command, as the objects of its files."""
+    qt2, palg = CORPUS["qt2"], DIM2_PRE[0]
+    left = split_bialgebra("qt2", "one")
+    right = split_bialgebra("qt2", "one", "prec-right")
+    mp, _pmp = bialgebra_pairs()[-1]
+    regular = regular_af_bimodule(CORPUS["ut2"])
+    l = [[list(row) for row in m] for m in regular.l]
+    l[0][0][1] += 1
+    ident = LinearMap(2, 2, eye(2))
+    r = RElement(2, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]])
+    zero = [[Fraction(0)] * 2 for _ in range(2)]
+    return {
+        "algebra": [Algebra(2, bump_t3(CORPUS["t3"].product, 0, 1, 0))],
+        "pre-algebra": [PreAlgebra(2, bump_t3(palg.prec, 0, 1, 0),
+                                   palg.succ)],
+        "bimodule": [AfBimodule(regular.base, 3, l, regular.r)],
+        "matched-pair": [mp],
+        "bialgebra": [Bialgebra(left.palg, right.delta_prec,
+                                right.delta_succ)],
+        "pafybe": [palg, r],
+        "coboundary": [palg, RPair(eye(2), zero)],
+        "rota-baxter": [qt2, ident],
+        "o-operator": [regular_af_bimodule(qt2), ident],
+        "cocycle-form": [from_associative(qt2, "succ-left"), ident],
+        "r-double": [palg, r],
+    }
+
+
+def test_cli_check_contract_on_failing_inputs(tmp_path, capsys):
+    # every check command exits 1 on a failing input, and the first of all
+    # its witnesses is the witness it reports without --all-witnesses
+    inputs = _failing_inputs()
+    assert sorted(inputs) == sorted(CHECK_COMMANDS)
+    for command in CHECK_COMMANDS:
+        paths = []
+        for k, obj in enumerate(inputs[command]):
+            paths.append(str(tmp_path / ("%s-%d.json" % (command, k))))
+            save_file(paths[-1], obj)
+        argv = ["check", command] + paths
+        assert main(argv) == 1, command
+        assert capsys.readouterr().out.startswith("%s: fail  [" % command)
+        reports = []
+        for extra in ([], ["--all-witnesses"]):
+            assert main(argv + ["--json"] + extra) == 1, command
+            reports.append(json.loads(capsys.readouterr().out))
+        first, every = reports
+        assert first["verdict"] == every["verdict"] == "fail"
+        assert first["failure_count"] == 1 <= every["failure_count"]
+        assert every["witness"] == first["witness"], command
+
+
+def test_cli_cocycle_form_failure_reports(tmp_path, capsys):
+    # the identity form is no 2-cocycle of a splitting of qt2: a fail
+    # report with a one-entry residual, not a traceback
+    pre, form = tmp_path / "pre.json", tmp_path / "form.json"
+    save_file(pre, from_associative(CORPUS["qt2"], "succ-left"))
+    save_file(form, LinearMap(2, 2, eye(2)))
+    argv = ["check", "cocycle-form", str(pre), str(form)]
+    assert main(argv) == 1
+    assert "cocycle-form: fail  [two-cocycle at" in capsys.readouterr().out
+    for extra in (["--json"], ["--json", "--all-witnesses"]):
+        assert main(argv + extra) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail"
+        assert report["witness"]["identity"] == "two-cocycle"
+        assert len(report["witness"]["residual"]) == 1
+    assert main(argv + ["--all-witnesses"]) == 1
+    assert "cocycle-form: fail  [two-cocycle at" in capsys.readouterr().out
+
+
+def test_cli_rejects_wrong_shape_matrices(tmp_path, capsys):
+    # a form, r or map that is not n x n on a dim-2 (pre-)algebra is an
+    # input error naming the expected shape
+    pre, alg = tmp_path / "pre.json", tmp_path / "alg.json"
+    save_file(pre, DIM2_PRE[0])
+    save_file(alg, CORPUS["qt2"])
+    for rows, cols in ((1, 1), (3, 3), (2, 1), (2, 3)):
+        m = tmp_path / ("m%d%d.json" % (rows, cols))
+        save_file(m, LinearMap(rows, cols, [[Fraction(int(i == j))
+                                             for j in range(cols)]
+                                            for i in range(rows)]))
+        for command, subject in (("cocycle-form", pre), ("r-double", pre),
+                                 ("pafybe", pre), ("rota-baxter", alg)):
+            assert main(["check", command, str(subject), str(m)]) == 2
+            assert "must be 2 x 2" in capsys.readouterr().err

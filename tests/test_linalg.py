@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from antiflex.linalg import (
     apply2, apply_slot3, basis_vec, commutator, contract_product, dot, eye,
     mat_add, mat_inverse, mat_is_zero, mat_mul, mat_neg, mat_rank, mat_sub,
-    mat_vec, matrix_transpose_dual, permute3, permute_tensor2, solve,
+    mat_vec, permute3, solve,
     t3_add, t3_is_zero, t3_neg, t3_sub, transpose, vec_add, vec_is_zero,
     vec_neg, vec_scale, vec_sub, zeros_mat, zeros_t3, SingularMatrixError,
 )
@@ -26,20 +26,22 @@ def test_scalar_exactness_mul(a, b):
     assert (a * b) / b == a
 
 
+# the dual of a linear map is its transpose matrix
+
 def test_transpose_dual_identity_and_zero():
-    assert matrix_transpose_dual(eye(3)) == eye(3)
-    assert matrix_transpose_dual(zeros_mat(3)) == zeros_mat(3)
+    assert transpose(eye(3)) == eye(3)
+    assert transpose(zeros_mat(3)) == zeros_mat(3)
 
 
 def test_transpose_dual_pairing():
     rng = seeded(3)
     m = rand_mat(rng, 3)
-    md = matrix_transpose_dual(m)
+    md = transpose(m)
     for i in range(3):
         for j in range(3):
             # <M* f_j, e_i> = <f_j, M e_i>
             assert md[i][j] == m[j][i]
-    assert matrix_transpose_dual(md) == m
+    assert transpose(md) == m
 
 
 def test_contract_product_zero_and_basis():
@@ -74,14 +76,15 @@ def test_contract_product_bilinear(seed, lam):
 
 
 def test_permute_tensor2():
+    # the flip u (x) v -> v (x) u of an element of A (x) A is its transpose
     rng = seeded(9)
     sym = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(5)]]
-    assert permute_tensor2(sym) == sym
+    assert transpose(sym) == sym
     e12 = zeros_mat(3)
     e12[0][1] = Fraction(1)
-    assert permute_tensor2(e12)[1][0] == 1 and permute_tensor2(e12)[0][1] == 0
+    assert transpose(e12)[1][0] == 1 and transpose(e12)[0][1] == 0
     r = rand_mat(rng, 4)
-    assert permute_tensor2(permute_tensor2(r)) == r
+    assert transpose(transpose(r)) == r
 
 
 def test_permute3():

@@ -3,10 +3,7 @@ from fractions import Fraction
 import pytest
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
-    _report, check_cyclic_form, check_identities, from_associative, \
-    underlying_algebra
-from antiflex.bialgebra import dual_products_from_comult
-from antiflex.coboundary import special_case_bialgebra
+    check_cyclic_form, check_identities, scan, underlying_algebra
 from antiflex.matched import (
     AfMatchedPair, PreMatchedPair, build_af_double, build_pre_double,
     check_af_matched, check_pre_matched, condition_residuals,
@@ -15,9 +12,8 @@ from antiflex.matched import (
 )
 from antiflex.linalg import basis_vec, mat_neg, vec_is_zero, zeros_mat, \
     zeros_t3
-from antiflex.operators import canonical_solution
 
-from helpers import CORPUS, DIM2_PRE, rand_t3, seeded
+from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, rand_t3, seeded
 from matched_reference import reference_residuals
 
 
@@ -156,29 +152,6 @@ def _random_pairs(rng):
     return out
 
 
-def _bialgebra_pairs():
-    """The route 2 and route 4 pairs of the case-one and case-two
-    bialgebras of qt2, t3 and ut2 and of their same-dimension crosses (the
-    products of one with the comultiplications of another), and two failing
-    crosses: qt2 split succ-left with qt2 split prec-right."""
-    def bialgebra(name, case, split="succ-left"):
-        double, r = canonical_solution(from_associative(CORPUS[name], split))
-        return special_case_bialgebra(double, r, case)
-
-    def pairs(a, b):
-        dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
-        return (standard_dual_matched(a.palg, dual, False),
-                dual_pre_matched(a.palg, dual, False))
-
-    groups = [[bialgebra(name, case) for name in names
-               for case in ("one", "two")]
-              for names in (("qt2", "t3"), ("ut2",))]
-    out = [pairs(a, b) for group in groups for a in group for b in group]
-    left, right = bialgebra("qt2", "one"), \
-        bialgebra("qt2", "one", "prec-right")
-    return out + [pairs(left, right), pairs(right, left)]
-
-
 def test_condition_table_matches_reference_on_random_pairs():
     rng = seeded(71)
     for _ in range(2):
@@ -193,15 +166,15 @@ def test_condition_table_matches_reference_on_random_pairs():
 def test_checkers_match_reference_on_bialgebra_pairs():
     # the public reports equal those of a scan over the reference residuals
     failing = 0
-    for mp, pmp in _bialgebra_pairs():
+    for mp, pmp in bialgebra_pairs():
         for pair, check, name in ((mp, check_af_matched, "af-matched"),
                                   (pmp, check_pre_matched, "pre-matched")):
             expected = [(label, idx, res) for label, idx, res
                         in reference_residuals(pair) if not vec_is_zero(res)]
             every = check(pair, all_failures=True)
-            assert every == _report(name, expected, True)
+            assert every == scan(name, expected, True)
             if expected:
-                assert check(pair) == _report(name, expected[:1])
+                assert check(pair) == scan(name, expected)
                 failing += 1
     assert failing == 4  # the af and the pre pair of each failing cross
 
