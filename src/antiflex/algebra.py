@@ -20,6 +20,7 @@ asked for, nothing after it is evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -34,6 +35,25 @@ class PreconditionError(ValueError):
     """An operation was handed an input violating its documented contract."""
 
 
+def require_tensor(caller, field, t, n):
+    """Raise PreconditionError, naming the field and the index, unless t is
+    an n x n x n tensor of ints and Fractions (bools and floats are not)."""
+    def extent(block, at):
+        if not isinstance(block, (list, tuple)) or len(block) != n:
+            raise PreconditionError("%s: %s%s must be a list of %d entries"
+                                    % (caller, field, at, n))
+    extent(t, "")
+    for i, plane in enumerate(t):
+        extent(plane, "[%d]" % i)
+        for j, row in enumerate(plane):
+            extent(row, "[%d][%d]" % (i, j))
+            for k, x in enumerate(row):
+                if type(x) is not Fraction and type(x) is not int:
+                    raise PreconditionError(
+                        "%s: %s[%d][%d][%d] is %r, not an int or Fraction"
+                        % (caller, field, i, j, k, x))
+
+
 @dataclass(frozen=True)
 class Algebra:
     dimension: int
@@ -41,6 +61,7 @@ class Algebra:
     basis_names: tuple = ()
 
     def __post_init__(self):
+        require_tensor("Algebra", "product", self.product, self.dimension)
         if not self.basis_names:
             object.__setattr__(self, "basis_names",
                                tuple("e%d" % (i + 1) for i in range(self.dimension)))
@@ -57,6 +78,9 @@ class PreAlgebra:
     basis_names: tuple = ()
 
     def __post_init__(self):
+        for name in ("prec", "succ"):
+            require_tensor("PreAlgebra", name, getattr(self, name),
+                           self.dimension)
         if not self.basis_names:
             object.__setattr__(self, "basis_names",
                                tuple("e%d" % (i + 1) for i in range(self.dimension)))
@@ -364,16 +388,25 @@ def check_cyclic_form(alg: Algebra, omega, all_failures=False) -> CheckReport:
     """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples.
 
     With w(u, v) = u^T omega v, w(e_i*e_j, e_k) is the dot product of the
-    product row c[i][j] with column k of omega.
+    product row c[i][j] with column k of omega, taken over the nonzeros of
+    that column alone.
     """
     n = alg.dimension
     require_square("check_cyclic_form", "omega", omega, n)
     c = alg.product
-    cols = transpose(omega)
+    cols = [[(p, x) for p, x in enumerate(col) if x]
+            for col in transpose(omega)]
+
+    def w(row, k):
+        acc = ZERO
+        for p, x in cols[k]:
+            if row[p]:
+                acc += row[p] * x
+        return acc
+
     return scan("cyclic-form", (
-        ("cyclic-form", (i, j, k), [dot(c[i][j], cols[k])
-                                    + dot(c[j][k], cols[i])
-                                    + dot(c[k][i], cols[j])])
+        ("cyclic-form", (i, j, k), [w(c[i][j], k) + w(c[j][k], i)
+                                    + w(c[k][i], j)])
         for i, j, k in product(range(n), repeat=3)), all_failures)
 
 

@@ -7,6 +7,16 @@ the matrix transpose.  A bialgebra couples a pre-algebra structure on A
 with two comultiplications whose duals give the products on the dual
 space; validity is decided through four provably equivalent routes which
 the verifier cross-checks against each other.
+
+Every route reads an identity of a double through the pairing of A with
+A*.  The two co-identities are coordinates of the pre-anti-flexible
+identities of the dual products.  Routes 1-3 read one evaluator of the AF
+double of the standard dual pair on A + A*: route 1's four compatibility
+conditions are rows of BIALGEBRA_CONDITIONS, each an entry of the double's
+anti-flexible identity paired with the basis letter its arguments leave
+out; route 2 reads its blocks on mixed triples and route 3 all of it, with
+the closedness of the canonical skew form.  Route 4 reads the pre double
+of the eight-map dual pair.
 """
 
 from __future__ import annotations
@@ -15,12 +25,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, check_identities, scan, triple_residuals
-from .bimodule import multiplication_operators, act
-from .linalg import (
-    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, mat_vec, apply2,
-    t3_sub,
-)
+    basis_residuals, check_identities, require_tensor, scan, \
+    triple_residuals
+from .bimodule import act
+from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec
 from .matched import (
     standard_dual_matched, dual_pre_matched, check_pre_matched,
     build_af_double, omega_double_check, _af_matched_report,
@@ -36,13 +44,9 @@ class Bialgebra:
     delta_succ: tuple
 
     def __post_init__(self):
-        n = self.palg.dimension
         for name in ("delta_prec", "delta_succ"):
-            t = getattr(self, name)
-            if len(t) != n or any(len(m) != n or any(len(r) != n for r in m)
-                                  for m in t):
-                raise PreconditionError("Bialgebra: comultiplication tensor "
-                                        "extents must equal the dimension")
+            require_tensor("Bialgebra", name, getattr(self, name),
+                           self.palg.dimension)
 
     @property
     def dimension(self):
@@ -54,8 +58,8 @@ def dual_products_from_comult(delta_prec, delta_succ) -> PreAlgebra:
     D_?(e_k)>, i.e. plain index transposition of the comultiplication
     tensors."""
     n = len(delta_prec)
-    if len(delta_succ) != n:
-        raise PreconditionError("dual_products_from_comult: shape mismatch")
+    for name, t in (("delta_prec", delta_prec), ("delta_succ", delta_succ)):
+        require_tensor("dual_products_from_comult", name, t, n)
     prec = [[[delta_prec[k][i][j] for k in range(n)] for j in range(n)]
             for i in range(n)]
     succ = [[[delta_succ[k][i][j] for k in range(n)] for j in range(n)]
@@ -79,34 +83,10 @@ def comult_from_products(palg: PreAlgebra):
 # the two co-identities
 # ---------------------------------------------------------------------------
 
-def _cofirst(delta, other, i):
-    """(D_delta (x) id) D_other (e_i) as a rank-3 coefficient tensor
-    t[p][q][k] = sum_j other[i][j][k] delta[j][p][q], over nonzero terms."""
-    n = len(delta)
-    t = zeros_t3(n)
-    for j, row in enumerate(other[i]):
-        for k, o in enumerate(row):
-            if o:
-                for p, drow in enumerate(delta[j]):
-                    for q, d in enumerate(drow):
-                        if d:
-                            t[p][q][k] += o * d
-    return t
-
-
-def _cosecond(delta, other, i):
-    """(id (x) D_delta) D_other (e_i) as t[j][p][q] = sum_k other[i][j][k]
-    delta[k][p][q], over nonzero terms."""
-    n = len(delta)
-    t = zeros_t3(n)
-    for j, row in enumerate(other[i]):
-        for k, o in enumerate(row):
-            if o:
-                for p, drow in enumerate(delta[k]):
-                    for q, d in enumerate(drow):
-                        if d:
-                            t[j][p][q] += o * d
-    return t
+# each co-identity by the identity of the dual products whose coordinates
+# it collects
+CO_IDENTITIES = (("co-identity-m", "pre-anti-flexible-m"),
+                 ("co-identity-lr", "pre-anti-flexible-lr"))
 
 
 def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
@@ -119,27 +99,25 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
       co-lr: ((Dp + Ds) (x) id)Ds - (id (x) Ds)Ds
              = (id (x) sDp)sDp - (s(Dp + Ds) (x) id)sDp
 
-    with s the flip.  Agreement with the plain identity check on the
-    induced dual products is an invariant under test.
+    with s the flip.  Each is an identity of the dual products read through
+    the pairing: its residual at e_i is t[p][q][k] = coordinate i of the
+    identity at (f_p, f_q, f_k).
     """
-    n = len(delta_prec)
-    if len(delta_succ) != n:
-        raise PreconditionError("check_dual_pre_via_rmatrix: shape mismatch")
-    sp = [transpose(m) for m in delta_prec]
-    ss = [transpose(m) for m in delta_succ]
-    dsum = [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)]
-    ssum = [transpose(m) for m in dsum]
+    dual = dual_products_from_comult(delta_prec, delta_succ)
+    n = dual.dimension
+    evaluate = basis_residuals(dual)
 
     def residuals():
+        tables = {}     # identity -> its residuals at every dual triple
         for i in range(n):
-            yield "co-identity-m", (i,), t3_sub(
-                t3_sub(_cofirst(delta_succ, delta_prec, i),
-                       _cosecond(delta_prec, delta_succ, i)),
-                t3_sub(_cosecond(ss, sp, i), _cofirst(sp, ss, i)))
-            yield "co-identity-lr", (i,), t3_sub(
-                t3_sub(_cofirst(dsum, delta_succ, i),
-                       _cosecond(delta_succ, delta_succ, i)),
-                t3_sub(_cosecond(sp, sp, i), _cofirst(ssum, sp, i)))
+            for label, identity in CO_IDENTITIES:
+                if identity not in tables:
+                    tables[identity] = [[[evaluate(identity, (p, q, k))
+                                          for k in range(n)]
+                                         for q in range(n)]
+                                        for p in range(n)]
+                yield label, (i,), [[[v[i] for v in row] for row in plane]
+                                    for plane in tables[identity]]
     return scan("dual-pre-via-comult", residuals(), all_failures)
 
 
@@ -147,85 +125,43 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
 # the four compatibility conditions
 # ---------------------------------------------------------------------------
 
-def bialgebra_condition_residuals(palg: PreAlgebra, delta_prec, delta_succ,
-                                  i, j):
-    """Residual matrices of the four compatibility conditions on the basis
-    pair x = e_i, y = e_j.  With D = Dp + Ds, s the flip, and L/R the
-    regular multiplication operators of palg:
-
-      1:  Ds(x.y) - (Rp(y) (x) id)Ds(x) - (id (x) Ld(x))Ds(y)
-          = s(id (x) Ls(y))Dp(x) + s(Rd(x) (x) id)Dp(y) - sDp(y.x)
-      3:  s(Ld(y) (x) id - id (x) Rp(y))Dp(x)
-            + (Ls(x) (x) id - id (x) Rd(x))Ds(y)
-          = s(Ld(x) (x) id - id (x) Rp(x))Dp(y)
-            + (Ls(y) (x) id - id (x) Rd(y))Ds(x)
-      2': D(x>y) - (Rs(y) (x) id)Dp(x) - (id (x) Ls(x))D(y)
-          = (Lp(y) (x) id)sDs(x) + (id (x) Rp(x))sD(y) - sD(y<x)
-      4': (id (x) Rs(y))Ds(x) - (Lp(y) (x) id)Dp(x)
-            + (Rp(x) (x) id - id (x) Ls(x))sD(y)
-          = (Rs(y) (x) id)sDs(x) - (id (x) Lp(y))sDp(x)
-            + (id (x) Rp(x) - Ls(x) (x) id)D(y)
-    """
-    return _condition_residuals(
-        palg, delta_prec, delta_succ,
-        _condition_invariants(palg, delta_prec, delta_succ), i, j)
+# The four compatibility conditions as pairings on the AF double of the
+# standard dual pair, A + A* (see matched.standard_dual_matched): (label,
+# arguments, sign).  At the basis pair x = e_i, y = e_j of A, with
+# a = f_p and b = f_q of A*, entry [p][q] of a condition is its sign times
+# <AF(u, v, w), z>: AF is the anti-flexible identity of the double at the
+# arguments u, v, w, and z is the letter they leave out, paired across
+# A + A*.  A missing b reads coordinate q of A, a missing y coordinate
+# n + j of A*.
+BIALGEBRA_CONDITIONS = (
+    ("bialgebra-1", "xya", 1),
+    ("bialgebra-3", "xay", 1),
+    ("bialgebra-2p", "xba", -1),
+    ("bialgebra-4p", "axb", 1),
+)
 
 
-def _condition_invariants(palg, delta_prec, delta_succ):
-    """What the four conditions share over every basis pair: the regular
-    operators of palg, the identity matrix and D = Dp + Ds."""
-    return (multiplication_operators(palg), eye(palg.dimension),
-            [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)])
+def _condition_residuals(n, evaluate):
+    """(label, (i, j), residual) of the four conditions at every basis
+    pair, in checking order, given the basis_residuals of the AF double."""
+    def identity(args, **at):
+        return evaluate("anti-flexible", tuple(at[c] for c in args))
 
-
-def _condition_residuals(palg, delta_prec, delta_succ, invariants, i, j):
-    """bialgebra_condition_residuals, given the _condition_invariants."""
-    ops, I, dsum = invariants
-    Lp, Rp = ops["L_prec"], ops["R_prec"]
-    Ls, Rs = ops["L_succ"], ops["R_succ"]
-    Ld, Rd = ops["L_dot"], ops["R_dot"]
-    n = palg.dimension
-    x, y = basis_vec(n, i), basis_vec(n, j)
-    Ds_x, Ds_y = delta_succ[i], delta_succ[j]
-    Dp_x, Dp_y = delta_prec[i], delta_prec[j]
-    D_y = dsum[j]
-    Ds_xy = act(delta_succ, palg.mul_dot(x, y))
-    Dp_yx = act(delta_prec, palg.mul_dot(y, x))
-    D_xsy = act(dsum, palg.mul_succ(x, y))
-    D_ypx = act(dsum, palg.mul_prec(y, x))
-
-    out = []
-    r1 = mat_sub(
-        mat_sub(mat_sub(Ds_xy, apply2(Rp[j], I, Ds_x)),
-                apply2(I, Ld[i], Ds_y)),
-        mat_sub(mat_add(transpose(apply2(I, Ls[j], Dp_x)),
-                        transpose(apply2(Rd[i], I, Dp_y))),
-                transpose(Dp_yx)))
-    out.append(("bialgebra-1", (i, j), r1))
-    lhs = mat_add(
-        transpose(mat_sub(apply2(Ld[j], I, Dp_x), apply2(I, Rp[j], Dp_x))),
-        mat_sub(apply2(Ls[i], I, Ds_y), apply2(I, Rd[i], Ds_y)))
-    rhs = mat_add(
-        transpose(mat_sub(apply2(Ld[i], I, Dp_y), apply2(I, Rp[i], Dp_y))),
-        mat_sub(apply2(Ls[j], I, Ds_x), apply2(I, Rd[j], Ds_x)))
-    out.append(("bialgebra-3", (i, j), mat_sub(lhs, rhs)))
-    r2 = mat_sub(
-        mat_sub(mat_sub(D_xsy, apply2(Rs[j], I, Dp_x)),
-                apply2(I, Ls[i], D_y)),
-        mat_sub(mat_add(apply2(Lp[j], I, transpose(Ds_x)),
-                        apply2(I, Rp[i], transpose(D_y))),
-                transpose(D_ypx)))
-    out.append(("bialgebra-2p", (i, j), r2))
-    lhs = mat_add(
-        mat_sub(apply2(I, Rs[j], Ds_x), apply2(Lp[j], I, Dp_x)),
-        mat_sub(apply2(Rp[i], I, transpose(D_y)),
-                apply2(I, Ls[i], transpose(D_y))))
-    rhs = mat_add(
-        mat_sub(apply2(Rs[j], I, transpose(Ds_x)),
-                apply2(I, Lp[j], transpose(Dp_x))),
-        mat_sub(apply2(I, Rp[i], D_y), apply2(Ls[i], I, D_y)))
-    out.append(("bialgebra-4p", (i, j), mat_sub(lhs, rhs)))
-    return out
+    for i in range(n):
+        no_y = {}   # the rows without y do not change with j
+        for j in range(n):
+            for label, args, sign in BIALGEBRA_CONDITIONS:
+                if "y" in args:
+                    res = [identity(args, x=i, y=j, a=n + p)[:n]
+                           for p in range(n)]
+                else:
+                    if label not in no_y:
+                        no_y[label] = [[identity(args, x=i, a=n + p, b=n + q)
+                                        for q in range(n)]
+                                       for p in range(n)]
+                    res = [[v[n + j] for v in row] for row in no_y[label]]
+                yield label, (i, j), res if sign > 0 else \
+                    [[-v for v in row] for row in res]
 
 
 def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
@@ -236,13 +172,11 @@ def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
         raise PreconditionError("check_bialgebra_conditions: base fails the "
                                 "pre-anti-flexible check; witness %r"
                                 % (rep.witness,))
-    n = palg.dimension
-    invariants = _condition_invariants(palg, delta_prec, delta_succ)
-    return scan("bialgebra-conditions", (
-        failure for i, j in product(range(n), repeat=2)
-        for failure in _condition_residuals(palg, delta_prec, delta_succ,
-                                            invariants, i, j)),
-        all_failures)
+    d = build_af_double(standard_dual_matched(
+        palg, dual_products_from_comult(delta_prec, delta_succ),
+        check_inputs=False))
+    return scan("bialgebra-conditions", _condition_residuals(
+        palg.dimension, basis_residuals(d)), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -259,62 +193,49 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
     """Joint verdict of the four equivalent characterizations.
 
     Routes, each a full pass/fail verdict:
-      1. structure checks plus the four compatibility conditions;
+      1. the four compatibility conditions, as pairings on the AF double;
       2. the dual-action matched pair of the underlying algebras passes;
-      3. the induced double algebra is anti-flexible and the canonical skew
-         form on it is closed;
+      3. the AF double is anti-flexible and the canonical skew form on it
+         is closed;
       4. the eight-map dual-action pre pair passes the pre matched check.
-    Any disagreement among the routes raises ConsistencyError.  A failing
-    verdict carries the witness of the first failing check among the base
-    identities, the dual co-identities and route 1, and with all_failures
-    every failure of that check.
+    Routes 1-3 read one evaluator of the AF double and route 4 reads the
+    pre double.  Any disagreement among the routes raises ConsistencyError.
+    A failing verdict carries the witness of the first failing check among
+    the base identities, the dual co-identities and route 1, and with
+    all_failures every failure of that check.
     """
-    base = check_identities(b.palg, "pre-anti-flexible", all_failures)
-    via_comult = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ,
-                                            all_failures)
+    structure = check_identities(b.palg, "pre-anti-flexible", all_failures)
+    if structure.passed:
+        structure = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ,
+                                               all_failures)
+    if not structure.passed:
+        return CheckReport(False, "bialgebra", witness=structure.witness,
+                           failures=structure.failures)
+
     dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
-    dual_ok = check_identities(dual, "pre-anti-flexible").passed
-    if via_comult.passed != dual_ok:
-        raise ConsistencyError("co-identity route and induced-product route "
-                               "disagree on the dual structure")
-    for structure in (base, via_comult):
-        if not structure.passed:
-            return CheckReport(False, "bialgebra", witness=structure.witness,
-                               failures=structure.failures)
-
-    conds = check_bialgebra_conditions(b.palg, b.delta_prec, b.delta_succ,
-                                       all_failures)
-    route1 = conds.passed
-
-    route2, route3 = _af_double_routes(
-        standard_dual_matched(b.palg, dual, check_inputs=False))
+    mp = standard_dual_matched(b.palg, dual, check_inputs=False)
+    d = build_af_double(mp)
+    evaluate = basis_residuals(d)
+    conds = scan("bialgebra-conditions", _condition_residuals(
+        b.dimension, evaluate), all_failures)
+    route2 = _af_matched_report(mp, evaluate).passed
+    route3 = (scan("anti-flexible", triple_residuals(
+        evaluate, ("anti-flexible",), d.dimension)).passed
+              and omega_double_check(d).passed)
     route4 = check_pre_matched(
         dual_pre_matched(b.palg, dual, check_inputs=False)).passed
 
-    verdicts = (route1, route2, route3, route4)
+    verdicts = (conds.passed, route2, route3, route4)
     if len(set(verdicts)) != 1:
         raise ConsistencyError("equivalent bialgebra routes disagree: "
                                "conditions=%s matched=%s double=%s pre=%s"
                                % verdicts)
     if _return_routes:
         return verdicts
-    if route1:
+    if conds.passed:
         return CheckReport(True, "bialgebra")
     return CheckReport(False, "bialgebra", witness=conds.witness,
                        failures=conds.failures)
-
-
-def _af_double_routes(mp):
-    """The verdicts of routes 2 and 3, which read one evaluator of the same
-    double: route 2's conditions are blocks of route 3's identity on the
-    mixed triples, so each entry is computed once."""
-    d = build_af_double(mp)
-    evaluate = basis_residuals(d)
-    route2 = _af_matched_report(mp, evaluate).passed
-    route3 = (scan("anti-flexible", triple_residuals(
-        evaluate, ("anti-flexible",), d.dimension)).passed
-              and omega_double_check(d).passed)
-    return route2, route3
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +260,7 @@ def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
 
 def _hom_residuals(psi, src, dst):
     nA, nB = src.dimension, dst.dimension
+    psit = transpose(psi)
     for i, j in product(range(nA), repeat=2):
         x, y = basis_vec(nA, i), basis_vec(nA, j)
         px, py = mat_vec(psi, x), mat_vec(psi, y)
@@ -355,17 +277,18 @@ def _hom_residuals(psi, src, dst):
                                dst.delta_prec),
                               ("hom-comult-succ", src.delta_succ,
                                dst.delta_succ)):
-            yield label, (i,), mat_sub(apply2(psi, psi, dA[i]), act(dB, px))
+            yield label, (i,), mat_sub(mat_mul(mat_mul(psi, dA[i]), psit),
+                                       act(dB, px))
     # dual side: beta maps are the comultiplications dual to the products;
     # psi*: B* -> A* has matrix psi^T.
     betaA = comult_from_products(src.palg)
     betaB = comult_from_products(dst.palg)
-    psit = transpose(psi)
     for s in range(nB):
         pa = mat_vec(psit, basis_vec(nB, s))
         for label, bB, bA in (("hom-beta-prec", betaB[0], betaA[0]),
                               ("hom-beta-succ", betaB[1], betaA[1])):
-            yield label, (s,), mat_sub(apply2(psit, psit, bB[s]), act(bA, pa))
+            yield label, (s,), mat_sub(mat_mul(mat_mul(psit, bB[s]), psi),
+                                       act(bA, pa))
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:

@@ -11,12 +11,13 @@ import json
 import sys
 
 from .algebra import PreconditionError, from_associative, \
-    induce_pre_from_form, ALGEBRA_KINDS, PREALGEBRA_KINDS
+    induce_pre_from_form, ALGEBRA_KINDS, FROM_ASSOCIATIVE_VARIANTS, \
+    PREALGEBRA_KINDS
 from .bimodule import AfBimodule, PreBimodule, semidirect_pre
 from .coboundary import RPair, SPECIAL_CASES, coboundary_bialgebra, \
     special_case_bialgebra
 from .harness import FormatError, RElement, SearchSpec, CHECK_COMMANDS, \
-    SEARCH_TARGETS, as_matrix, grid_search, load_file, \
+    SEARCH_TARGETS, as_matrix, grid_search, load_file, parse_scalar, \
     random_element_oracle, run_check, save_file, search_results
 from .linalg import SingularMatrixError
 from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
@@ -24,9 +25,11 @@ from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
 from .operators import OOperator, canonical_solution, induced_pre_from_map, \
     solution_from_o_operator
 
-CONSTRUCT_WHATS = ("semidirect", "double", "coboundary", "canonical-r",
-                   "from-o-operator", "from-form", "from-associative",
-                   "from-rb")
+# each construction by the number of input files it reads
+CONSTRUCT_INPUTS = {"semidirect": 1, "double": 1, "coboundary": 2,
+                    "canonical-r": 1, "from-o-operator": 2, "from-form": 2,
+                    "from-associative": 1, "from-rb": 2}
+CONSTRUCT_WHATS = tuple(CONSTRUCT_INPUTS)
 
 
 def _cmd_check(args):
@@ -46,6 +49,9 @@ def _cmd_check(args):
 
 def _construct(args):
     what = args.what
+    if len(args.files) != CONSTRUCT_INPUTS[what]:
+        raise FormatError("construct %s reads %d input files, got %d"
+                          % (what, CONSTRUCT_INPUTS[what], len(args.files)))
     inputs = [load_file(p) for p in args.files]
     if what == "semidirect":
         (bm,) = inputs
@@ -110,8 +116,8 @@ def _cmd_construct(args):
 
 def _cmd_search(args):
     subject = load_file(args.subject)
-    from fractions import Fraction
-    coeffs = tuple(Fraction(c) for c in args.coeffs.split(","))
+    coeffs = tuple(parse_scalar(c, "--coeffs")
+                   for c in args.coeffs.split(","))
     spec = SearchSpec(args.target, coeffs, args.bound)
     found, report = grid_search(spec, subject)
     if args.output:
@@ -156,6 +162,7 @@ def build_parser():
                    help="where to save the companion object (e.g. the "
                         "double carrying a constructed r)")
     p.add_argument("--variant", default="succ-left",
+                   choices=FROM_ASSOCIATIVE_VARIANTS,
                    help="half-product placement for from-associative")
     p.add_argument("--case", default=None, choices=SPECIAL_CASES,
                    help="special-case comultiplications for a single-matrix "
@@ -184,7 +191,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (FormatError, PreconditionError, SingularMatrixError,
-            OSError, ValueError) as exc:
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -74,7 +74,8 @@ class LinearMap:
 # scalar and shape plumbing
 # ---------------------------------------------------------------------------
 
-def _scalar(s, path):
+def parse_scalar(s, path):
+    """The Fraction a "p/q" string stands for; path names it in errors."""
     if not isinstance(s, str):
         raise FormatError("%s: scalar must be a \"p/q\" string, got %r"
                           % (path, s))
@@ -91,7 +92,7 @@ def _fmt(x):
 def _vec(data, n, path):
     if not isinstance(data, list) or len(data) != n:
         raise FormatError("%s: expected a list of length %d" % (path, n))
-    return [_scalar(v, "%s[%d]" % (path, i)) for i, v in enumerate(data)]
+    return [parse_scalar(v, "%s[%d]" % (path, i)) for i, v in enumerate(data)]
 
 
 def _mat(data, rows, cols, path):
@@ -278,7 +279,10 @@ _PARSERS = {
 def parse_file(data):
     """Parse JSON bytes/text into the typed object its "kind" field names."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError("not UTF-8 text: %s" % exc) from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -89,6 +89,7 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
 def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
     """The half-products x > y = a(x)*y and x < y = x*a(y)."""
     n = alg.dimension
+    require_square("induced_pre_from_map", "alpha", alpha, n)
     c = alg.product
     succ = [[[sum(alpha[m][i] * c[m][j][k] for m in range(n))
               for k in range(n)] for j in range(n)] for i in range(n)]

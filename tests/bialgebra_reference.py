@@ -1,0 +1,167 @@
+"""The bialgebra compatibility conditions and the two co-identities written
+out as matrix expressions, one residual per condition: the reference that
+the pairings of antiflex.bialgebra (entries of the anti-flexible identity of
+the AF double, and of the dual products' identities) are tested against."""
+
+from itertools import product
+
+from antiflex.algebra import PreAlgebra
+from antiflex.bimodule import multiplication_operators, act
+from antiflex.linalg import (
+    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, apply2, t3_sub,
+)
+
+
+# ---------------------------------------------------------------------------
+# the two co-identities
+# ---------------------------------------------------------------------------
+
+def _cofirst(delta, other, i):
+    """(D_delta (x) id) D_other (e_i) as a rank-3 coefficient tensor
+    t[p][q][k] = sum_j other[i][j][k] delta[j][p][q], over nonzero terms."""
+    n = len(delta)
+    t = zeros_t3(n)
+    for j, row in enumerate(other[i]):
+        for k, o in enumerate(row):
+            if o:
+                for p, drow in enumerate(delta[j]):
+                    for q, d in enumerate(drow):
+                        if d:
+                            t[p][q][k] += o * d
+    return t
+
+
+def _cosecond(delta, other, i):
+    """(id (x) D_delta) D_other (e_i) as t[j][p][q] = sum_k other[i][j][k]
+    delta[k][p][q], over nonzero terms."""
+    n = len(delta)
+    t = zeros_t3(n)
+    for j, row in enumerate(other[i]):
+        for k, o in enumerate(row):
+            if o:
+                for p, drow in enumerate(delta[k]):
+                    for q, d in enumerate(drow):
+                        if d:
+                            t[j][p][q] += o * d
+    return t
+
+
+def co_identity_residuals(delta_prec, delta_succ):
+    """(label, (i,), residual) of the two co-identities at every e_i:
+
+      co-m:  (Ds (x) id)Dp - (id (x) Dp)Ds
+             = (id (x) sDs)sDp - (sDp (x) id)sDs
+      co-lr: ((Dp + Ds) (x) id)Ds - (id (x) Ds)Ds
+             = (id (x) sDp)sDp - (s(Dp + Ds) (x) id)sDp
+
+    with s the flip.
+    """
+    n = len(delta_prec)
+    sp = [transpose(m) for m in delta_prec]
+    ss = [transpose(m) for m in delta_succ]
+    dsum = [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)]
+    ssum = [transpose(m) for m in dsum]
+    for i in range(n):
+        yield "co-identity-m", (i,), t3_sub(
+            t3_sub(_cofirst(delta_succ, delta_prec, i),
+                   _cosecond(delta_prec, delta_succ, i)),
+            t3_sub(_cosecond(ss, sp, i), _cofirst(sp, ss, i)))
+        yield "co-identity-lr", (i,), t3_sub(
+            t3_sub(_cofirst(dsum, delta_succ, i),
+                   _cosecond(delta_succ, delta_succ, i)),
+            t3_sub(_cosecond(sp, sp, i), _cofirst(ssum, sp, i)))
+
+
+# ---------------------------------------------------------------------------
+# the four compatibility conditions
+# ---------------------------------------------------------------------------
+
+def bialgebra_condition_residuals(palg: PreAlgebra, delta_prec, delta_succ,
+                                  i, j):
+    """Residual matrices of the four compatibility conditions on the basis
+    pair x = e_i, y = e_j.  With D = Dp + Ds, s the flip, and L/R the
+    regular multiplication operators of palg:
+
+      1:  Ds(x.y) - (Rp(y) (x) id)Ds(x) - (id (x) Ld(x))Ds(y)
+          = s(id (x) Ls(y))Dp(x) + s(Rd(x) (x) id)Dp(y) - sDp(y.x)
+      3:  s(Ld(y) (x) id - id (x) Rp(y))Dp(x)
+            + (Ls(x) (x) id - id (x) Rd(x))Ds(y)
+          = s(Ld(x) (x) id - id (x) Rp(x))Dp(y)
+            + (Ls(y) (x) id - id (x) Rd(y))Ds(x)
+      2': D(x>y) - (Rs(y) (x) id)Dp(x) - (id (x) Ls(x))D(y)
+          = (Lp(y) (x) id)sDs(x) + (id (x) Rp(x))sD(y) - sD(y<x)
+      4': (id (x) Rs(y))Ds(x) - (Lp(y) (x) id)Dp(x)
+            + (Rp(x) (x) id - id (x) Ls(x))sD(y)
+          = (Rs(y) (x) id)sDs(x) - (id (x) Lp(y))sDp(x)
+            + (id (x) Rp(x) - Ls(x) (x) id)D(y)
+    """
+    return _condition_residuals(
+        palg, delta_prec, delta_succ,
+        _condition_invariants(palg, delta_prec, delta_succ), i, j)
+
+
+def condition_residuals(palg: PreAlgebra, delta_prec, delta_succ):
+    """(label, (i, j), residual) of the four conditions at every basis
+    pair, in checking order."""
+    n = palg.dimension
+    invariants = _condition_invariants(palg, delta_prec, delta_succ)
+    for i, j in product(range(n), repeat=2):
+        yield from _condition_residuals(palg, delta_prec, delta_succ,
+                                        invariants, i, j)
+
+
+def _condition_invariants(palg, delta_prec, delta_succ):
+    """What the four conditions share over every basis pair: the regular
+    operators of palg, the identity matrix and D = Dp + Ds."""
+    return (multiplication_operators(palg), eye(palg.dimension),
+            [mat_add(p, s) for p, s in zip(delta_prec, delta_succ)])
+
+
+def _condition_residuals(palg, delta_prec, delta_succ, invariants, i, j):
+    """bialgebra_condition_residuals, given the _condition_invariants."""
+    ops, I, dsum = invariants
+    Lp, Rp = ops["L_prec"], ops["R_prec"]
+    Ls, Rs = ops["L_succ"], ops["R_succ"]
+    Ld, Rd = ops["L_dot"], ops["R_dot"]
+    n = palg.dimension
+    x, y = basis_vec(n, i), basis_vec(n, j)
+    Ds_x, Ds_y = delta_succ[i], delta_succ[j]
+    Dp_x, Dp_y = delta_prec[i], delta_prec[j]
+    D_y = dsum[j]
+    Ds_xy = act(delta_succ, palg.mul_dot(x, y))
+    Dp_yx = act(delta_prec, palg.mul_dot(y, x))
+    D_xsy = act(dsum, palg.mul_succ(x, y))
+    D_ypx = act(dsum, palg.mul_prec(y, x))
+
+    out = []
+    r1 = mat_sub(
+        mat_sub(mat_sub(Ds_xy, apply2(Rp[j], I, Ds_x)),
+                apply2(I, Ld[i], Ds_y)),
+        mat_sub(mat_add(transpose(apply2(I, Ls[j], Dp_x)),
+                        transpose(apply2(Rd[i], I, Dp_y))),
+                transpose(Dp_yx)))
+    out.append(("bialgebra-1", (i, j), r1))
+    lhs = mat_add(
+        transpose(mat_sub(apply2(Ld[j], I, Dp_x), apply2(I, Rp[j], Dp_x))),
+        mat_sub(apply2(Ls[i], I, Ds_y), apply2(I, Rd[i], Ds_y)))
+    rhs = mat_add(
+        transpose(mat_sub(apply2(Ld[i], I, Dp_y), apply2(I, Rp[i], Dp_y))),
+        mat_sub(apply2(Ls[j], I, Ds_x), apply2(I, Rd[j], Ds_x)))
+    out.append(("bialgebra-3", (i, j), mat_sub(lhs, rhs)))
+    r2 = mat_sub(
+        mat_sub(mat_sub(D_xsy, apply2(Rs[j], I, Dp_x)),
+                apply2(I, Ls[i], D_y)),
+        mat_sub(mat_add(apply2(Lp[j], I, transpose(Ds_x)),
+                        apply2(I, Rp[i], transpose(D_y))),
+                transpose(D_ypx)))
+    out.append(("bialgebra-2p", (i, j), r2))
+    lhs = mat_add(
+        mat_sub(apply2(I, Rs[j], Ds_x), apply2(Lp[j], I, Dp_x)),
+        mat_sub(apply2(Rp[i], I, transpose(D_y)),
+                apply2(I, Ls[i], transpose(D_y))))
+    rhs = mat_add(
+        mat_sub(apply2(Rs[j], I, transpose(Ds_x)),
+                apply2(I, Lp[j], transpose(Dp_x))),
+        mat_sub(apply2(I, Rp[i], D_y), apply2(Ls[i], I, D_y)))
+    out.append(("bialgebra-4p", (i, j), mat_sub(lhs, rhs)))
+    return out

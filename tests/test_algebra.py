@@ -269,3 +269,29 @@ def test_scan_reads_no_further_than_the_first_witness():
                           ("c", (2,), [Fraction(3)])], all_failures=True)
     assert [f[0] for f in every.failures] == ["a", "c"]
     assert scan("name", [("a", (0,), [Fraction(0)])]).passed
+
+
+def test_structures_reject_bad_tensors_at_the_boundary():
+    # a tensor that is not dimension^3, or an entry that is not an int or a
+    # Fraction, is a PreconditionError naming the field and the index
+    for build, message in (
+            (lambda: PreAlgebra(2, [[[1]]], [[[1]]]),
+             "PreAlgebra: prec must be a list of 2 entries"),
+            (lambda: PreAlgebra(1, [[[1]]], [[[1, 0]]]),
+             r"PreAlgebra: succ\[0\]\[0\] must be a list of 1 entries"),
+            (lambda: Algebra(2, [[[1]]]),
+             "Algebra: product must be a list of 2 entries"),
+            (lambda: Algebra(2, [[[1, 0], [0, 0]], [[0, 0]]]),
+             r"Algebra: product\[1\] must be a list of 2 entries"),
+            (lambda: Algebra(1, [[[0.1]]]),
+             r"Algebra: product\[0\]\[0\]\[0\] is 0.1, not an int or "
+             "Fraction"),
+            (lambda: Algebra(1, [[[True]]]),
+             r"Algebra: product\[0\]\[0\]\[0\] is True"),
+            (lambda: PreAlgebra(1, [[[Fraction(1)]]], [[["1"]]]),
+             r"PreAlgebra: succ\[0\]\[0\]\[0\] is '1'")):
+        with pytest.raises(PreconditionError, match=message):
+            build()
+    assert Algebra(1, [[[1]]]).product == [[[1]]]
+    assert PreAlgebra(1, ((((Fraction(1, 2),),),)),
+                      [[[0]]]).dimension == 1

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from antiflex.algebra import PreAlgebra, check_identities
+import antiflex.bialgebra as bialgebra
+from antiflex.algebra import PreAlgebra, check_identities, scan
 from antiflex.bialgebra import (
     Bialgebra, check_bialgebra_conditions, check_bialgebra_hom,
     check_dual_pre_via_rmatrix, comult_from_products, dual_bialgebra,
@@ -10,7 +11,9 @@ from antiflex.coboundary import special_case_bialgebra
 from antiflex.operators import canonical_solution
 from antiflex.linalg import eye, zeros_t3
 
-from helpers import DIM2_PRE, CORPUS, rand_t3, seeded
+from bialgebra_reference import co_identity_residuals, condition_residuals
+from helpers import CORPUS, all_corpus_pre, rand_t3, seeded, \
+    split_bialgebra
 from antiflex.algebra import from_associative
 
 
@@ -45,12 +48,93 @@ def test_rmatrix_route_agreement():
     agree = 0
     for _ in range(100):
         dp, ds = rand_t3(rng, 2), rand_t3(rng, 2)
-        via = check_dual_pre_via_rmatrix(dp, ds).passed
+        via = check_dual_pre_via_rmatrix(dp, ds)
         direct = check_identities(dual_products_from_comult(dp, ds),
                                   "pre-anti-flexible").passed
-        assert via == direct
+        assert via.passed == direct
+        assert via == scan("dual-pre-via-comult",
+                           co_identity_residuals(dp, ds))
         agree += 1
     assert agree == 100
+
+
+def _sparse_t3(rng, n, density):
+    return [[[Fraction(rng.randint(-2, 2)) if rng.random() < density
+              else Fraction(0) for _ in range(n)] for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_co_identities_match_reference_on_random_comultiplications():
+    # the co-identities are coordinates of the dual products' identities:
+    # their reports equal a scan of the hand-written tensor expressions
+    rng = seeded(47)
+    failing = 0
+    for n in (1, 2, 3, 4):
+        for density in (0.15, 0.4, 1.0):
+            dp, ds = _sparse_t3(rng, n, density), _sparse_t3(rng, n, density)
+            for every in (False, True):
+                got = check_dual_pre_via_rmatrix(dp, ds, every)
+                assert got == scan("dual-pre-via-comult",
+                                   co_identity_residuals(dp, ds), every)
+                failing += not got.passed
+    assert failing > 16
+
+
+def test_conditions_match_reference_on_random_comultiplications():
+    # each condition is a pairing of the AF double's identity: the reports
+    # equal a scan of the hand-written matrix expressions, on passing bases
+    # of dimensions 1-4 with random comultiplications
+    rng = seeded(53)
+    failing = total = 0
+    bases = all_corpus_pre()[::2]
+    assert {p.dimension for p in bases} == {1, 2, 3, 4}
+    for palg in bases:
+        n = palg.dimension
+        for density in (0.15, 0.4, 1.0):
+            dp, ds = _sparse_t3(rng, n, density), _sparse_t3(rng, n, density)
+            for every in (False, True):
+                got = check_bialgebra_conditions(palg, dp, ds, every)
+                assert got == scan("bialgebra-conditions",
+                                   condition_residuals(palg, dp, ds), every)
+                failing += not got.passed
+                total += 1
+    assert 2 * failing > total
+
+
+def test_conditions_match_reference_on_crosses():
+    # the products of one bialgebra with the comultiplications of another:
+    # failing at several pairs, with every failure listed
+    for a, b in ((("qt2", "one"), ("t3", "two", "prec-right")),
+                 (("ut2", "two", "prec-right"), ("ut2", "one"))):
+        a, b = split_bialgebra(*a), split_bialgebra(*b)
+        every = check_bialgebra_conditions(a.palg, b.delta_prec,
+                                           b.delta_succ, True)
+        assert len(every.failures) > 1
+        assert every == scan("bialgebra-conditions", condition_residuals(
+            a.palg, b.delta_prec, b.delta_succ), True)
+
+
+def test_verify_builds_the_double_and_checks_the_base_once(monkeypatch):
+    calls = {"double": 0, "evaluator": 0, "base": 0}
+
+    def counted(name, f, subject=None):
+        def wrapper(*args, **kwargs):
+            if subject is None or args[0] is subject:
+                calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    b = split_bialgebra("qt2", "one")
+    monkeypatch.setattr(bialgebra, "build_af_double",
+                        counted("double", bialgebra.build_af_double))
+    monkeypatch.setattr(bialgebra, "basis_residuals",
+                        counted("evaluator", bialgebra.basis_residuals))
+    monkeypatch.setattr(bialgebra, "check_identities",
+                        counted("base", bialgebra.check_identities, b.palg))
+    assert verify_bialgebra(b, _return_routes=True) == (True,) * 4
+    # one evaluator of the dual products (the co-identities) and one of
+    # the AF double (routes 1-3)
+    assert calls == {"double": 1, "evaluator": 2, "base": 1}
 
 
 def test_canonical_bialgebra_all_routes_pass():

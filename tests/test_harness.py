@@ -7,7 +7,7 @@ import pytest
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
     from_associative, identity_residuals
-from antiflex.bialgebra import Bialgebra, bialgebra_condition_residuals
+from antiflex.bialgebra import Bialgebra
 from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
     regular_pre_bimodule
 from antiflex.cli import main
@@ -23,6 +23,7 @@ from antiflex.harness import (
 )
 from antiflex.linalg import eye, mat_is_zero, vec_is_zero, zeros_t3
 
+from bialgebra_reference import bialgebra_condition_residuals
 from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, bump_t3, \
     split_bialgebra
 
@@ -462,3 +463,54 @@ def test_cli_rejects_wrong_shape_matrices(tmp_path, capsys):
                                  ("pafybe", pre), ("rota-baxter", alg)):
             assert main(["check", command, str(subject), str(m)]) == 2
             assert "must be 2 x 2" in capsys.readouterr().err
+
+
+def test_cli_from_rb_rejects_wrong_shape_maps(tmp_path, capsys):
+    # a map that is not n x n on the algebra is an input error naming the
+    # expected shape, not a pre-algebra read from part of it or a crash
+    alg = tmp_path / "ut2.json"
+    save_file(alg, CORPUS["ut2"])
+    for rows, cols in ((4, 4), (1, 1), (3, 2)):
+        m = tmp_path / ("m%d%d.json" % (rows, cols))
+        save_file(m, LinearMap(rows, cols, [[Fraction(int(i == j))
+                                             for j in range(cols)]
+                                            for i in range(rows)]))
+        out = tmp_path / "out.json"
+        assert main(["construct", "from-rb", str(alg), str(m),
+                     "-o", str(out)]) == 2
+        assert "induced_pre_from_map: alpha must be 3 x 3" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_exit_codes_separate_input_errors_from_bugs(tmp_path, capsys,
+                                                        monkeypatch):
+    alg = tmp_path / "qt2.json"
+    save_file(alg, CORPUS["qt2"])
+    out = str(tmp_path / "out.json")
+    # usage and input errors exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "from-associative", str(alg), "-o", out,
+              "--variant", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    for coeffs in ("1,x", "1/0"):
+        assert main(["search", "rota-baxter", str(alg),
+                     "--coeffs", coeffs]) == 2
+        assert "error: --coeffs: malformed scalar" in capsys.readouterr().err
+    assert main(["construct", "from-associative", str(alg), str(alg),
+                 "-o", out]) == 2
+    assert "construct from-associative reads 1 input files, got 2" in \
+        capsys.readouterr().err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["check", "algebra", str(binary)]) == 2
+    assert "error: not UTF-8 text" in capsys.readouterr().err
+    # a ValueError raised inside a checker is a bug, not an input error
+    import antiflex.harness as harness
+
+    def broken(*_args):
+        raise ValueError("internal fault")
+    monkeypatch.setitem(harness._CHECKS, "algebra", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["check", "algebra", str(alg)])
