@@ -15,8 +15,8 @@ double of the standard dual pair on A + A*: route 1's four compatibility
 conditions are rows of BIALGEBRA_CONDITIONS, each an entry of the double's
 anti-flexible identity paired with the basis letter its arguments leave
 out; route 2 reads its blocks on mixed triples and route 3 all of it, with
-the closedness of the canonical skew form.  Route 4 reads the pre double
-of the eight-map dual pair.
+the closedness of the canonical skew form.  Route 4 is that the pre double
+of the eight-map dual pair is pre-anti-flexible.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .algebra import PreAlgebra, CheckReport, PreconditionError, \
 from .bimodule import act
 from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec
 from .matched import (
-    standard_dual_matched, dual_pre_matched, check_pre_matched,
-    build_af_double, omega_double_check, _af_matched_report,
+    standard_dual_matched, dual_pre_matched, build_af_double,
+    build_pre_double, omega_double_check, _matched_report,
 )
 
 
@@ -197,9 +197,13 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
       2. the dual-action matched pair of the underlying algebras passes;
       3. the AF double is anti-flexible and the canonical skew form on it
          is closed;
-      4. the eight-map dual-action pre pair passes the pre matched check.
-    Routes 1-3 read one evaluator of the AF double and route 4 reads the
-    pre double.  Any disagreement among the routes raises ConsistencyError.
+      4. the pre double of the eight-map dual-action pair is
+         pre-anti-flexible.
+    Routes 1-3 read one evaluator of the AF double and route 4 one of the
+    pre double: both factors pass by then, so by the matched-pair theorem
+    route 4 is the pre matched check of that pair, read as one scan of
+    every block of every triple of its double.  Any disagreement among the
+    routes raises ConsistencyError.
     A failing verdict carries the witness of the first failing check among
     the base identities, the dual co-identities and route 1, and with
     all_failures every failure of that check.
@@ -218,12 +222,12 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
     evaluate = basis_residuals(d)
     conds = scan("bialgebra-conditions", _condition_residuals(
         b.dimension, evaluate), all_failures)
-    route2 = _af_matched_report(mp, evaluate).passed
+    route2 = _matched_report(mp, evaluate).passed
     route3 = (scan("anti-flexible", triple_residuals(
         evaluate, ("anti-flexible",), d.dimension)).passed
               and omega_double_check(d).passed)
-    route4 = check_pre_matched(
-        dual_pre_matched(b.palg, dual, check_inputs=False)).passed
+    route4 = check_identities(build_pre_double(dual_pre_matched(
+        b.palg, dual, check_inputs=False)), "pre-anti-flexible").passed
 
     verdicts = (conds.passed, route2, route3, route4)
     if len(set(verdicts)) != 1:

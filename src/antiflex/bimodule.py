@@ -134,32 +134,40 @@ PRE_BIMODULE = (
 )
 
 
-def block_residuals(rows, semidirect, n):
+def block_residuals(rows, evaluate, base, modules):
     """(label, (i, j), residual matrix) of each row at every basis pair of
-    the n-dimensional base of a semidirect product, in checking order."""
-    evaluate = basis_residuals(semidirect)
-    modules = range(n, semidirect.dimension)
+    the base, in checking order, given the basis_residuals of a structure
+    in which the index ranges base and modules hold the base and the
+    module: a semidirect product, or a double and one of its factors.  The
+    index pair is in base coordinates; column t of the residual is the
+    module block of the row's identity at a = the t-th module vector."""
+    block = slice(modules.start, modules.stop)
     compiled = [(label, identity, ["xya".index(ch) for ch in args])
                 for label, identity, args in rows]
-    for i, j in product(range(n), repeat=2):
+    for i, j in product(base, repeat=2):
         for label, identity, (p, q, s) in compiled:
             cols = []
             for t in modules:
                 idx = (i, j, t)
-                cols.append(evaluate(identity, (idx[p], idx[q], idx[s]))[n:])
-            yield label, (i, j), transpose(cols)
+                res = evaluate(identity, (idx[p], idx[q], idx[s]))
+                cols.append(res[block])
+            yield label, (i - base.start, j - base.start), transpose(cols)
 
 
 def check_af_bimodule(bm: AfBimodule, all_failures=False) -> CheckReport:
     """The two rows of AF_BIMODULE over all basis pairs."""
+    d, n = semidirect_af(bm), bm.base.dimension
     return scan("af-bimodule", block_residuals(
-        AF_BIMODULE, semidirect_af(bm), bm.base.dimension), all_failures)
+        AF_BIMODULE, basis_residuals(d), range(n), range(n, d.dimension)),
+        all_failures)
 
 
 def check_pre_bimodule(bm: PreBimodule, all_failures=False) -> CheckReport:
     """The five rows of PRE_BIMODULE over all basis pairs."""
+    d, n = semidirect_pre(bm), bm.base.dimension
     return scan("pre-bimodule", block_residuals(
-        PRE_BIMODULE, semidirect_pre(bm), bm.base.dimension), all_failures)
+        PRE_BIMODULE, basis_residuals(d), range(n), range(n, d.dimension)),
+        all_failures)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from .bimodule import AfBimodule, PreBimodule, semidirect_pre
 from .coboundary import RPair, SPECIAL_CASES, coboundary_bialgebra, \
     special_case_bialgebra
 from .harness import FormatError, RElement, SearchSpec, CHECK_COMMANDS, \
-    SEARCH_TARGETS, as_matrix, grid_search, load_file, parse_scalar, \
-    random_element_oracle, run_check, save_file, search_results
+    SEARCH_TARGETS, as_matrix, grid_search, load_check_inputs, load_file, \
+    parse_scalar, random_element_oracle, run_check, save_file, \
+    search_results
 from .linalg import SingularMatrixError
 from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
     build_pre_double
@@ -33,7 +34,7 @@ CONSTRUCT_WHATS = tuple(CONSTRUCT_INPUTS)
 
 
 def _cmd_check(args):
-    inputs = [load_file(p) for p in args.files]
+    inputs = load_check_inputs(args.command, args.files)
     report = run_check(args.command, inputs, kind=args.kind,
                        all_failures=args.all_witnesses)
     if args.json:

@@ -294,7 +294,7 @@ def parse_file(data):
         raise FormatError("format_version: expected %d, got %r"
                           % (FORMAT_VERSION, version))
     kind = doc.pop("kind", None)
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise FormatError("kind: unknown kind %r (expected one of %s)"
                           % (kind, sorted(_PARSERS)))
     return _PARSERS[kind](doc, kind)
@@ -430,12 +430,6 @@ def run_check(command, inputs, kind=None, all_failures=False):
     return report_to_json(command, rep, time.perf_counter() - start)
 
 
-def _as_rpair(obj):
-    if isinstance(obj, RPair):
-        return obj
-    raise FormatError("expected an r-element with r_prec/r_succ payloads")
-
-
 def as_matrix(obj):
     if isinstance(obj, RElement):
         return obj.r
@@ -444,40 +438,73 @@ def as_matrix(obj):
     raise FormatError("expected an r-element or linear-map payload")
 
 
-# each check command: (inputs, kind, all_failures) -> CheckReport
+# what each input file of a check command must hold: its description, and
+# the types parse_file gives for it
+_ANY_ALGEBRA = ("an algebra or pre-algebra", (Algebra, PreAlgebra))
+_PRE = ("a pre-algebra", (PreAlgebra,))
+_MATRIX = ("an r-element with one matrix r, or a linear-map",
+           (RElement, LinearMap))
+
+# each check command: (its input files, in order;
+#                      (inputs, kind, all_failures) -> CheckReport)
 _CHECKS = {
-    "algebra": lambda ins, kind, every: check_identities(
-        ins[0], kind or "anti-flexible", every),
-    "pre-algebra": lambda ins, kind, every: check_identities(
-        ins[0], kind or "pre-anti-flexible", every),
-    "bimodule": lambda ins, kind, every: (
-        check_af_bimodule if isinstance(ins[0], AfBimodule)
-        else check_pre_bimodule)(ins[0], every),
-    "matched-pair": lambda ins, kind, every: (
-        check_af_matched if isinstance(ins[0], AfMatchedPair)
-        else check_pre_matched)(ins[0], every),
-    "bialgebra": lambda ins, kind, every: verify_bialgebra(ins[0], every),
-    "pafybe": lambda ins, kind, every: check_pafybe(
-        ins[0], as_matrix(ins[1]), every),
-    "coboundary": lambda ins, kind, every: check_coboundary_conditions(
-        ins[0], _as_rpair(ins[1]), every),
-    "rota-baxter": lambda ins, kind, every: check_rota_baxter(
-        ins[0], as_matrix(ins[1]), every),
-    "o-operator": lambda ins, kind, every: check_o_operator(
-        OOperator(ins[0], as_matrix(ins[1])), every),
-    "cocycle-form": lambda ins, kind, every: check_two_cocycle(
-        ins[0], as_matrix(ins[1]), every),
-    "r-double": lambda ins, kind, every: check_r_double_consistency(
-        ins[0], as_matrix(ins[1]), every),
+    "algebra": ((_ANY_ALGEBRA,), lambda ins, kind, every: check_identities(
+        ins[0], kind or "anti-flexible", every)),
+    "pre-algebra": ((_ANY_ALGEBRA,),
+                    lambda ins, kind, every: check_identities(
+                        ins[0], kind or "pre-anti-flexible", every)),
+    "bimodule": ((("a bimodule", (AfBimodule, PreBimodule)),),
+                 lambda ins, kind, every: (
+                     check_af_bimodule if isinstance(ins[0], AfBimodule)
+                     else check_pre_bimodule)(ins[0], every)),
+    "matched-pair": ((("a matched-pair", (AfMatchedPair, PreMatchedPair)),),
+                     lambda ins, kind, every: (
+                         check_af_matched if isinstance(ins[0], AfMatchedPair)
+                         else check_pre_matched)(ins[0], every)),
+    "bialgebra": ((("a bialgebra", (Bialgebra,)),),
+                  lambda ins, kind, every: verify_bialgebra(ins[0], every)),
+    "pafybe": ((_PRE, _MATRIX), lambda ins, kind, every: check_pafybe(
+        ins[0], as_matrix(ins[1]), every)),
+    "coboundary": ((_PRE, ("an r-element with r_prec and r_succ", (RPair,))),
+                   lambda ins, kind, every: check_coboundary_conditions(
+                       ins[0], ins[1], every)),
+    "rota-baxter": ((("an algebra", (Algebra,)), _MATRIX),
+                    lambda ins, kind, every: check_rota_baxter(
+                        ins[0], as_matrix(ins[1]), every)),
+    "o-operator": ((("a bimodule with variant 'anti-flexible'",
+                     (AfBimodule,)), _MATRIX),
+                   lambda ins, kind, every: check_o_operator(
+                       OOperator(ins[0], as_matrix(ins[1])), every)),
+    "cocycle-form": ((_PRE, _MATRIX), lambda ins, kind, every:
+                     check_two_cocycle(ins[0], as_matrix(ins[1]), every)),
+    "r-double": ((_PRE, _MATRIX), lambda ins, kind, every:
+                 check_r_double_consistency(ins[0], as_matrix(ins[1]),
+                                            every)),
 }
 
 CHECK_COMMANDS = tuple(_CHECKS)
 
 
+def load_check_inputs(command, paths):
+    """The parsed input files of a check command, after checking their
+    number and what each one holds against the command's entry in
+    _CHECKS; a mismatch is a FormatError naming the file."""
+    expected = _CHECKS[command][0]
+    if len(paths) != len(expected):
+        raise FormatError("check %s reads %d input files, got %d"
+                          % (command, len(expected), len(paths)))
+    inputs = [load_file(p) for p in paths]
+    for path, obj, (what, types) in zip(paths, inputs, expected):
+        if not isinstance(obj, types):
+            raise FormatError("check %s: %s is not %s file"
+                              % (command, path, what))
+    return inputs
+
+
 def _dispatch_check(command, inputs, kind, all_failures):
     if command not in _CHECKS:
         raise FormatError("unknown check command %r" % (command,))
-    return _CHECKS[command](inputs, kind, all_failures)
+    return _CHECKS[command][1](inputs, kind, all_failures)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ same symmetry and lr has none, which gives five conditions for each block.
 Each condition is therefore one row of a table (AF_CONDITIONS,
 PRE_CONDITIONS), read from the evaluator of the double (see
 algebra.basis_residuals) by one generator for both kinds of pair.
+
+The preconditions that both component bimodules pass are blocks of the
+same double: A-on-B is the B-block of its identities at (x, y, a) with x, y
+in A, and B-on-A the A-block at (x, y, a) with x, y in B.  So the rows
+AF_BIMODULE and PRE_BIMODULE are read on the double's evaluator too (see
+bimodule.block_residuals), and each check evaluates one structure, its
+double.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from dataclasses import dataclass, replace
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     basis_residuals, check_cyclic_form, check_identities, scan, \
     underlying_algebra
-from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
-    check_pre_bimodule, direct_sum_tensor, multiplication_operators
+from .bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
+    direct_sum_tensor, multiplication_operators
 from .linalg import ONE, vec_neg, zeros_mat, mat_add, transpose
 
 
@@ -104,6 +111,16 @@ PRE_CONDITIONS = (
 )
 
 
+def _layout(mp):
+    """(checker, report name, nA, nB, bimodule rows, condition rows) of a
+    matched pair of either kind."""
+    if isinstance(mp, AfMatchedPair):
+        return ("check_af_matched", "af-matched", mp.algA.dimension,
+                mp.algB.dimension, AF_BIMODULE, AF_CONDITIONS)
+    return ("check_pre_matched", "pre-matched", mp.palgA.dimension,
+            mp.palgB.dimension, PRE_BIMODULE, PRE_CONDITIONS)
+
+
 def condition_residuals(mp):
     """(label, index tuple, residual) of every compatibility condition of a
     matched pair at every basis tuple, in checking order: for each i, the
@@ -115,10 +132,7 @@ def condition_residuals(mp):
 
 def _conditions(mp, evaluate):
     """condition_residuals, given the basis_residuals of the double."""
-    if isinstance(mp, AfMatchedPair):
-        nA, nB, rows = mp.algA.dimension, mp.algB.dimension, AF_CONDITIONS
-    else:
-        nA, nB, rows = mp.palgA.dimension, mp.palgB.dimension, PRE_CONDITIONS
+    _, _, nA, nB, _, rows = _layout(mp)
     # each argument letter: (its position in the index tuple, its offset)
     slots = {"A": {"x": (0, 0), "y": (1, 0), "a": (2, nA)},
              "B": {"x": (0, 0), "a": (1, nA), "b": (2, nA)}}
@@ -140,41 +154,36 @@ def _conditions(mp, evaluate):
                             else vec_neg(res[block])
 
 
-def _require_bimodules(caller, check, on_B, on_A):
-    """Both component bimodules must pass, else PreconditionError."""
-    for name, bm in (("A-on-B", on_B), ("B-on-A", on_A)):
-        rep = check(bm)
-        if not rep.passed:
-            raise PreconditionError("%s: component bimodule %s fails; "
-                                    "witness %r" % (caller, name, rep.witness))
-
-
 def check_af_matched(mp: AfMatchedPair, all_failures=False) -> CheckReport:
     """The four compatibility conditions over all basis tuples."""
-    return _af_matched_report(mp, basis_residuals(build_af_double(mp)),
-                             all_failures)
-
-
-def _af_matched_report(mp: AfMatchedPair, evaluate,
-                      all_failures=False) -> CheckReport:
-    """check_af_matched, given the basis_residuals of the double, so that a
-    caller that also checks the whole double evaluates it once."""
-    _require_bimodules(
-        "check_af_matched", check_af_bimodule,
-        AfBimodule(mp.algA, mp.algB.dimension, mp.lA, mp.rA),
-        AfBimodule(mp.algB, mp.algA.dimension, mp.lB, mp.rB))
-    return scan("af-matched", _conditions(mp, evaluate), all_failures)
+    return _matched_report(mp, basis_residuals(build_af_double(mp)),
+                           all_failures)
 
 
 def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
     """The ten compatibility conditions over all basis tuples."""
-    _require_bimodules(
-        "check_pre_matched", check_pre_bimodule,
-        PreBimodule(mp.palgA, mp.palgB.dimension,
-                    mp.ls_A, mp.rs_A, mp.lp_A, mp.rp_A),
-        PreBimodule(mp.palgB, mp.palgA.dimension,
-                    mp.ls_B, mp.rs_B, mp.lp_B, mp.rp_B))
-    return scan("pre-matched", condition_residuals(mp), all_failures)
+    return _matched_report(mp, basis_residuals(build_pre_double(mp)),
+                           all_failures)
+
+
+def _matched_report(mp, evaluate, all_failures=False) -> CheckReport:
+    """check_af_matched or check_pre_matched, given the basis_residuals of
+    the double, so that a caller that also checks the whole double
+    evaluates it once.
+
+    Both component bimodules must pass first, else PreconditionError.  Each
+    is a block of the double's identities: A-on-B the B-block at (x, y, a)
+    with x, y in A and a in B, B-on-A the A-block at (x, y, a) with x, y in
+    B and a in A (see bimodule.block_residuals).
+    """
+    caller, name, nA, nB, bimodule, _ = _layout(mp)
+    A, B = range(nA), range(nA, nA + nB)
+    for side, base, module in (("A-on-B", A, B), ("B-on-A", B, A)):
+        rep = scan(side, block_residuals(bimodule, evaluate, base, module))
+        if not rep.passed:
+            raise PreconditionError("%s: component bimodule %s fails; "
+                                    "witness %r" % (caller, side, rep.witness))
+    return scan(name, _conditions(mp, evaluate), all_failures)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 residual per numbered condition: the reference that the table-driven
 checkers of antiflex.matched are tested against."""
 
-from antiflex.bimodule import act
+from antiflex.algebra import scan
+from antiflex.bimodule import AfBimodule, PreBimodule, act, \
+    check_af_bimodule, check_pre_bimodule
 from antiflex.linalg import basis_vec, mat_add, mat_vec, vec_add, vec_neg, \
     vec_sub
-from antiflex.matched import AfMatchedPair, PreMatchedPair
+from antiflex.matched import AfMatchedPair, PreMatchedPair, \
+    condition_residuals
 
 
 def af_matched_residuals_A(mp: AfMatchedPair, i, j, s):
@@ -252,3 +255,29 @@ def reference_residuals(mp):
             for t in range(nB):
                 out.extend(on_B(mp, i, s, t))
     return out
+
+
+def separate_path_check(mp, all_failures=False):
+    """The matched check the way it reads when each component bimodule is
+    checked on its own semidirect product before the condition scan: the
+    reference for the preconditions that check_af_matched and
+    check_pre_matched read as blocks of the double.  Returns the report, or
+    the text of the PreconditionError it raises."""
+    if isinstance(mp, AfMatchedPair):
+        caller, name, check = "check_af_matched", "af-matched", \
+            check_af_bimodule
+        components = (AfBimodule(mp.algA, mp.algB.dimension, mp.lA, mp.rA),
+                      AfBimodule(mp.algB, mp.algA.dimension, mp.lB, mp.rB))
+    else:
+        caller, name, check = "check_pre_matched", "pre-matched", \
+            check_pre_bimodule
+        components = (PreBimodule(mp.palgA, mp.palgB.dimension, mp.ls_A,
+                                  mp.rs_A, mp.lp_A, mp.rp_A),
+                      PreBimodule(mp.palgB, mp.palgA.dimension, mp.ls_B,
+                                  mp.rs_B, mp.lp_B, mp.rp_B))
+    for side, bm in zip(("A-on-B", "B-on-A"), components):
+        rep = check(bm)
+        if not rep.passed:
+            return "%s: component bimodule %s fails; witness %r" \
+                % (caller, side, rep.witness)
+    return scan(name, condition_residuals(mp), all_failures)

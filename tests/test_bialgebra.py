@@ -1,18 +1,25 @@
 from fractions import Fraction
 
 import antiflex.bialgebra as bialgebra
+import antiflex.bimodule as antiflex_bimodule
+import antiflex.cli as antiflex_cli
+import antiflex.matched as antiflex_matched
 from antiflex.algebra import PreAlgebra, check_identities, scan
 from antiflex.bialgebra import (
     Bialgebra, check_bialgebra_conditions, check_bialgebra_hom,
     check_dual_pre_via_rmatrix, comult_from_products, dual_bialgebra,
     dual_products_from_comult, verify_bialgebra,
 )
+from antiflex.bimodule import check_af_bimodule, check_pre_bimodule, \
+    regular_af_bimodule, regular_pre_bimodule
 from antiflex.coboundary import special_case_bialgebra
+from antiflex.matched import check_af_matched, check_pre_matched, \
+    dual_pre_matched, standard_dual_matched
 from antiflex.operators import canonical_solution
 from antiflex.linalg import eye, zeros_t3
 
 from bialgebra_reference import co_identity_residuals, condition_residuals
-from helpers import CORPUS, all_corpus_pre, rand_t3, seeded, \
+from helpers import CORPUS, all_corpus_pre, bump_t3, rand_t3, seeded, \
     split_bialgebra
 from antiflex.algebra import from_associative
 
@@ -115,7 +122,8 @@ def test_conditions_match_reference_on_crosses():
 
 
 def test_verify_builds_the_double_and_checks_the_base_once(monkeypatch):
-    calls = {"double": 0, "evaluator": 0, "base": 0}
+    calls = {"double": 0, "pre double": 0, "evaluator": 0, "base": 0,
+             "semidirect": 0}
 
     def counted(name, f, subject=None):
         def wrapper(*args, **kwargs):
@@ -127,14 +135,72 @@ def test_verify_builds_the_double_and_checks_the_base_once(monkeypatch):
     b = split_bialgebra("qt2", "one")
     monkeypatch.setattr(bialgebra, "build_af_double",
                         counted("double", bialgebra.build_af_double))
+    monkeypatch.setattr(bialgebra, "build_pre_double",
+                        counted("pre double", bialgebra.build_pre_double))
     monkeypatch.setattr(bialgebra, "basis_residuals",
                         counted("evaluator", bialgebra.basis_residuals))
     monkeypatch.setattr(bialgebra, "check_identities",
                         counted("base", bialgebra.check_identities, b.palg))
+    # no semidirect product is built, under any name it is imported by
+    for module in (antiflex_bimodule, antiflex_cli, antiflex_matched):
+        for name in ("semidirect_af", "semidirect_pre"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(
+                    "semidirect", getattr(module, name)))
     assert verify_bialgebra(b, _return_routes=True) == (True,) * 4
     # one evaluator of the dual products (the co-identities) and one of
-    # the AF double (routes 1-3)
-    assert calls == {"double": 1, "evaluator": 2, "base": 1}
+    # the AF double (routes 1-3); route 4 checks the pre double whole
+    assert calls == {"double": 1, "pre double": 1, "evaluator": 2,
+                     "base": 1, "semidirect": 0}
+    dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
+    assert check_af_matched(standard_dual_matched(b.palg, dual)).passed
+    assert check_pre_matched(dual_pre_matched(b.palg, dual)).passed
+    assert calls["semidirect"] == 0
+    # the counters see a semidirect product where one is built
+    assert check_af_bimodule(regular_af_bimodule(CORPUS["qt2"])).passed
+    assert check_pre_bimodule(regular_pre_bimodule(b.palg)).passed
+    assert calls["semidirect"] == 2
+
+
+def _crosses():
+    """Products of one bialgebra with the comultiplications of another, of
+    the same dimension; all but the first fail."""
+    qt2, qt2_pr = split_bialgebra("qt2", "one"), \
+        split_bialgebra("qt2", "one", "prec-right")
+    pairs = ((qt2, split_bialgebra("qt2", "two")),
+             (split_bialgebra("t3", "one"), qt2_pr), (qt2, qt2_pr),
+             (qt2_pr, qt2),
+             (split_bialgebra("t3", "two", "prec-right"),
+              split_bialgebra("qt2", "two")))
+    return [Bialgebra(a.palg, b.delta_prec, b.delta_succ) for a, b in pairs]
+
+
+def test_route_4_is_the_pre_matched_check():
+    # route 4 scans the pre double of the eight-map dual pair whole; by the
+    # matched-pair theorem its verdict is the pre matched check of that
+    # pair, on canonical, perturbed and crossed bialgebras
+    rng = seeded(59)
+    subjects = _canonical_bialgebras() + _crosses()
+    for b in _canonical_bialgebras():
+        n = b.dimension
+        for _ in range(6):
+            at = [rng.randrange(n) for _ in range(3)]
+            amount = rng.choice((-1, 1))
+            subjects += [
+                Bialgebra(b.palg, bump_t3(b.delta_prec, *at, amount),
+                          b.delta_succ),
+                Bialgebra(b.palg, b.delta_prec,
+                          bump_t3(b.delta_succ, *at, amount))]
+    seen = {True: 0, False: 0}
+    for b in subjects:
+        dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
+        if not check_identities(dual, "pre-anti-flexible").passed:
+            continue
+        route4 = verify_bialgebra(b, _return_routes=True)[3]
+        assert route4 == check_pre_matched(
+            dual_pre_matched(b.palg, dual, check_inputs=False)).passed
+        seen[route4] += 1
+    assert seen[True] >= 3 and seen[False] >= 4
 
 
 def test_canonical_bialgebra_all_routes_pass():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
-    check_identities, scan
+    basis_residuals, check_identities, scan
 from antiflex.bimodule import (
     AF_BIMODULE, PRE_BIMODULE, AfBimodule, PreBimodule, block_residuals,
     check_af_bimodule, check_pre_bimodule, derive_bimodule,
@@ -145,8 +145,9 @@ def _rows_match_reference(bm):
         rows, semidirect, check, name = PRE_BIMODULE, semidirect_pre(bm), \
             check_pre_bimodule, "pre-bimodule"
     reference = reference_residuals(bm)
-    assert list(block_residuals(rows, semidirect, bm.base.dimension)) == \
-        reference
+    n = bm.base.dimension
+    assert list(block_residuals(rows, basis_residuals(semidirect), range(n),
+                                range(n, semidirect.dimension))) == reference
     failing = [f for f in reference if not mat_is_zero(f[2])]
     assert check(bm, all_failures=True) == scan(name, failing, True)
     assert check(bm) == scan(name, failing)

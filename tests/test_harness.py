@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
     from_associative, identity_residuals
@@ -64,6 +66,74 @@ def test_unknown_kind_and_fields_rejected():
     raw["extra"] = 1
     with pytest.raises(FormatError, match="extra"):
         parse_file(json.dumps(raw))
+
+
+def _documents_of_every_kind():
+    """Package-written JSON text of one small structure of each kind, and
+    of each variant of the kinds that have them."""
+    palg = DIM2_PRE[0]
+    objs = [CORPUS["qt2"], palg, regular_af_bimodule(CORPUS["qt2"]),
+            regular_pre_bimodule(palg), standard_dual_matched(palg, palg),
+            dual_pre_matched(palg, palg), split_bialgebra("q1", "one"),
+            RElement(2, eye(2)), RPair(eye(2), eye(2)),
+            LinearMap(1, 2, [[Fraction(1, 2), Fraction(0)]])]
+    return [serialize(obj).decode() for obj in objs]
+
+
+DOCUMENTS = _documents_of_every_kind()
+
+
+def _paths(node, at=()):
+    """Every path into a JSON tree, the root included."""
+    yield at
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, at + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 12)
+    | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.sampled_from(["1/0", "1/2", "-0", "1e3", "0x1", "algebra",
+                       "pre-algebra", "bimodule", "matched-pair",
+                       "bialgebra", "r-element", "linear-map", "pre",
+                       "anti-flexible"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DOCUMENTS), st.data())
+def test_parse_file_fuzz_fails_only_with_format_error(text, data):
+    # a truncated document, or one with a value of another type (or of
+    # another kind, or removed) anywhere in its tree, parses or raises
+    # FormatError, never anything else
+    cut = data.draw(st.integers(0, len(text.rstrip()) - 1))
+    for raw in (text[:cut], text[:cut].encode()):
+        with pytest.raises(FormatError):
+            parse_file(raw)
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if path and data.draw(st.booleans()):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    else:
+        value = data.draw(_JSON_VALUES)
+        if not path:
+            doc = value
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+    try:
+        parse_file(json.dumps(doc))
+    except FormatError:
+        pass
 
 
 def test_round_trip_all_kinds(tmp_path):
@@ -429,6 +499,46 @@ def test_cli_check_contract_on_failing_inputs(tmp_path, capsys):
         assert every["witness"] == first["witness"], command
 
 
+def test_cli_check_rejects_wrong_input_kinds_and_counts(tmp_path, capsys):
+    # each check command names the file that holds the wrong kind of
+    # structure, and counts its inputs, before any checker runs: exit 2,
+    # not a traceback
+    inputs = _failing_inputs()
+    lin = tmp_path / "map.json"
+    save_file(lin, LinearMap(2, 2, eye(2)))
+    for command in CHECK_COMMANDS:
+        paths = []
+        for k, obj in enumerate(inputs[command]):
+            paths.append(str(tmp_path / ("%s-%d.json" % (command, k))))
+            save_file(paths[-1], obj)
+        # a linear map is no (pre-)algebra, bimodule, matched pair or
+        # bialgebra, and the first file of a two-file check is no matrix
+        wrong = [[str(lin)] + paths[1:]]
+        if len(paths) == 2:
+            wrong.append([paths[0], paths[0]])
+        for argv in wrong:
+            assert main(["check", command] + argv) == 2, (command, argv)
+            err = capsys.readouterr().err
+            bad = argv[0] if argv[0] == str(lin) else argv[1]
+            assert err.startswith("error: check %s: %s is not "
+                                  % (command, bad)), err
+        # one file too many, and one too few where that leaves one
+        for argv in [paths + paths[:1]] + [paths[:1]] * (len(paths) == 2):
+            assert main(["check", command] + argv) == 2, (command, argv)
+            assert "error: check %s reads %d input files, got %d" % (
+                command, len(paths), len(argv)) in capsys.readouterr().err
+    # an algebra file given to check bialgebra, and check pafybe given
+    # only its pre-algebra
+    ut2, pre = tmp_path / "ut2.json", tmp_path / "pre.json"
+    save_file(ut2, CORPUS["ut2"])
+    save_file(pre, DIM2_PRE[0])
+    assert main(["check", "bialgebra", str(ut2)]) == 2
+    assert "%s is not a bialgebra file" % ut2 in capsys.readouterr().err
+    assert main(["check", "pafybe", str(pre)]) == 2
+    assert "check pafybe reads 2 input files, got 1" in \
+        capsys.readouterr().err
+
+
 def test_cli_cocycle_form_failure_reports(tmp_path, capsys):
     # the identity form is no 2-cocycle of a splitting of qt2: a fail
     # report with a one-entry residual, not a traceback
@@ -511,6 +621,7 @@ def test_cli_exit_codes_separate_input_errors_from_bugs(tmp_path, capsys,
 
     def broken(*_args):
         raise ValueError("internal fault")
-    monkeypatch.setitem(harness._CHECKS, "algebra", broken)
+    monkeypatch.setitem(harness._CHECKS, "algebra",
+                        (harness._CHECKS["algebra"][0], broken))
     with pytest.raises(ValueError, match="internal fault"):
         main(["check", "algebra", str(alg)])

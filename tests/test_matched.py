@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from antiflex.matched import (
 from antiflex.linalg import basis_vec, mat_neg, vec_is_zero, zeros_mat, \
     zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, rand_t3, seeded
-from matched_reference import reference_residuals
+from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, rand_mat, rand_t3, \
+    seeded
+from matched_reference import reference_residuals, separate_path_check
 
 
 def _zero_pre(n):
@@ -190,6 +192,74 @@ def test_component_bimodule_precondition():
                        match="check_pre_matched: component bimodule A-on-B "
                              "fails; witness"):
         check_pre_matched(pre)
+
+
+def _perturbed_dual_pairs(rng):
+    """The af and pre dual pairs of the dim-2 splittings, each as it is
+    (passing or failing a condition) and with one entry of one action
+    family shifted (one or the other component bimodule fails, or both pass
+    and a condition may fail)."""
+    out = []
+    for palg in DIM2_PRE:
+        for dualp in [_zero_pre(2)] + DIM2_PRE:
+            for mp in (standard_dual_matched(palg, dualp),
+                       dual_pre_matched(palg, dualp)):
+                names = [f.name for f in fields(mp)][2:]
+                name = rng.choice(names)
+                maps = [[list(row) for row in m] for m in getattr(mp, name)]
+                m = rng.choice(maps)
+                m[rng.randrange(2)][rng.randrange(2)] += rng.choice((-1, 1))
+                out += [mp, replace(mp, **{name: maps})]
+    return out
+
+
+def _one_sided_pairs(rng):
+    """Valid factors acting on each other by zero on one side and by
+    random maps on the other."""
+    def maps(n, m):
+        return [rand_mat(rng, m, span=1) for _ in range(n)]
+
+    out = []
+    for palgA, palgB in ((DIM2_PRE[0], DIM2_PRE[3]),
+                         (DIM2_PRE[1], _zero_pre(1))):
+        nA, nB = palgA.dimension, palgB.dimension
+        zA, zB = [zeros_mat(nB)] * nA, [zeros_mat(nA)] * nB
+        algA, algB = underlying_algebra(palgA), underlying_algebra(palgB)
+        out += [AfMatchedPair(algA, algB, zA, zA, maps(nB, nA), maps(nB, nA)),
+                AfMatchedPair(algA, algB, maps(nA, nB), maps(nA, nB), zB, zB),
+                PreMatchedPair(palgA, palgB, zA, zA, zA, zA,
+                               *[maps(nB, nA) for _ in range(4)]),
+                PreMatchedPair(palgA, palgB,
+                               *[maps(nA, nB) for _ in range(4)],
+                               zB, zB, zB, zB)]
+    return out
+
+
+def test_preconditions_match_the_separate_bimodule_checks():
+    # the component bimodules read as blocks of the double give the same
+    # reports, and the same PreconditionError text with the same witness,
+    # as checking each on its own semidirect product before the conditions
+    rng = seeded(79)
+    seen = set()
+    pairs = _random_pairs(rng) + _perturbed_dual_pairs(rng) + \
+        _one_sided_pairs(rng) + _one_sided_pairs(rng)
+    for mp in pairs:
+        check = check_af_matched if isinstance(mp, AfMatchedPair) \
+            else check_pre_matched
+        for every in (False, True):
+            expected = separate_path_check(mp, every)
+            if isinstance(expected, str):
+                with pytest.raises(PreconditionError) as exc:
+                    check(mp, every)
+                assert str(exc.value) == expected
+                outcome = expected.split()[3]
+            else:
+                assert check(mp, every) == expected
+                outcome = expected.passed
+            seen.add((type(mp).__name__, outcome))
+    assert seen == {(kind, outcome)
+                    for kind in ("AfMatchedPair", "PreMatchedPair")
+                    for outcome in ("A-on-B", "B-on-A", True, False)}
 
 
 def test_cyclic_form_all_failures():
