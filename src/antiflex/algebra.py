@@ -35,18 +35,20 @@ class PreconditionError(ValueError):
     """An operation was handed an input violating its documented contract."""
 
 
-def require_tensor(caller, field, t, n):
+def require_tensor(caller, field, t, shape):
     """Raise PreconditionError, naming the field and the index, unless t is
-    an n x n x n tensor of ints and Fractions (bools and floats are not)."""
-    def extent(block, at):
+    a tensor of the given three extents with entries ints and Fractions
+    (bools and floats are not)."""
+    def extent(block, at, n):
         if not isinstance(block, (list, tuple)) or len(block) != n:
             raise PreconditionError("%s: %s%s must be a list of %d entries"
                                     % (caller, field, at, n))
-    extent(t, "")
+    n1, n2, n3 = shape
+    extent(t, "", n1)
     for i, plane in enumerate(t):
-        extent(plane, "[%d]" % i)
+        extent(plane, "[%d]" % i, n2)
         for j, row in enumerate(plane):
-            extent(row, "[%d][%d]" % (i, j))
+            extent(row, "[%d][%d]" % (i, j), n3)
             for k, x in enumerate(row):
                 if type(x) is not Fraction and type(x) is not int:
                     raise PreconditionError(
@@ -61,7 +63,8 @@ class Algebra:
     basis_names: tuple = ()
 
     def __post_init__(self):
-        require_tensor("Algebra", "product", self.product, self.dimension)
+        require_tensor("Algebra", "product", self.product,
+                       (self.dimension,) * 3)
         if not self.basis_names:
             object.__setattr__(self, "basis_names",
                                tuple("e%d" % (i + 1) for i in range(self.dimension)))
@@ -80,7 +83,7 @@ class PreAlgebra:
     def __post_init__(self):
         for name in ("prec", "succ"):
             require_tensor("PreAlgebra", name, getattr(self, name),
-                           self.dimension)
+                           (self.dimension,) * 3)
         if not self.basis_names:
             object.__setattr__(self, "basis_names",
                                tuple("e%d" % (i + 1) for i in range(self.dimension)))

@@ -46,7 +46,7 @@ class Bialgebra:
     def __post_init__(self):
         for name in ("delta_prec", "delta_succ"):
             require_tensor("Bialgebra", name, getattr(self, name),
-                           self.palg.dimension)
+                           (self.palg.dimension,) * 3)
 
     @property
     def dimension(self):
@@ -59,7 +59,7 @@ def dual_products_from_comult(delta_prec, delta_succ) -> PreAlgebra:
     tensors."""
     n = len(delta_prec)
     for name, t in (("delta_prec", delta_prec), ("delta_succ", delta_succ)):
-        require_tensor("dual_products_from_comult", name, t, n)
+        require_tensor("dual_products_from_comult", name, t, (n,) * 3)
     prec = [[[delta_prec[k][i][j] for k in range(n)] for j in range(n)]
             for i in range(n)]
     succ = [[[delta_succ[k][i][j] for k in range(n)] for j in range(n)]

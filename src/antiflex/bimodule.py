@@ -18,8 +18,19 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, scan, underlying_algebra
+    basis_residuals, require_tensor, scan, underlying_algebra
 from .linalg import mat_add, mat_neg, transpose, zeros_mat, zeros_t3
+
+
+def _require_maps(caller, bm, fields):
+    """Store each action field of a bimodule as a tuple, after checking
+    that it holds one space_dim x space_dim matrix of ints and Fractions
+    per basis element of the base."""
+    m = bm.space_dim
+    for name in fields:
+        maps = getattr(bm, name)
+        require_tensor(caller, name, maps, (bm.base.dimension, m, m))
+        object.__setattr__(bm, name, tuple(maps))
 
 
 @dataclass(frozen=True)
@@ -30,8 +41,7 @@ class AfBimodule:
     r: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(self.l))
-        object.__setattr__(self, "r", tuple(self.r))
+        _require_maps("AfBimodule", self, ("l", "r"))
 
 
 @dataclass(frozen=True)
@@ -44,8 +54,8 @@ class PreBimodule:
     r_prec: tuple
 
     def __post_init__(self):
-        for name in ("l_succ", "r_succ", "l_prec", "r_prec"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _require_maps("PreBimodule", self,
+                      ("l_succ", "r_succ", "l_prec", "r_prec"))
 
     @property
     def l_dot(self):
@@ -54,6 +64,12 @@ class PreBimodule:
     @property
     def r_dot(self):
         return tuple(mat_add(a, b) for a, b in zip(self.r_prec, self.r_succ))
+
+
+def dual_maps(maps):
+    """The dual of each map of a family, acting on dual coordinates: its
+    matrix transpose."""
+    return tuple(transpose(m) for m in maps)
 
 
 def act(maps, coeffs):
@@ -203,25 +219,27 @@ def derive_bimodule(bm: PreBimodule, transform):
                                 "check; witness %r" % (rep.witness,))
     m = bm.space_dim
     zero = tuple(zeros_mat(m) for _ in range(bm.base.dimension))
-    dual = lambda maps: tuple(transpose(x) for x in maps)
     if transform == "reduced":
         return PreBimodule(bm.base, m, bm.l_succ, zero, zero, bm.r_prec)
     neg = lambda maps: tuple(mat_neg(x) for x in maps)
     if transform == "dual-full":
-        return PreBimodule(bm.base, m, dual(bm.r_dot), neg(dual(bm.l_prec)),
-                           neg(dual(bm.r_succ)), dual(bm.l_dot))
+        return PreBimodule(bm.base, m, dual_maps(bm.r_dot),
+                           neg(dual_maps(bm.l_prec)),
+                           neg(dual_maps(bm.r_succ)), dual_maps(bm.l_dot))
     if transform == "dual-reduced":
-        return PreBimodule(bm.base, m, dual(bm.r_prec), zero, zero,
-                           dual(bm.l_succ))
+        return PreBimodule(bm.base, m, dual_maps(bm.r_prec), zero, zero,
+                           dual_maps(bm.l_succ))
     af_base = underlying_algebra(bm.base)
     if transform == "af-sum":
         return AfBimodule(af_base, m, bm.l_dot, bm.r_dot)
     if transform == "af-outer":
         return AfBimodule(af_base, m, bm.l_succ, bm.r_prec)
     if transform == "af-dual-sum":
-        return AfBimodule(af_base, m, dual(bm.r_dot), dual(bm.l_dot))
+        return AfBimodule(af_base, m, dual_maps(bm.r_dot),
+                          dual_maps(bm.l_dot))
     if transform == "af-dual-outer":
-        return AfBimodule(af_base, m, dual(bm.r_prec), dual(bm.l_succ))
+        return AfBimodule(af_base, m, dual_maps(bm.r_prec),
+                          dual_maps(bm.l_succ))
     raise ValueError("derive_bimodule: unknown transform %r" % (transform,))
 
 

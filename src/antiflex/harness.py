@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,15 +75,25 @@ class LinearMap:
 # scalar and shape plumbing
 # ---------------------------------------------------------------------------
 
+# the scalars serialize writes: an optional minus sign, ASCII digits, and
+# optionally a slash and more digits
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(s, path):
-    """The Fraction a "p/q" string stands for; path names it in errors."""
+    """The Fraction a "p/q" string of _SCALAR stands for; path names it in
+    errors."""
     if not isinstance(s, str):
         raise FormatError("%s: scalar must be a \"p/q\" string, got %r"
                           % (path, s))
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("%s: malformed scalar %r" % (path, s)) from exc
+    match = _SCALAR.fullmatch(s)
+    if match is not None:
+        p, q = match.groups()
+        try:
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        except (ValueError, ZeroDivisionError):
+            pass    # past the digit limit of int(), or a zero denominator
+    raise FormatError("%s: malformed scalar %r" % (path, s))
 
 
 def _fmt(x):
@@ -290,7 +301,7 @@ def parse_file(data):
     if not isinstance(doc, dict):
         raise FormatError("top level: expected an object")
     version = doc.pop("format_version", None)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError("format_version: expected %d, got %r"
                           % (FORMAT_VERSION, version))
     kind = doc.pop("kind", None)

@@ -38,7 +38,7 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     basis_residuals, check_cyclic_form, check_identities, scan, \
     underlying_algebra
 from .bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
-    direct_sum_tensor, multiplication_operators
+    direct_sum_tensor, dual_maps, multiplication_operators
 from .linalg import ONE, vec_neg, zeros_mat, mat_add, transpose
 
 
@@ -248,11 +248,10 @@ def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     criterion decide."""
     opsA, opsS = _dual_operators("standard_dual_matched", palgA, palgAstar,
                                  check_inputs)
-    dual = lambda fam: tuple(transpose(m) for m in fam)
     return AfMatchedPair(
         underlying_algebra(palgA), underlying_algebra(palgAstar),
-        dual(opsA["R_prec"]), dual(opsA["L_succ"]),
-        dual(opsS["R_prec"]), dual(opsS["L_succ"]))
+        dual_maps(opsA["R_prec"]), dual_maps(opsA["L_succ"]),
+        dual_maps(opsS["R_prec"]), dual_maps(opsS["L_succ"]))
 
 
 def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
@@ -265,15 +264,14 @@ def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     pair's double."""
     opsA, opsS = _dual_operators("dual_pre_matched", palgA, palgAstar,
                                  check_inputs)
-    dual = lambda fam: tuple(transpose(m) for m in fam)
     negdual = lambda fam: tuple([[-v for v in row] for row in transpose(m)]
                                 for m in fam)
     return PreMatchedPair(
         palgA, palgAstar,
-        dual(opsA["R_dot"]), negdual(opsA["L_prec"]),
-        negdual(opsA["R_succ"]), dual(opsA["L_dot"]),
-        dual(opsS["R_dot"]), negdual(opsS["L_prec"]),
-        negdual(opsS["R_succ"]), dual(opsS["L_dot"]))
+        dual_maps(opsA["R_dot"]), negdual(opsA["L_prec"]),
+        negdual(opsA["R_succ"]), dual_maps(opsA["L_dot"]),
+        dual_maps(opsS["R_dot"]), negdual(opsS["L_prec"]),
+        negdual(opsS["R_succ"]), dual_maps(opsS["L_dot"]))
 
 
 def omega_matrix(n):

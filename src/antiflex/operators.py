@@ -4,22 +4,31 @@ symmetric solutions of the Yang-Baxter-type equation.
 An r-element of A (x) A doubles as a linear map A* -> A by pairing against
 its second slot: r(u*) = sum_j <r, u* (x) e_j*> e_j.  Dual operators act on
 dual coordinates as matrix transposes throughout.
+
+A symmetric r is read through structures built elsewhere: its double on
+A + A* is the pre double of the case-two coboundary (the double that route
+4 of bialgebra.verify_bialgebra scans), and its operator form is the
+O-operator check of r as a map A* -> A against the bimodule (R*_prec,
+L*_succ, A*) of the underlying algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_square, scan
+    check_identities, require_square, scan, underlying_algebra
+from .bialgebra import dual_products_from_comult
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
-    multiplication_operators, regular_pre_bimodule, derive_bimodule, \
-    semidirect_pre
-from .coboundary import check_pafybe, r_is_symmetric
+    dual_maps, multiplication_operators, regular_pre_bimodule, \
+    derive_bimodule, semidirect_pre
+from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
+    special_case_rpair
+from .matched import build_pre_double, dual_pre_matched
 from .linalg import (
     ONE, transpose, zeros_mat, zeros_t3, basis_vec,
-    vec_add, vec_sub, vec_neg, mat_vec,
+    vec_add, vec_sub, mat_vec,
     mat_inverse, mat_rank,
 )
 
@@ -161,111 +170,36 @@ def r_map_matrix(r):
     return transpose(r)
 
 
-def _dual_op(maps, coeffs):
-    """The dual action of an operator family evaluated at an element,
-    acting on dual coordinates."""
-    return transpose(act(maps, coeffs))
+def _relabelled(rep: CheckReport, name) -> CheckReport:
+    """A report under the check name `name`, each failure relabelled."""
+    failures = tuple((name,) + failure[1:] for failure in rep.failures)
+    return CheckReport(rep.passed, name, failures[0] if failures else None,
+                       failures)
 
 
-@dataclass(frozen=True)
-class RDoubleTable:
-    """The products a symmetric r-element induces on the double A + A*:
-    a pre-structure on A* and six mixed product tables, each table indexed
-    by (A-basis, dual-basis) with values in double coordinates (A part
-    first)."""
-    dual: PreAlgebra
-    mixed: dict
-
-
-def double_products_from_r(palg: PreAlgebra, r) -> RDoubleTable:
-    """Products on A* and the six mixed products of the double, written
-    through r as a map:
+def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
+    """The double A + A* of a symmetric r: the pre double of the eight-map
+    dual pair (see matched.dual_pre_matched) of A and the products that the
+    case-two coboundary of r (r_prec = -r, r_succ = r) induces on A*, with
+    the dual basis named f1, f2, ...  Written through r as a map:
 
       a < b = -R*_succ(r(a))b + L*_dot(r(b))a
       a > b =  R*_dot(r(a))b  - L*_prec(r(b))a
       x < a = x < r(a) + r(R*_succ(x)a) - R*_succ(x)a
       x > a = x > r(a) - r(R*_dot(x)a)  + R*_dot(x)a
-      x . a = x . r(a) - r(R*_prec(x)a) + R*_prec(x)a
       a < x = r(a) < x - r(L*_dot(x)a)  + L*_dot(x)a
       a > x = r(a) > x + r(L*_prec(x)a) - L*_prec(x)a
-      a . x = r(a) . x - r(L*_succ(x)a) + L*_succ(x)a
-
-    The x . a line is the sum of the x < a and x > a lines (the only
-    reading consistent with the half-product decomposition).
     """
     n = palg.dimension
-    require_square("double_products_from_r", "r", r, n)
+    require_square("assembled_double", "r", r, n)
     if not r_is_symmetric(r):
-        raise PreconditionError("double_products_from_r: r must be symmetric")
-    ops = multiplication_operators(palg)
-    rmat = r_map_matrix(r)
-    rimg = [[r[i][j] for j in range(n)] for i in range(n)]  # r(f_i) rows
-    prec = zeros_t3(n)
-    succ = zeros_t3(n)
-    for i in range(n):
-        for j in range(n):
-            ra, rb = rimg[i], rimg[j]
-            p = vec_add(vec_neg(mat_vec(_dual_op(ops["R_succ"], ra),
-                                        basis_vec(n, j))),
-                        mat_vec(_dual_op(ops["L_dot"], rb), basis_vec(n, i)))
-            s = vec_sub(mat_vec(_dual_op(ops["R_dot"], ra), basis_vec(n, j)),
-                        mat_vec(_dual_op(ops["L_prec"], rb), basis_vec(n, i)))
-            prec[i][j], succ[i][j] = p, s
-    dual = PreAlgebra(n, prec, succ,
-                      tuple("f%d" % (i + 1) for i in range(n)))
-
-    def pack(avec, dvec):
-        return tuple(avec) + tuple(dvec)
-
-    mixed = {name: [[None] * n for _ in range(n)] for name in
-             ("x_prec_a", "x_succ_a", "x_dot_a",
-              "a_prec_x", "a_succ_x", "a_dot_x")}
-    for i in range(n):
-        x = basis_vec(n, i)
-        for s in range(n):
-            a = basis_vec(n, s)
-            ra = rimg[s]
-            rsx = mat_vec(_dual_op(ops["R_succ"], x), a)
-            rdx = mat_vec(_dual_op(ops["R_dot"], x), a)
-            lpx = mat_vec(_dual_op(ops["L_prec"], x), a)
-            ldx = mat_vec(_dual_op(ops["L_dot"], x), a)
-            lsx = mat_vec(_dual_op(ops["L_succ"], x), a)
-            xp = pack(vec_add(palg.mul_prec(x, ra), mat_vec(rmat, rsx)),
-                      vec_neg(rsx))
-            xs = pack(vec_sub(palg.mul_succ(x, ra), mat_vec(rmat, rdx)), rdx)
-            ap = pack(vec_sub(palg.mul_prec(ra, x), mat_vec(rmat, ldx)), ldx)
-            as_ = pack(vec_add(palg.mul_succ(ra, x), mat_vec(rmat, lpx)),
-                       vec_neg(lpx))
-            ad = pack(vec_sub(palg.mul_dot(ra, x), mat_vec(rmat, lsx)), lsx)
-            mixed["x_prec_a"][i][s] = xp
-            mixed["x_succ_a"][i][s] = xs
-            mixed["x_dot_a"][i][s] = tuple(u + v for u, v in zip(xp, xs))
-            mixed["a_prec_x"][i][s] = ap
-            mixed["a_succ_x"][i][s] = as_
-            mixed["a_dot_x"][i][s] = ad
-    return RDoubleTable(dual, mixed)
-
-
-def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
-    """The pre-structure on A + A* whose pure blocks are the given products
-    and the r-induced dual products, and whose mixed blocks come from the
-    r-induced mixed tables."""
-    tab = double_products_from_r(palg, r)
-    n = palg.dimension
-    prec = zeros_t3(2 * n)
-    succ = zeros_t3(2 * n)
-    mixed = tab.mixed
-    for i, j in product(range(n), repeat=2):
-        prec[i][j][:n], succ[i][j][:n] = palg.prec[i][j], palg.succ[i][j]
-        prec[n + i][n + j][n:] = tab.dual.prec[i][j]
-        succ[n + i][n + j][n:] = tab.dual.succ[i][j]
-        prec[i][n + j] = list(mixed["x_prec_a"][i][j])
-        succ[i][n + j] = list(mixed["x_succ_a"][i][j])
-        prec[n + j][i] = list(mixed["a_prec_x"][i][j])
-        succ[n + j][i] = list(mixed["a_succ_x"][i][j])
-    names = tuple(palg.basis_names) + \
-        tuple("f%d" % (i + 1) for i in range(n))
-    return PreAlgebra(2 * n, prec, succ, names)
+        raise PreconditionError("assembled_double: r must be symmetric")
+    dual = dual_products_from_comult(*coboundary_delta(
+        palg, special_case_rpair(r, "two")))
+    double = build_pre_double(dual_pre_matched(palg, dual,
+                                               check_inputs=False))
+    return replace(double, basis_names=tuple(palg.basis_names)
+                   + dual.basis_names)
 
 
 def check_r_double_consistency(palg: PreAlgebra, r,
@@ -273,11 +207,9 @@ def check_r_double_consistency(palg: PreAlgebra, r,
     """Whether the assembled double is itself pre-anti-flexible; for
     symmetric r this holds exactly when r solves the Yang-Baxter-type
     equation."""
-    rep = check_identities(assembled_double(palg, r), "pre-anti-flexible",
-                           all_failures)
-    return scan("r-double", (("r-double", idx, res)
-                             for _label, idx, res in rep.failures),
-                all_failures)
+    return _relabelled(check_identities(assembled_double(palg, r),
+                                        "pre-anti-flexible", all_failures),
+                       "r-double")
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +243,18 @@ def check_two_cocycle(palg: PreAlgebra, form, all_failures=False) -> CheckReport
 
 def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     """r(a).r(b) = r(R*_prec(r(a))b + L*_succ(r(b))a) over dual basis
-    pairs; for symmetric r this is equivalent to the Yang-Baxter residual
-    vanishing."""
+    pairs: the O-operator identity of T = r: A* -> A against the bimodule
+    (R*_prec, L*_succ, A*) of the underlying algebra.  For symmetric r it
+    is equivalent to the Yang-Baxter residual vanishing."""
+    n = palg.dimension
+    require_square("operator_form_check", "r", r, n)
     if not r_is_symmetric(r):
         raise PreconditionError("operator_form_check: r must be symmetric")
-    n = palg.dimension
     ops = multiplication_operators(palg)
-    rmat = r_map_matrix(r)
-
-    def residuals():
-        for i, j in product(range(n), repeat=2):
-            ra, rb = list(r[i]), list(r[j])
-            inner = vec_add(
-                mat_vec(_dual_op(ops["R_prec"], ra), basis_vec(n, j)),
-                mat_vec(_dual_op(ops["L_succ"], rb), basis_vec(n, i)))
-            yield "operator-form", (i, j), vec_sub(palg.mul_dot(ra, rb),
-                                                   mat_vec(rmat, inner))
-    return scan("operator-form", residuals(), all_failures)
+    bm = AfBimodule(underlying_algebra(palg), n, dual_maps(ops["R_prec"]),
+                    dual_maps(ops["L_succ"]))
+    return _relabelled(o_operator_core(bm, r_map_matrix(r), all_failures),
+                       "operator-form")
 
 
 def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:

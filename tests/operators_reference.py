@@ -1,0 +1,154 @@
+"""The r-double and the operator form written out by hand from r as a map
+A* -> A: the reference that antiflex.operators, which reads both through
+the coboundary pre double and the O-operator check, is tested against."""
+
+from dataclasses import dataclass
+from itertools import product
+
+from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
+    check_identities, require_square, scan
+from antiflex.bimodule import act, multiplication_operators
+from antiflex.coboundary import r_is_symmetric
+from antiflex.linalg import basis_vec, mat_vec, transpose, vec_add, \
+    vec_neg, vec_sub, zeros_t3
+from antiflex.operators import r_map_matrix
+
+
+def _dual_op(maps, coeffs):
+    """The dual action of an operator family evaluated at an element,
+    acting on dual coordinates."""
+    return transpose(act(maps, coeffs))
+
+
+@dataclass(frozen=True)
+class RDoubleTable:
+    """The products a symmetric r-element induces on the double A + A*:
+    a pre-structure on A* and six mixed product tables, each table indexed
+    by (A-basis, dual-basis) with values in double coordinates (A part
+    first)."""
+    dual: PreAlgebra
+    mixed: dict
+
+
+def double_products_from_r(palg: PreAlgebra, r) -> RDoubleTable:
+    """Products on A* and the six mixed products of the double, written
+    through r as a map:
+
+      a < b = -R*_succ(r(a))b + L*_dot(r(b))a
+      a > b =  R*_dot(r(a))b  - L*_prec(r(b))a
+      x < a = x < r(a) + r(R*_succ(x)a) - R*_succ(x)a
+      x > a = x > r(a) - r(R*_dot(x)a)  + R*_dot(x)a
+      x . a = x . r(a) - r(R*_prec(x)a) + R*_prec(x)a
+      a < x = r(a) < x - r(L*_dot(x)a)  + L*_dot(x)a
+      a > x = r(a) > x + r(L*_prec(x)a) - L*_prec(x)a
+      a . x = r(a) . x - r(L*_succ(x)a) + L*_succ(x)a
+
+    The x . a line is the sum of the x < a and x > a lines (the only
+    reading consistent with the half-product decomposition).
+    """
+    n = palg.dimension
+    require_square("double_products_from_r", "r", r, n)
+    if not r_is_symmetric(r):
+        raise PreconditionError("double_products_from_r: r must be symmetric")
+    ops = multiplication_operators(palg)
+    rmat = r_map_matrix(r)
+    rimg = [[r[i][j] for j in range(n)] for i in range(n)]  # r(f_i) rows
+    prec = zeros_t3(n)
+    succ = zeros_t3(n)
+    for i in range(n):
+        for j in range(n):
+            ra, rb = rimg[i], rimg[j]
+            p = vec_add(vec_neg(mat_vec(_dual_op(ops["R_succ"], ra),
+                                        basis_vec(n, j))),
+                        mat_vec(_dual_op(ops["L_dot"], rb), basis_vec(n, i)))
+            s = vec_sub(mat_vec(_dual_op(ops["R_dot"], ra), basis_vec(n, j)),
+                        mat_vec(_dual_op(ops["L_prec"], rb), basis_vec(n, i)))
+            prec[i][j], succ[i][j] = p, s
+    dual = PreAlgebra(n, prec, succ,
+                      tuple("f%d" % (i + 1) for i in range(n)))
+
+    def pack(avec, dvec):
+        return tuple(avec) + tuple(dvec)
+
+    mixed = {name: [[None] * n for _ in range(n)] for name in
+             ("x_prec_a", "x_succ_a", "x_dot_a",
+              "a_prec_x", "a_succ_x", "a_dot_x")}
+    for i in range(n):
+        x = basis_vec(n, i)
+        for s in range(n):
+            a = basis_vec(n, s)
+            ra = rimg[s]
+            rsx = mat_vec(_dual_op(ops["R_succ"], x), a)
+            rdx = mat_vec(_dual_op(ops["R_dot"], x), a)
+            lpx = mat_vec(_dual_op(ops["L_prec"], x), a)
+            ldx = mat_vec(_dual_op(ops["L_dot"], x), a)
+            lsx = mat_vec(_dual_op(ops["L_succ"], x), a)
+            xp = pack(vec_add(palg.mul_prec(x, ra), mat_vec(rmat, rsx)),
+                      vec_neg(rsx))
+            xs = pack(vec_sub(palg.mul_succ(x, ra), mat_vec(rmat, rdx)), rdx)
+            ap = pack(vec_sub(palg.mul_prec(ra, x), mat_vec(rmat, ldx)), ldx)
+            as_ = pack(vec_add(palg.mul_succ(ra, x), mat_vec(rmat, lpx)),
+                       vec_neg(lpx))
+            ad = pack(vec_sub(palg.mul_dot(ra, x), mat_vec(rmat, lsx)), lsx)
+            mixed["x_prec_a"][i][s] = xp
+            mixed["x_succ_a"][i][s] = xs
+            mixed["x_dot_a"][i][s] = tuple(u + v for u, v in zip(xp, xs))
+            mixed["a_prec_x"][i][s] = ap
+            mixed["a_succ_x"][i][s] = as_
+            mixed["a_dot_x"][i][s] = ad
+    return RDoubleTable(dual, mixed)
+
+
+def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
+    """The pre-structure on A + A* whose pure blocks are the given products
+    and the r-induced dual products, and whose mixed blocks come from the
+    r-induced mixed tables."""
+    tab = double_products_from_r(palg, r)
+    n = palg.dimension
+    prec = zeros_t3(2 * n)
+    succ = zeros_t3(2 * n)
+    mixed = tab.mixed
+    for i, j in product(range(n), repeat=2):
+        prec[i][j][:n], succ[i][j][:n] = palg.prec[i][j], palg.succ[i][j]
+        prec[n + i][n + j][n:] = tab.dual.prec[i][j]
+        succ[n + i][n + j][n:] = tab.dual.succ[i][j]
+        prec[i][n + j] = list(mixed["x_prec_a"][i][j])
+        succ[i][n + j] = list(mixed["x_succ_a"][i][j])
+        prec[n + j][i] = list(mixed["a_prec_x"][i][j])
+        succ[n + j][i] = list(mixed["a_succ_x"][i][j])
+    names = tuple(palg.basis_names) + \
+        tuple("f%d" % (i + 1) for i in range(n))
+    return PreAlgebra(2 * n, prec, succ, names)
+
+
+def check_r_double_consistency(palg: PreAlgebra, r,
+                               all_failures=False) -> CheckReport:
+    """Whether the assembled double is itself pre-anti-flexible; for
+    symmetric r this holds exactly when r solves the Yang-Baxter-type
+    equation."""
+    rep = check_identities(assembled_double(palg, r), "pre-anti-flexible",
+                           all_failures)
+    return scan("r-double", (("r-double", idx, res)
+                             for _label, idx, res in rep.failures),
+                all_failures)
+
+
+def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
+    """r(a).r(b) = r(R*_prec(r(a))b + L*_succ(r(b))a) over dual basis
+    pairs; for symmetric r this is equivalent to the Yang-Baxter residual
+    vanishing."""
+    if not r_is_symmetric(r):
+        raise PreconditionError("operator_form_check: r must be symmetric")
+    n = palg.dimension
+    ops = multiplication_operators(palg)
+    rmat = r_map_matrix(r)
+
+    def residuals():
+        for i, j in product(range(n), repeat=2):
+            ra, rb = list(r[i]), list(r[j])
+            inner = vec_add(
+                mat_vec(_dual_op(ops["R_prec"], ra), basis_vec(n, j)),
+                mat_vec(_dual_op(ops["L_succ"], rb), basis_vec(n, i)))
+            yield "operator-form", (i, j), vec_sub(palg.mul_dot(ra, rb),
+                                                   mat_vec(rmat, inner))
+    return scan("operator-form", residuals(), all_failures)

@@ -43,6 +43,26 @@ def test_af_bimodule_perturbation_fails():
     assert not rep.passed and rep.witness is not None
 
 
+def test_bimodule_maps_checked_at_construction():
+    qt2, palg = CORPUS["qt2"], DIM2_PRE[0]
+    zero = [zeros_mat(2)] * 2
+    half = [zeros_mat(2), [[Fraction(0)] * 2, [Fraction(0), 0.5]]]
+    for maps, message in (([zeros_mat(2)], r"l must be a list of 2"),
+                          ([[[1]]] * 2, r"l\[0\] must be a list of 2"),
+                          ([zeros_mat(2), [[1, 0], [1]]],
+                           r"l\[1\]\[1\] must be a list of 2"),
+                          (half, r"l\[1\]\[1\]\[1\] is 0\.5"),
+                          ([[[True, 0], [0, 0]]] * 2, r"l\[0\]\[0\]\[0\]")):
+        with pytest.raises(PreconditionError, match="AfBimodule: " + message):
+            AfBimodule(qt2, 2, maps, zero)
+        with pytest.raises(PreconditionError,
+                           match="PreBimodule: r_prec" + message[1:]):
+            PreBimodule(palg, 2, zero, zero, zero, maps)
+    # a map of the wrong extent for space_dim
+    with pytest.raises(PreconditionError, match=r"r\[0\] must be a list of 3"):
+        AfBimodule(qt2, 3, [zeros_mat(3)] * 2, zero)
+
+
 def test_regular_pre_bimodules_pass():
     for palg in all_corpus_pre():
         assert check_pre_bimodule(regular_pre_bimodule(palg)).passed

@@ -52,6 +52,30 @@ def test_malformed_scalar_diagnostic():
         parse_file(json.dumps(doc))
 
 
+def test_scalars_are_only_what_serialize_writes():
+    def parse(scalar):
+        return parse_file(json.dumps({
+            "format_version": 1, "kind": "linear-map", "rows": 1,
+            "cols": 2, "matrix": [["0", scalar]]}))
+
+    for scalar, value in (("7", 7), ("-3/4", Fraction(-3, 4)),
+                          ("6/8", Fraction(3, 4)), ("-0", 0)):
+        assert parse(scalar).matrix[0][1] == value
+    for scalar in ("1e3", "0.5", " 1/2 ", "1_000", "+1", "1/-2", "1/",
+                   "/2", "", "1\n", "\u0661", "9" * 5000):
+        with pytest.raises(FormatError,
+                           match=r"linear-map\.matrix\[0\]\[1\]: malformed"):
+            parse(scalar)
+
+
+def test_format_version_must_be_the_int_one():
+    doc = {"kind": "linear-map", "rows": 1, "cols": 1, "matrix": [["1"]]}
+    assert parse_file(json.dumps(dict(doc, format_version=1))).rows == 1
+    for version in (True, 1.0, "1", 2, None):
+        with pytest.raises(FormatError, match="format_version"):
+            parse_file(json.dumps(dict(doc, format_version=version)))
+
+
 def test_truncated_payload_names_tensor():
     raw = json.loads(open(os.path.join(CORPUS_DIR, "qt2.json")).read())
     raw["product"] = raw["product"][:1]

@@ -2,22 +2,26 @@ from fractions import Fraction
 
 import pytest
 
-from antiflex.algebra import Algebra, PreconditionError, check_identities, \
-    from_associative, underlying_algebra
+from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
+    check_identities, from_associative, underlying_algebra
+from antiflex.bialgebra import dual_products_from_comult
 from antiflex.bimodule import AfBimodule, multiplication_operators
-from antiflex.coboundary import check_pafybe, r_is_symmetric
+from antiflex.coboundary import check_pafybe, r_is_symmetric, \
+    special_case_bialgebra
+from antiflex.matched import build_pre_double, dual_pre_matched
 from antiflex.harness import SearchSpec, grid_search
 from antiflex.operators import (
     OOperator, assembled_double, canonical_solution, check_generalized_rb,
     check_o_operator, check_r_double_consistency, check_rota_baxter,
-    check_two_cocycle, compatible_structure_on_A, double_products_from_r,
-    form_from_r, induced_pre_from_map, operator_form_check, r_map_matrix,
+    check_two_cocycle, compatible_structure_on_A, form_from_r, induced_pre_from_map, operator_form_check, r_map_matrix,
     solution_from_o_operator,
 )
 from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
     mat_vec, transpose, zeros_mat, zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, rand_mat, rand_sym_mat, seeded
+from helpers import CORPUS, DIM2_PRE, all_corpus_pre, rand_mat, \
+    rand_sym_mat, rand_t3, seeded
+import operators_reference as reference
 
 
 def _af_regular_pre(palg):
@@ -95,14 +99,78 @@ def test_r_map_matrix_convention():
 
 def test_double_products_zero_r():
     palg = DIM2_PRE[0]
-    tab = double_products_from_r(palg, zeros_mat(2))
-    assert tab.dual.prec == zeros_t3(2) and tab.dual.succ == zeros_t3(2)
-    # mixed products reduce to the pure dual-action terms (A part zero)
-    for name in ("x_prec_a", "x_succ_a", "a_prec_x", "a_succ_x"):
-        for i in range(2):
-            for s in range(2):
-                val = tab.mixed[name][i][s]
-                assert val[0] == 0 and val[1] == 0
+    n = palg.dimension
+    d = assembled_double(palg, zeros_mat(n))
+    for i in range(n):
+        for j in range(n):
+            # the products on A* vanish
+            assert d.prec[n + i][n + j] == [0] * (2 * n)
+            assert d.succ[n + i][n + j] == [0] * (2 * n)
+            # the mixed products reduce to the pure dual-action terms
+            for c in (d.prec, d.succ):
+                assert c[i][n + j][:n] == [0] * n
+                assert c[n + j][i][:n] == [0] * n
+
+
+def _r_double_cases():
+    """(pre-algebra, symmetric r) on seeded random pre-algebras of
+    dimensions 1 to 4, most of them not pre-anti-flexible, each with a
+    random r, and on every corpus splitting, each with a random and with
+    the zero r."""
+    rng = seeded(223)
+    for n, count in ((1, 4), (2, 4), (3, 4), (4, 2)):
+        for _ in range(count):
+            yield PreAlgebra(n, rand_t3(rng, n), rand_t3(rng, n)), \
+                rand_sym_mat(rng, n)
+    for palg in all_corpus_pre():
+        yield palg, rand_sym_mat(rng, palg.dimension)
+        yield palg, zeros_mat(palg.dimension)
+
+
+def test_assembled_double_matches_reference():
+    for palg, r in _r_double_cases():
+        assert assembled_double(palg, r) == \
+            reference.assembled_double(palg, r)
+
+
+def test_r_double_and_operator_form_match_reference():
+    # every failure is compared where the first one is
+    seen = {True: 0, False: 0}
+    for palg, r in _r_double_cases():
+        for check, ref in ((check_r_double_consistency,
+                            reference.check_r_double_consistency),
+                           (operator_form_check,
+                            reference.operator_form_check)):
+            rep = check(palg, r)
+            assert rep == ref(palg, r)
+            if not rep.passed:
+                assert check(palg, r, True) == ref(palg, r, True)
+            seen[rep.passed] += 1
+    assert seen[True] and seen[False]
+
+
+def test_assembled_double_is_the_route_four_double():
+    # on a pre-anti-flexible base, the r-double is the pre double that
+    # route 4 of verify_bialgebra scans for the case-two bialgebra
+    rng = seeded(227)
+    for palg in all_corpus_pre():
+        r = rand_sym_mat(rng, palg.dimension)
+        b = special_case_bialgebra(palg, r, "two")
+        route4 = build_pre_double(dual_pre_matched(
+            palg, dual_products_from_comult(b.delta_prec, b.delta_succ),
+            check_inputs=False))
+        d = assembled_double(palg, r)
+        assert (d.prec, d.succ) == (route4.prec, route4.succ)
+
+
+def test_r_double_and_operator_form_reject_bad_r():
+    palg = DIM2_PRE[0]
+    for r in ([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(0)]],
+              zeros_mat(3)):
+        for check in (assembled_double, check_r_double_consistency,
+                      operator_form_check):
+            with pytest.raises(PreconditionError):
+                check(palg, r)
 
 
 def test_assembled_double_consistency_iff_pafybe():
