@@ -135,10 +135,18 @@ def scan(name, residuals, all_failures=False) -> CheckReport:
 
 
 def require_square(caller, what, m, n):
-    """Raise PreconditionError unless the matrix m is n x n."""
+    """Raise PreconditionError unless the matrix m is n x n with entries
+    ints and Fractions (bools and floats are not), naming the index of a
+    bad entry."""
     if len(m) != n or any(len(row) != n for row in m):
         raise PreconditionError("%s: %s must be %d x %d"
                                 % (caller, what, n, n))
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if type(x) is not Fraction and type(x) is not int:
+                raise PreconditionError(
+                    "%s: %s[%d][%d] is %r, not an int or Fraction"
+                    % (caller, what, i, j, x))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ the dual-structure conditions are finite signed sums of such placed
 products, encoded here as symbolic term lists so that the flip of product
 decorations (flp) and the outer slot swap (sigma13) act on expressions
 before evaluation.
+
+The two one-parameter special cases are the coboundary conditions at the
+r-pairs (r, -sigma r) and (-r, r), relabelled by SPECIAL_CASE_LABELS.  In
+case one coboundary-1 and coboundary-2 vanish identically, and the others
+are case-one-A to D; in case two the six families are case-two-A to F,
+with case-two-C the negated coboundary-3.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from .algebra import PreAlgebra, CheckReport, PreconditionError, \
 from .bialgebra import Bialgebra
 from .bimodule import multiplication_operators, act
 from .linalg import (
-    ZERO, eye, transpose, mat_add, mat_sub, mat_neg, mat_mul, apply2,
-    apply_slot3, t3_add, t3_sub,
+    ZERO, eye, transpose, mat_add, mat_neg, mat_mul, mat_is_zero, apply2,
+    apply_slot3, t3_add, t3_sub, zeros_mat,
 )
 
 
@@ -34,12 +40,9 @@ class RPair:
     r_succ: tuple
 
     def __post_init__(self):
-        n = len(self.r_prec)
         for name in ("r_prec", "r_succ"):
             m = getattr(self, name)
-            if len(m) != n or any(len(row) != n for row in m):
-                raise PreconditionError("RPair: components must be square "
-                                        "matrices of equal extent")
+            require_square("RPair", name, m, len(self.r_prec))
             object.__setattr__(self, name, tuple(tuple(row) for row in m))
 
     @property
@@ -228,27 +231,22 @@ def mnpq(palg: PreAlgebra, rp: RPair, which):
                                _rpair_mats(rp))
 
 
-def _apply_middle(m, pos, slot, op):
-    """Apply an operator to the component of a placed r-element sitting at
-    the given slot."""
-    if slot == pos[0]:
-        return mat_mul(op, list(map(list, m)))
-    if slot == pos[1]:
-        return mat_mul(list(map(list, m)), transpose(op))
-    raise PreconditionError("operator slot not occupied by the placement")
-
-
 def _rprime(c, ops, rp, x):
-    succ = c["succ"]
+    """The r-term of the second cubic condition at the basis element x;
+    None, a zero term, when r_prec + r_succ is zero."""
     s12 = mat_add(rp.r_prec, rp.r_succ)
+    if mat_is_zero(s12):
+        return None
     op1 = mat_add(ops["R_prec"][x], ops["L_succ"][x])
     op2 = mat_add(ops["L_prec"][x], ops["R_succ"][x])
     n = len(s12)
     out = _zeros_flat(n)
-    placed_product(_apply_middle(rp.r_prec, (3, 2), 2, op1), (3, 2),
-                   s12, (1, 2), succ, out)
-    placed_product(_apply_middle(rp.r_prec, (3, 1), 1, op2), (3, 1),
-                   s12, (2, 1), succ, out, -1)
+    # each operator acts on the second component of r_prec, the one at the
+    # slot it shares with r_prec + r_succ
+    placed_product(mat_mul(rp.r_prec, transpose(op1)), (3, 2), s12, (1, 2),
+                   c["succ"], out)
+    placed_product(mat_mul(rp.r_prec, transpose(op2)), (3, 1), s12, (2, 1),
+                   c["succ"], out, -1)
     return _unflatten(out, n)
 
 
@@ -289,62 +287,58 @@ def coboundary_bialgebra(palg: PreAlgebra, rp: RPair) -> Bialgebra:
 # the six coboundary condition families
 # ---------------------------------------------------------------------------
 
-def _quadratic_residuals(palg, ops, rp, i, j):
-    """The four quadratic conditions on (e_i, e_j), as matrix residuals."""
-    ident = eye(palg.dimension)
+def _quadratic_residuals(palg, ops, rp):
+    """The four quadratic conditions on each basis pair (e_i, e_j), as a
+    stream of matrix residuals.  Every term applies an operator pair to one
+    of four sums of the r-pair, formed once per check; a sum that is
+    exactly zero makes its terms zero, and they are skipped."""
+    n = palg.dimension
+    ident = eye(n)
     Lp, Rp = ops["L_prec"], ops["R_prec"]
     Ls, Rs = ops["L_succ"], ops["R_succ"]
     Ld, Rd = ops["L_dot"], ops["R_dot"]
-    sp = transpose(rp.r_prec)
-    ss = transpose(rp.r_succ)
-    s_sp = mat_add(list(map(list, rp.r_succ)), sp)       # r_succ + sigma r_prec
-    p_ss = mat_add(list(map(list, rp.r_prec)), ss)       # r_prec + sigma r_succ
-    both = mat_add(list(map(list, rp.r_succ)), list(map(list, rp.r_prec)))
-    sboth = mat_add(sp, ss)
-    prec_ij = palg.prec[i][j]
-    prec_ji = palg.prec[j][i]
-    succ_ij = palg.succ[i][j]
-    succ_ji = palg.succ[j][i]
-    res1 = mat_add(apply2(Rp[j], Ld[i], s_sp), apply2(Ls[j], Rd[i], s_sp))
-    res2 = mat_add(apply2(Ls[i], Ld[j], s_sp),
-                   mat_neg(apply2(Rp[j], Rd[i], s_sp)),
-                   mat_neg(apply2(Ls[j], Ld[i], s_sp)),
-                   apply2(Rp[i], Rd[j], s_sp))
-    res3 = mat_add(
-        apply2(Rs[j], Ls[i], p_ss), apply2(Lp[j], Rp[i], p_ss),
-        apply2(Rp[j], Ls[i], sboth), apply2(Ls[j], Rp[i], sboth),
-        apply2(ident, mat_add(act(Ls, prec_ij), act(Rp, succ_ji)), both),
-        mat_neg(apply2(mat_add(act(Ls, prec_ji), act(Rp, succ_ij)), ident,
-                       sboth)))
-    res4 = mat_add(
-        apply2(Rp[i], Rp[j], both), apply2(Ls[i], Ls[j], both),
-        mat_neg(apply2(ident, mat_add(mat_mul(Ls[i], Rp[j]),
-                                      mat_mul(Rp[i], Ls[j])), both)),
-        apply2(mat_add(mat_mul(Rp[i], Ls[j]), mat_mul(Ls[i], Rp[j])), ident,
-               sboth),
-        mat_neg(apply2(Ls[j], Ls[i], sboth)),
-        mat_neg(apply2(Rp[j], Rp[i], sboth)),
-        apply2(Rp[i], Rs[j], s_sp), apply2(Ls[i], Lp[j], s_sp),
-        mat_neg(apply2(Lp[j], Ls[i], p_ss)),
-        mat_neg(apply2(Rs[j], Rp[i], p_ss)))
-    return (("coboundary-1", res1), ("coboundary-2", res2),
-            ("coboundary-3", res3), ("coboundary-4", res4))
+    r_prec, r_succ = list(map(list, rp.r_prec)), list(map(list, rp.r_succ))
+    sp, ss = transpose(r_prec), transpose(r_succ)
+    s_sp, p_ss, both, sboth = (None if mat_is_zero(m) else m for m in (
+        mat_add(r_succ, sp),                    # r_succ + sigma r_prec
+        mat_add(r_prec, ss),                    # r_prec + sigma r_succ
+        mat_add(r_succ, r_prec), mat_add(sp, ss)))
 
+    def total(*groups):
+        """The sum of sign (P (x) Q) m over the groups (m, (sign, P, Q)...)."""
+        terms = [apply2(p, q, m) if sign > 0 else mat_neg(apply2(p, q, m))
+                 for m, *pairs in groups if m is not None
+                 for sign, p, q in pairs]
+        return mat_add(*terms) if terms else zeros_mat(n)
 
-def _first_kind_tensors(c, expr, mats):
-    """M, flp M, sigma13 flp M and flp sigma13 flp M of a cubic expression;
-    none of them depends on the basis element, so they are evaluated once
-    per check."""
-    flp = flp_expression(expr)
-    swapped = sigma13_expression(flp)
-    return tuple(evaluate_expression(c, e, mats)
-                 for e in (expr, flp, swapped, flp_expression(swapped)))
+    for i, j in product(range(n), repeat=2):
+        yield "coboundary-1", (i, j), total(
+            (s_sp, (1, Rp[j], Ld[i]), (1, Ls[j], Rd[i])))
+        yield "coboundary-2", (i, j), total(
+            (s_sp, (1, Ls[i], Ld[j]), (-1, Rp[j], Rd[i]),
+             (-1, Ls[j], Ld[i]), (1, Rp[i], Rd[j])))
+        op_in = None if both is None else mat_add(
+            act(Ls, palg.prec[i][j]), act(Rp, palg.succ[j][i]))
+        op_out = None if sboth is None else mat_add(
+            act(Ls, palg.prec[j][i]), act(Rp, palg.succ[i][j]))
+        yield "coboundary-3", (i, j), total(
+            (p_ss, (1, Rs[j], Ls[i]), (1, Lp[j], Rp[i])),
+            (sboth, (1, Rp[j], Ls[i]), (1, Ls[j], Rp[i]),
+             (-1, op_out, ident)),
+            (both, (1, ident, op_in)))
+        lr = None if both is None and sboth is None else mat_add(
+            mat_mul(Ls[i], Rp[j]), mat_mul(Rp[i], Ls[j]))
+        yield "coboundary-4", (i, j), total(
+            (both, (1, Rp[i], Rp[j]), (1, Ls[i], Ls[j]), (-1, ident, lr)),
+            (sboth, (1, lr, ident), (-1, Ls[j], Ls[i]), (-1, Rp[j], Rp[i])),
+            (s_sp, (1, Rp[i], Rs[j]), (1, Ls[i], Lp[j])),
+            (p_ss, (-1, Lp[j], Ls[i]), (-1, Rs[j], Rp[i])))
 
 
 def _cubic_first_kind(ops, tensors, i):
     """((id(x)id(x)L_succ(x)) - (R_prec(x)(x)id(x)id) sigma13.flp
     + (id(x)id(x)R_prec(x)) flp - (L_succ(x)(x)id(x)id) flp.sigma13.flp)
-    applied to an expression, given its _first_kind_tensors."""
+    applied to M, given the tensors (M, P, N, Q)."""
     mv, pv, nv, qv = tensors
     return t3_sub(t3_add(apply_slot3(mv, 3, ops["L_succ"][i]),
                          apply_slot3(pv, 3, ops["R_prec"][i])),
@@ -352,17 +346,10 @@ def _cubic_first_kind(ops, tensors, i):
                          apply_slot3(qv, 1, ops["L_succ"][i])))
 
 
-def _second_kind_tensors(c, m_expr, p_expr, mats):
-    """M, flp M, P and flp P, evaluated once per check."""
-    return tuple(evaluate_expression(c, e, mats)
-                 for e in (m_expr, flp_expression(m_expr),
-                           p_expr, flp_expression(p_expr)))
-
-
 def _cubic_second_kind(ops, tensors, i, rterm=None):
     """((id(x)id(x)L_dot(x)) + (id(x)id(x)R_dot(x)) flp) M + R
     - ((R_prec(x)(x)id(x)id) + (L_succ(x)(x)id(x)id) flp) P, given the
-    _second_kind_tensors of M and P."""
+    tensors (M, flp M, P, flp P)."""
     mv, nv, pv, qv = tensors
     pos = t3_add(apply_slot3(mv, 3, ops["L_dot"][i]),
                  apply_slot3(nv, 3, ops["R_dot"][i]))
@@ -372,38 +359,43 @@ def _cubic_second_kind(ops, tensors, i, rterm=None):
                               apply_slot3(qv, 1, ops["L_succ"][i])))
 
 
+def _require_base(caller, palg):
+    base = check_identities(palg, "pre-anti-flexible")
+    if not base.passed:
+        raise PreconditionError("%s: base fails the pre-anti-flexible check; "
+                                "witness %r" % (caller, base.witness))
+
+
 def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
                                 all_failures=False) -> CheckReport:
     """The six condition families whose joint validity is equivalent to the
     coboundary comultiplications making (A, A*) a bialgebra: four quadratic
     conditions over basis pairs, and two cubic dual-structure conditions
-    over basis elements (the companion tensors of M and M', P' come from
-    the decoration flip and the outer slot swap)."""
-    base = check_identities(palg, "pre-anti-flexible")
-    if not base.passed:
-        raise PreconditionError("check_coboundary_conditions: base fails the "
-                                "pre-anti-flexible check; witness %r"
-                                % (base.witness,))
+    over basis elements (P, N, Q are the images of M, and N', Q' of M'
+    and P', under the decoration flip and the outer slot swap)."""
+    _require_base("check_coboundary_conditions", palg)
     if rp.dimension != palg.dimension:
         raise PreconditionError("check_coboundary_conditions: dimension "
                                 "mismatch")
-    ops = multiplication_operators(palg)
-    n = palg.dimension
+    return scan("coboundary-conditions", _coboundary_residuals(palg, rp),
+                all_failures)
 
-    def residuals():
-        for i, j in product(range(n), repeat=2):
-            for label, res in _quadratic_residuals(palg, ops, rp, i, j):
-                yield label, (i, j), res
-        c = structure_tensors(palg)
-        mats = _rpair_mats(rp)
-        first = _first_kind_tensors(c, _EXPRESSIONS["M"], mats)
-        second = _second_kind_tensors(c, _EXPRESSIONS["M'"],
-                                      _EXPRESSIONS["P'"], mats)
-        for i in range(n):
-            yield "dual-structure-1", (i,), _cubic_first_kind(ops, first, i)
-            yield "dual-structure-2", (i,), _cubic_second_kind(
-                ops, second, i, _rprime(c, ops, rp, i))
-    return scan("coboundary-conditions", residuals(), all_failures)
+
+def _coboundary_residuals(palg, rp):
+    """The residual stream of the six families, for a base and an r-pair
+    already checked; the cubic tensors are built only when the stream is
+    read past the quadratic conditions."""
+    ops = multiplication_operators(palg)
+    yield from _quadratic_residuals(palg, ops, rp)
+    c, mats = structure_tensors(palg), _rpair_mats(rp)
+    t = {key: evaluate_expression(c, terms, mats)
+         for key, terms in _EXPRESSIONS.items()}
+    first = t["M"], t["P"], t["N"], t["Q"]
+    second = t["M'"], t["N'"], t["P'"], t["Q'"]
+    for i in range(palg.dimension):
+        yield "dual-structure-1", (i,), _cubic_first_kind(ops, first, i)
+        yield "dual-structure-2", (i,), _cubic_second_kind(
+            ops, second, i, _rprime(c, ops, rp, i))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +426,25 @@ def pafybe_core(c, r, all_failures=False) -> CheckReport:
 # the two one-parameter special cases
 # ---------------------------------------------------------------------------
 
-SPECIAL_CASES = ("one", "two")
+# How the coboundary conditions read at each specialised r-pair: coboundary
+# label -> (case label, sign), the case residual being sign times the
+# coboundary residual.  In case one r_succ + sigma r_prec and r_prec +
+# sigma r_succ are zero, so coboundary-1 and coboundary-2 vanish
+# identically and have no case label.
+SPECIAL_CASE_LABELS = {
+    "one": {"coboundary-3": ("case-one-A", 1),
+            "coboundary-4": ("case-one-B", 1),
+            "dual-structure-1": ("case-one-C", 1),
+            "dual-structure-2": ("case-one-D", 1)},
+    "two": {"coboundary-1": ("case-two-A", 1),
+            "coboundary-2": ("case-two-B", 1),
+            "coboundary-3": ("case-two-C", -1),
+            "coboundary-4": ("case-two-D", 1),
+            "dual-structure-1": ("case-two-E", 1),
+            "dual-structure-2": ("case-two-F", 1)},
+}
+
+SPECIAL_CASES = tuple(SPECIAL_CASE_LABELS)
 
 
 def special_case_rpair(r, case) -> RPair:
@@ -450,108 +460,30 @@ def special_case_rpair(r, case) -> RPair:
 def special_case_bialgebra(palg: PreAlgebra, r, case) -> Bialgebra:
     """The candidate bialgebra of a one-parameter r-element under the given
     specialization."""
-    base = check_identities(palg, "pre-anti-flexible")
-    if not base.passed:
-        raise PreconditionError("special_case_bialgebra: base fails the "
-                                "pre-anti-flexible check; witness %r"
-                                % (base.witness,))
+    _require_base("special_case_bialgebra", palg)
     return coboundary_bialgebra(palg, special_case_rpair(r, case))
-
-
-_CASE1_M = ((-1, ("r", 2, 3), "dot", ("r", 2, 1)),
-            (1, ("r", 2, 1), "prec", ("r", 1, 3)),
-            (1, ("r", 3, 1), "succ", ("r", 2, 3)))
-_CASE1_MP = ((1, ("r", 3, 2), "prec", ("r", 2, 1)),
-             (1, ("r", 1, 2), "succ", ("r", 3, 1)),
-             (-1, ("r", 3, 1), "dot", ("r", 3, 2)),
-             (-1, ("r", 3, 2), "succ", ("r", 1, 2)),
-             (1, ("r", 3, 2), "succ", ("r", 2, 1)),
-             (-1, ("r", 2, 1), "prec", ("r", 3, 1)),
-             (1, ("r", 1, 2), "prec", ("r", 3, 1)))
-_CASE1_PP = ((1, ("r", 3, 2), "prec", ("r", 2, 1)),
-             (-1, ("r", 3, 1), "dot", ("r", 3, 2)),
-             (1, ("r", 1, 2), "succ", ("r", 3, 1)),
-             (-1, ("r", 2, 1), "prec", ("r", 3, 1)),
-             (1, ("r", 1, 2), "prec", ("r", 3, 1)))
-_CASE2_M = ((-1, ("r", 2, 3), "dot", ("r", 1, 2)),
-            (1, ("r", 2, 1), "prec", ("r", 1, 3)),
-            (1, ("r", 1, 3), "succ", ("r", 2, 3)))
-_CASE2_MP = ((-1, ("r", 1, 3), "dot", ("r", 2, 3)),
-             (1, ("r", 2, 3), "prec", ("r", 1, 2)),
-             (1, ("r", 2, 1), "succ", ("r", 1, 3)))
-_CASE2_PP = ((-1, ("r", 3, 1), "dot", ("r", 2, 3)),
-             (1, ("r", 3, 2), "prec", ("r", 2, 1)),
-             (1, ("r", 2, 1), "succ", ("r", 3, 1)))
 
 
 def special_case_conditions(palg: PreAlgebra, r, case,
                             all_failures=False) -> CheckReport:
     """The per-case condition sets, each equation reported individually;
     their joint validity is equivalent to the specialized candidate passing
-    the full bialgebra verification."""
-    base = check_identities(palg, "pre-anti-flexible")
-    if not base.passed:
-        raise PreconditionError("special_case_conditions: base fails the "
-                                "pre-anti-flexible check; witness %r"
-                                % (base.witness,))
+    the full bialgebra verification.  They are the coboundary conditions at
+    special_case_rpair(r, case), relabelled by SPECIAL_CASE_LABELS: case one
+    drops coboundary-1 and -2, which vanish identically, and case-two-C is
+    the negated coboundary-3."""
+    _require_base("special_case_conditions", palg)
     if case not in SPECIAL_CASES:
         raise PreconditionError("special_case_conditions: unknown case %r"
                                 % (case,))
-    ops = multiplication_operators(palg)
-    n = palg.dimension
-    ident = eye(n)
-    Lp, Rp = ops["L_prec"], ops["R_prec"]
-    Ls, Rs = ops["L_succ"], ops["R_succ"]
-    Ld, Rd = ops["L_dot"], ops["R_dot"]
-    d = mat_sub(list(map(list, r)), transpose(r))       # r - sigma r
-    mats = {"r": r}
-
-    def case_one():
-        for i, j in product(range(n), repeat=2):
-            op_in = mat_add(act(Ls, palg.prec[i][j]),
-                            act(Rp, palg.succ[j][i]))
-            op_out = mat_add(act(Ls, palg.prec[j][i]),
-                             act(Rp, palg.succ[i][j]))
-            yield "case-one-A", (i, j), mat_add(
-                apply2(ident, op_in, d), apply2(op_out, ident, d),
-                mat_neg(apply2(Rp[j], Ls[i], d)),
-                mat_neg(apply2(Ls[j], Rp[i], d)))
-            yield "case-one-B", (i, j), mat_add(
-                apply2(Rp[i], Rp[j], d), apply2(Ls[i], Ls[j], d),
-                apply2(Ls[j], Ls[i], d), apply2(Rp[j], Rp[i], d),
-                mat_neg(apply2(mat_add(mat_mul(Rp[i], Ls[j]),
-                                       mat_mul(Ls[i], Rp[j])), ident, d)),
-                mat_neg(apply2(ident,
-                               mat_add(mat_mul(Ls[i], Rp[j]),
-                                       mat_mul(Rp[i], Ls[j])), d)))
-        c = structure_tensors(palg)
-        first = _first_kind_tensors(c, _CASE1_M, mats)
-        second = _second_kind_tensors(c, _CASE1_MP, _CASE1_PP, mats)
-        rp = special_case_rpair(r, "one")
-        for i in range(n):
-            yield "case-one-C", (i,), _cubic_first_kind(ops, first, i)
-            yield "case-one-D", (i,), _cubic_second_kind(
-                ops, second, i, _rprime(c, ops, rp, i))
-
-    def case_two():
-        for i, j in product(range(n), repeat=2):
-            yield "case-two-A", (i, j), mat_add(apply2(Rp[j], Ld[i], d),
-                                                apply2(Ls[j], Rd[i], d))
-            yield "case-two-B", (i, j), mat_add(
-                apply2(Ls[i], Ld[j], d), mat_neg(apply2(Rp[j], Rd[i], d)),
-                mat_neg(apply2(Ls[j], Ld[i], d)), apply2(Rp[i], Rd[j], d))
-            yield "case-two-C", (i, j), mat_add(apply2(Rs[j], Ls[i], d),
-                                                apply2(Lp[j], Rp[i], d))
-            yield "case-two-D", (i, j), mat_add(
-                apply2(Rp[i], Rs[j], d), apply2(Ls[i], Lp[j], d),
-                apply2(Lp[j], Ls[i], d), apply2(Rs[j], Rp[i], d))
-        c = structure_tensors(palg)
-        first = _first_kind_tensors(c, _CASE2_M, mats)
-        second = _second_kind_tensors(c, _CASE2_MP, _CASE2_PP, mats)
-        for i in range(n):
-            yield "case-two-E", (i,), _cubic_first_kind(ops, first, i)
-            yield "case-two-F", (i,), _cubic_second_kind(ops, second, i)
-
-    if case == "one":
-        return scan("special-case-one", case_one(), all_failures)
-    return scan("special-case-two", case_two(), all_failures)
+    require_square("special_case_conditions", "r", r, palg.dimension)
+    report = scan("special-case-" + case, _coboundary_residuals(
+        palg, special_case_rpair(r, case)), all_failures)
+    if report.passed:
+        return report
+    labels = SPECIAL_CASE_LABELS[case]
+    failures = tuple((labels[label][0], idx,
+                      res if labels[label][1] > 0 else mat_neg(res))
+                     for label, idx, res in report.failures)
+    return CheckReport(False, report.identity_name, witness=failures[0],
+                       failures=failures)

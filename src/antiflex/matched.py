@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, check_cyclic_form, check_identities, scan, \
-    underlying_algebra
+    basis_residuals, check_cyclic_form, check_identities, require_tensor, \
+    scan, underlying_algebra
 from .bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
     direct_sum_tensor, dual_maps, multiplication_operators
 from .linalg import ONE, vec_neg, zeros_mat, mat_add, transpose
@@ -54,8 +54,8 @@ class AfMatchedPair:
     rB: tuple
 
     def __post_init__(self):
-        for name in ("lA", "rA", "lB", "rB"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _require_actions("AfMatchedPair", self, self.algA, self.algB,
+                         ("lA", "rA"), ("lB", "rB"))
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,22 @@ class PreMatchedPair:
     rp_B: tuple
 
     def __post_init__(self):
-        for name in ("ls_A", "rs_A", "lp_A", "rp_A",
-                     "ls_B", "rs_B", "lp_B", "rp_B"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _require_actions("PreMatchedPair", self, self.palgA, self.palgB,
+                         ("ls_A", "rs_A", "lp_A", "rp_A"),
+                         ("ls_B", "rs_B", "lp_B", "rp_B"))
+
+
+def _require_actions(caller, mp, A, B, fields_A, fields_B):
+    """Store each action family of a matched pair as a tuple, after checking
+    that it holds one matrix of ints and Fractions per basis element of the
+    acting algebra: A's maps on B are (dim A, dim B, dim B) and B's maps on
+    A are (dim B, dim A, dim A)."""
+    nA, nB = A.dimension, B.dimension
+    for fields, shape in ((fields_A, (nA, nB, nB)), (fields_B, (nB, nA, nA))):
+        for name in fields:
+            maps = getattr(mp, name)
+            require_tensor(caller, name, maps, shape)
+            object.__setattr__(mp, name, tuple(maps))
 
 
 # ---------------------------------------------------------------------------

@@ -262,9 +262,10 @@ def test_criterion_09():
 
 @criterion(10, "tensor-calculus symmetry remarks")
 def test_criterion_10():
-    from antiflex.coboundary import _CASE2_M, _CASE2_PP, _EXPRESSIONS, \
-        _rpair_mats, evaluate_expression, flp_expression, sigma13_expression, \
+    from antiflex.coboundary import _EXPRESSIONS, _rpair_mats, \
+        evaluate_expression, flp_expression, sigma13_expression, \
         structure_tensors
+    from coboundary_reference import _CASE2_M, _CASE2_PP
     subjects = [PreAlgebra(1, zeros_t3(1), zeros_t3(1))] + DIM2_PRE
     qt2 = from_associative(CORPUS["qt2"], "succ-left")
     subjects.append(canonical_solution(qt2)[0])  # dimension 4

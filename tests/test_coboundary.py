@@ -1,7 +1,9 @@
 from fractions import Fraction
 from itertools import product
 
-from antiflex.algebra import check_identities
+import pytest
+
+from antiflex.algebra import PreconditionError, check_identities
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
     RPair, check_coboundary_conditions, check_pafybe, coboundary_bialgebra,
@@ -9,7 +11,7 @@ from antiflex.coboundary import (
     special_case_bialgebra, special_case_conditions, special_case_rpair,
 )
 from antiflex.harness import SearchSpec, grid_search
-from antiflex.operators import canonical_solution
+from antiflex.operators import canonical_solution, check_rota_baxter
 from antiflex.linalg import (
     apply2, eye, mat_add, permute3, t3_add, t3_is_zero, transpose, zeros_mat,
     zeros_t3,
@@ -17,7 +19,9 @@ from antiflex.linalg import (
 from antiflex.bimodule import multiplication_operators
 from antiflex.algebra import from_associative
 
-from helpers import CORPUS, DIM2_PRE, rand_mat, seeded, sparse_mat
+from helpers import CORPUS, DIM2_PRE, rand_mat, rand_sym_mat, seeded, \
+    sparse_mat
+import coboundary_reference
 
 
 def _rand_rpair(rng, n, dense=False):
@@ -198,8 +202,8 @@ def test_special_cases_on_canonical():
 
 
 def test_case_two_p2_equals_sigma123_m2():
-    from antiflex.coboundary import _CASE2_M, _CASE2_PP, \
-        evaluate_expression, structure_tensors
+    from antiflex.coboundary import evaluate_expression, structure_tensors
+    from coboundary_reference import _CASE2_M, _CASE2_PP
     rng = seeded(107)
     for trial in range(20):
         palg = DIM2_PRE[trial % len(DIM2_PRE)]
@@ -236,3 +240,70 @@ def test_special_case_conditions_agree_with_verifier():
         assert cond == truth
         seen[cond] += 1
     assert seen[True] and seen[False]
+
+
+def _special_case_subjects():
+    """Every corpus splitting (succ-left and prec-right) with random r, and
+    the canonical doubles of q1, qt2 and t3 with their canonical solution
+    (which passes both cases) and random r."""
+    rng = seeded(113)
+    subjects = [from_associative(alg, variant) for alg in CORPUS.values()
+                for variant in ("succ-left", "prec-right")]
+    out = []
+    for name in ("q1", "qt2", "t3"):
+        double, r = canonical_solution(
+            from_associative(CORPUS[name], "succ-left"))
+        out.append((double, r))
+        subjects.append(double)
+    for palg in subjects:
+        n = palg.dimension
+        trials = 2 if n < 4 else 1
+        out += [(palg, rand_mat(rng, n, span=1)) for _ in range(trials)]
+        out += [(palg, rand_sym_mat(rng, n, span=1)) for _ in range(trials)]
+    return out
+
+
+def test_special_case_conditions_match_reference():
+    # the special cases are the coboundary conditions at the specialised
+    # r-pair, relabelled: the same reports as the hand-written cases
+    failed = set()
+    passed = 0
+    for palg, r in _special_case_subjects():
+        for case in ("one", "two"):
+            for every in (False, True):
+                report = special_case_conditions(palg, r, case, every)
+                assert report == coboundary_reference.special_case_conditions(
+                    palg, r, case, every), (case, every)
+                failed.update(label for label, _idx, _res in report.failures)
+                passed += report.passed
+    assert failed == {"case-one-" + x for x in "ABCD"} | \
+        {"case-two-" + x for x in "ABCDEF"}
+    assert passed
+
+
+def test_special_case_conditions_reject_wrong_shaped_r():
+    palg = from_associative(CORPUS["qt2"], "succ-left")
+    for r in ([[1, 0, 0], [0, 0, 0]], [[1, 0], [0, 0], [0, 0]], [[1]]):
+        for case in ("one", "two"):
+            with pytest.raises(PreconditionError,
+                               match="special_case_conditions: r must be "
+                                     "2 x 2"):
+                special_case_conditions(palg, r, case)
+
+
+def test_r_checks_reject_inexact_entries():
+    palg = from_associative(CORPUS["qt2"], "succ-left")
+    for bad in (0.5, True):
+        r = [[Fraction(0), Fraction(1)], [bad, Fraction(0)]]
+        entry = r"\[1\]\[0\] is %r, not an int or Fraction" % (bad,)
+        with pytest.raises(PreconditionError, match="check_pafybe: r" + entry):
+            check_pafybe(palg, r)
+        for case in ("one", "two"):
+            with pytest.raises(PreconditionError,
+                               match="special_case_conditions: r" + entry):
+                special_case_conditions(palg, r, case)
+        with pytest.raises(PreconditionError, match="RPair: r_succ" + entry):
+            check_coboundary_conditions(palg, RPair(zeros_mat(2), r))
+        with pytest.raises(PreconditionError,
+                           match="check_rota_baxter: alpha" + entry):
+            check_rota_baxter(CORPUS["qt2"], r)

@@ -288,3 +288,35 @@ def test_cyclic_form_all_failures():
     assert not every.passed and list(every.failures) == expected
     first = check_cyclic_form(alg, omega)
     assert first.witness == expected[0] and first.failures == (expected[0],)
+
+
+def test_matched_pairs_reject_bad_action_maps():
+    qt2, ut2 = CORPUS["qt2"], CORPUS["ut2"]
+    z = (zeros_mat(2), zeros_mat(2))
+    with pytest.raises(PreconditionError,
+                       match=r"AfMatchedPair: lA\[0\] must be a list of 2"):
+        check_af_matched(AfMatchedPair(qt2, qt2, [[[1]]] * 2, z, z, z))
+    # qt2 (dimension 2) and ut2 (dimension 3): A's maps are 2 x (3 x 3)
+    # and B's 3 x (2 x 2)
+    on_b = [zeros_mat(3)] * 2
+    on_a = [zeros_mat(2)] * 3
+    assert check_af_matched(AfMatchedPair(qt2, ut2, on_b, on_b, on_a, on_a))
+    with pytest.raises(PreconditionError,
+                       match="AfMatchedPair: rB must be a list of 3"):
+        AfMatchedPair(qt2, ut2, on_b, on_b, on_a, on_a[:2])
+    half = [zeros_mat(2), [[0, 0], [0, 0.5]], zeros_mat(2)]
+    with pytest.raises(PreconditionError,
+                       match=r"AfMatchedPair: lB\[1\]\[1\]\[1\] is 0.5"):
+        AfMatchedPair(qt2, ut2, on_b, on_b, half, on_a)
+    palgA = PreAlgebra(2, zeros_t3(2), zeros_t3(2))
+    palgB = PreAlgebra(3, zeros_t3(3), zeros_t3(3))
+    maps = {f.name: on_b if f.name.endswith("A") else on_a
+            for f in fields(PreMatchedPair) if f.name.startswith(("l", "r"))}
+    assert check_pre_matched(PreMatchedPair(palgA, palgB, **maps))
+    for name in maps:
+        # each family given the other side's maps
+        mine, other = (2, on_a) if name.endswith("A") else (3, on_b)
+        with pytest.raises(PreconditionError,
+                           match="PreMatchedPair: %s must be a list of %d "
+                                 "entries" % (name, mine)):
+            PreMatchedPair(palgA, palgB, **dict(maps, **{name: other}))
