@@ -134,19 +134,24 @@ def scan(name, residuals, all_failures=False) -> CheckReport:
                        else (failures[0],))
 
 
-def require_square(caller, what, m, n):
-    """Raise PreconditionError unless the matrix m is n x n with entries
-    ints and Fractions (bools and floats are not), naming the index of a
-    bad entry."""
-    if len(m) != n or any(len(row) != n for row in m):
+def require_matrix(caller, what, m, rows, cols):
+    """Raise PreconditionError unless the matrix m is rows x cols with
+    entries ints and Fractions (bools and floats are not), naming the index
+    of a bad entry."""
+    if len(m) != rows or any(len(row) != cols for row in m):
         raise PreconditionError("%s: %s must be %d x %d"
-                                % (caller, what, n, n))
+                                % (caller, what, rows, cols))
     for i, row in enumerate(m):
         for j, x in enumerate(row):
             if type(x) is not Fraction and type(x) is not int:
                 raise PreconditionError(
                     "%s: %s[%d][%d] is %r, not an int or Fraction"
                     % (caller, what, i, j, x))
+
+
+def require_square(caller, what, m, n):
+    """require_matrix for an n x n matrix."""
+    require_matrix(caller, what, m, n, n)
 
 
 # ---------------------------------------------------------------------------

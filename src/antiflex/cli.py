@@ -10,31 +10,18 @@ import argparse
 import json
 import sys
 
-from .algebra import PreconditionError, from_associative, \
-    induce_pre_from_form, ALGEBRA_KINDS, FROM_ASSOCIATIVE_VARIANTS, \
-    PREALGEBRA_KINDS
-from .bimodule import AfBimodule, PreBimodule, semidirect_pre
-from .coboundary import RPair, SPECIAL_CASES, coboundary_bialgebra, \
-    special_case_bialgebra
-from .harness import FormatError, RElement, SearchSpec, CHECK_COMMANDS, \
-    SEARCH_TARGETS, as_matrix, grid_search, load_check_inputs, load_file, \
-    parse_scalar, random_element_oracle, run_check, save_file, \
+from .algebra import PreconditionError, ALGEBRA_KINDS, \
+    FROM_ASSOCIATIVE_VARIANTS, PREALGEBRA_KINDS
+from .coboundary import SPECIAL_CASES
+from .harness import FormatError, SearchSpec, CHECK_COMMANDS, CONSTRUCTIONS, \
+    SEARCH_TARGETS, grid_search, load_file, load_inputs, parse_scalar, \
+    random_element_oracle, run_check, run_construction, save_file, \
     search_results
 from .linalg import SingularMatrixError
-from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
-    build_pre_double
-from .operators import OOperator, canonical_solution, induced_pre_from_map, \
-    solution_from_o_operator
-
-# each construction by the number of input files it reads
-CONSTRUCT_INPUTS = {"semidirect": 1, "double": 1, "coboundary": 2,
-                    "canonical-r": 1, "from-o-operator": 2, "from-form": 2,
-                    "from-associative": 1, "from-rb": 2}
-CONSTRUCT_WHATS = tuple(CONSTRUCT_INPUTS)
 
 
 def _cmd_check(args):
-    inputs = load_check_inputs(args.command, args.files)
+    inputs = load_inputs("check", args.command, args.files)
     report = run_check(args.command, inputs, kind=args.kind,
                        all_failures=args.all_witnesses)
     if args.json:
@@ -48,60 +35,10 @@ def _cmd_check(args):
     return 0 if report["verdict"] == "pass" else 1
 
 
-def _construct(args):
-    what = args.what
-    if len(args.files) != CONSTRUCT_INPUTS[what]:
-        raise FormatError("construct %s reads %d input files, got %d"
-                          % (what, CONSTRUCT_INPUTS[what], len(args.files)))
-    inputs = [load_file(p) for p in args.files]
-    if what == "semidirect":
-        (bm,) = inputs
-        if not isinstance(bm, PreBimodule):
-            raise FormatError("semidirect expects a bimodule file with "
-                              "variant 'pre'")
-        return semidirect_pre(bm), None
-    if what == "double":
-        (mp,) = inputs
-        if isinstance(mp, AfMatchedPair):
-            return build_af_double(mp), None
-        if isinstance(mp, PreMatchedPair):
-            return build_pre_double(mp), None
-        raise FormatError("double expects a matched-pair file")
-    if what == "coboundary":
-        palg, relt = inputs
-        if isinstance(relt, RPair):
-            return coboundary_bialgebra(palg, relt), None
-        if args.case is None:
-            raise FormatError("a single-matrix r-element needs --case "
-                              "(one of %s)" % (SPECIAL_CASES,))
-        return special_case_bialgebra(palg, as_matrix(relt),
-                                      args.case), None
-    if what == "canonical-r":
-        (palg,) = inputs
-        double, r = canonical_solution(palg)
-        return RElement(double.dimension, r), double
-    if what == "from-o-operator":
-        bm, tmap = inputs
-        if not isinstance(bm, AfBimodule):
-            raise FormatError("from-o-operator expects a bimodule file with "
-                              "variant 'anti-flexible'")
-        double, r = solution_from_o_operator(OOperator(bm,
-                                                       as_matrix(tmap)))
-        return RElement(double.dimension, r), double
-    if what == "from-form":
-        alg, omega = inputs
-        return induce_pre_from_form(alg, as_matrix(omega)), None
-    if what == "from-associative":
-        (alg,) = inputs
-        return from_associative(alg, args.variant), None
-    if what == "from-rb":
-        alg, alpha = inputs
-        return induced_pre_from_map(alg, as_matrix(alpha)), None
-    raise FormatError("unknown construction %r" % (what,))
-
-
 def _cmd_construct(args):
-    primary, secondary = _construct(args)
+    primary, secondary = run_construction(
+        args.what, load_inputs("construct", args.what, args.files),
+        args.case, args.variant)
     save_file(args.output, primary)
     print("wrote %s" % args.output)
     if args.secondary:
@@ -156,7 +93,7 @@ def build_parser():
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="build a derived object")
-    p.add_argument("what", choices=CONSTRUCT_WHATS)
+    p.add_argument("what", choices=CONSTRUCTIONS)
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--secondary", default=None,

@@ -2,8 +2,10 @@
 grid searches.
 
 Objects travel as JSON with every scalar a "p/q" string (never floats), so
-exactness survives any toolchain.  parse/serialize round-trip exactly on
-canonical files; unknown fields are rejected with the offending path.
+exactness survives any toolchain.  Each kind of file is described once, by
+its rows of _SCHEMA, which parse_file and serialize both read: they
+round-trip exactly on canonical files, and unknown fields are rejected with
+the offending path.
 """
 
 from __future__ import annotations
@@ -14,21 +16,26 @@ import os
 import random
 import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, identity_residuals
+    check_identities, from_associative, identity_residuals, \
+    induce_pre_from_form, require_matrix, require_square
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
-    check_pre_bimodule
-from .coboundary import RPair, check_pafybe, check_coboundary_conditions, \
-    pafybe_core, structure_tensors
-from .matched import AfMatchedPair, PreMatchedPair, check_af_matched, \
-    check_pre_matched
-from .operators import OOperator, check_rota_baxter, check_o_operator, \
-    check_two_cocycle, check_r_double_consistency, o_operator_core, \
-    require_af_bimodule, require_anti_flexible, rota_baxter_core
+    check_pre_bimodule, semidirect_pre
+from .coboundary import RPair, SPECIAL_CASES, check_pafybe, \
+    check_coboundary_conditions, coboundary_bialgebra, pafybe_core, \
+    special_case_bialgebra, structure_tensors
+from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
+    build_pre_double, check_af_matched, check_pre_matched
+from .operators import OOperator, canonical_solution, check_rota_baxter, \
+    check_o_operator, check_two_cocycle, check_r_double_consistency, \
+    induced_pre_from_map, o_operator_core, require_af_bimodule, \
+    require_anti_flexible, rota_baxter_core, solution_from_o_operator
 from .linalg import vec_is_zero
 
 FORMAT_VERSION = 1
@@ -49,10 +56,7 @@ class RElement:
     r: tuple
 
     def __post_init__(self):
-        if len(self.r) != self.dimension or \
-                any(len(row) != self.dimension for row in self.r):
-            raise PreconditionError("RElement: matrix must be square of the "
-                                    "stated dimension")
+        require_square("RElement", "r", self.r, self.dimension)
         object.__setattr__(self, "r", tuple(tuple(row) for row in self.r))
 
 
@@ -64,15 +68,14 @@ class LinearMap:
     matrix: tuple
 
     def __post_init__(self):
-        if len(self.matrix) != self.rows or \
-                any(len(row) != self.cols for row in self.matrix):
-            raise PreconditionError("LinearMap: matrix must be rows x cols")
+        require_matrix("LinearMap", "matrix", self.matrix, self.rows,
+                       self.cols)
         object.__setattr__(self, "matrix",
                            tuple(tuple(row) for row in self.matrix))
 
 
 # ---------------------------------------------------------------------------
-# scalar and shape plumbing
+# scalars
 # ---------------------------------------------------------------------------
 
 # the scalars serialize writes: an optional minus sign, ASCII digits, and
@@ -100,191 +103,181 @@ def _fmt(x):
     return str(Fraction(x))
 
 
-def _vec(data, n, path):
+# ---------------------------------------------------------------------------
+# the schema: one row per kind and variant, read by parse_file and serialize
+# ---------------------------------------------------------------------------
+
+# What a field holds: a positive int; the basis names (optional, as many as
+# the "dimension" field says); an embedded structure of the kind named; or a
+# tensor of scalars, as the tuple of the fields whose values are its
+# extents.  An embedded field stands for its dimension, and a tensor over
+# its basis is a family of matrices, one per basis vector.
+_INT, _NAMES = "a positive integer", "basis names"
+_CUBE, _SQUARE = ("dimension",) * 3, ("dimension",) * 2
+_ON_BASE, _A_ON_B, _B_ON_A = ("base", "space_dim", "space_dim"), \
+    ("A", "B", "B"), ("B", "A", "A")
+_PRE_MAPS = ("ls", "rs", "lp", "rp")
+
+# A row: the class, its "kind" and "variant" (None when the kind is written
+# without one), the constructor taking the field values in order, each field
+# as (JSON key, what it holds) in the order serialize writes them, and the
+# attribute each key is written from where it is not the key itself.
+_Row = namedtuple("_Row", "cls kind variant build fields attrs",
+                  defaults=({},))
+_SCHEMA = (
+    _Row(Algebra, "algebra", None,
+         lambda n, names, product: Algebra(n, product, names),
+         (("dimension", _INT), ("basis_names", _NAMES),
+          ("product", _CUBE))),
+    _Row(PreAlgebra, "pre-algebra", None,
+         lambda n, names, prec, succ: PreAlgebra(n, prec, succ, names),
+         (("dimension", _INT), ("basis_names", _NAMES), ("prec", _CUBE),
+          ("succ", _CUBE))),
+    _Row(AfBimodule, "bimodule", "anti-flexible", AfBimodule,
+         (("base", "algebra"), ("space_dim", _INT), ("l", _ON_BASE),
+          ("r", _ON_BASE))),
+    _Row(PreBimodule, "bimodule", "pre", PreBimodule,
+         (("base", "pre-algebra"), ("space_dim", _INT))
+         + tuple((k, _ON_BASE)
+                 for k in ("l_succ", "r_succ", "l_prec", "r_prec"))),
+    _Row(AfMatchedPair, "matched-pair", "anti-flexible", AfMatchedPair,
+         (("A", "algebra"), ("B", "algebra"), ("lA", _A_ON_B),
+          ("rA", _A_ON_B), ("lB", _B_ON_A), ("rB", _B_ON_A)),
+         {"A": "algA", "B": "algB"}),
+    _Row(PreMatchedPair, "matched-pair", "pre", PreMatchedPair,
+         (("A", "pre-algebra"), ("B", "pre-algebra"))
+         + tuple((k + "_A", _A_ON_B) for k in _PRE_MAPS)
+         + tuple((k + "_B", _B_ON_A) for k in _PRE_MAPS),
+         {"A": "palgA", "B": "palgB"}),
+    _Row(Bialgebra, "bialgebra", None,
+         lambda n, names, prec, succ, dprec, dsucc: Bialgebra(
+             PreAlgebra(n, prec, succ, names), dprec, dsucc),
+         (("dimension", _INT), ("basis_names", _NAMES), ("prec", _CUBE),
+          ("succ", _CUBE), ("delta_prec", _CUBE), ("delta_succ", _CUBE)),
+         {k: "palg." + k
+          for k in ("dimension", "basis_names", "prec", "succ")}),
+    _Row(RElement, "r-element", None, RElement,
+         (("dimension", _INT), ("r", _SQUARE))),
+    _Row(RPair, "r-element", None, lambda n, rp, rs: RPair(rp, rs),
+         (("dimension", _INT), ("r_prec", _SQUARE), ("r_succ", _SQUARE))),
+    _Row(LinearMap, "linear-map", None, LinearMap,
+         (("rows", _INT), ("cols", _INT), ("matrix", ("rows", "cols")))),
+)
+
+_KINDS = {row.kind: [r for r in _SCHEMA if r.kind == row.kind]
+          for row in _SCHEMA}
+# _read takes the positive ints of a kind before it picks the row, so every
+# row of a kind has the same ones; it picks by the variant, or, for a kind
+# written without one, by the last key of the first of two rows, which the
+# second row lacks
+for _rows in _KINDS.values():
+    assert len({tuple(f for f in r.fields if f[1] is _INT)
+                for r in _rows}) == 1
+    assert (len({r.variant for r in _rows} - {None}) == len(_rows)
+            if _rows[0].variant else len(_rows) == 1 or (
+                len(_rows) == 2 and _rows[1].variant is None
+                and _rows[0].fields[-1][0] not in dict(_rows[1].fields)))
+_ROWS = {row.cls: row for row in _SCHEMA}
+
+
+def _read_tensor(data, extents, nouns, path):
+    """The nested lists of Fractions a tensor field holds; nouns[i] names
+    what level i must hold, for the error when it does not."""
+    n = extents[0]
     if not isinstance(data, list) or len(data) != n:
-        raise FormatError("%s: expected a list of length %d" % (path, n))
-    return [parse_scalar(v, "%s[%d]" % (path, i)) for i, v in enumerate(data)]
+        raise FormatError("%s: expected %s" % (path, nouns[0] % n))
+    if len(extents) == 1:
+        return [parse_scalar(v, "%s[%d]" % (path, i))
+                for i, v in enumerate(data)]
+    return [_read_tensor(x, extents[1:], nouns[1:], "%s[%d]" % (path, i))
+            for i, x in enumerate(data)]
 
 
-def _mat(data, rows, cols, path):
-    if not isinstance(data, list) or len(data) != rows:
-        raise FormatError("%s: expected %d rows" % (path, rows))
-    return [_vec(row, cols, "%s[%d]" % (path, i))
-            for i, row in enumerate(data)]
+def _write_tensor(t, depth):
+    """The nested lists of "p/q" strings of a tensor of depth levels."""
+    if depth == 1:
+        return [_fmt(x) for x in t]
+    return [_write_tensor(x, depth - 1) for x in t]
 
 
-def _t3(data, n1, n2, n3, path):
-    if not isinstance(data, list) or len(data) != n1:
-        raise FormatError("%s: expected %d slices" % (path, n1))
-    return [_mat(m, n2, n3, "%s[%d]" % (path, i))
-            for i, m in enumerate(data)]
+def _read_embedded(data, kind, path):
+    """An algebra or pre-algebra embedded in another structure.  Its
+    "kind", which the package writes, is optional but must name the
+    expected structure."""
+    if not isinstance(data, dict):
+        raise FormatError(path + ": expected an embedded object")
+    data = dict(data)
+    got = data.pop("kind", kind)
+    if got != kind:
+        raise FormatError("%s.kind: expected %r, got %r" % (path, kind, got))
+    return _read(kind, data, path)
 
 
-def _mats(data, count, rows, cols, path):
-    if not isinstance(data, list) or len(data) != count:
-        raise FormatError("%s: expected %d matrices" % (path, count))
-    return tuple(_mat(m, rows, cols, "%s[%d]" % (path, i))
-                 for i, m in enumerate(data))
-
-
-def _emit_vec(v):
-    return [_fmt(x) for x in v]
-
-
-def _emit_mat(m):
-    return [[_fmt(x) for x in row] for row in m]
-
-
-def _emit_t3(t):
-    return [[[_fmt(x) for x in row] for row in m] for m in t]
-
-
-def _names(doc, n, path):
-    names = doc.pop("basis_names", None)
-    if names is None:
-        return ()
-    if not isinstance(names, list) or len(names) != n or \
-            not all(isinstance(s, str) for s in names):
-        raise FormatError("%s.basis_names: expected %d strings" % (path, n))
-    return tuple(names)
-
-
-def _dim(doc, path, key="dimension"):
-    n = doc.pop(key, None)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise FormatError("%s.%s: expected a positive integer" % (path, key))
-    return n
-
-
-def _reject_unknown(doc, path):
+def _read(kind, doc, path):
+    """The object a document of the kind holds, read by its row: first the
+    positive ints (every variant of a kind has the same ones), then the
+    variant, then the embedded structures and tensors in written order, and
+    the basis names last.  Every field is removed from doc; what remains,
+    but "metadata", is an unknown field."""
+    rows = _KINDS[kind]
+    values = {}
+    for key, what in rows[0].fields:
+        if what is _INT:
+            n = values[key] = doc.pop(key, None)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise FormatError("%s.%s: expected a positive integer"
+                                  % (path, key))
+    if rows[0].variant is None:
+        row = rows[0] if rows[0].fields[-1][0] in doc else rows[-1]
+    else:
+        variant = doc.pop("variant", None)
+        row = next((r for r in rows if r.variant == variant), None)
+        if row is None:
+            raise FormatError("%s.variant: expected %s" % (path, " or ".join(
+                repr(r.variant) for r in rows)))
+    for key, what in sorted(row.fields, key=lambda f: f[1] is _NAMES):
+        at = "%s.%s" % (path, key)
+        if what in _KINDS:
+            values[key] = _read_embedded(doc.pop(key, None), what, at)
+        elif what is _NAMES:
+            names, n = doc.pop(key, None), values["dimension"]
+            if names is not None and (not isinstance(names, list) or len(
+                    names) != n or not all(isinstance(s, str) for s in names)):
+                raise FormatError("%s: expected %d strings" % (at, n))
+            values[key] = tuple(names or ())
+        elif what is not _INT:
+            family = not isinstance(values[what[0]], int)
+            nouns = ("%d matrices" if family else "%d slices", "%d rows",
+                     "a list of length %d")[-len(what):]
+            values[key] = _read_tensor(doc.pop(key, None), [
+                v if isinstance(v, int) else v.dimension
+                for v in map(values.get, what)], nouns, at)
     doc.pop("metadata", None)
     if doc:
         raise FormatError("%s: unknown fields %s"
                           % (path, sorted(doc.keys())))
+    return row.build(*[values[key] for key, _what in row.fields])
 
 
-# ---------------------------------------------------------------------------
-# per-kind parse / emit
-# ---------------------------------------------------------------------------
-
-def _parse_algebra(doc, path):
-    n = _dim(doc, path)
-    prod = _t3(doc.pop("product", None), n, n, n, path + ".product")
-    names = _names(doc, n, path)
-    _reject_unknown(doc, path)
-    return Algebra(n, prod, names)
-
-
-def _parse_pre_algebra(doc, path):
-    n = _dim(doc, path)
-    prec = _t3(doc.pop("prec", None), n, n, n, path + ".prec")
-    succ = _t3(doc.pop("succ", None), n, n, n, path + ".succ")
-    names = _names(doc, n, path)
-    _reject_unknown(doc, path)
-    return PreAlgebra(n, prec, succ, names)
-
-
-def _parse_embedded(doc, kind, path):
-    """An algebra or pre-algebra embedded in another structure.  Its
-    "kind", which the package writes, is optional but must name the
-    expected structure."""
-    if not isinstance(doc, dict):
-        raise FormatError(path + ": expected an embedded object")
-    doc = dict(doc)
-    got = doc.pop("kind", kind)
-    if got != kind:
-        raise FormatError("%s.kind: expected %r, got %r" % (path, kind, got))
-    return _PARSERS[kind](doc, path)
-
-
-def _parse_bimodule(doc, path):
-    variant = doc.pop("variant", None)
-    base_doc = doc.pop("base", None)
-    m = _dim(doc, path, "space_dim")
-    if variant == "anti-flexible":
-        base = _parse_embedded(base_doc, "algebra", path + ".base")
-        n = base.dimension
-        l = _mats(doc.pop("l", None), n, m, m, path + ".l")
-        r = _mats(doc.pop("r", None), n, m, m, path + ".r")
-        _reject_unknown(doc, path)
-        return AfBimodule(base, m, l, r)
-    if variant == "pre":
-        base = _parse_embedded(base_doc, "pre-algebra", path + ".base")
-        n = base.dimension
-        maps = [_mats(doc.pop(k, None), n, m, m, "%s.%s" % (path, k))
-                for k in ("l_succ", "r_succ", "l_prec", "r_prec")]
-        _reject_unknown(doc, path)
-        return PreBimodule(base, m, *maps)
-    raise FormatError(path + ".variant: expected 'anti-flexible' or 'pre'")
-
-
-def _parse_matched(doc, path):
-    variant = doc.pop("variant", None)
-    if variant == "anti-flexible":
-        algA = _parse_embedded(doc.pop("A", None), "algebra", path + ".A")
-        algB = _parse_embedded(doc.pop("B", None), "algebra", path + ".B")
-        n, m = algA.dimension, algB.dimension
-        lA = _mats(doc.pop("lA", None), n, m, m, path + ".lA")
-        rA = _mats(doc.pop("rA", None), n, m, m, path + ".rA")
-        lB = _mats(doc.pop("lB", None), m, n, n, path + ".lB")
-        rB = _mats(doc.pop("rB", None), m, n, n, path + ".rB")
-        _reject_unknown(doc, path)
-        return AfMatchedPair(algA, algB, lA, rA, lB, rB)
-    if variant == "pre":
-        palgA = _parse_embedded(doc.pop("A", None), "pre-algebra",
-                                path + ".A")
-        palgB = _parse_embedded(doc.pop("B", None), "pre-algebra",
-                                path + ".B")
-        n, m = palgA.dimension, palgB.dimension
-        mapsA = [_mats(doc.pop(k, None), n, m, m, "%s.%s" % (path, k))
-                 for k in ("ls_A", "rs_A", "lp_A", "rp_A")]
-        mapsB = [_mats(doc.pop(k, None), m, n, n, "%s.%s" % (path, k))
-                 for k in ("ls_B", "rs_B", "lp_B", "rp_B")]
-        _reject_unknown(doc, path)
-        return PreMatchedPair(palgA, palgB, *(mapsA + mapsB))
-    raise FormatError(path + ".variant: expected 'anti-flexible' or 'pre'")
-
-
-def _parse_bialgebra(doc, path):
-    n = _dim(doc, path)
-    prec = _t3(doc.pop("prec", None), n, n, n, path + ".prec")
-    succ = _t3(doc.pop("succ", None), n, n, n, path + ".succ")
-    dprec = _t3(doc.pop("delta_prec", None), n, n, n, path + ".delta_prec")
-    dsucc = _t3(doc.pop("delta_succ", None), n, n, n, path + ".delta_succ")
-    names = _names(doc, n, path)
-    _reject_unknown(doc, path)
-    return Bialgebra(PreAlgebra(n, prec, succ, names), dprec, dsucc)
-
-
-def _parse_r_element(doc, path):
-    n = _dim(doc, path)
-    if "r" in doc:
-        r = _mat(doc.pop("r", None), n, n, path + ".r")
-        _reject_unknown(doc, path)
-        return RElement(n, r)
-    rp = _mat(doc.pop("r_prec", None), n, n, path + ".r_prec")
-    rs = _mat(doc.pop("r_succ", None), n, n, path + ".r_succ")
-    _reject_unknown(doc, path)
-    return RPair(rp, rs)
-
-
-def _parse_linear_map(doc, path):
-    rows = _dim(doc, path, "rows")
-    cols = _dim(doc, path, "cols")
-    m = _mat(doc.pop("matrix", None), rows, cols, path + ".matrix")
-    _reject_unknown(doc, path)
-    return LinearMap(rows, cols, m)
-
-
-_PARSERS = {
-    "algebra": _parse_algebra,
-    "pre-algebra": _parse_pre_algebra,
-    "bimodule": _parse_bimodule,
-    "matched-pair": _parse_matched,
-    "bialgebra": _parse_bialgebra,
-    "r-element": _parse_r_element,
-    "linear-map": _parse_linear_map,
-}
+def _write(obj):
+    """The document of an object, written by the row of its class."""
+    row = _ROWS.get(type(obj))
+    if row is None:
+        raise FormatError("cannot serialize objects of type %s"
+                          % type(obj).__name__)
+    doc = {"kind": row.kind}
+    if row.variant is not None:
+        doc["variant"] = row.variant
+    for key, what in row.fields:
+        value = attrgetter(row.attrs.get(key, key))(obj)
+        if what is _NAMES:
+            value = list(value)
+        elif what in _KINDS:
+            value = _write(value)
+        elif what is not _INT:
+            value = _write_tensor(value, len(what))
+        doc[key] = value
+    return doc
 
 
 def parse_file(data):
@@ -305,10 +298,10 @@ def parse_file(data):
         raise FormatError("format_version: expected %d, got %r"
                           % (FORMAT_VERSION, version))
     kind = doc.pop("kind", None)
-    if not isinstance(kind, str) or kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise FormatError("kind: unknown kind %r (expected one of %s)"
-                          % (kind, sorted(_PARSERS)))
-    return _PARSERS[kind](doc, kind)
+                          % (kind, sorted(_KINDS)))
+    return _read(kind, doc, kind)
 
 
 def load_file(path):
@@ -316,74 +309,11 @@ def load_file(path):
         return parse_file(fh.read())
 
 
-def _emit_algebra(obj):
-    return {"kind": "algebra", "dimension": obj.dimension,
-            "basis_names": list(obj.basis_names),
-            "product": _emit_t3(obj.product)}
-
-
-def _emit_pre_algebra(obj):
-    return {"kind": "pre-algebra", "dimension": obj.dimension,
-            "basis_names": list(obj.basis_names),
-            "prec": _emit_t3(obj.prec), "succ": _emit_t3(obj.succ)}
-
-
-def _emit(obj):
-    if isinstance(obj, Algebra):
-        return _emit_algebra(obj)
-    if isinstance(obj, PreAlgebra):
-        return _emit_pre_algebra(obj)
-    if isinstance(obj, AfBimodule):
-        return {"kind": "bimodule", "variant": "anti-flexible",
-                "base": _emit_algebra(obj.base), "space_dim": obj.space_dim,
-                "l": [_emit_mat(m) for m in obj.l],
-                "r": [_emit_mat(m) for m in obj.r]}
-    if isinstance(obj, PreBimodule):
-        out = {"kind": "bimodule", "variant": "pre",
-               "base": _emit_pre_algebra(obj.base),
-               "space_dim": obj.space_dim}
-        for k in ("l_succ", "r_succ", "l_prec", "r_prec"):
-            out[k] = [_emit_mat(m) for m in getattr(obj, k)]
-        return out
-    if isinstance(obj, AfMatchedPair):
-        out = {"kind": "matched-pair", "variant": "anti-flexible",
-               "A": _emit_algebra(obj.algA), "B": _emit_algebra(obj.algB)}
-        for k in ("lA", "rA", "lB", "rB"):
-            out[k] = [_emit_mat(m) for m in getattr(obj, k)]
-        return out
-    if isinstance(obj, PreMatchedPair):
-        out = {"kind": "matched-pair", "variant": "pre",
-               "A": _emit_pre_algebra(obj.palgA),
-               "B": _emit_pre_algebra(obj.palgB)}
-        for k in ("ls_A", "rs_A", "lp_A", "rp_A",
-                  "ls_B", "rs_B", "lp_B", "rp_B"):
-            out[k] = [_emit_mat(m) for m in getattr(obj, k)]
-        return out
-    if isinstance(obj, Bialgebra):
-        out = _emit_pre_algebra(obj.palg)
-        out["kind"] = "bialgebra"
-        out["delta_prec"] = _emit_t3(obj.delta_prec)
-        out["delta_succ"] = _emit_t3(obj.delta_succ)
-        return out
-    if isinstance(obj, RElement):
-        return {"kind": "r-element", "dimension": obj.dimension,
-                "r": _emit_mat(obj.r)}
-    if isinstance(obj, RPair):
-        return {"kind": "r-element", "dimension": obj.dimension,
-                "r_prec": _emit_mat(obj.r_prec),
-                "r_succ": _emit_mat(obj.r_succ)}
-    if isinstance(obj, LinearMap):
-        return {"kind": "linear-map", "rows": obj.rows, "cols": obj.cols,
-                "matrix": _emit_mat(obj.matrix)}
-    raise FormatError("cannot serialize objects of type %s"
-                      % type(obj).__name__)
-
-
 def serialize(obj) -> bytes:
     """Canonical JSON bytes for any parseable object; keys emitted in a
     fixed order, scalars in lowest terms."""
     doc = {"format_version": FORMAT_VERSION}
-    doc.update(_emit(obj))
+    doc.update(_write(obj))
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
@@ -410,12 +340,10 @@ def load_corpus(name):
 # ---------------------------------------------------------------------------
 
 def _residual_json(res):
-    if res and isinstance(res, (list, tuple)) and \
-            isinstance(res[0], (list, tuple)):
-        if isinstance(res[0][0], (list, tuple)):
-            return _emit_t3(res)
-        return _emit_mat(res)
-    return _emit_vec(res)
+    depth, inner = 1, res
+    while inner and isinstance(inner[0], (list, tuple)):
+        depth, inner = depth + 1, inner[0]
+    return _write_tensor(res, depth)
 
 
 def report_to_json(command, rep: CheckReport, elapsed=0.0):
@@ -449,10 +377,12 @@ def as_matrix(obj):
     raise FormatError("expected an r-element or linear-map payload")
 
 
-# what each input file of a check command must hold: its description, and
-# the types parse_file gives for it
+# what an input file of a command must hold: its description, and the
+# types parse_file gives for it
 _ANY_ALGEBRA = ("an algebra or pre-algebra", (Algebra, PreAlgebra))
+_ALGEBRA = ("an algebra", (Algebra,))
 _PRE = ("a pre-algebra", (PreAlgebra,))
+_AF_BIMODULE = ("a bimodule with variant 'anti-flexible'", (AfBimodule,))
 _MATRIX = ("an r-element with one matrix r, or a linear-map",
            (RElement, LinearMap))
 
@@ -479,11 +409,10 @@ _CHECKS = {
     "coboundary": ((_PRE, ("an r-element with r_prec and r_succ", (RPair,))),
                    lambda ins, kind, every: check_coboundary_conditions(
                        ins[0], ins[1], every)),
-    "rota-baxter": ((("an algebra", (Algebra,)), _MATRIX),
+    "rota-baxter": ((_ALGEBRA, _MATRIX),
                     lambda ins, kind, every: check_rota_baxter(
                         ins[0], as_matrix(ins[1]), every)),
-    "o-operator": ((("a bimodule with variant 'anti-flexible'",
-                     (AfBimodule,)), _MATRIX),
+    "o-operator": ((_AF_BIMODULE, _MATRIX),
                    lambda ins, kind, every: check_o_operator(
                        OOperator(ins[0], as_matrix(ins[1])), every)),
     "cocycle-form": ((_PRE, _MATRIX), lambda ins, kind, every:
@@ -496,19 +425,64 @@ _CHECKS = {
 CHECK_COMMANDS = tuple(_CHECKS)
 
 
-def load_check_inputs(command, paths):
-    """The parsed input files of a check command, after checking their
-    number and what each one holds against the command's entry in
-    _CHECKS; a mismatch is a FormatError naming the file."""
-    expected = _CHECKS[command][0]
+def _coboundary(ins, case, variant):
+    palg, relt = ins
+    if isinstance(relt, RPair):
+        return coboundary_bialgebra(palg, relt), None
+    if case is None:
+        raise FormatError("a single-matrix r-element needs --case "
+                          "(one of %s)" % (SPECIAL_CASES,))
+    return special_case_bialgebra(palg, as_matrix(relt), case), None
+
+
+def _solution(double_and_r):
+    """A constructed r as its file, with the double carrying it."""
+    double, r = double_and_r
+    return RElement(double.dimension, r), double
+
+
+# each construction, as the checks: (its input files, in order;
+# (inputs, case, variant) -> (primary output, secondary output or None))
+_CONSTRUCTIONS = {
+    "semidirect": ((("a bimodule with variant 'pre'", (PreBimodule,)),),
+                   lambda ins, case, variant: (semidirect_pre(ins[0]), None)),
+    "double": ((("a matched-pair", (AfMatchedPair, PreMatchedPair)),),
+               lambda ins, case, variant: ((build_af_double if isinstance(
+                   ins[0], AfMatchedPair) else build_pre_double)(ins[0]),
+                   None)),
+    "coboundary": ((_PRE, ("an r-element or a linear-map",
+                           (RPair, RElement, LinearMap))), _coboundary),
+    "canonical-r": ((_PRE,), lambda ins, case, variant: _solution(
+        canonical_solution(ins[0]))),
+    "from-o-operator": ((_AF_BIMODULE, _MATRIX),
+                        lambda ins, case, variant: _solution(
+                            solution_from_o_operator(OOperator(
+                                ins[0], as_matrix(ins[1]))))),
+    "from-form": ((_ALGEBRA, _MATRIX), lambda ins, case, variant: (
+        induce_pre_from_form(ins[0], as_matrix(ins[1])), None)),
+    "from-associative": ((_ALGEBRA,), lambda ins, case, variant: (
+        from_associative(ins[0], variant), None)),
+    "from-rb": ((_ALGEBRA, _MATRIX), lambda ins, case, variant: (
+        induced_pre_from_map(ins[0], as_matrix(ins[1])), None)),
+}
+
+CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
+
+
+def load_inputs(verb, command, paths):
+    """The parsed input files of a command, "check" or "construct" by verb,
+    after checking their number and what each one holds against its entry
+    in _CHECKS or _CONSTRUCTIONS; a mismatch is a FormatError naming the
+    command and the file."""
+    expected = (_CHECKS if verb == "check" else _CONSTRUCTIONS)[command][0]
+    command = "%s %s" % (verb, command)
     if len(paths) != len(expected):
-        raise FormatError("check %s reads %d input files, got %d"
+        raise FormatError("%s reads %d input files, got %d"
                           % (command, len(expected), len(paths)))
     inputs = [load_file(p) for p in paths]
     for path, obj, (what, types) in zip(paths, inputs, expected):
         if not isinstance(obj, types):
-            raise FormatError("check %s: %s is not %s file"
-                              % (command, path, what))
+            raise FormatError("%s: %s is not %s file" % (command, path, what))
     return inputs
 
 
@@ -516,6 +490,12 @@ def _dispatch_check(command, inputs, kind, all_failures):
     if command not in _CHECKS:
         raise FormatError("unknown check command %r" % (command,))
     return _CHECKS[command][1](inputs, kind, all_failures)
+
+
+def run_construction(what, inputs, case, variant):
+    """Build a named construction from parsed inputs: (primary output,
+    secondary output or None)."""
+    return _CONSTRUCTIONS[what][1](inputs, case, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +625,8 @@ def search_results(target, found):
     """The candidates a grid search found, as the documents of their files:
     r-elements for pafybe-symmetric, linear maps for the other targets."""
     if target == "pafybe-symmetric":
-        return [_emit(RElement(len(m), m)) for m in found]
-    return [_emit(LinearMap(len(m), len(m[0]), m)) for m in found]
+        return [_write(RElement(len(m), m)) for m in found]
+    return [_write(LinearMap(len(m), len(m[0]), m)) for m in found]
 
 
 def _fill_matrix(rows, cols, shape, vals):

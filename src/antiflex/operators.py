@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_square, scan, underlying_algebra
+    check_identities, require_matrix, require_square, scan, \
+    underlying_algebra
 from .bialgebra import dual_products_from_comult
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     dual_maps, multiplication_operators, regular_pre_bimodule, \
@@ -119,12 +120,9 @@ class OOperator:
     T: tuple
 
     def __post_init__(self):
-        n = self.bimodule.base.dimension
-        m = self.bimodule.space_dim
-        t = self.T
-        if len(t) != n or any(len(row) != m for row in t):
-            raise PreconditionError("OOperator: T must be (dim A) x (dim V)")
-        object.__setattr__(self, "T", tuple(tuple(row) for row in t))
+        require_matrix("OOperator", "T", self.T, self.bimodule.base.dimension,
+                       self.bimodule.space_dim)
+        object.__setattr__(self, "T", tuple(tuple(row) for row in self.T))
 
 
 def require_af_bimodule(bm: AfBimodule, caller):

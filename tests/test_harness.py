@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
     from_associative, identity_residuals
-from antiflex.bialgebra import Bialgebra
+from antiflex.bialgebra import Bialgebra, dual_products_from_comult
 from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
     regular_pre_bimodule
+from antiflex import harness
 from antiflex.cli import main
-from antiflex.coboundary import RPair, check_pafybe, special_case_bialgebra
-from antiflex.matched import dual_pre_matched, standard_dual_matched
+from antiflex.coboundary import RPair, check_pafybe, special_case_bialgebra, \
+    special_case_rpair
+from antiflex.matched import AfMatchedPair, dual_pre_matched, \
+    standard_dual_matched
 from antiflex.operators import OOperator, assembled_double, \
     canonical_solution, check_o_operator, check_rota_baxter
 from antiflex.harness import (
@@ -23,8 +27,10 @@ from antiflex.harness import (
     grid_search, load_corpus, load_file, parse_file, random_element_oracle,
     run_check, save_file, serialize,
 )
-from antiflex.linalg import eye, mat_is_zero, vec_is_zero, zeros_t3
+from antiflex.linalg import eye, mat_is_zero, vec_is_zero, zeros_mat, \
+    zeros_t3
 
+import harness_reference
 from bialgebra_reference import bialgebra_condition_residuals
 from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, bump_t3, \
     split_bialgebra
@@ -94,13 +100,20 @@ def test_unknown_kind_and_fields_rejected():
 
 def _documents_of_every_kind():
     """Package-written JSON text of one small structure of each kind, and
-    of each variant of the kinds that have them."""
+    of each variant of the kinds that have them, and of an anti-flexible
+    bimodule and matched pair (with zero actions) whose extents all differ,
+    so that no extent of a family can stand in for another."""
     palg = DIM2_PRE[0]
-    objs = [CORPUS["qt2"], palg, regular_af_bimodule(CORPUS["qt2"]),
+    qt2, q1 = CORPUS["qt2"], CORPUS["q1"]
+    qt2_on_q1, q1_on_qt2 = [zeros_mat(1)] * 2, [zeros_mat(2)]
+    objs = [qt2, palg, regular_af_bimodule(qt2),
             regular_pre_bimodule(palg), standard_dual_matched(palg, palg),
             dual_pre_matched(palg, palg), split_bialgebra("q1", "one"),
             RElement(2, eye(2)), RPair(eye(2), eye(2)),
-            LinearMap(1, 2, [[Fraction(1, 2), Fraction(0)]])]
+            LinearMap(1, 2, [[Fraction(1, 2), Fraction(0)]]),
+            AfBimodule(q1, 2, [zeros_mat(2)], [zeros_mat(2)]),
+            AfMatchedPair(qt2, q1, qt2_on_q1, qt2_on_q1, q1_on_qt2,
+                          q1_on_qt2)]
     return [serialize(obj).decode() for obj in objs]
 
 
@@ -128,16 +141,27 @@ _JSON_VALUES = st.recursive(
     max_leaves=4)
 
 
+def _outcomes(raw):
+    """What parse_file and the reference reader each give on raw: the
+    bytes of the object it holds, or the message of the FormatError."""
+    def outcome(module):
+        try:
+            return module.serialize(module.parse_file(raw))
+        except FormatError as exc:
+            return "FormatError: %s" % exc
+    return outcome(harness_reference), outcome(harness)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DOCUMENTS), st.data())
 def test_parse_file_fuzz_fails_only_with_format_error(text, data):
     # a truncated document, or one with a value of another type (or of
     # another kind, or removed) anywhere in its tree, parses or raises
-    # FormatError, never anything else
+    # FormatError, never anything else, and gives the reference's outcome
     cut = data.draw(st.integers(0, len(text.rstrip()) - 1))
     for raw in (text[:cut], text[:cut].encode()):
-        with pytest.raises(FormatError):
-            parse_file(raw)
+        expected, got = _outcomes(raw)
+        assert got == expected and got.startswith("FormatError")
     doc = json.loads(text)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     if path and data.draw(st.booleans()):
@@ -154,10 +178,66 @@ def test_parse_file_fuzz_fails_only_with_format_error(text, data):
             for key in path[:-1]:
                 parent = parent[key]
             parent[path[-1]] = value
-    try:
-        parse_file(json.dumps(doc))
-    except FormatError:
-        pass
+    expected, got = _outcomes(json.dumps(doc))
+    assert got == expected
+
+
+_DELETE, _ADD = object(), object()
+_WRONG_VALUES = (None, True, 0, -1, 2, 1.5, "x", "1/0", [], ["1"], [[]], {},
+                 "algebra", "pre")
+
+
+def _one_edit_away(text):
+    """Every document one edit away from text: a key or an entry deleted,
+    an unknown key added to an object, or a value replaced by one of
+    _WRONG_VALUES."""
+    for path in _paths(json.loads(text)):
+        for edit in (_DELETE, _ADD) + _WRONG_VALUES:
+            box = [json.loads(text)]
+            parent, key = box, 0
+            for step in path:
+                parent, key = parent[key], step
+            if edit is _DELETE and path:
+                del parent[key]
+            elif edit is _ADD and isinstance(parent[key], dict):
+                parent[key]["unknown"] = "1"
+            elif edit is not _DELETE and edit is not _ADD:
+                parent[key] = edit
+            else:
+                continue
+            yield json.dumps(box[0])
+
+
+def test_parse_file_matches_reference_one_edit_from_every_document():
+    # the schema reader gives the hand-written reader's outcome, the same
+    # object or the same FormatError message, on every document one edit
+    # away from a package-written one
+    for text in DOCUMENTS:
+        for raw in _one_edit_away(text):
+            expected, got = _outcomes(raw)
+            assert got == expected, raw
+
+
+def test_serialize_matches_reference():
+    # the schema writer gives the hand-written writer's bytes on structures
+    # of every kind and variant built by the package
+    objs = [RPair(eye(3), zeros_mat(3)), special_case_rpair(eye(2), "two"),
+            LinearMap(2, 3, [[Fraction(1, 3)] * 3, [Fraction(-2)] * 3])]
+    for alg in CORPUS.values():
+        objs += [alg, regular_af_bimodule(alg)]
+        for split in ("succ-left", "prec-right"):
+            palg = from_associative(alg, split)
+            double, r = canonical_solution(palg)
+            objs += [palg, regular_pre_bimodule(palg), double,
+                     RElement(double.dimension, r)]
+            for case in ("one", "two"):
+                bialg = special_case_bialgebra(double, r, case)
+                dual = dual_products_from_comult(bialg.delta_prec,
+                                                 bialg.delta_succ)
+                objs += [bialg, standard_dual_matched(double, dual),
+                         dual_pre_matched(double, dual)]
+    for obj in objs:
+        assert serialize(obj) == harness_reference.serialize(obj), obj
 
 
 def test_round_trip_all_kinds(tmp_path):
@@ -649,3 +729,50 @@ def test_cli_exit_codes_separate_input_errors_from_bugs(tmp_path, capsys,
                         (harness._CHECKS["algebra"][0], broken))
     with pytest.raises(ValueError, match="internal fault"):
         main(["check", "algebra", str(alg)])
+
+
+# each construction by the number of input files it reads
+_CONSTRUCT_INPUTS = {"semidirect": 1, "double": 1, "coboundary": 2,
+                     "canonical-r": 1, "from-o-operator": 2, "from-form": 2,
+                     "from-associative": 1, "from-rb": 2}
+
+
+def test_cli_construct_on_every_file_kind_exits_with_a_code(tmp_path,
+                                                            capsys):
+    # every construction, on every combination of package-written files of
+    # each kind, ends in exit 0, 1 or 2, never in a traceback
+    paths = []
+    for k, text in enumerate(DOCUMENTS):
+        paths.append(str(tmp_path / ("in%d.json" % k)))
+        with open(paths[-1], "w") as fh:
+            fh.write(text)
+    out = str(tmp_path / "out.json")
+    for what, count in _CONSTRUCT_INPUTS.items():
+        for files in product(paths, repeat=count):
+            argv = ["construct", what, *files, "-o", out]
+            assert main(argv) in (0, 1, 2), argv
+            capsys.readouterr()
+    # a wrong kind names the file; a single-matrix r needs --case
+    pre, relt = paths[1], paths[7]
+    assert main(["construct", "from-associative", pre, "-o", out]) == 2
+    assert "construct from-associative: %s is not an algebra file" % pre \
+        in capsys.readouterr().err
+    assert main(["construct", "coboundary", pre, relt, "-o", out]) == 2
+    assert "a single-matrix r-element needs --case" in \
+        capsys.readouterr().err
+
+
+def test_matrix_payloads_reject_inexact_entries():
+    # a float, a bool or a string entry of an O-operator, an r-element or
+    # a linear map is a PreconditionError naming its index
+    bm = regular_af_bimodule(CORPUS["qt2"])
+    for bad in (0.5, True, "x"):
+        m = [[Fraction(1, 2), Fraction(0)], [Fraction(0), bad]]
+        entry = re.escape("[1][1] is %r, not an int or Fraction" % (bad,))
+        with pytest.raises(PreconditionError, match="OOperator: T" + entry):
+            OOperator(bm, m)
+        with pytest.raises(PreconditionError, match="RElement: r" + entry):
+            RElement(2, m)
+        with pytest.raises(PreconditionError,
+                           match="LinearMap: matrix" + entry):
+            LinearMap(2, 2, m)
