@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import PreconditionError, ALGEBRA_KINDS, \
     FROM_ASSOCIATIVE_VARIANTS, PREALGEBRA_KINDS
@@ -75,7 +76,10 @@ def _cmd_oracle(args):
     return 0 if report["verdict"] == "pass" else 1
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, as every parse fills a namespace of its own."""
     top = argparse.ArgumentParser(
         prog="antiflex",
         description="Exact checks and constructions for anti-flexible and "

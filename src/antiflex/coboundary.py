@@ -10,6 +10,12 @@ products, encoded here as symbolic term lists so that the flip of product
 decorations (flp) and the outer slot swap (sigma13) act on expressions
 before evaluation.
 
+Every term is bilinear in its two factors and linear in the structure
+constants, so an expression is evaluated in ints: the structure constants
+are scaled once by their lcd D_c (structure_tensors), the factor matrices
+by their lcd D_m, and the int sum is divided back once, as
+Fraction(v, D_c * D_m**2).  Scalars in and out are Fractions.
+
 The two one-parameter special cases are the coboundary conditions at the
 r-pairs (r, -sigma r) and (-r, r), relabelled by SPECIAL_CASE_LABELS.  In
 case one coboundary-1 and coboundary-2 vanish identically, and the others
@@ -19,8 +25,11 @@ with case-two-C the negated coboundary-3.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
     check_identities, require_square, scan
@@ -109,41 +118,37 @@ def _placed_nonzeros(m, pos, s, stride):
     return out
 
 
-def _zeros_flat(n):
-    return [ZERO] * (n * n * n)
+def _lcd(entries):
+    """The least common denominator of ints and Fractions: the least
+    positive D with D * x an int for every x."""
+    return lcm(*{x.denominator for x in entries})
 
 
-def _unflatten(flat, n):
-    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-            for i in range(n)]
+def _scaled(m, d):
+    """The matrix d * m as ints, for d a multiple of every denominator of
+    m."""
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
-def structure_tensors(palg: PreAlgebra):
+StructureTensors = namedtuple("StructureTensors", "rows scale")
+
+
+def structure_tensors(palg: PreAlgebra) -> StructureTensors:
     """The three products of a pre-algebra (prec, succ and dot = prec +
-    succ) as sparse rows: rows[a][b] lists the pairs (k, c[a][b][k]) with a
-    nonzero coefficient.  Built once per check or search and handed to
-    evaluate_expression and placed_product."""
-    return {op: [[[(k, x) for k, x in enumerate(row) if x != 0]
-                  for row in plane] for plane in c]
-            for op, c in (("prec", palg.prec), ("succ", palg.succ),
-                          ("dot", t3_add(palg.prec, palg.succ)))}
-
-
-def pairwise_tensor_product(palg: PreAlgebra, a, b, slots, op):
-    """Public entry for a single placed product; slots is a string like
-    '23.12' (any non-digit separator) giving the two placements."""
-    digits = [int(ch) for ch in str(slots) if ch.isdigit()]
-    if len(digits) != 4 or not all(1 <= d <= 3 for d in digits):
-        raise PreconditionError("pairwise_tensor_product: unknown slot "
-                                "pattern %r" % (slots,))
-    if op not in ("prec", "succ", "dot"):
-        raise PreconditionError("pairwise_tensor_product: unknown op %r"
-                                % (op,))
-    n = palg.dimension
-    out = _zeros_flat(n)
-    placed_product(a, (digits[0], digits[1]), b, (digits[2], digits[3]),
-                   structure_tensors(palg)[op], out)
-    return _unflatten(out, n)
+    succ) under one common denominator D_c, the lcd of the structure
+    constants, as sparse int rows: rows[op][a][b] lists the pairs
+    (k, D_c * c[a][b][k]) with a nonzero coefficient, and scale is D_c.
+    Built once per check or search and handed to evaluate_expression."""
+    d = _lcd(x for t in (palg.prec, palg.succ) for plane in t
+             for row in plane for x in row)
+    prec = [_scaled(plane, d) for plane in palg.prec]
+    succ = [_scaled(plane, d) for plane in palg.succ]
+    dot = [[[p + s for p, s in zip(rp, rs)] for rp, rs in zip(pp, ps)]
+           for pp, ps in zip(prec, succ)]
+    return StructureTensors(
+        {op: [[[(k, x) for k, x in enumerate(row) if x] for row in plane]
+              for plane in c]
+         for op, c in (("prec", prec), ("succ", succ), ("dot", dot))}, d)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +171,36 @@ def sigma13_expression(terms):
     return tuple((sign, rel(f1), op, rel(f2)) for sign, f1, op, f2 in terms)
 
 
+def _numerators(c, terms, mats):
+    """A term list on the structure tensors c (see structure_tensors) in
+    ints: (the flat tensor of its value times D, D).  Each term is bilinear
+    in its two factors, so with every factor matrix scaled by one lcd D_m,
+    every signed term adds D = D_c * D_m**2 times its value into one int
+    tensor."""
+    n = len(c.rows["prec"])
+    d = _lcd(x for m in mats.values() for row in m for x in row)
+    scaled = {tag: _scaled(m, d) for tag, m in mats.items()}
+    out = [0] * (n * n * n)
+    for sign, (t1, p1, q1), op, (t2, p2, q2) in terms:
+        placed_product(scaled[t1], (p1, q1), scaled[t2], (p2, q2),
+                       c.rows[op], out, sign)
+    return out, c.scale * d * d
+
+
+def _divided(flat, d, n):
+    """The rank-3 tensor flat / d, entry [i][j][k] at (i * n + j) * n + k,
+    with the shared ZERO at its zeros."""
+    t = [Fraction(v, d) if v else ZERO for v in flat]
+    return [[t[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+            for i in range(n)]
+
+
 def evaluate_expression(c, terms, mats):
     """Evaluate a term list on the structure tensors c of a pre-algebra
     (see structure_tensors); mats maps factor tags to coefficient matrices.
-    Every signed term is added into one output tensor."""
-    n = len(c["prec"])
-    out = _zeros_flat(n)
-    for sign, (t1, p1, q1), op, (t2, p2, q2) in terms:
-        placed_product(mats[t1], (p1, q1), mats[t2], (p2, q2), c[op], out,
-                       sign)
-    return _unflatten(out, n)
+    Every signed term is added into one int tensor, which is divided back
+    once."""
+    return _divided(*_numerators(c, terms, mats), len(c.rows["prec"]))
 
 
 def _rpair_mats(rp: RPair):
@@ -231,6 +256,13 @@ def mnpq(palg: PreAlgebra, rp: RPair, which):
                                _rpair_mats(rp))
 
 
+# the r-term of the second cubic condition: each operator acts on the
+# second component of r_prec, the one at the slot it shares with
+# r_prec + r_succ
+_RPRIME = ((1, ("op1", 3, 2), "succ", ("sum", 1, 2)),
+           (-1, ("op2", 3, 1), "succ", ("sum", 2, 1)))
+
+
 def _rprime(c, ops, rp, x):
     """The r-term of the second cubic condition at the basis element x;
     None, a zero term, when r_prec + r_succ is zero."""
@@ -239,15 +271,9 @@ def _rprime(c, ops, rp, x):
         return None
     op1 = mat_add(ops["R_prec"][x], ops["L_succ"][x])
     op2 = mat_add(ops["L_prec"][x], ops["R_succ"][x])
-    n = len(s12)
-    out = _zeros_flat(n)
-    # each operator acts on the second component of r_prec, the one at the
-    # slot it shares with r_prec + r_succ
-    placed_product(mat_mul(rp.r_prec, transpose(op1)), (3, 2), s12, (1, 2),
-                   c["succ"], out)
-    placed_product(mat_mul(rp.r_prec, transpose(op2)), (3, 1), s12, (2, 1),
-                   c["succ"], out, -1)
-    return _unflatten(out, n)
+    return evaluate_expression(c, _RPRIME, {
+        "op1": mat_mul(rp.r_prec, transpose(op1)),
+        "op2": mat_mul(rp.r_prec, transpose(op2)), "sum": s12})
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +444,9 @@ def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
 def pafybe_core(c, r, all_failures=False) -> CheckReport:
     """check_pafybe on the structure tensors of the pre-algebra, built once
     by the caller; the dimension of r is not checked."""
-    return scan("pafybe", [("pafybe", (), evaluate_expression(
-        c, _PAFYBE, {"r": r}))], all_failures)
+    flat, d = _numerators(c, _PAFYBE, {"r": r})
+    return scan("pafybe", [("pafybe", (), _divided(flat, d, len(r)))]
+                if any(flat) else (), all_failures)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
@@ -555,6 +556,13 @@ class SearchSpec:
                                     % (self.target,))
         if not self.coefficient_set:
             raise PreconditionError("SearchSpec: empty coefficient set")
+        for i, c in enumerate(self.coefficient_set):
+            if type(c) is not Fraction and type(c) is not int:
+                raise PreconditionError("SearchSpec: coefficient_set[%d] is "
+                                        "%r, not an int or Fraction" % (i, c))
+        if type(self.bound) is not int or self.bound < 1:
+            raise PreconditionError("SearchSpec: bound is %r, not a positive "
+                                    "int" % (self.bound,))
         object.__setattr__(self, "coefficient_set", tuple(dict.fromkeys(
             Fraction(c) for c in self.coefficient_set)))
 
@@ -564,9 +572,11 @@ def grid_search(spec: SearchSpec, subject):
     the coefficient set, in lexicographic order, and keep those that pass
     the module check for the target.  prepare() runs the check's
     precondition on the subject once, before the enumeration, and returns
-    the test that runs only the check's core on each candidate.  Returns
-    (found, report)."""
+    the test that runs only the check's core on each candidate.  build
+    makes the candidate tested from a tuple of grid values, and found_as
+    the matrix kept.  Returns (found, report)."""
     coeffs = spec.coefficient_set
+    grid = coeffs
     if spec.target == "rota-baxter":
         n = subject.dimension
         if n > spec.bound:
@@ -574,7 +584,7 @@ def grid_search(spec: SearchSpec, subject):
                                     "bound %d" % (n, spec.bound))
         nfree = n * n
         shape = [(i, j) for i in range(n) for j in range(n)]
-        build = lambda vals: _fill_matrix(n, n, shape, vals)
+        build = found_as = lambda vals: _fill_matrix(n, n, shape, vals)
 
         def prepare():
             require_anti_flexible(subject, "check_rota_baxter")
@@ -586,7 +596,14 @@ def grid_search(spec: SearchSpec, subject):
                                     "bound %d" % (n, spec.bound))
         shape = [(i, j) for i in range(n) for j in range(i, n)]
         nfree = len(shape)
+        # PAFYBE is homogeneous in r, so the candidates are enumerated in
+        # ints, as the coefficient set times its lcd, and only the accepted
+        # ones are divided back
+        scale = lcm(*(c.denominator for c in coeffs))
+        grid = [int(c * scale) for c in coeffs]
         build = lambda vals: _fill_symmetric(n, shape, vals)
+        found_as = lambda vals: _fill_symmetric(
+            n, shape, [Fraction(v, scale) for v in vals])
 
         def prepare():
             tensors = structure_tensors(subject)
@@ -599,7 +616,7 @@ def grid_search(spec: SearchSpec, subject):
                                     "the bound %d" % (n, m, spec.bound))
         nfree = n * m
         shape = [(i, j) for i in range(n) for j in range(m)]
-        build = lambda vals: _fill_matrix(n, m, shape, vals)
+        build = found_as = lambda vals: _fill_matrix(n, m, shape, vals)
 
         def prepare():
             require_af_bimodule(subject, "check_o_operator")
@@ -612,9 +629,8 @@ def grid_search(spec: SearchSpec, subject):
         raise PreconditionError("grid_search: search space has %d candidates "
                                 "(limit 10^8)" % size)
     accept = prepare()
-    found = [cand for cand in map(build, itertools.product(coeffs,
-                                                           repeat=nfree))
-             if accept(cand)]
+    found = [found_as(vals) for vals in itertools.product(grid, repeat=nfree)
+             if accept(build(vals))]
     report = {"format_version": FORMAT_VERSION, "target": spec.target,
               "candidates": size, "found": len(found),
               "coefficient_set": [_fmt(c) for c in coeffs]}

@@ -1,4 +1,12 @@
-"""The two one-parameter special cases written out by hand from r: the
+"""References for antiflex.coboundary.
+
+The Fraction path: the structure tensors, the term-list evaluator, the
+r-term of the second cubic condition and the PAFYBE and coboundary checks
+as they were before the placed-product kernel ran in ints under one common
+denominator.  They hand Fractions straight to the same placed_product, so
+every sum is a Fraction sum, and the int path is tested against them.
+
+The two one-parameter special cases written out by hand from r: the
 per-case residuals and cubic term lists that antiflex.coboundary, which
 reads both cases as the coboundary conditions at the specialised r-pair,
 is tested against, with the helpers that derived the companion tensors
@@ -8,14 +16,138 @@ swap."""
 from itertools import product
 
 from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, scan
+    check_identities, require_square, scan
 from antiflex.bimodule import act, multiplication_operators
-from antiflex.coboundary import SPECIAL_CASES, _cubic_first_kind, \
-    _cubic_second_kind, _rprime, evaluate_expression, flp_expression, \
-    sigma13_expression, special_case_rpair, structure_tensors
-from antiflex.linalg import apply2, eye, mat_add, mat_mul, mat_neg, mat_sub, \
-    transpose
+from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
+    _cubic_first_kind, _cubic_second_kind, _quadratic_residuals, \
+    _require_base, _rpair_mats, flp_expression, placed_product, \
+    sigma13_expression, special_case_rpair
+from antiflex.linalg import ZERO, apply2, eye, mat_add, mat_is_zero, \
+    mat_mul, mat_neg, mat_sub, t3_add, transpose
 
+
+# ---------------------------------------------------------------------------
+# the Fraction path
+# ---------------------------------------------------------------------------
+
+def _zeros_flat(n):
+    return [ZERO] * (n * n * n)
+
+
+def _unflatten(flat, n):
+    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+            for i in range(n)]
+
+
+def structure_tensors(palg: PreAlgebra):
+    """The three products of a pre-algebra (prec, succ and dot = prec +
+    succ) as sparse rows: rows[a][b] lists the pairs (k, c[a][b][k]) with a
+    nonzero coefficient.  Built once per check or search and handed to
+    evaluate_expression and placed_product."""
+    return {op: [[[(k, x) for k, x in enumerate(row) if x != 0]
+                  for row in plane] for plane in c]
+            for op, c in (("prec", palg.prec), ("succ", palg.succ),
+                          ("dot", t3_add(palg.prec, palg.succ)))}
+
+
+def evaluate_expression(c, terms, mats):
+    """Evaluate a term list on the structure tensors c of a pre-algebra
+    (see structure_tensors); mats maps factor tags to coefficient matrices.
+    Every signed term is added into one output tensor."""
+    n = len(c["prec"])
+    out = _zeros_flat(n)
+    for sign, (t1, p1, q1), op, (t2, p2, q2) in terms:
+        placed_product(mats[t1], (p1, q1), mats[t2], (p2, q2), c[op], out,
+                       sign)
+    return _unflatten(out, n)
+
+
+def _rprime(c, ops, rp, x):
+    """The r-term of the second cubic condition at the basis element x;
+    None, a zero term, when r_prec + r_succ is zero."""
+    s12 = mat_add(rp.r_prec, rp.r_succ)
+    if mat_is_zero(s12):
+        return None
+    op1 = mat_add(ops["R_prec"][x], ops["L_succ"][x])
+    op2 = mat_add(ops["L_prec"][x], ops["R_succ"][x])
+    n = len(s12)
+    out = _zeros_flat(n)
+    # each operator acts on the second component of r_prec, the one at the
+    # slot it shares with r_prec + r_succ
+    placed_product(mat_mul(rp.r_prec, transpose(op1)), (3, 2), s12, (1, 2),
+                   c["succ"], out)
+    placed_product(mat_mul(rp.r_prec, transpose(op2)), (3, 1), s12, (2, 1),
+                   c["succ"], out, -1)
+    return _unflatten(out, n)
+
+
+def check_coboundary_conditions(palg: PreAlgebra, rp,
+                                all_failures=False) -> CheckReport:
+    """The six condition families whose joint validity is equivalent to the
+    coboundary comultiplications making (A, A*) a bialgebra: four quadratic
+    conditions over basis pairs, and two cubic dual-structure conditions
+    over basis elements (P, N, Q are the images of M, and N', Q' of M'
+    and P', under the decoration flip and the outer slot swap)."""
+    _require_base("check_coboundary_conditions", palg)
+    if rp.dimension != palg.dimension:
+        raise PreconditionError("check_coboundary_conditions: dimension "
+                                "mismatch")
+    return scan("coboundary-conditions", _coboundary_residuals(palg, rp),
+                all_failures)
+
+
+def _coboundary_residuals(palg, rp):
+    """The residual stream of the six families, for a base and an r-pair
+    already checked; the cubic tensors are built only when the stream is
+    read past the quadratic conditions."""
+    ops = multiplication_operators(palg)
+    yield from _quadratic_residuals(palg, ops, rp)
+    c, mats = structure_tensors(palg), _rpair_mats(rp)
+    t = {key: evaluate_expression(c, terms, mats)
+         for key, terms in _EXPRESSIONS.items()}
+    first = t["M"], t["P"], t["N"], t["Q"]
+    second = t["M'"], t["N'"], t["P'"], t["Q'"]
+    for i in range(palg.dimension):
+        yield "dual-structure-1", (i,), _cubic_first_kind(ops, first, i)
+        yield "dual-structure-2", (i,), _cubic_second_kind(
+            ops, second, i, _rprime(c, ops, rp, i))
+
+
+def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
+    """The quadratic equation r_23 . r_12 = r_12 prec r_13 + r_13 succ r_23
+    for a single r-element; symmetry of r is not required (use
+    r_is_symmetric to report it separately)."""
+    require_square("check_pafybe", "r", r, palg.dimension)
+    return pafybe_core(structure_tensors(palg), r, all_failures)
+
+
+def pafybe_core(c, r, all_failures=False) -> CheckReport:
+    """check_pafybe on the structure tensors of the pre-algebra, built once
+    by the caller; the dimension of r is not checked."""
+    return scan("pafybe", [("pafybe", (), evaluate_expression(
+        c, _PAFYBE, {"r": r}))], all_failures)
+
+
+def pafybe_grid_search(palg: PreAlgebra, coeffs):
+    """The symmetric r with entries in coeffs (Fractions, distinct) that
+    solve PAFYBE, in the order of itertools.product over the upper
+    triangle, each candidate checked in Fractions."""
+    n = palg.dimension
+    shape = [(i, j) for i in range(n) for j in range(i, n)]
+    c = structure_tensors(palg)
+    found = []
+    for vals in product(coeffs, repeat=len(shape)):
+        r = [[ZERO] * n for _ in range(n)]
+        for (i, j), v in zip(shape, vals):
+            r[i][j] = r[j][i] = v
+        if pafybe_core(c, r).passed:
+            found.append(r)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# the special cases, by hand
+# ---------------------------------------------------------------------------
 
 def _first_kind_tensors(c, expr, mats):
     """M, flp M, sigma13 flp M and flp sigma13 flp M of a cubic expression;

@@ -1,23 +1,28 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from antiflex.algebra import PreconditionError, check_identities
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
-    RPair, check_coboundary_conditions, check_pafybe, coboundary_bialgebra,
-    coboundary_delta, mnpq, pairwise_tensor_product, r_is_symmetric,
+    SPECIAL_CASES, _EXPRESSIONS, _rpair_mats, RPair,
+    check_coboundary_conditions, check_pafybe, coboundary_bialgebra,
+    coboundary_delta, evaluate_expression, mnpq, r_is_symmetric,
     special_case_bialgebra, special_case_conditions, special_case_rpair,
+    structure_tensors,
 )
-from antiflex.harness import SearchSpec, grid_search
+from antiflex.harness import SearchSpec, grid_search, search_results
 from antiflex.operators import canonical_solution, check_rota_baxter
 from antiflex.linalg import (
     apply2, eye, mat_add, permute3, t3_add, t3_is_zero, transpose, zeros_mat,
     zeros_t3,
 )
 from antiflex.bimodule import multiplication_operators
-from antiflex.algebra import from_associative
+from antiflex.algebra import PreAlgebra, from_associative
 
 from helpers import CORPUS, DIM2_PRE, rand_mat, rand_sym_mat, seeded, \
     sparse_mat
@@ -70,6 +75,15 @@ def _naive_pairwise(palg, a, b, slots, op):
     return out
 
 
+def pairwise_tensor_product(palg, a, b, slots, op):
+    """A single placed product, as the one-term expression a op b; slots is
+    a string like '23.12' giving the two placements."""
+    p1, q1, p2, q2 = (int(ch) for ch in slots if ch.isdigit())
+    return evaluate_expression(structure_tensors(palg),
+                               ((1, ("a", p1, q1), op, ("b", p2, q2)),),
+                               {"a": a, "b": b})
+
+
 def test_pairwise_tensor_product_oracle():
     rng = seeded(87)
     patterns = ("12.13", "12.23", "23.12", "21.13", "13.23", "31.23",
@@ -83,11 +97,26 @@ def test_pairwise_tensor_product_oracle():
         cases.append((palg, rand_mat(rng, n), rand_mat(rng, n)))
         cases.append((palg, sparse_mat(rng, n, 2), sparse_mat(rng, n, 3)))
         cases.append((palg, sparse_mat(rng, n, 1), rand_mat(rng, n)))
+    # non-integral structure constants and factors
+    half = Fraction(1, 2)
+    third = PreAlgebra(1, [[[half]]], [[[Fraction(1, 3)]]])
+    cases.append((third, [[Fraction(1)]], [[Fraction(1)]]))
+    cases.append((third, [[Fraction(-2, 5)]], [[Fraction(3, 7)]]))
+    ut2 = from_associative(CORPUS["ut2"], "succ-left")
+    cases.append((_over(ut2.prec, ut2.succ, 2), rand_sym_mat(rng, 3),
+                  [[Fraction(i - j, 3 + i) for j in range(3)]
+                   for i in range(3)]))
     for palg, a, b in cases:
         for slots in patterns:
             for op in ("prec", "succ", "dot"):
                 assert pairwise_tensor_product(palg, a, b, slots, op) == \
                     _naive_pairwise(palg, a, b, slots, op), (slots, op)
+    # the 1-dimensional prec = 1/2, succ = 1/3: each product is divided
+    # back by the common denominator 6 of the structure constants
+    one = [[Fraction(1)]]
+    assert [pairwise_tensor_product(third, one, one, "12.13", op)
+            for op in ("prec", "succ", "dot")] == \
+        [[[[half]]], [[[Fraction(1, 3)]]], [[[Fraction(5, 6)]]]]
 
 
 def test_symmetry_remarks():
@@ -307,3 +336,138 @@ def test_r_checks_reject_inexact_entries():
         with pytest.raises(PreconditionError,
                            match="check_rota_baxter: alpha" + entry):
             check_rota_baxter(CORPUS["qt2"], r)
+
+
+# ---------------------------------------------------------------------------
+# the int path against the Fraction path, on non-integral inputs
+# ---------------------------------------------------------------------------
+
+def _over(prec, succ, q):
+    """prec and succ times the one rational that makes their entries
+    integers over q with no common factor, so that the lcd of the structure
+    constants is exactly q; at least one entry must be nonzero."""
+    entries = [x for t in (prec, succ) for plane in t for row in plane
+               for x in row if x]
+    d = lcm(*(x.denominator for x in entries))
+    mu = Fraction(d, gcd(*(int(x * d) for x in entries)) * q)
+    return PreAlgebra(len(prec), *([[[x * mu for x in row] for row in plane]
+                                    for plane in t] for t in (prec, succ)))
+
+
+def _pre_af_subjects():
+    """The corpus splittings (dimensions 1-4) and the canonical doubles of
+    q1, qt2 and t3 (dimensions 2 and 4), with their canonical r or None."""
+    out = [(from_associative(alg, variant), None) for alg in CORPUS.values()
+           for variant in ("succ-left", "prec-right")]
+    out += [canonical_solution(from_associative(CORPUS[name], "succ-left"))
+            for name in ("q1", "qt2", "t3")]
+    return out
+
+
+_PRE_AF = _pre_af_subjects()
+denominators = st.integers(2, 7)
+fractions = st.builds(Fraction, st.integers(-7, 7), denominators)
+entries = st.one_of(st.just(Fraction(0)), fractions)
+
+
+def _matrices(n):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n,
+                    max_size=n)
+
+
+@st.composite
+def random_pre_algebras(draw):
+    """A pre-algebra of dimension 1-4 with random structure constants
+    (not pre-anti-flexible in general) whose lcd is 2-7."""
+    n = draw(st.integers(1, 4))
+    cube = st.lists(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n), min_size=n, max_size=n)
+    prec, succ = draw(cube), draw(cube)
+    prec[0][0][0] = draw(fractions.filter(bool))
+    return _over(prec, succ, draw(denominators))
+
+
+@st.composite
+def pre_af_subjects(draw):
+    """A pre-anti-flexible pre-algebra of dimension 1-4 with non-integral
+    structure constants (a corpus splitting or canonical double times a
+    rational), with its canonical r times a rational, or None."""
+    palg, r = draw(st.sampled_from(_PRE_AF))
+    palg = _over(palg.prec, palg.succ, draw(denominators))
+    if r is not None:
+        nu = draw(fractions.filter(bool))
+        r = [[x * nu for x in row] for row in r]
+    return palg, r
+
+
+def _check_scale(palg):
+    assert structure_tensors(palg).scale > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), random_pre_algebras())
+def test_expressions_match_fraction_path(data, palg):
+    _check_scale(palg)
+    n = palg.dimension
+    rp = RPair(data.draw(_matrices(n)), data.draw(_matrices(n)))
+    mats = _rpair_mats(rp)
+    c, ref = structure_tensors(palg), \
+        coboundary_reference.structure_tensors(palg)
+    for key, terms in _EXPRESSIONS.items():
+        assert evaluate_expression(c, terms, mats) == \
+            coboundary_reference.evaluate_expression(ref, terms, mats), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), random_pre_algebras())
+def test_check_pafybe_matches_fraction_path(data, palg):
+    _check_scale(palg)
+    n = palg.dimension
+    r = data.draw(st.one_of(_matrices(n), st.just(zeros_mat(n))))
+    for every in (False, True):
+        assert check_pafybe(palg, r, every) == \
+            coboundary_reference.check_pafybe(palg, r, every)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), pre_af_subjects())
+def test_coboundary_checks_match_fraction_path(data, subject):
+    palg, r = subject
+    _check_scale(palg)
+    n = palg.dimension
+    if r is None or data.draw(st.booleans()):
+        r = data.draw(_matrices(n))
+    for case in SPECIAL_CASES:
+        for every in (False, True):
+            rp = special_case_rpair(r, case)
+            assert check_coboundary_conditions(palg, rp, every) == \
+                coboundary_reference.check_coboundary_conditions(
+                    palg, rp, every)
+            assert special_case_conditions(palg, r, case, every) == \
+                coboundary_reference.special_case_conditions(
+                    palg, r, case, every)
+    rp = RPair(data.draw(_matrices(n)), data.draw(_matrices(n)))
+    assert check_coboundary_conditions(palg, rp, True) == \
+        coboundary_reference.check_coboundary_conditions(palg, rp, True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), pre_af_subjects())
+def test_pafybe_grid_search_matches_fraction_path(data, subject):
+    palg = subject[0]
+    assume(palg.dimension <= 3)
+    _check_scale(palg)
+    coeffs = data.draw(st.one_of(
+        st.just((Fraction(-1, 2), Fraction(0), Fraction(1, 3))),
+        st.lists(fractions, min_size=1, max_size=3, unique=True).map(tuple)))
+    found, report = grid_search(SearchSpec("pafybe-symmetric", coeffs, 3),
+                                palg)
+    expected = coboundary_reference.pafybe_grid_search(palg, coeffs)
+    assert found == expected
+    assert report == {"format_version": 1, "target": "pafybe-symmetric",
+                      "candidates": len(coeffs) ** (
+                          palg.dimension * (palg.dimension + 1) // 2),
+                      "found": len(expected),
+                      "coefficient_set": [str(c) for c in coeffs]}
+    assert search_results("pafybe-symmetric", found) == \
+        search_results("pafybe-symmetric", expected)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -487,6 +489,50 @@ def test_cli_all_witnesses_rota_baxter(tmp_path, capsys):
     assert expected == 3
     assert _failure_count(["check", "rota-baxter", _corpus_path("qt2"),
                            str(ident)], capsys) == expected
+
+
+def _without_wall_time(out):
+    rep = json.loads(out)
+    del rep["wall_time_ms"]
+    return rep
+
+
+def test_cli_parser_shared_across_calls(tmp_path, capsys):
+    # main builds its parser once per process: a call in a process that
+    # has already parsed other options prints what it prints in a fresh one
+    ident = tmp_path / "id.json"
+    save_file(ident, LinearMap(2, 2, eye(2)))
+    argv = ["check", "rota-baxter", _corpus_path("qt2"), str(ident)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        harness.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for extra in (["--all-witnesses", "--json"], ["--json"]):
+        assert main(argv + extra) == 1
+        shared = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "antiflex.cli"] + argv + extra, env=env,
+            capture_output=True, text=True)
+        assert fresh.returncode == 1 and shared.err == fresh.stderr == ""
+        assert _without_wall_time(shared.out) == \
+            _without_wall_time(fresh.stdout)
+    assert _without_wall_time(shared.out)["failure_count"] == 1
+
+
+def test_search_spec_rejects_inexact_coefficients_and_bounds():
+    for coeffs, i in (((Fraction(0), 0.1), 1), ((True, 0), 0),
+                      ((0, 1, "1/2"), 2)):
+        with pytest.raises(PreconditionError,
+                           match=r"SearchSpec: coefficient_set\[%d\] is %s, "
+                                 "not an int or Fraction"
+                                 % (i, re.escape(repr(coeffs[i])))):
+            SearchSpec("pafybe-symmetric", coeffs)
+    for bound in (True, 0, -1, 2.0):
+        with pytest.raises(PreconditionError,
+                           match=r"SearchSpec: bound is %r, not a positive "
+                                 "int" % (bound,)):
+            SearchSpec("pafybe-symmetric", bound=bound)
+    assert SearchSpec("pafybe-symmetric", (0, Fraction(1, 2)), 1) \
+        .coefficient_set == (Fraction(0), Fraction(1, 2))
 
 
 def test_cli_all_witnesses_bialgebra(tmp_path, capsys):
