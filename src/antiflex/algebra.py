@@ -9,19 +9,24 @@ Every identity the package checks is multilinear, so it holds on all
 elements exactly when it holds on basis tuples.  Each identity of
 `IDENTITIES` is also written in `COMPOSITIONS` as a signed sum of two-product
 compositions at permuted arguments, and `basis_residuals` evaluates those
-straight from the structure constants at any basis triple.
+straight from the structure constants at any basis triple.  It builds the
+whole residual tensor of an identity once per evaluator, on first use, in
+ints under the lcd of the structure constants and from the nonzero
+compositions alone; every triple outside that support is exactly zero.
 
 Every checker of the package is one `scan` of a lazy stream of
 (label, index tuple, residual) in lexicographic order of the index tuples:
 the first nonzero residual is the witness, and unless every failure is
-asked for, nothing after it is evaluated.
+asked for, the stream is read no further.  An identity scan
+(`triple_residuals`) streams only the nonzero residuals of the tensors.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 from typing import Optional
 
 from .linalg import (
@@ -111,10 +116,11 @@ class CheckReport:
 
 def _is_zero(res):
     """Whether a residual (a list of scalars, or nested lists of them) is
-    exactly zero."""
+    exactly zero.  list.count matches the shared ZERO by identity, at C
+    speed, and compares only the other entries with 0."""
     if res and isinstance(res[0], (list, tuple)):
         return all(map(_is_zero, res))
-    return not any(res)
+    return res.count(ZERO) == len(res)
 
 
 def scan(name, residuals, all_failures=False) -> CheckReport:
@@ -243,74 +249,133 @@ _TERMS = {label: tuple((sign, (shape, c1, c2),
           for label, terms in COMPOSITIONS.items()}
 
 
+def _lcd(entries):
+    """The least common denominator of ints and Fractions: the least
+    positive D with D * x an int for every x."""
+    return lcm(*{x.denominator for x in entries})
+
+
+def _scaled(pairs, d):
+    """The pairs (key, x) with each x scaled to the int d * x, for d a
+    multiple of every denominator."""
+    return [(key, x.numerator * (d // x.denominator)) for key, x in pairs]
+
+
+StructureTensors = namedtuple("StructureTensors", "rows scale")
+
+
+def structure_tensors(structure) -> StructureTensors:
+    """The products of an algebra ("c") or of a pre-algebra (prec, succ and
+    dot = prec + succ) under one common denominator D, the lcd of the
+    structure constants, as sparse int rows: rows[op][a][b] lists the pairs
+    (k, D * c[a][b][k]) with a nonzero coefficient, and scale is D.  Only
+    the nonzero constants are scaled, and dot is summed in ints."""
+    if isinstance(structure, Algebra):
+        products = (("c", structure.product),)
+    else:
+        products = (("prec", structure.prec), ("succ", structure.succ))
+    rows = {op: [[[(k, x) for k, x in enumerate(row) if x] for row in plane]
+                 for plane in t] for op, t in products}
+    d = _lcd(x for t in rows.values() for plane in t for row in plane
+             for _, x in row)
+    rows = {op: [[_scaled(row, d) for row in plane] for plane in t]
+            for op, t in rows.items()}
+    if "prec" in rows:
+        rows["dot"] = [[_row_sum(p, s) for p, s in zip(pp, ps)]
+                       for pp, ps in zip(rows["prec"], rows["succ"])]
+    return StructureTensors(rows, d)
+
+
+def _row_sum(p, s):
+    """The sum of two sparse int rows."""
+    if not p or not s:
+        return p or s
+    acc = dict(p)
+    for k, x in s:
+        acc[k] = acc.get(k, 0) + x
+    return [(k, x) for k, x in sorted(acc.items()) if x]
+
+
+def _triple(t, n):
+    """The index triple (i, j, k) at flat position t = (i * n + j) * n + k."""
+    ij, k = divmod(t, n)
+    return (*divmod(ij, n), k)
+
+
 def basis_residuals(structure):
     """The function (label, (i, j, k)) -> residual of the identity `label`
     of COMPOSITIONS at the basis triple (e_i, e_j, e_k), read straight from
     the structure constants.
 
-    The nonzero coordinates of a product e_u c e_v, and of a composition
-    entry (e_u c1 e_v) c2 e_w or e_u c1 (e_v c2 e_w), are computed on first
-    use and then kept by the returned function alone: each is computed once
-    per check and freed with the function.
+    On first use of a label its whole residual tensor is built from the
+    support alone: the structure constants are scaled to ints by their lcd
+    D (structure_tensors), each composition is enumerated over the nonzero
+    rows of its products only, and every triple whose int residual is
+    nonzero is divided back once, as Fraction(v, D**2).  Every other triple
+    is exactly zero, a sum of no terms or of terms that cancel, and returns
+    one shared zero residual that no reader mutates.  The tensor of a label
+    is built once per evaluator and freed with it; evaluate.tensor(label)
+    maps the flat position (i * d + j) * d + k of each nonzero triple to
+    its residual.
     """
     d = structure.dimension
-    if isinstance(structure, Algebra):
-        dense = {"c": lambda u, v: structure.product[u][v]}
-    else:
-        prec, succ = structure.prec, structure.succ
-        dense = {"prec": lambda u, v: prec[u][v],
-                 "succ": lambda u, v: succ[u][v],
-                 "dot": lambda u, v: [a + b for a, b in zip(prec[u][v],
-                                                            succ[u][v])]}
-    rows = {name: [None] * (d * d) for name in dense}
-    tables = {}     # (shape, c1, c2) -> its entries, flat, None until used
-    compiled = {}   # label -> its terms with their tables
+    c = structure_tensors(structure)
+    zero = [ZERO] * d
+    tensors = {}    # label -> its nonzero residuals by flat position
+    # each product's nonzero rows (u, v, row), and the same rows listed by
+    # u as (v, row) and by v as (u, row)
+    nonzero, by_first, by_second = {}, {}, {}
+    for op, t in c.rows.items():
+        nonzero[op] = [(u, v, row) for u, plane in enumerate(t)
+                       for v, row in enumerate(plane) if row]
+        by_first[op] = [[] for _ in range(d)]
+        by_second[op] = [[] for _ in range(d)]
+        for u, v, row in nonzero[op]:
+            by_first[op][u].append((v, row))
+            by_second[op][v].append((u, row))
 
-    def row(name, u, v):
-        at = u * d + v
-        nz = rows[name][at]
-        if nz is None:
-            nz = rows[name][at] = [(k, x) for k, x in
-                                   enumerate(dense[name](u, v)) if x]
-        return nz
-
-    def compile_terms(label):
-        terms = compiled[label] = []
-        for sign, key, order in _TERMS[label]:
-            if key not in tables:
-                tables[key] = [None] * (d * d * d)
-            terms.append((sign, key[0] == "L", key[1], key[2], tables[key])
-                         + order)
-        return terms
-
-    def evaluate(label, idx):
-        out = [ZERO] * d
-        for sign, left, c1, c2, table, a, b, c in \
-                compiled.get(label) or compile_terms(label):
-            u, v, w = idx[a], idx[b], idx[c]
-            at = (u * d + v) * d + w
-            e = table[at]
-            if e is None:
-                acc = {}
-                if left:        # (e_u c1 e_v) c2 e_w
-                    for p, x in row(c1, u, v):
-                        for q, y in row(c2, p, w):
-                            acc[q] = acc.get(q, ZERO) + x * y
-                else:           # e_u c1 (e_v c2 e_w)
-                    for p, x in row(c2, v, w):
-                        for q, y in row(c1, u, p):
-                            acc[q] = acc.get(q, ZERO) + x * y
-                # vanishing entries share one empty tuple, so a mostly
-                # zero table costs one pointer per entry
-                e = table[at] = [(q, x) for q, x in acc.items() if x] or ()
-            if sign > 0:
-                for q, x in e:
-                    out[q] += x
-            else:
-                for q, x in e:
-                    out[q] -= x
+    def tensor(label):
+        if label in tensors:
+            return tensors[label]
+        acc = {}    # flat coordinate ((i * d + j) * d + k) * d + q -> int
+        strides = (d ** 3, d * d, d)
+        for sign, (shape, c1, c2), (a, b, e) in _TERMS[label]:
+            su, sv, sw = strides[a], strides[b], strides[e]
+            if shape == "L":    # (e_u c1 e_v) c2 e_w: rows of c2 by u c1 v
+                outer, s1, s2 = nonzero[c1], su, sv
+                inner, s3 = by_first[c2], sw
+            else:               # e_u c1 (e_v c2 e_w): rows of c1 by v c2 w
+                outer, s1, s2 = nonzero[c2], sv, sw
+                inner, s3 = by_second[c1], su
+            for s, t, row in outer:
+                base0 = s * s1 + t * s2
+                for p, x in row:
+                    if sign < 0:
+                        x = -x
+                    for r, row2 in inner[p]:
+                        base = base0 + r * s3
+                        for q, y in row2:
+                            at = base + q
+                            acc[at] = acc.get(at, 0) + x * y
+        scale = c.scale * c.scale
+        out = tensors[label] = {}
+        for at, v in acc.items():
+            if v:
+                t, q = divmod(at, d)
+                res = out.get(t)
+                if res is None:
+                    res = out[t] = [ZERO] * d
+                res[q] = Fraction(v, scale)
         return out
 
+    def evaluate(label, idx):
+        i, j, k = idx
+        t = tensors.get(label)
+        if t is None:
+            t = tensor(label)
+        return t.get((i * d + j) * d + k, zero)
+
+    evaluate.tensor = tensor
     return evaluate
 
 
@@ -337,10 +402,18 @@ def identity_residuals(subject, kind, x, y, z):
 
 def triple_residuals(evaluate, labels, n):
     """(label, (i, j, k), residual) of each label at every basis triple of
-    an n-dimensional structure, given its basis_residuals."""
-    for idx in product(range(n), repeat=3):
-        for label in labels:
-            yield label, idx, evaluate(label, idx)
+    an n-dimensional structure whose residual is nonzero, in scan order
+    (index triple, then label order), given its basis_residuals.  Every
+    other triple is exactly zero, decided by the structure: it lies
+    outside the support of the label's residual tensor.  The tensors are
+    built whole when the stream is first read; scan still reads the stream
+    no further than the first witness."""
+    tensors = [(label, evaluate.tensor(label)) for label in labels]
+    for t in sorted(set().union(*(tensor for _, tensor in tensors))):
+        idx = _triple(t, n)
+        for label, tensor in tensors:
+            if t in tensor:
+                yield label, idx, tensor[t]
 
 
 def check_identities(subject, kind, all_failures=False) -> CheckReport:
@@ -403,27 +476,32 @@ def from_associative(assoc: Algebra, variant) -> PreAlgebra:
 def check_cyclic_form(alg: Algebra, omega, all_failures=False) -> CheckReport:
     """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples.
 
-    With w(u, v) = u^T omega v, w(e_i*e_j, e_k) is the dot product of the
-    product row c[i][j] with column k of omega, taken over the nonzeros of
-    that column alone.
+    With w(u, v) = u^T omega v, each nonzero c[i][j][p] * omega[p][k] is a
+    term of w(e_i*e_j, e_k), which enters the residual at the three cyclic
+    rotations of (i, j, k).  The terms are added in ints, with the product
+    scaled by its lcd D_c and omega by its lcd D_w, and only the triples
+    whose sum is nonzero are divided back, as Fraction(v, D_c * D_w), and
+    scanned: every other triple is exactly zero.
     """
     n = alg.dimension
     require_square("check_cyclic_form", "omega", omega, n)
-    c = alg.product
-    cols = [[(p, x) for p, x in enumerate(col) if x]
-            for col in transpose(omega)]
-
-    def w(row, k):
-        acc = ZERO
-        for p, x in cols[k]:
-            if row[p]:
-                acc += row[p] * x
-        return acc
-
+    c = structure_tensors(alg)
+    form = [[(k, y) for k, y in enumerate(row) if y] for row in omega]
+    d = _lcd(y for row in form for _, y in row)
+    form = [_scaled(row, d) for row in form]
+    acc = {}    # flat position (i * n + j) * n + k -> int
+    for i, plane in enumerate(c.rows["c"]):
+        for j, row in enumerate(plane):
+            for p, x in row:
+                for k, y in form[p]:
+                    v = x * y
+                    for at in ((i * n + j) * n + k, (k * n + i) * n + j,
+                               (j * n + k) * n + i):
+                        acc[at] = acc.get(at, 0) + v
+    scale = c.scale * d
     return scan("cyclic-form", (
-        ("cyclic-form", (i, j, k), [w(c[i][j], k) + w(c[j][k], i)
-                                    + w(c[k][i], j)])
-        for i, j, k in product(range(n), repeat=3)), all_failures)
+        ("cyclic-form", _triple(at, n), [Fraction(v, scale)])
+        for at, v in sorted(acc.items()) if v), all_failures)
 
 
 def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:

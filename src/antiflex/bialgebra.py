@@ -28,7 +28,8 @@ from .algebra import PreAlgebra, CheckReport, PreconditionError, \
     basis_residuals, check_identities, require_tensor, scan, \
     triple_residuals
 from .bimodule import act
-from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec
+from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec, \
+    vec_neg
 from .matched import (
     standard_dual_matched, dual_pre_matched, build_af_double,
     build_pre_double, omega_double_check, _matched_report,
@@ -161,7 +162,7 @@ def _condition_residuals(n, evaluate):
                                        for p in range(n)]
                     res = [[v[n + j] for v in row] for row in no_y[label]]
                 yield label, (i, j), res if sign > 0 else \
-                    [[-v for v in row] for row in res]
+                    [vec_neg(row) for row in res]
 
 
 def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,

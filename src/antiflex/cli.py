@@ -128,8 +128,23 @@ def build_parser():
     return top
 
 
+def _attached_coeffs(argv):
+    """argv with `--coeffs LIST` written `--coeffs=LIST` where LIST starts
+    with a minus sign, as in -1,0,1: argparse would take it for an
+    option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--coeffs" and arg[:1] == "-" \
+                and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attached_coeffs(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (FormatError, PreconditionError, SingularMatrixError,

@@ -25,14 +25,13 @@ with case-two-C the negated coboundary-3.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_square, scan
+    _lcd, _scaled, check_identities, require_square, scan, \
+    structure_tensors
 from .bialgebra import Bialgebra
 from .bimodule import multiplication_operators, act
 from .linalg import (
@@ -68,27 +67,19 @@ def r_is_symmetric(r) -> bool:
 # placed products
 # ---------------------------------------------------------------------------
 
-def placed_product(m1, pos1, m2, pos2, rows, out, sign=1):
+def placed_product(f1, f2, step, rows, out, sign=1):
     """Add sign times the product of two placed r-elements to out.
 
-    m1 sits at slots pos1 = (p1, q1) (first component at p1, second at q1)
-    and m2 at pos2; the placements must share exactly one slot.  At the
-    shared slot the two meeting components are multiplied by a structure
-    tensor given as sparse rows (see structure_tensors), m1's component on
-    the left; the free components stay put.  out is a rank-3 tensor stored
-    flat, entry [s1][s2][s3] at (s1 * n + s2) * n + s3.  Only the nonzero
-    entries of the factors and of the structure rows are visited.
+    Each factor is given by its nonzero entries at its placement (see
+    _placed_nonzeros); the placements share exactly one slot, whose flat
+    stride in out is step.  At the shared slot the two meeting components
+    are multiplied by a structure tensor given as sparse rows (see
+    structure_tensors), the first factor's component on the left; the free
+    components stay put.  out is a rank-3 tensor stored flat, entry
+    [s1][s2][s3] at (s1 * n + s2) * n + s3.  Only the nonzero entries of
+    the factors and of the structure rows are visited.
     """
-    shared = set(pos1) & set(pos2)
-    if len(shared) != 1 or set(pos1) | set(pos2) != {1, 2, 3}:
-        raise PreconditionError("placed_product: placements must cover the "
-                                "three slots and share exactly one")
-    s = shared.pop()
-    n = len(m1)
-    stride = (n * n, n, 1)
-    step = stride[s - 1]
-    f2 = _placed_nonzeros(m2, pos2, s, stride)
-    for a, off1, x1 in _placed_nonzeros(m1, pos1, s, stride):
+    for a, off1, x1 in f1:
         row_a = rows[a]
         if sign < 0:
             x1 = -x1
@@ -102,53 +93,23 @@ def placed_product(m1, pos1, m2, pos2, rows, out, sign=1):
                 out[base + k * step] += coeff * ck
 
 
-def _placed_nonzeros(m, pos, s, stride):
-    """The nonzero entries of an r-element placed at pos, as triples
-    (component at the shared slot s, flat offset of the free component,
-    coefficient)."""
+def _shared_slot(pos1, pos2):
+    """The one slot two placements share; they must cover all three."""
+    shared = set(pos1) & set(pos2)
+    if len(shared) != 1 or set(pos1) | set(pos2) != {1, 2, 3}:
+        raise PreconditionError("placed_product: placements must cover the "
+                                "three slots and share exactly one")
+    return shared.pop()
+
+
+def _placed_nonzeros(entries, pos, s, stride):
+    """The nonzero entries ((i, j), x) of an r-element placed at pos, as
+    triples (component at the shared slot s, flat offset of the free
+    component, coefficient)."""
     p, q = pos
-    out = []
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x != 0:
-                if p == s:
-                    out.append((i, j * stride[q - 1], x))
-                else:
-                    out.append((j, i * stride[p - 1], x))
-    return out
-
-
-def _lcd(entries):
-    """The least common denominator of ints and Fractions: the least
-    positive D with D * x an int for every x."""
-    return lcm(*{x.denominator for x in entries})
-
-
-def _scaled(m, d):
-    """The matrix d * m as ints, for d a multiple of every denominator of
-    m."""
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m]
-
-
-StructureTensors = namedtuple("StructureTensors", "rows scale")
-
-
-def structure_tensors(palg: PreAlgebra) -> StructureTensors:
-    """The three products of a pre-algebra (prec, succ and dot = prec +
-    succ) under one common denominator D_c, the lcd of the structure
-    constants, as sparse int rows: rows[op][a][b] lists the pairs
-    (k, D_c * c[a][b][k]) with a nonzero coefficient, and scale is D_c.
-    Built once per check or search and handed to evaluate_expression."""
-    d = _lcd(x for t in (palg.prec, palg.succ) for plane in t
-             for row in plane for x in row)
-    prec = [_scaled(plane, d) for plane in palg.prec]
-    succ = [_scaled(plane, d) for plane in palg.succ]
-    dot = [[[p + s for p, s in zip(rp, rs)] for rp, rs in zip(pp, ps)]
-           for pp, ps in zip(prec, succ)]
-    return StructureTensors(
-        {op: [[[(k, x) for k, x in enumerate(row) if x] for row in plane]
-              for plane in c]
-         for op, c in (("prec", prec), ("succ", succ), ("dot", dot))}, d)
+    if p == s:
+        return [(i, j * stride[q - 1], x) for (i, j), x in entries]
+    return [(j, i * stride[p - 1], x) for (i, j), x in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +137,24 @@ def _numerators(c, terms, mats):
     ints: (the flat tensor of its value times D, D).  Each term is bilinear
     in its two factors, so with every factor matrix scaled by one lcd D_m,
     every signed term adds D = D_c * D_m**2 times its value into one int
-    tensor."""
+    tensor.  Each factor's nonzeros are read once, and placed once per
+    placement and shared slot."""
     n = len(c.rows["prec"])
-    d = _lcd(x for m in mats.values() for row in m for x in row)
-    scaled = {tag: _scaled(m, d) for tag, m in mats.items()}
+    stride = (n * n, n, 1)
+    entries = {tag: [((i, j), x) for i, row in enumerate(m)
+                     for j, x in enumerate(row) if x]
+               for tag, m in mats.items()}
+    d = _lcd(x for e in entries.values() for _, x in e)
+    entries = {tag: _scaled(e, d) for tag, e in entries.items()}
+    placed = {}     # (factor, shared slot) -> its placed nonzeros
     out = [0] * (n * n * n)
-    for sign, (t1, p1, q1), op, (t2, p2, q2) in terms:
-        placed_product(scaled[t1], (p1, q1), scaled[t2], (p2, q2),
+    for sign, f1, op, f2 in terms:
+        s = _shared_slot(f1[1:], f2[1:])
+        for f in (f1, f2):
+            if (f, s) not in placed:
+                placed[f, s] = _placed_nonzeros(entries[f[0]], f[1:], s,
+                                                stride)
+        placed_product(placed[f1, s], placed[f2, s], stride[s - 1],
                        c.rows[op], out, sign)
     return out, c.scale * d * d
 

@@ -24,13 +24,13 @@ from operator import attrgetter
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     check_identities, from_associative, identity_residuals, \
-    induce_pre_from_form, require_matrix, require_square
+    induce_pre_from_form, require_matrix, require_square, structure_tensors
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
     check_pre_bimodule, semidirect_pre
 from .coboundary import RPair, SPECIAL_CASES, check_pafybe, \
     check_coboundary_conditions, coboundary_bialgebra, pafybe_core, \
-    special_case_bialgebra, structure_tensors
+    special_case_bialgebra
 from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
     build_pre_double, check_af_matched, check_pre_matched
 from .operators import OOperator, canonical_solution, check_rota_baxter, \

@@ -3,8 +3,9 @@
 The Fraction path: the structure tensors, the term-list evaluator, the
 r-term of the second cubic condition and the PAFYBE and coboundary checks
 as they were before the placed-product kernel ran in ints under one common
-denominator.  They hand Fractions straight to the same placed_product, so
-every sum is a Fraction sum, and the int path is tested against them.
+denominator, with the placed-product kernel as it was then: it takes the
+factor matrices and re-extracts their nonzeros at every call.  Every sum
+is a Fraction sum, and the int path is tested against them.
 
 The two one-parameter special cases written out by hand from r: the
 per-case residuals and cubic term lists that antiflex.coboundary, which
@@ -20,7 +21,7 @@ from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
 from antiflex.bimodule import act, multiplication_operators
 from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
     _cubic_first_kind, _cubic_second_kind, _quadratic_residuals, \
-    _require_base, _rpair_mats, flp_expression, placed_product, \
+    _require_base, _rpair_mats, flp_expression, \
     sigma13_expression, special_case_rpair
 from antiflex.linalg import ZERO, apply2, eye, mat_add, mat_is_zero, \
     mat_mul, mat_neg, mat_sub, t3_add, transpose
@@ -29,6 +30,56 @@ from antiflex.linalg import ZERO, apply2, eye, mat_add, mat_is_zero, \
 # ---------------------------------------------------------------------------
 # the Fraction path
 # ---------------------------------------------------------------------------
+
+def placed_product(m1, pos1, m2, pos2, rows, out, sign=1):
+    """Add sign times the product of two placed r-elements to out.
+
+    m1 sits at slots pos1 = (p1, q1) (first component at p1, second at q1)
+    and m2 at pos2; the placements must share exactly one slot.  At the
+    shared slot the two meeting components are multiplied by a structure
+    tensor given as sparse rows (see structure_tensors), m1's component on
+    the left; the free components stay put.  out is a rank-3 tensor stored
+    flat, entry [s1][s2][s3] at (s1 * n + s2) * n + s3.  Only the nonzero
+    entries of the factors and of the structure rows are visited.
+    """
+    shared = set(pos1) & set(pos2)
+    if len(shared) != 1 or set(pos1) | set(pos2) != {1, 2, 3}:
+        raise PreconditionError("placed_product: placements must cover the "
+                                "three slots and share exactly one")
+    s = shared.pop()
+    n = len(m1)
+    stride = (n * n, n, 1)
+    step = stride[s - 1]
+    f2 = _placed_nonzeros(m2, pos2, s, stride)
+    for a, off1, x1 in _placed_nonzeros(m1, pos1, s, stride):
+        row_a = rows[a]
+        if sign < 0:
+            x1 = -x1
+        for b, off2, x2 in f2:
+            entries = row_a[b]
+            if not entries:
+                continue
+            coeff = x1 * x2
+            base = off1 + off2
+            for k, ck in entries:
+                out[base + k * step] += coeff * ck
+
+
+def _placed_nonzeros(m, pos, s, stride):
+    """The nonzero entries of an r-element placed at pos, as triples
+    (component at the shared slot s, flat offset of the free component,
+    coefficient)."""
+    p, q = pos
+    out = []
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x != 0:
+                if p == s:
+                    out.append((i, j * stride[q - 1], x))
+                else:
+                    out.append((j, i * stride[p - 1], x))
+    return out
+
 
 def _zeros_flat(n):
     return [ZERO] * (n * n * n)

@@ -93,6 +93,19 @@ def perturbed_pre_algebras(palg: PreAlgebra):
                                                        palg.basis_names)
 
 
+def matrix_units(n):
+    """The algebra of n x n matrices over the matrix units: E_ab E_cd is
+    E_ad when b = c and 0 otherwise, E_ab the basis vector a * n + b."""
+    d = n * n
+    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for a in range(n):
+        for b in range(n):
+            for e in range(n):
+                c[a * n + b][b * n + e][a * n + e] = Fraction(1)
+    return Algebra(d, c, tuple("E%d%d" % (a + 1, b + 1) for a in range(n)
+                               for b in range(n)))
+
+
 def seeded(seed):
     return random.Random(seed)
 

@@ -1,21 +1,24 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiflex.algebra import (
-    ALGEBRA_KINDS, KIND_IDENTITIES, Algebra, PreAlgebra, PreconditionError,
-    check_cyclic_form, check_identities, derived_products, from_associative,
-    induce_pre_from_form, pre_triple, scan, triple, underlying_algebra,
+    ALGEBRA_KINDS, IDENTITIES, KIND_IDENTITIES, Algebra, PreAlgebra,
+    PreconditionError, basis_residuals, check_cyclic_form, check_identities,
+    derived_products, from_associative, induce_pre_from_form, pre_triple,
+    scan, structure_tensors, triple, underlying_algebra,
 )
-from antiflex.linalg import basis_vec, contract_product, eye, vec_add, \
-    vec_sub, zeros_t3
+from antiflex.linalg import SingularMatrixError, basis_vec, \
+    contract_product, eye, mat_inverse, vec_add, vec_sub, zeros_t3
 from antiflex.matched import omega_matrix
 from antiflex.operators import canonical_solution
 
 from helpers import CORPUS, FROM_ASSOC_VARIANTS, bump_t3, \
     perturbed_algebras, perturbed_pre_algebras, rand_t3, rand_vec, seeded
+from cyclic_reference import reference_check_cyclic_form
 from identity_reference import reference_check_identities
 
 
@@ -232,6 +235,47 @@ def test_check_identities_matches_reference(seed, n, density, kind, every):
         reference_check_identities(subject, kind, every)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4),
+       st.sampled_from((0.05, 0.2, 0.5, 1.0)),
+       st.sampled_from(sorted(KIND_IDENTITIES)), st.booleans())
+def test_identity_kernel_on_non_integral_rationals(seed, n, density, kind,
+                                                   every):
+    # entries with denominators 2-7, so the int kernel runs at a scale
+    # D > 1: the reports equal the per-tuple scan of the element-level
+    # residuals, and the evaluator equals IDENTITIES on basis vectors at
+    # every triple and label, where the readers of arbitrary triples call it
+    rng = seeded(seed)
+
+    def entry():
+        return Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)),
+                        rng.randint(2, 7))
+
+    def tensor():
+        return [[[entry() if rng.random() < density else Fraction(0)
+                  for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+    tensors = [tensor() for _ in range(1 if kind in ALGEBRA_KINDS else 2)]
+    while not any(x.denominator > 1 for t in tensors for plane in t
+                  for row in plane for x in row):
+        t = rng.choice(tensors)
+        t[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = entry()
+    subject = Algebra(n, *tensors) if kind in ALGEBRA_KINDS \
+        else PreAlgebra(n, *tensors)
+    assert structure_tensors(subject).scale > 1
+    assert check_identities(subject, kind, every) == \
+        reference_check_identities(subject, kind, every)
+    evaluate = basis_residuals(subject)
+    labels = {label for k in (ALGEBRA_KINDS if kind in ALGEBRA_KINDS
+                              else ("pre-anti-flexible", "dendriform"))
+              for label in KIND_IDENTITIES[k]}
+    basis = [basis_vec(n, i) for i in range(n)]
+    for i, j, k in product(range(n), repeat=3):
+        for label in sorted(labels):
+            assert evaluate(label, (i, j, k)) == IDENTITIES[label](
+                subject, basis[i], basis[j], basis[k]), (label, (i, j, k))
+
+
 def test_check_identities_matches_reference_on_corpus():
     # passing corpus structures, and single-entry perturbations of them
     # whose first witness lies deep in the scan
@@ -249,6 +293,67 @@ def test_check_identities_matches_reference_on_corpus():
             for every in (False, True):
                 assert check_identities(subject, kind, every) == \
                     reference_check_identities(subject, kind, every)
+
+
+def _changed_basis(alg, omega, p):
+    """The algebra and the bilinear form in the basis f_a = sum_i p[i][a]
+    e_i: c'[a][b][c] = sum p[i][a] p[j][b] c[i][j][k] q[c][k], with q the
+    inverse of p, and omega' = p^T omega p."""
+    n = alg.dimension
+    q = mat_inverse(p)
+    c = alg.product
+    prod = [[[sum(p[i][a] * p[j][b] * c[i][j][k] * q[e][k]
+                  for i in range(n) for j in range(n) for k in range(n)
+                  if c[i][j][k])
+              for e in range(n)] for b in range(n)] for a in range(n)]
+    form = [[sum(p[i][a] * omega[i][j] * p[j][b]
+                 for i in range(n) for j in range(n))
+             for b in range(n)] for a in range(n)]
+    return Algebra(n, [[[Fraction(x) for x in row] for row in plane]
+                       for plane in prod]), form
+
+
+# closed skew forms: the canonical doubles of two corpus splittings with
+# the canonical pairing
+_CLOSED = []
+for _name in ("q1", "qt2"):
+    _palg = from_associative(CORPUS[_name], "succ-left")
+    _CLOSED.append((underlying_algebra(canonical_solution(_palg)[0]),
+                    omega_matrix(_palg.dimension)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(("closed", "perturbed", "random")), st.booleans())
+def test_check_cyclic_form_matches_reference(seed, source, every):
+    # random rational algebras and forms, closed and not closed: the same
+    # report, witness and failures as the per-triple scan
+    rng = seeded(seed)
+
+    def frac():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 7))
+
+    if source == "random":
+        n = rng.randint(1, 4)
+        alg = Algebra(n, [[[frac() if rng.random() < 0.4 else Fraction(0)
+                            for _ in range(n)] for _ in range(n)]
+                          for _ in range(n)])
+        omega = [[frac() for _ in range(n)] for _ in range(n)]
+    else:
+        alg, omega = rng.choice(_CLOSED)
+        n = alg.dimension
+        omega = [list(row) for row in omega]
+        p = [[frac() for _ in range(n)] for _ in range(n)]
+        try:
+            alg, omega = _changed_basis(alg, omega, p)
+        except SingularMatrixError:
+            pass
+        if source == "perturbed":
+            omega[rng.randrange(n)][rng.randrange(n)] += frac()
+    report = check_cyclic_form(alg, omega, every)
+    assert report == reference_check_cyclic_form(alg, omega, every)
+    if source == "closed":
+        assert report.passed
 
 
 def test_scan_reads_no_further_than_the_first_witness():

@@ -19,8 +19,8 @@ from antiflex.operators import canonical_solution
 from antiflex.linalg import eye, zeros_t3
 
 from bialgebra_reference import co_identity_residuals, condition_residuals
-from helpers import CORPUS, all_corpus_pre, bump_t3, rand_t3, seeded, \
-    split_bialgebra
+from helpers import CORPUS, all_corpus_pre, bump_t3, matrix_units, \
+    rand_t3, seeded, split_bialgebra
 from antiflex.algebra import from_associative
 
 
@@ -289,3 +289,16 @@ def test_pairing_identities_on_verified_instance():
                 for k in range(n):
                     assert d.delta_prec[k][i][j] == b.palg.prec[i][j][k]
                     assert d.delta_succ[k][i][j] == b.palg.succ[i][j][k]
+
+
+def test_verify_bialgebra_on_m3():
+    # the case-one bialgebra of the canonical solution on the succ-left
+    # splitting of the 3 x 3 matrices: pre-algebra dimension 18, double
+    # dimension 36, and all four routes pass
+    m2 = matrix_units(2)
+    assert m2.product == CORPUS["m2"].product
+    double, r = canonical_solution(from_associative(matrix_units(3),
+                                                    "succ-left"))
+    b = special_case_bialgebra(double, r, "one")
+    assert b.dimension == 18
+    assert verify_bialgebra(b, _return_routes=True) == (True,) * 4

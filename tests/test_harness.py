@@ -407,6 +407,27 @@ def test_cli_search_repeated_coefficients(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_search_coeffs_with_a_leading_minus(tmp_path, capsys):
+    # a coefficient list that starts with a minus sign is the value of
+    # --coeffs whether it is attached with = or given as the next argument
+    subject = tmp_path / "pre.json"
+    save_file(subject, DIM2_PRE[0])
+    outputs = []
+    for args in (["--coeffs", "-1,0,1"], ["--coeffs=-1,0,1"],
+                 ["--coeffs", "-1/2,0,1"], ["--coeffs=-1/2,0,1"]):
+        out = tmp_path / ("found-%d.json" % len(outputs))
+        assert main(["search", "pafybe-symmetric", str(subject), *args,
+                     "-o", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_text()))
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert outputs[0] != outputs[2]
+    assert json.loads(outputs[0][1])["report"]["found"] > 0
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "pafybe-symmetric", str(subject), "--coeffs"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def _grid(shape, coeffs, rows, cols, symmetric=False):
     """Every candidate of a grid, in the order grid_search enumerates it."""
     for vals in product(coeffs, repeat=len(shape)):
