@@ -8,17 +8,19 @@ half-shuffle notation) whose sum is the underlying single product.
 Every identity the package checks is multilinear, so it holds on all
 elements exactly when it holds on basis tuples.  Each identity of
 `IDENTITIES` is also written in `COMPOSITIONS` as a signed sum of two-product
-compositions at permuted arguments, and `basis_residuals` evaluates those
-straight from the structure constants at any basis triple.  It builds the
-whole residual tensor of an identity once per evaluator, on first use, in
-ints under the lcd of the structure constants and from the nonzero
-compositions alone; every triple outside that support is exactly zero.
+compositions at permuted arguments, and `basis_residuals` lists the nonzero
+entries of its residual tensor straight from the structure constants, once
+per evaluator, on first use, in ints under the lcd of the structure
+constants and from the nonzero compositions alone; every entry outside
+that support is exactly zero.
 
-Every checker of the package is one `scan` of a lazy stream of
-(label, index tuple, residual) in lexicographic order of the index tuples:
-the first nonzero residual is the witness, and unless every failure is
-asked for, the stream is read no further.  An identity scan
-(`triple_residuals`) streams only the nonzero residuals of the tensors.
+Every table of identities the package reads (the identities themselves,
+the bimodule blocks, the matched-pair conditions, the bialgebra conditions
+and co-identities) is rows on one reader, `table_residuals`, which turns
+those entries into the nonzero residuals of the rows.  Every checker is one
+`scan` of a lazy stream of (label, index tuple, residual) in lexicographic
+order of the index tuples: the first nonzero residual is the witness, and
+unless every failure is asked for, the stream is read no further.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional
 
 from .linalg import (
@@ -138,6 +140,13 @@ def scan(name, residuals, all_failures=False) -> CheckReport:
     return CheckReport(False, name, witness=failures[0],
                        failures=tuple(failures) if all_failures
                        else (failures[0],))
+
+
+def require_pass(report, message):
+    """Raise PreconditionError, the message followed by the witness, unless
+    the report passed."""
+    if not report.passed:
+        raise PreconditionError("%s; witness %r" % (message, report.witness))
 
 
 def require_matrix(caller, what, m, rows, cols):
@@ -303,25 +312,22 @@ def _triple(t, n):
 
 
 def basis_residuals(structure):
-    """The function (label, (i, j, k)) -> residual of the identity `label`
-    of COMPOSITIONS at the basis triple (e_i, e_j, e_k), read straight from
-    the structure constants.
+    """The function label -> the nonzero entries (i, j, k, q, x) of the
+    residual tensor of the identity `label` of COMPOSITIONS: coordinate q
+    of the identity at the basis triple (e_i, e_j, e_k) is x, and every
+    entry not listed is exactly zero, a sum of no terms or of terms that
+    cancel.  table_residuals reads every identity table from them.
 
-    On first use of a label its whole residual tensor is built from the
-    support alone: the structure constants are scaled to ints by their lcd
-    D (structure_tensors), each composition is enumerated over the nonzero
-    rows of its products only, and every triple whose int residual is
-    nonzero is divided back once, as Fraction(v, D**2).  Every other triple
-    is exactly zero, a sum of no terms or of terms that cancel, and returns
-    one shared zero residual that no reader mutates.  The tensor of a label
-    is built once per evaluator and freed with it; evaluate.tensor(label)
-    maps the flat position (i * d + j) * d + k of each nonzero triple to
-    its residual.
+    On first use of a label its whole tensor is built from the support
+    alone: the structure constants are scaled to ints by their lcd D
+    (structure_tensors), each composition is enumerated over the nonzero
+    rows of its products only, and every entry whose int sum is nonzero is
+    divided back once, as Fraction(v, D**2).  The entries of a label are
+    listed once per evaluator and freed with it.
     """
     d = structure.dimension
     c = structure_tensors(structure)
-    zero = [ZERO] * d
-    tensors = {}    # label -> its nonzero residuals by flat position
+    tensors = {}    # label -> its nonzero entries
     # each product's nonzero rows (u, v, row), and the same rows listed by
     # u as (v, row) and by v as (u, row)
     nonzero, by_first, by_second = {}, {}, {}
@@ -358,25 +364,59 @@ def basis_residuals(structure):
                             at = base + q
                             acc[at] = acc.get(at, 0) + x * y
         scale = c.scale * c.scale
-        out = tensors[label] = {}
+        out = tensors[label] = []
         for at, v in acc.items():
             if v:
                 t, q = divmod(at, d)
-                res = out.get(t)
-                if res is None:
-                    res = out[t] = [ZERO] * d
-                res[q] = Fraction(v, scale)
+                out.append((*_triple(t, d), q, Fraction(v, scale)))
         return out
 
-    def evaluate(label, idx):
-        i, j, k = idx
-        t = tensors.get(label)
-        if t is None:
-            t = tensor(label)
-        return t.get((i * d + j) * d + k, zero)
+    return tensor
 
-    evaluate.tensor = tensor
-    return evaluate
+
+def _nested(flat, shape):
+    """A flat list in row-major order as nested lists of the given shape."""
+    for n in reversed(shape[1:]):
+        flat = [flat[s:s + n] for s in range(0, len(flat), n)]
+    return flat
+
+
+def table_residuals(tensor, rows, extents, index, axes):
+    """(label, index tuple, residual) of each row of an identity table
+    where its residual is nonzero, in scan order (index tuple, then row),
+    given the basis_residuals of a structure.
+
+    A row is (label, identity, slots, sign).  Its four slots are (letter,
+    offset) for the identity's three arguments and for its coordinate: at
+    letter values v1..v4 the row is sign times coordinate o4 + v4 of the
+    identity at the basis triple (o1 + v1, o2 + v2, o3 + v3).  extents
+    gives each letter's number of values, index the letters of the index
+    tuple and axes those of the residual, nested lists over them.  The four
+    letters of a row are distinct and among index and axes, so each
+    nonzero entry of the identity in a row's ranges is one entry of one
+    residual; every residual that is not built is exactly zero.
+    """
+    shape = [extents[ch] for ch in axes]
+    found = {}      # (index tuple, row number) -> its residual, flat
+    for r, (_, identity, slots, sign) in enumerate(rows):
+        letters = [ch for ch, _ in slots]
+        (o0, h0), (o1, h1), (o2, h2), (o3, h3) = [
+            (o, o + extents[ch]) for ch, o in slots]
+        pick = [letters.index(ch) for ch in index]
+        place = [(letters.index(ch), prod(shape[m + 1:]))
+                 for m, ch in enumerate(axes)]
+        for u, v, w, q, x in tensor(identity):
+            if o0 <= u < h0 and o1 <= v < h1 and o2 <= w < h2 \
+                    and o3 <= q < h3:
+                at = (u - o0, v - o1, w - o2, q - o3)
+                key = (tuple([at[p] for p in pick]), r)
+                res = found.get(key)
+                if res is None:
+                    res = found[key] = [ZERO] * prod(shape)
+                res[sum([at[p] * s for p, s in place])] = \
+                    x if sign > 0 else -x
+    for idx, r in sorted(found):
+        yield rows[r][0], idx, _nested(found[idx, r], shape)
 
 
 def _kind_labels(subject, kind):
@@ -400,20 +440,15 @@ def identity_residuals(subject, kind, x, y, z):
             for label in _kind_labels(subject, kind)]
 
 
-def triple_residuals(evaluate, labels, n):
+def triple_residuals(tensor, labels, n):
     """(label, (i, j, k), residual) of each label at every basis triple of
-    an n-dimensional structure whose residual is nonzero, in scan order
-    (index triple, then label order), given its basis_residuals.  Every
-    other triple is exactly zero, decided by the structure: it lies
-    outside the support of the label's residual tensor.  The tensors are
-    built whole when the stream is first read; scan still reads the stream
-    no further than the first witness."""
-    tensors = [(label, evaluate.tensor(label)) for label in labels]
-    for t in sorted(set().union(*(tensor for _, tensor in tensors))):
-        idx = _triple(t, n)
-        for label, tensor in tensors:
-            if t in tensor:
-                yield label, idx, tensor[t]
+    an n-dimensional structure whose residual is nonzero, in scan order,
+    given its basis_residuals: one table row per label, read at its own
+    arguments and coordinate."""
+    slots = tuple((ch, 0) for ch in "ijkq")
+    return table_residuals(tensor, [(label, label, slots, 1)
+                                    for label in labels],
+                           dict.fromkeys("ijkq", n), "ijk", "q")
 
 
 def check_identities(subject, kind, all_failures=False) -> CheckReport:
@@ -456,10 +491,8 @@ def from_associative(assoc: Algebra, variant) -> PreAlgebra:
     order) and the other is zero."""
     if variant not in FROM_ASSOCIATIVE_VARIANTS:
         raise ValueError("from_associative: unknown variant %r" % (variant,))
-    rep = check_identities(assoc, "associative")
-    if not rep.passed:
-        raise PreconditionError("from_associative: input is not associative; "
-                                "witness %r" % (rep.witness,))
+    require_pass(check_identities(assoc, "associative"),
+                 "from_associative: input is not associative")
     n = assoc.dimension
     c = assoc.product
     flipped = [[c[j][i] for j in range(n)] for i in range(n)]
@@ -511,14 +544,11 @@ def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
     condition w(x*y,z)+w(y*z,x)+w(z*x,y)=0.  The two half-products are the
     unique solutions of w(x<y, z) = w(x, y*z) and w(x>y, z) = w(y, z*x).
     """
-    rep = check_identities(alg, "anti-flexible")
-    if not rep.passed:
-        raise PreconditionError("induce_pre_from_form: base algebra fails the "
-                                "anti-flexible check; witness %r" % (rep.witness,))
-    cyc = check_cyclic_form(alg, omega)
-    if not cyc.passed:
-        raise PreconditionError("induce_pre_from_form: form violates the cyclic "
-                                "condition; witness %r" % (cyc.witness,))
+    require_pass(check_identities(alg, "anti-flexible"),
+                 "induce_pre_from_form: base algebra fails the anti-flexible "
+                 "check")
+    require_pass(check_cyclic_form(alg, omega),
+                 "induce_pre_from_form: form violates the cyclic condition")
     n = alg.dimension
     try:
         # w(v, -) as a row functional is v^T omega; solving omega^T u = rhs

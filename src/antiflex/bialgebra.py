@@ -9,7 +9,9 @@ space; validity is decided through four provably equivalent routes which
 the verifier cross-checks against each other.
 
 Every route reads an identity of a double through the pairing of A with
-A*.  The two co-identities are coordinates of the pre-anti-flexible
+A*, as rows of a table read by the one table reader
+(algebra.table_residuals) off the identity's nonzero entries.  The two
+co-identities (CO_IDENTITIES) are coordinates of the pre-anti-flexible
 identities of the dual products.  Routes 1-3 read one evaluator of the AF
 double of the standard dual pair on A + A*: route 1's four compatibility
 conditions are rows of BIALGEBRA_CONDITIONS, each an entry of the double's
@@ -21,15 +23,14 @@ of the eight-map dual pair is pre-anti-flexible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
-from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, check_identities, require_tensor, scan, \
-    triple_residuals
+from .algebra import PreAlgebra, CheckReport, basis_residuals, \
+    check_identities, require_matrix, require_pass, require_tensor, scan, \
+    table_residuals, triple_residuals
 from .bimodule import act
-from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec, \
-    vec_neg
+from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec
 from .matched import (
     standard_dual_matched, dual_pre_matched, build_af_double,
     build_pre_double, omega_double_check, _matched_report,
@@ -85,9 +86,11 @@ def comult_from_products(palg: PreAlgebra):
 # ---------------------------------------------------------------------------
 
 # each co-identity by the identity of the dual products whose coordinates
-# it collects
-CO_IDENTITIES = (("co-identity-m", "pre-anti-flexible-m"),
-                 ("co-identity-lr", "pre-anti-flexible-lr"))
+# it collects: (label, identity, its arguments and coordinate).  Entry
+# [p][q][k] of the residual at e_i is coordinate i of the identity at
+# (f_p, f_q, f_k).
+CO_IDENTITIES = (("co-identity-m", "pre-anti-flexible-m", "pqki"),
+                 ("co-identity-lr", "pre-anti-flexible-lr", "pqki"))
 
 
 def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
@@ -105,21 +108,11 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
     identity at (f_p, f_q, f_k).
     """
     dual = dual_products_from_comult(delta_prec, delta_succ)
-    n = dual.dimension
-    evaluate = basis_residuals(dual)
-
-    def residuals():
-        tables = {}     # identity -> its residuals at every dual triple
-        for i in range(n):
-            for label, identity in CO_IDENTITIES:
-                if identity not in tables:
-                    tables[identity] = [[[evaluate(identity, (p, q, k))
-                                          for k in range(n)]
-                                         for q in range(n)]
-                                        for p in range(n)]
-                yield label, (i,), [[[v[i] for v in row] for row in plane]
-                                    for plane in tables[identity]]
-    return scan("dual-pre-via-comult", residuals(), all_failures)
+    return scan("dual-pre-via-comult", table_residuals(
+        basis_residuals(dual),
+        [(label, identity, [(ch, 0) for ch in letters], 1)
+         for label, identity, letters in CO_IDENTITIES],
+        dict.fromkeys("pqki", dual.dimension), "i", "pqk"), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -128,51 +121,39 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
 
 # The four compatibility conditions as pairings on the AF double of the
 # standard dual pair, A + A* (see matched.standard_dual_matched): (label,
-# arguments, sign).  At the basis pair x = e_i, y = e_j of A, with
-# a = f_p and b = f_q of A*, entry [p][q] of a condition is its sign times
-# <AF(u, v, w), z>: AF is the anti-flexible identity of the double at the
-# arguments u, v, w, and z is the letter they leave out, paired across
-# A + A*.  A missing b reads coordinate q of A, a missing y coordinate
-# n + j of A*.
+# identity of the double, its arguments and the letter they leave out,
+# sign).  At the basis pair x = e_i, y = e_j of A, with a = f_p and b = f_q
+# of A*, entry [p][q] of a condition is its sign times <AF(u, v, w), z>:
+# AF is the anti-flexible identity of the double at the arguments u, v, w,
+# and z is the letter they leave out, paired across A + A*.  A missing b
+# reads coordinate q of A, a missing y coordinate n + j of A*.
 BIALGEBRA_CONDITIONS = (
-    ("bialgebra-1", "xya", 1),
-    ("bialgebra-3", "xay", 1),
-    ("bialgebra-2p", "xba", -1),
-    ("bialgebra-4p", "axb", 1),
+    ("bialgebra-1", "anti-flexible", "xyab", 1),
+    ("bialgebra-3", "anti-flexible", "xayb", 1),
+    ("bialgebra-2p", "anti-flexible", "xbay", -1),
+    ("bialgebra-4p", "anti-flexible", "axby", 1),
 )
 
 
-def _condition_residuals(n, evaluate):
+def _condition_residuals(n, tensor):
     """(label, (i, j), residual) of the four conditions at every basis
-    pair, in checking order, given the basis_residuals of the AF double."""
-    def identity(args, **at):
-        return evaluate("anti-flexible", tuple(at[c] for c in args))
-
-    for i in range(n):
-        no_y = {}   # the rows without y do not change with j
-        for j in range(n):
-            for label, args, sign in BIALGEBRA_CONDITIONS:
-                if "y" in args:
-                    res = [identity(args, x=i, y=j, a=n + p)[:n]
-                           for p in range(n)]
-                else:
-                    if label not in no_y:
-                        no_y[label] = [[identity(args, x=i, a=n + p, b=n + q)
-                                        for q in range(n)]
-                                       for p in range(n)]
-                    res = [[v[n + j] for v in row] for row in no_y[label]]
-                yield label, (i, j), res if sign > 0 else \
-                    [vec_neg(row) for row in res]
+    pair where it is nonzero, in checking order, given the basis_residuals
+    of the AF double: x, y sit at offset 0 and a, b at n, and the left-out
+    letter is read at its pair, the other offset."""
+    offset = {"x": 0, "y": 0, "a": n, "b": n}
+    return table_residuals(
+        tensor, [(label, identity, [(ch, offset[ch]) for ch in letters[:3]]
+                  + [(letters[3], n - offset[letters[3]])], sign)
+                 for label, identity, letters, sign in BIALGEBRA_CONDITIONS],
+        dict.fromkeys("xyab", n), "xy", "ab")
 
 
 def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
                                all_failures=False) -> CheckReport:
     """The four compatibility conditions over all basis pairs."""
-    rep = check_identities(palg, "pre-anti-flexible")
-    if not rep.passed:
-        raise PreconditionError("check_bialgebra_conditions: base fails the "
-                                "pre-anti-flexible check; witness %r"
-                                % (rep.witness,))
+    require_pass(check_identities(palg, "pre-anti-flexible"),
+                 "check_bialgebra_conditions: base fails the "
+                 "pre-anti-flexible check")
     d = build_af_double(standard_dual_matched(
         palg, dual_products_from_comult(delta_prec, delta_succ),
         check_inputs=False))
@@ -189,8 +170,7 @@ class ConsistencyError(AssertionError):
     come from an implementation bug, never from user input."""
 
 
-def verify_bialgebra(b: Bialgebra, all_failures=False,
-                     _return_routes=False) -> CheckReport:
+def verify_bialgebra(b: Bialgebra, all_failures=False) -> CheckReport:
     """Joint verdict of the four equivalent characterizations.
 
     Routes, each a full pass/fail verdict:
@@ -200,32 +180,39 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
          is closed;
       4. the pre double of the eight-map dual-action pair is
          pre-anti-flexible.
-    Routes 1-3 read one evaluator of the AF double and route 4 one of the
-    pre double: both factors pass by then, so by the matched-pair theorem
-    route 4 is the pre matched check of that pair, read as one scan of
-    every block of every triple of its double.  Any disagreement among the
-    routes raises ConsistencyError.
+    Once the base and the dual products pass, bialgebra_routes runs them.
     A failing verdict carries the witness of the first failing check among
     the base identities, the dual co-identities and route 1, and with
     all_failures every failure of that check.
     """
-    structure = check_identities(b.palg, "pre-anti-flexible", all_failures)
-    if structure.passed:
-        structure = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ,
-                                               all_failures)
-    if not structure.passed:
-        return CheckReport(False, "bialgebra", witness=structure.witness,
-                           failures=structure.failures)
+    report = check_identities(b.palg, "pre-anti-flexible", all_failures)
+    if report.passed:
+        report = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ,
+                                            all_failures)
+    if report.passed:
+        report = bialgebra_routes(b, all_failures)[0]
+    return replace(report, identity_name="bialgebra")
 
+
+def bialgebra_routes(b: Bialgebra, all_failures=False):
+    """Route 1's report and the verdicts of the four routes of
+    verify_bialgebra, on a bialgebra whose base and dual products pass.
+
+    Routes 1-3 read one evaluator of the AF double and route 4 one of the
+    pre double: both factors pass, so by the matched-pair theorem route 4
+    is the pre matched check of that pair, read as one scan of every block
+    of every triple of its double.  Any disagreement among the routes
+    raises ConsistencyError.
+    """
     dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
     mp = standard_dual_matched(b.palg, dual, check_inputs=False)
     d = build_af_double(mp)
-    evaluate = basis_residuals(d)
+    tensor = basis_residuals(d)
     conds = scan("bialgebra-conditions", _condition_residuals(
-        b.dimension, evaluate), all_failures)
-    route2 = _matched_report(mp, evaluate).passed
+        b.dimension, tensor), all_failures)
+    route2 = _matched_report(mp, tensor).passed
     route3 = (scan("anti-flexible", triple_residuals(
-        evaluate, ("anti-flexible",), d.dimension)).passed
+        tensor, ("anti-flexible",), d.dimension)).passed
               and omega_double_check(d).passed)
     route4 = check_identities(build_pre_double(dual_pre_matched(
         b.palg, dual, check_inputs=False)), "pre-anti-flexible").passed
@@ -235,12 +222,7 @@ def verify_bialgebra(b: Bialgebra, all_failures=False,
         raise ConsistencyError("equivalent bialgebra routes disagree: "
                                "conditions=%s matched=%s double=%s pre=%s"
                                % verdicts)
-    if _return_routes:
-        return verdicts
-    if conds.passed:
-        return CheckReport(True, "bialgebra")
-    return CheckReport(False, "bialgebra", witness=conds.witness,
-                       failures=conds.failures)
+    return conds, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +238,8 @@ def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
     conditions (psi* (x) psi*) beta_?B = beta_?A o psi*, where beta are the
     comultiplications dual to the products (index transpositions).
     """
-    nA, nB = src.dimension, dst.dimension
-    if len(psi) != nB or any(len(r) != nA for r in psi):
-        raise PreconditionError("check_bialgebra_hom: psi must be a "
-                                "dst-dim x src-dim matrix")
+    require_matrix("check_bialgebra_hom", "psi", psi, dst.dimension,
+                   src.dimension)
     return scan("bialgebra-hom", _hom_residuals(psi, src, dst), all_failures)
 
 
@@ -300,10 +280,8 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     """Exchange the roles of the algebra and the comultiplications: the dual
     structure's products are the ones induced by b's comultiplications, and
     its comultiplications are the duals of b's products.  An involution."""
-    rep = verify_bialgebra(b)
-    if not rep.passed:
-        raise PreconditionError("dual_bialgebra: input fails verification; "
-                                "witness %r" % (rep.witness,))
+    require_pass(verify_bialgebra(b),
+                 "dual_bialgebra: input fails verification")
     dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
     dp, ds = comult_from_products(b.palg)
     return Bialgebra(dual, tuple(dp), tuple(ds))

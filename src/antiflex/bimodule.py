@@ -8,8 +8,9 @@ V-block: the semidirect product has the identity of A exactly when the base
 has it and the bimodule identities hold.  On a triple with one argument a
 in V and two in A, the V-block of the identity of A + V is linear in a, so
 it is a matrix; each bimodule identity is one such block, a row of
-AF_BIMODULE or PRE_BIMODULE, and the checkers evaluate the rows on all
-basis pairs of A, which is complete by bilinearity.
+AF_BIMODULE or PRE_BIMODULE.  The checkers read the rows off the nonzero
+entries of the semidirect product's identity tensor (algebra.table_residuals)
+over all basis pairs of A, which is complete by bilinearity.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, require_tensor, scan, underlying_algebra
+from .algebra import Algebra, PreAlgebra, CheckReport, basis_residuals, \
+    require_pass, require_tensor, scan, table_residuals, underlying_algebra
 from .linalg import mat_add, mat_neg, transpose, zeros_mat, zeros_t3
 
 
@@ -70,6 +71,16 @@ def dual_maps(maps):
     """The dual of each map of a family, acting on dual coordinates: its
     matrix transpose."""
     return tuple(transpose(m) for m in maps)
+
+
+def dual_full_actions(l_succ, r_succ, l_prec, r_prec):
+    """The actions (r_dot*, -l_prec*, -r_succ*, l_dot*) on V* of the dual-full
+    bimodule of the actions (l_succ, r_succ, l_prec, r_prec) on V, in the
+    same order."""
+    def neg(maps):
+        return tuple(mat_neg(m) for m in dual_maps(maps))
+    return (dual_maps(map(mat_add, r_prec, r_succ)), neg(l_prec), neg(r_succ),
+            dual_maps(map(mat_add, l_prec, l_succ)))
 
 
 def act(maps, coeffs):
@@ -125,9 +136,10 @@ def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
 # ---------------------------------------------------------------------------
 
 # One row per bimodule identity: (label, identity of the semidirect
-# product, its arguments).  x, y are basis vectors of A and a of V; the row
-# is evaluated at (x, y) = (e_i, e_j) for the index pair (i, j), and column
-# t of its residual matrix is the V-block of the identity at a = v_t.
+# product, its arguments and coordinate).  x, y are basis vectors of A, a
+# of V and k a coordinate of V; the row is read at (x, y) = (e_i, e_j) for
+# the index pair (i, j), and entry [k][t] of its residual matrix is
+# coordinate k of the identity at a = v_t.
 #   af-bimodule-1:  l(x*y) - l(x)l(y) = r(x)r(y) - r(y*x)
 #   af-bimodule-2:  [l(x),r(y)] = [l(y),r(x)]
 # With ls/rs/lp/rp the succ/prec actions and l., r. their sums:
@@ -137,37 +149,32 @@ def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
 #   pre-bimodule-4:  rs(x)l.(y) - ls(y)rs(x) = rp(y)lp(x) - lp(x)r.(y)
 #   pre-bimodule-5:  rs(x)r.(y) - rs(y>x) = lp(x<y) - lp(x)l.(y)
 AF_BIMODULE = (
-    ("af-bimodule-1", "anti-flexible", "xya"),
-    ("af-bimodule-2", "anti-flexible", "yax"),
+    ("af-bimodule-1", "anti-flexible", "xyak"),
+    ("af-bimodule-2", "anti-flexible", "yaxk"),
 )
 
 PRE_BIMODULE = (
-    ("pre-bimodule-1", "pre-anti-flexible-m", "yax"),
-    ("pre-bimodule-2", "pre-anti-flexible-m", "xya"),
-    ("pre-bimodule-3", "pre-anti-flexible-lr", "xya"),
-    ("pre-bimodule-4", "pre-anti-flexible-lr", "yax"),
-    ("pre-bimodule-5", "pre-anti-flexible-lr", "ayx"),
+    ("pre-bimodule-1", "pre-anti-flexible-m", "yaxk"),
+    ("pre-bimodule-2", "pre-anti-flexible-m", "xyak"),
+    ("pre-bimodule-3", "pre-anti-flexible-lr", "xyak"),
+    ("pre-bimodule-4", "pre-anti-flexible-lr", "yaxk"),
+    ("pre-bimodule-5", "pre-anti-flexible-lr", "ayxk"),
 )
 
 
-def block_residuals(rows, evaluate, base, modules):
+def block_residuals(rows, tensor, base, modules):
     """(label, (i, j), residual matrix) of each row at every basis pair of
-    the base, in checking order, given the basis_residuals of a structure
-    in which the index ranges base and modules hold the base and the
-    module: a semidirect product, or a double and one of its factors.  The
-    index pair is in base coordinates; column t of the residual is the
-    module block of the row's identity at a = the t-th module vector."""
-    block = slice(modules.start, modules.stop)
-    compiled = [(label, identity, ["xya".index(ch) for ch in args])
-                for label, identity, args in rows]
-    for i, j in product(base, repeat=2):
-        for label, identity, (p, q, s) in compiled:
-            cols = []
-            for t in modules:
-                idx = (i, j, t)
-                res = evaluate(identity, (idx[p], idx[q], idx[s]))
-                cols.append(res[block])
-            yield label, (i - base.start, j - base.start), transpose(cols)
+    the base where it is nonzero, in checking order, given the
+    basis_residuals of a structure in which the index ranges base and
+    modules hold the base and the module: a semidirect product, or a double
+    and one of its factors.  The index pair is in base coordinates; column
+    t of the residual is the module block of the row's identity at a = the
+    t-th module vector."""
+    at = {"x": base, "y": base, "a": modules, "k": modules}
+    return table_residuals(
+        tensor, [(label, identity, [(ch, at[ch].start) for ch in letters], 1)
+                 for label, identity, letters in rows],
+        {ch: len(r) for ch, r in at.items()}, "xy", "ka")
 
 
 def check_af_bimodule(bm: AfBimodule, all_failures=False) -> CheckReport:
@@ -213,19 +220,15 @@ def derive_bimodule(bm: PreBimodule, transform):
       af-dual-outer -> (r_prec*, l_succ*, V*)
     Dual maps are matrix transposes.
     """
-    rep = check_pre_bimodule(bm)
-    if not rep.passed:
-        raise PreconditionError("derive_bimodule: input fails the pre-bimodule "
-                                "check; witness %r" % (rep.witness,))
+    require_pass(check_pre_bimodule(bm),
+                 "derive_bimodule: input fails the pre-bimodule check")
     m = bm.space_dim
     zero = tuple(zeros_mat(m) for _ in range(bm.base.dimension))
     if transform == "reduced":
         return PreBimodule(bm.base, m, bm.l_succ, zero, zero, bm.r_prec)
-    neg = lambda maps: tuple(mat_neg(x) for x in maps)
     if transform == "dual-full":
-        return PreBimodule(bm.base, m, dual_maps(bm.r_dot),
-                           neg(dual_maps(bm.l_prec)),
-                           neg(dual_maps(bm.r_succ)), dual_maps(bm.l_dot))
+        return PreBimodule(bm.base, m, *dual_full_actions(
+            bm.l_succ, bm.r_succ, bm.l_prec, bm.r_prec))
     if transform == "dual-reduced":
         return PreBimodule(bm.base, m, dual_maps(bm.r_prec), zero, zero,
                            dual_maps(bm.l_succ))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    _lcd, _scaled, check_identities, require_square, scan, \
+    _lcd, _scaled, check_identities, require_pass, require_square, scan, \
     structure_tensors
 from .bialgebra import Bialgebra
 from .bimodule import multiplication_operators, act
@@ -358,10 +358,8 @@ def _cubic_second_kind(ops, tensors, i, rterm=None):
 
 
 def _require_base(caller, palg):
-    base = check_identities(palg, "pre-anti-flexible")
-    if not base.passed:
-        raise PreconditionError("%s: base fails the pre-anti-flexible check; "
-                                "witness %r" % (caller, base.witness))
+    require_pass(check_identities(palg, "pre-anti-flexible"),
+                 "%s: base fails the pre-anti-flexible check" % caller)
 
 
 def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,

@@ -19,8 +19,9 @@ so up to sign a lone argument sits in the middle or at an end: two
 conditions for each block.  Of the pre-anti-flexible identities, m has the
 same symmetry and lr has none, which gives five conditions for each block.
 Each condition is therefore one row of a table (AF_CONDITIONS,
-PRE_CONDITIONS), read from the evaluator of the double (see
-algebra.basis_residuals) by one generator for both kinds of pair.
+PRE_CONDITIONS), read off the nonzero entries of the double's identity
+tensors by the one table reader (algebra.table_residuals), for both kinds
+of pair.
 
 The preconditions that both component bimodules pass are blocks of the
 same double: A-on-B is the B-block of its identities at (x, y, a) with x, y
@@ -35,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, check_cyclic_form, check_identities, require_tensor, \
-    scan, underlying_algebra
+    basis_residuals, check_cyclic_form, check_identities, require_pass, \
+    require_tensor, scan, table_residuals, underlying_algebra
 from .bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
-    direct_sum_tensor, dual_maps, multiplication_operators
-from .linalg import ONE, vec_neg, zeros_mat, mat_add, transpose
+    direct_sum_tensor, dual_full_actions, dual_maps, multiplication_operators
+from .linalg import ONE, zeros_mat
 
 
 @dataclass(frozen=True)
@@ -100,27 +101,28 @@ def _require_actions(caller, mp, A, B, fields_A, fields_B):
 # ---------------------------------------------------------------------------
 
 # One row per condition: (label, kept block, identity of the double, its
-# arguments, sign).  x, y are basis vectors of A and a, b of B.  An A row is
-# evaluated at (x, y, a) = (e_i, e_j, f_s) for the index tuple (i, j, s), a
-# B row at (x, a, b) = (e_i, f_s, f_t) for (i, s, t).
+# arguments and coordinate, sign).  x, y are basis vectors of A, a, b of B
+# and k a coordinate of the kept block.  An A row is read at (x, y, a) =
+# (e_i, e_j, f_s) for the index tuple (i, j, s), a B row at (x, a, b) =
+# (e_i, f_s, f_t) for (i, s, t).
 AF_CONDITIONS = (
-    ("af-matched-1", "A", "anti-flexible", "yxa", 1),
-    ("af-matched-3", "A", "anti-flexible", "xay", 1),
-    ("af-matched-2", "B", "anti-flexible", "xab", -1),
-    ("af-matched-4", "B", "anti-flexible", "axb", 1),
+    ("af-matched-1", "A", "anti-flexible", "yxak", 1),
+    ("af-matched-3", "A", "anti-flexible", "xayk", 1),
+    ("af-matched-2", "B", "anti-flexible", "xabk", -1),
+    ("af-matched-4", "B", "anti-flexible", "axbk", 1),
 )
 
 PRE_CONDITIONS = (
-    ("pre-matched-1", "A", "pre-anti-flexible-m", "yxa", -1),
-    ("pre-matched-3", "A", "pre-anti-flexible-lr", "axy", 1),
-    ("pre-matched-4", "A", "pre-anti-flexible-lr", "xya", 1),
-    ("pre-matched-7", "A", "pre-anti-flexible-m", "xay", 1),
-    ("pre-matched-9", "A", "pre-anti-flexible-lr", "xay", 1),
-    ("pre-matched-2", "B", "pre-anti-flexible-m", "xba", 1),
-    ("pre-matched-5", "B", "pre-anti-flexible-lr", "xba", 1),
-    ("pre-matched-6", "B", "pre-anti-flexible-lr", "abx", 1),
-    ("pre-matched-8", "B", "pre-anti-flexible-m", "axb", 1),
-    ("pre-matched-10", "B", "pre-anti-flexible-lr", "axb", 1),
+    ("pre-matched-1", "A", "pre-anti-flexible-m", "yxak", -1),
+    ("pre-matched-3", "A", "pre-anti-flexible-lr", "axyk", 1),
+    ("pre-matched-4", "A", "pre-anti-flexible-lr", "xyak", 1),
+    ("pre-matched-7", "A", "pre-anti-flexible-m", "xayk", 1),
+    ("pre-matched-9", "A", "pre-anti-flexible-lr", "xayk", 1),
+    ("pre-matched-2", "B", "pre-anti-flexible-m", "xbak", 1),
+    ("pre-matched-5", "B", "pre-anti-flexible-lr", "xbak", 1),
+    ("pre-matched-6", "B", "pre-anti-flexible-lr", "abxk", 1),
+    ("pre-matched-8", "B", "pre-anti-flexible-m", "axbk", 1),
+    ("pre-matched-10", "B", "pre-anti-flexible-lr", "axbk", 1),
 )
 
 
@@ -134,37 +136,22 @@ def _layout(mp):
             mp.palgB.dimension, PRE_BIMODULE, PRE_CONDITIONS)
 
 
-def condition_residuals(mp):
+def condition_residuals(mp, tensor):
     """(label, index tuple, residual) of every compatibility condition of a
-    matched pair at every basis tuple, in checking order: for each i, the
-    A rows over (i, j, s), then the B rows over (i, s, t)."""
-    double = build_af_double(mp) if isinstance(mp, AfMatchedPair) \
-        else build_pre_double(mp)
-    return _conditions(mp, basis_residuals(double))
-
-
-def _conditions(mp, evaluate):
-    """condition_residuals, given the basis_residuals of the double."""
+    matched pair wherever it is nonzero, in checking order, given the
+    basis_residuals of its double: for each i, the A rows over (i, j, s),
+    then the B rows over (i, s, t).  The A rows and the B rows are each one
+    table read, merged by a stable sort on (i, side)."""
     _, _, nA, nB, _, rows = _layout(mp)
-    # each argument letter: (its position in the index tuple, its offset)
-    slots = {"A": {"x": (0, 0), "y": (1, 0), "a": (2, nA)},
-             "B": {"x": (0, 0), "a": (1, nA), "b": (2, nA)}}
-    blocks = {"A": slice(0, nA), "B": slice(nA, None)}
-    compiled = {side: [(label, identity, [slots[side][c] for c in args],
-                        blocks[side], sign)
-                       for label, block, identity, args, sign in rows
-                       if block == side]
-                for side in ("A", "B")}
-    for i in range(nA):
-        for side, second in (("A", nA), ("B", nB)):
-            for u in range(second):
-                for v in range(nB):
-                    idx = (i, u, v)
-                    for label, identity, args, block, sign in compiled[side]:
-                        res = evaluate(identity, tuple(idx[p] + off
-                                                       for p, off in args))
-                        yield label, idx, res[block] if sign > 0 \
-                            else vec_neg(res[block])
+    sides = []
+    for side, index, k in (("A", "xya", (0, nA)), ("B", "xab", (nA, nB))):
+        offset = {"x": 0, "y": 0, "a": nA, "b": nA, "k": k[0]}
+        sides += table_residuals(
+            tensor, [(label, identity, [(ch, offset[ch]) for ch in letters],
+                      sign) for label, block, identity, letters, sign in rows
+                     if block == side],
+            {"x": nA, "y": nA, "a": nB, "b": nB, "k": k[1]}, index, "k")
+    return sorted(sides, key=lambda failure: failure[1][0])
 
 
 def check_af_matched(mp: AfMatchedPair, all_failures=False) -> CheckReport:
@@ -179,7 +166,7 @@ def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
                            all_failures)
 
 
-def _matched_report(mp, evaluate, all_failures=False) -> CheckReport:
+def _matched_report(mp, tensor, all_failures=False) -> CheckReport:
     """check_af_matched or check_pre_matched, given the basis_residuals of
     the double, so that a caller that also checks the whole double
     evaluates it once.
@@ -192,11 +179,10 @@ def _matched_report(mp, evaluate, all_failures=False) -> CheckReport:
     caller, name, nA, nB, bimodule, _ = _layout(mp)
     A, B = range(nA), range(nA, nA + nB)
     for side, base, module in (("A-on-B", A, B), ("B-on-A", B, A)):
-        rep = scan(side, block_residuals(bimodule, evaluate, base, module))
-        if not rep.passed:
-            raise PreconditionError("%s: component bimodule %s fails; "
-                                    "witness %r" % (caller, side, rep.witness))
-    return scan(name, _conditions(mp, evaluate), all_failures)
+        require_pass(scan(side, block_residuals(bimodule, tensor, base,
+                                                module)),
+                     "%s: component bimodule %s fails" % (caller, side))
+    return scan(name, condition_residuals(mp, tensor), all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +209,6 @@ def build_pre_double(mp: PreMatchedPair) -> PreAlgebra:
         names)
 
 
-def summed_af_matched(mp: PreMatchedPair) -> AfMatchedPair:
-    """The matched pair of underlying algebras with the summed action maps."""
-    return AfMatchedPair(
-        underlying_algebra(mp.palgA), underlying_algebra(mp.palgB),
-        tuple(mat_add(p, s) for p, s in zip(mp.lp_A, mp.ls_A)),
-        tuple(mat_add(p, s) for p, s in zip(mp.rp_A, mp.rs_A)),
-        tuple(mat_add(p, s) for p, s in zip(mp.lp_B, mp.ls_B)),
-        tuple(mat_add(p, s) for p, s in zip(mp.rp_B, mp.rs_B)))
-
-
 # ---------------------------------------------------------------------------
 # the standard dual pair and the skew form on A + A*
 # ---------------------------------------------------------------------------
@@ -244,11 +220,9 @@ def _dual_operators(caller, palgA, palgAstar, check_inputs):
         raise PreconditionError("%s: dimension mismatch" % caller)
     if check_inputs:
         for name, p in (("first", palgA), ("second", palgAstar)):
-            rep = check_identities(p, "pre-anti-flexible")
-            if not rep.passed:
-                raise PreconditionError(
-                    "%s: %s factor fails the pre-anti-flexible check; "
-                    "witness %r" % (caller, name, rep.witness))
+            require_pass(check_identities(p, "pre-anti-flexible"),
+                         "%s: %s factor fails the pre-anti-flexible check"
+                         % (caller, name))
     return multiplication_operators(palgA), multiplication_operators(palgAstar)
 
 
@@ -277,14 +251,9 @@ def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     pair's double."""
     opsA, opsS = _dual_operators("dual_pre_matched", palgA, palgAstar,
                                  check_inputs)
-    negdual = lambda fam: tuple([[-v for v in row] for row in transpose(m)]
-                                for m in fam)
-    return PreMatchedPair(
-        palgA, palgAstar,
-        dual_maps(opsA["R_dot"]), negdual(opsA["L_prec"]),
-        negdual(opsA["R_succ"]), dual_maps(opsA["L_dot"]),
-        dual_maps(opsS["R_dot"]), negdual(opsS["L_prec"]),
-        negdual(opsS["R_succ"]), dual_maps(opsS["L_dot"]))
+    return PreMatchedPair(palgA, palgAstar, *(
+        action for ops in (opsA, opsS) for action in dual_full_actions(
+            ops["L_succ"], ops["R_succ"], ops["L_prec"], ops["R_prec"])))
 
 
 def omega_matrix(n):

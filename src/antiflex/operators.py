@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_matrix, require_square, scan, \
+    check_identities, require_matrix, require_pass, require_square, scan, \
     underlying_algebra
 from .bialgebra import dual_products_from_comult
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
@@ -41,10 +41,8 @@ from .linalg import (
 def require_anti_flexible(alg: Algebra, caller):
     """Raise PreconditionError, naming the caller, unless the base algebra
     passes the anti-flexible check."""
-    rep = check_identities(alg, "anti-flexible")
-    if not rep.passed:
-        raise PreconditionError("%s: base fails the anti-flexible check; "
-                                "witness %r" % (caller, rep.witness))
+    require_pass(check_identities(alg, "anti-flexible"),
+                 "%s: base fails the anti-flexible check" % caller)
 
 
 def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
@@ -82,8 +80,9 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
       (a(x)*a(y) - a(x*a(y)+a(x)*y)) * z
         + z * (a(y)*a(x) - a(y*a(x)+a(y)*x)) = 0.
     """
-    require_anti_flexible(alg, "check_generalized_rb")
     n = alg.dimension
+    require_square("check_generalized_rb", "alpha", alpha, n)
+    require_anti_flexible(alg, "check_generalized_rb")
     basis = [basis_vec(n, i) for i in range(n)]
 
     def residuals():
@@ -128,10 +127,8 @@ class OOperator:
 def require_af_bimodule(bm: AfBimodule, caller):
     """Raise PreconditionError, naming the caller, unless the bimodule
     passes its check."""
-    rep = check_af_bimodule(bm)
-    if not rep.passed:
-        raise PreconditionError("%s: the bimodule fails its check; witness %r"
-                                % (caller, rep.witness))
+    require_pass(check_af_bimodule(bm),
+                 "%s: the bimodule fails its check" % caller)
 
 
 def check_o_operator(oo: OOperator, all_failures=False) -> CheckReport:
@@ -217,6 +214,7 @@ def check_r_double_consistency(palg: PreAlgebra, r,
 def form_from_r(palg: PreAlgebra, r):
     """B(x, y) = <r^{-1}(x), y> as a coefficient matrix; r must be symmetric
     and nondegenerate (a singular r raises)."""
+    require_square("form_from_r", "r", r, palg.dimension)
     if not r_is_symmetric(r):
         raise PreconditionError("form_from_r: r must be symmetric")
     return mat_inverse(list(map(list, r)))
@@ -258,11 +256,8 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
 def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:
     """The companion pre-structure of a nondegenerate symmetric solution:
     x <' y = r(L*_succ(y) r^{-1}(x)), x >' y = r(R*_prec(x) r^{-1}(y))."""
-    rep = check_pafybe(palg, r)
-    if not rep.passed:
-        raise PreconditionError("compatible_structure_on_A: r fails the "
-                                "Yang-Baxter check; witness %r"
-                                % (rep.witness,))
+    require_pass(check_pafybe(palg, r), "compatible_structure_on_A: r fails "
+                 "the Yang-Baxter check")
     n = palg.dimension
     ops = multiplication_operators(palg)
     rmat = r_map_matrix(r)
@@ -288,11 +283,8 @@ def solution_from_o_operator(oo: OOperator):
     on T(V) via preimages, the semidirect double with the dualized actions,
     and r = T + sigma T placed on the antidiagonal blocks.  Returns
     (double PreAlgebra, r matrix)."""
-    rep = check_o_operator(oo)
-    if not rep.passed:
-        raise PreconditionError("solution_from_o_operator: T fails the "
-                                "O-operator check; witness %r"
-                                % (rep.witness,))
+    require_pass(check_o_operator(oo), "solution_from_o_operator: T fails "
+                 "the O-operator check")
     bm = oo.bimodule
     n = bm.base.dimension
     m = bm.space_dim
@@ -327,11 +319,8 @@ def canonical_solution(palg: PreAlgebra):
     """The flagship symmetric solution: the semidirect double of the
     dual-reduced regular actions, with r = sum_i (e_i (x) e_i* +
     e_i* (x) e_i)."""
-    rep = check_identities(palg, "pre-anti-flexible")
-    if not rep.passed:
-        raise PreconditionError("canonical_solution: base fails the "
-                                "pre-anti-flexible check; witness %r"
-                                % (rep.witness,))
+    require_pass(check_identities(palg, "pre-anti-flexible"),
+                 "canonical_solution: base fails the pre-anti-flexible check")
     n = palg.dimension
     double = semidirect_pre(derive_bimodule(regular_pre_bimodule(palg),
                                             "dual-reduced"))

@@ -1,7 +1,13 @@
 """The bialgebra compatibility conditions and the two co-identities written
 out as matrix expressions, one residual per condition: the reference that
 the pairings of antiflex.bialgebra (entries of the anti-flexible identity of
-the AF double, and of the dual products' identities) are tested against."""
+the AF double, and of the dual products' identities) are tested against.
+
+Also the same pairings read at every basis tuple through the per-triple
+evaluator of identity_reference (pairing_residuals and
+co_identity_pairings here), the dense readers that route 1 and the
+co-identity tables of antiflex.bialgebra replaced, with the rows as they
+were written for them."""
 
 from itertools import product
 
@@ -9,6 +15,7 @@ from antiflex.algebra import PreAlgebra
 from antiflex.bimodule import multiplication_operators, act
 from antiflex.linalg import (
     basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, apply2, t3_sub,
+    vec_neg,
 )
 
 
@@ -165,3 +172,59 @@ def _condition_residuals(palg, delta_prec, delta_succ, invariants, i, j):
         mat_sub(apply2(I, Rp[i], D_y), apply2(Ls[i], I, D_y)))
     out.append(("bialgebra-4p", (i, j), mat_sub(lhs, rhs)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the pairings, read per basis tuple
+# ---------------------------------------------------------------------------
+
+# the rows of antiflex.bialgebra by their arguments alone
+CO_IDENTITIES = (("co-identity-m", "pre-anti-flexible-m"),
+                 ("co-identity-lr", "pre-anti-flexible-lr"))
+
+BIALGEBRA_CONDITIONS = (
+    ("bialgebra-1", "xya", 1),
+    ("bialgebra-3", "xay", 1),
+    ("bialgebra-2p", "xba", -1),
+    ("bialgebra-4p", "axb", 1),
+)
+
+
+def co_identity_pairings(evaluate, n):
+    """(label, (i,), residual) of the two co-identities at every e_i, given
+    the per-triple evaluator of the n-dimensional dual products: entry
+    [p][q][k] is coordinate i of the identity at (f_p, f_q, f_k)."""
+    tables = {}     # identity -> its residuals at every dual triple
+    for i in range(n):
+        for label, identity in CO_IDENTITIES:
+            if identity not in tables:
+                tables[identity] = [[[evaluate(identity, (p, q, k))
+                                      for k in range(n)]
+                                     for q in range(n)]
+                                    for p in range(n)]
+            yield label, (i,), [[[v[i] for v in row] for row in plane]
+                                for plane in tables[identity]]
+
+
+def pairing_residuals(n, evaluate):
+    """(label, (i, j), residual) of the four conditions at every basis
+    pair, in checking order, given the per-triple evaluator of the AF
+    double."""
+    def identity(args, **at):
+        return evaluate("anti-flexible", tuple(at[c] for c in args))
+
+    for i in range(n):
+        no_y = {}   # the rows without y do not change with j
+        for j in range(n):
+            for label, args, sign in BIALGEBRA_CONDITIONS:
+                if "y" in args:
+                    res = [identity(args, x=i, y=j, a=n + p)[:n]
+                           for p in range(n)]
+                else:
+                    if label not in no_y:
+                        no_y[label] = [[identity(args, x=i, a=n + p, b=n + q)
+                                        for q in range(n)]
+                                       for p in range(n)]
+                    res = [[v[n + j] for v in row] for row in no_y[label]]
+                yield label, (i, j), res if sign > 0 else \
+                    [vec_neg(row) for row in res]

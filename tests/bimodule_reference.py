@@ -1,9 +1,31 @@
 """The bimodule identities written out as matrix expressions, one residual
 per numbered identity: the reference that the rows of antiflex.bimodule
-(blocks of the identity of the semidirect product) are tested against."""
+(blocks of the identity of the semidirect product) are tested against.
+
+Also the rows read block by block at every basis pair through the
+per-triple evaluator of identity_reference (block_residuals here), the
+dense reader that antiflex.bimodule.block_residuals replaced, with the
+rows as they were written for it."""
+
+from itertools import product
 
 from antiflex.bimodule import AfBimodule, PreBimodule, act
-from antiflex.linalg import commutator, mat_mul, mat_sub
+from antiflex.linalg import commutator, mat_mul, mat_sub, transpose
+
+# the rows of antiflex.bimodule by their arguments alone: (label, identity
+# of the semidirect product, its arguments)
+AF_BIMODULE = (
+    ("af-bimodule-1", "anti-flexible", "xya"),
+    ("af-bimodule-2", "anti-flexible", "yax"),
+)
+
+PRE_BIMODULE = (
+    ("pre-bimodule-1", "pre-anti-flexible-m", "yax"),
+    ("pre-bimodule-2", "pre-anti-flexible-m", "xya"),
+    ("pre-bimodule-3", "pre-anti-flexible-lr", "xya"),
+    ("pre-bimodule-4", "pre-anti-flexible-lr", "yax"),
+    ("pre-bimodule-5", "pre-anti-flexible-lr", "ayx"),
+)
 
 
 def af_bimodule_residuals(bm: AfBimodule, i, j):
@@ -61,3 +83,23 @@ def reference_residuals(bm):
     n = bm.base.dimension
     return [(label, (i, j), res) for i in range(n) for j in range(n)
             for label, res in residuals(bm, i, j)]
+
+
+def block_residuals(rows, evaluate, base, modules):
+    """(label, (i, j), residual matrix) of each row at every basis pair of
+    the base, in checking order, given the basis_residuals of a structure
+    in which the index ranges base and modules hold the base and the
+    module: a semidirect product, or a double and one of its factors.  The
+    index pair is in base coordinates; column t of the residual is the
+    module block of the row's identity at a = the t-th module vector."""
+    block = slice(modules.start, modules.stop)
+    compiled = [(label, identity, ["xya".index(ch) for ch in args])
+                for label, identity, args in rows]
+    for i, j in product(base, repeat=2):
+        for label, identity, (p, q, s) in compiled:
+            cols = []
+            for t in modules:
+                idx = (i, j, t)
+                res = evaluate(identity, (idx[p], idx[q], idx[s]))
+                cols.append(res[block])
+            yield label, (i - base.start, j - base.start), transpose(cols)

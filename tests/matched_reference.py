@@ -1,14 +1,19 @@
 """The matched-pair compatibility conditions written out term for term, one
 residual per numbered condition: the reference that the table-driven
-checkers of antiflex.matched are tested against."""
+checkers of antiflex.matched are tested against.
 
-from antiflex.algebra import scan
+Also the condition rows read at every basis tuple through the per-triple
+evaluator of identity_reference (conditions here), the dense reader that
+antiflex.matched._conditions replaced, with the rows as they were written
+for it."""
+
+from antiflex.algebra import basis_residuals, scan
 from antiflex.bimodule import AfBimodule, PreBimodule, act, \
     check_af_bimodule, check_pre_bimodule
 from antiflex.linalg import basis_vec, mat_add, mat_vec, vec_add, vec_neg, \
     vec_sub
 from antiflex.matched import AfMatchedPair, PreMatchedPair, \
-    condition_residuals
+    build_af_double, build_pre_double, condition_residuals
 
 
 def af_matched_residuals_A(mp: AfMatchedPair, i, j, s):
@@ -280,4 +285,65 @@ def separate_path_check(mp, all_failures=False):
         if not rep.passed:
             return "%s: component bimodule %s fails; witness %r" \
                 % (caller, side, rep.witness)
-    return scan(name, condition_residuals(mp), all_failures)
+    return scan(name, condition_residuals(mp, double_residuals(mp)),
+                all_failures)
+
+
+def double_residuals(mp):
+    """The basis_residuals of the double of a matched pair of either
+    kind."""
+    return basis_residuals(build_af_double(mp) if isinstance(
+        mp, AfMatchedPair) else build_pre_double(mp))
+
+
+# the condition rows of antiflex.matched by their arguments alone: (label,
+# kept block, identity of the double, its arguments, sign)
+AF_CONDITIONS = (
+    ("af-matched-1", "A", "anti-flexible", "yxa", 1),
+    ("af-matched-3", "A", "anti-flexible", "xay", 1),
+    ("af-matched-2", "B", "anti-flexible", "xab", -1),
+    ("af-matched-4", "B", "anti-flexible", "axb", 1),
+)
+
+PRE_CONDITIONS = (
+    ("pre-matched-1", "A", "pre-anti-flexible-m", "yxa", -1),
+    ("pre-matched-3", "A", "pre-anti-flexible-lr", "axy", 1),
+    ("pre-matched-4", "A", "pre-anti-flexible-lr", "xya", 1),
+    ("pre-matched-7", "A", "pre-anti-flexible-m", "xay", 1),
+    ("pre-matched-9", "A", "pre-anti-flexible-lr", "xay", 1),
+    ("pre-matched-2", "B", "pre-anti-flexible-m", "xba", 1),
+    ("pre-matched-5", "B", "pre-anti-flexible-lr", "xba", 1),
+    ("pre-matched-6", "B", "pre-anti-flexible-lr", "abx", 1),
+    ("pre-matched-8", "B", "pre-anti-flexible-m", "axb", 1),
+    ("pre-matched-10", "B", "pre-anti-flexible-lr", "axb", 1),
+)
+
+
+def conditions(mp, evaluate):
+    """(label, index tuple, residual) of every compatibility condition at
+    every basis tuple, in checking order, given the per-triple evaluator of
+    the double: for each i, the A rows over (i, j, s), then the B rows over
+    (i, s, t)."""
+    if isinstance(mp, AfMatchedPair):
+        nA, nB, rows = mp.algA.dimension, mp.algB.dimension, AF_CONDITIONS
+    else:
+        nA, nB, rows = mp.palgA.dimension, mp.palgB.dimension, PRE_CONDITIONS
+    # each argument letter: (its position in the index tuple, its offset)
+    slots = {"A": {"x": (0, 0), "y": (1, 0), "a": (2, nA)},
+             "B": {"x": (0, 0), "a": (1, nA), "b": (2, nA)}}
+    blocks = {"A": slice(0, nA), "B": slice(nA, None)}
+    compiled = {side: [(label, identity, [slots[side][c] for c in args],
+                        blocks[side], sign)
+                       for label, block, identity, args, sign in rows
+                       if block == side]
+                for side in ("A", "B")}
+    for i in range(nA):
+        for side, second in (("A", nA), ("B", nB)):
+            for u in range(second):
+                for v in range(nB):
+                    idx = (i, u, v)
+                    for label, identity, args, block, sign in compiled[side]:
+                        res = evaluate(identity, tuple(idx[p] + off
+                                                       for p, off in args))
+                        yield label, idx, res[block] if sign > 0 \
+                            else vec_neg(res[block])

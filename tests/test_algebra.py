@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from antiflex.algebra import (
     ALGEBRA_KINDS, IDENTITIES, KIND_IDENTITIES, Algebra, PreAlgebra,
     PreconditionError, basis_residuals, check_cyclic_form, check_identities,
-    derived_products, from_associative, induce_pre_from_form, pre_triple,
-    scan, structure_tensors, triple, underlying_algebra,
+    CheckReport, derived_products, from_associative, induce_pre_from_form,
+    pre_triple, require_pass, scan, structure_tensors, triple,
+    underlying_algebra,
 )
 from antiflex.linalg import SingularMatrixError, basis_vec, \
     contract_product, eye, mat_inverse, vec_add, vec_sub, zeros_t3
@@ -265,14 +266,20 @@ def test_identity_kernel_on_non_integral_rationals(seed, n, density, kind,
     assert structure_tensors(subject).scale > 1
     assert check_identities(subject, kind, every) == \
         reference_check_identities(subject, kind, every)
-    evaluate = basis_residuals(subject)
+    tensor = basis_residuals(subject)
     labels = {label for k in (ALGEBRA_KINDS if kind in ALGEBRA_KINDS
                               else ("pre-anti-flexible", "dendriform"))
               for label in KIND_IDENTITIES[k]}
     basis = [basis_vec(n, i) for i in range(n)]
-    for i, j, k in product(range(n), repeat=3):
-        for label in sorted(labels):
-            assert evaluate(label, (i, j, k)) == IDENTITIES[label](
+    for label in sorted(labels):
+        # the listed entries, read back as a dense residual per triple
+        entries = tensor(label)
+        assert all(x for *_, x in entries)
+        dense = {}
+        for i, j, k, q, x in entries:
+            dense.setdefault((i, j, k), [0] * n)[q] = x
+        for i, j, k in product(range(n), repeat=3):
+            assert dense.get((i, j, k), [0] * n) == IDENTITIES[label](
                 subject, basis[i], basis[j], basis[k]), (label, (i, j, k))
 
 
@@ -400,3 +407,14 @@ def test_structures_reject_bad_tensors_at_the_boundary():
     assert Algebra(1, [[[1]]]).product == [[[1]]]
     assert PreAlgebra(1, ((((Fraction(1, 2),),),)),
                       [[[0]]]).dimension == 1
+
+
+def test_require_pass():
+    # a passing report returns; a failing one raises with its witness
+    # appended to the message
+    require_pass(CheckReport(True, "x"), "never shown")
+    witness = ("anti-flexible", (0, 1, 0), [Fraction(1, 2)])
+    with pytest.raises(PreconditionError) as exc:
+        require_pass(CheckReport(False, "x", witness, (witness,)),
+                     "caller: base fails")
+    assert str(exc.value) == "caller: base fails; witness %r" % (witness,)

@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import pytest
+
 import antiflex.bialgebra as bialgebra
 import antiflex.bimodule as antiflex_bimodule
 import antiflex.cli as antiflex_cli
 import antiflex.matched as antiflex_matched
-from antiflex.algebra import PreAlgebra, check_identities, scan
+from antiflex.algebra import PreAlgebra, PreconditionError, \
+    check_identities, scan
 from antiflex.bialgebra import (
-    Bialgebra, check_bialgebra_conditions, check_bialgebra_hom,
-    check_dual_pre_via_rmatrix, comult_from_products, dual_bialgebra,
-    dual_products_from_comult, verify_bialgebra,
+    Bialgebra, bialgebra_routes, check_bialgebra_conditions,
+    check_bialgebra_hom, check_dual_pre_via_rmatrix, comult_from_products,
+    dual_bialgebra, dual_products_from_comult, verify_bialgebra,
 )
 from antiflex.bimodule import check_af_bimodule, check_pre_bimodule, \
     regular_af_bimodule, regular_pre_bimodule
@@ -147,7 +150,7 @@ def test_verify_builds_the_double_and_checks_the_base_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(
                     "semidirect", getattr(module, name)))
-    assert verify_bialgebra(b, _return_routes=True) == (True,) * 4
+    assert verify_bialgebra(b).passed
     # one evaluator of the dual products (the co-identities) and one of
     # the AF double (routes 1-3); route 4 checks the pre double whole
     assert calls == {"double": 1, "pre double": 1, "evaluator": 2,
@@ -196,7 +199,7 @@ def test_route_4_is_the_pre_matched_check():
         dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
         if not check_identities(dual, "pre-anti-flexible").passed:
             continue
-        route4 = verify_bialgebra(b, _return_routes=True)[3]
+        route4 = bialgebra_routes(b)[1][3]
         assert route4 == check_pre_matched(
             dual_pre_matched(b.palg, dual, check_inputs=False)).passed
         seen[route4] += 1
@@ -205,7 +208,7 @@ def test_route_4_is_the_pre_matched_check():
 
 def test_canonical_bialgebra_all_routes_pass():
     for b in _canonical_bialgebras():
-        routes = verify_bialgebra(b, _return_routes=True)
+        routes = bialgebra_routes(b)[1]
         assert routes == (True, True, True, True)
 
 
@@ -214,8 +217,7 @@ def test_ut2_double_case_one_all_routes_pass():
     double, r = canonical_solution(palg)
     b = special_case_bialgebra(double, r, "one")
     assert b.dimension == 6
-    assert verify_bialgebra(b, _return_routes=True) == \
-        (True, True, True, True)
+    assert bialgebra_routes(b)[1] == (True, True, True, True)
 
 
 def test_conditions_perturbation_fails_together():
@@ -229,7 +231,7 @@ def test_conditions_perturbation_fails_together():
     assert not joint
     if dual_ok:
         perturbed = Bialgebra(b.palg, dp, b.delta_succ)
-        assert verify_bialgebra(perturbed, _return_routes=True) == \
+        assert bialgebra_routes(perturbed)[1] == \
             (False, False, False, False)
 
 
@@ -240,6 +242,19 @@ def test_hom_identity_and_zero():
     z = _zero_bialgebra()
     zero_map = [[Fraction(0)] * 2 for _ in range(2)]
     assert check_bialgebra_hom(zero_map, z, z).passed
+
+
+def test_hom_rejects_inexact_or_misshapen_psi():
+    b = _canonical_bialgebras()[1]
+    n = b.dimension
+    psi = [[Fraction(0)] * n for _ in range(n)]
+    psi[0][1] = 0.5
+    with pytest.raises(PreconditionError, match=r"check_bialgebra_hom: "
+                       r"psi\[0\]\[1\] is 0.5, not an int or Fraction"):
+        check_bialgebra_hom(psi, b, b)
+    with pytest.raises(PreconditionError, match="check_bialgebra_hom: psi "
+                       "must be %d x %d" % (n, n)):
+        check_bialgebra_hom(psi[1:], b, b)
 
 
 def test_hom_basis_permutation():
@@ -301,4 +316,4 @@ def test_verify_bialgebra_on_m3():
                                                     "succ-left"))
     b = special_case_bialgebra(double, r, "one")
     assert b.dimension == 18
-    assert verify_bialgebra(b, _return_routes=True) == (True,) * 4
+    assert bialgebra_routes(b)[1] == (True,) * 4

@@ -173,6 +173,24 @@ def test_r_double_and_operator_form_reject_bad_r():
                 check(palg, r)
 
 
+def test_generalized_rb_and_form_from_r_reject_inexact_or_misshapen():
+    # a float entry or a wrong shape fails at the boundary, naming the
+    # entry, not with a float residual or deep inside linalg
+    alg, palg = CORPUS["qt2"], DIM2_PRE[0]
+    with pytest.raises(PreconditionError, match=r"check_generalized_rb: "
+                       r"alpha\[0\]\[0\] is 0.5, not an int or Fraction"):
+        check_generalized_rb(alg, [[0.5, 0], [0, 0.25]])
+    with pytest.raises(PreconditionError,
+                       match="check_generalized_rb: alpha must be 2 x 2"):
+        check_generalized_rb(alg, [[1]])
+    with pytest.raises(PreconditionError, match=r"form_from_r: r\[0\]\[0\] "
+                       r"is 0.5, not an int or Fraction"):
+        form_from_r(palg, [[0.5, 0], [0, 2]])
+    with pytest.raises(PreconditionError,
+                       match="form_from_r: r must be 2 x 2"):
+        form_from_r(palg, [[1]])
+
+
 def test_assembled_double_consistency_iff_pafybe():
     rng = seeded(207)
     seen = {True: 0, False: 0}
