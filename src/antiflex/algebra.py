@@ -274,15 +274,23 @@ StructureTensors = namedtuple("StructureTensors", "rows scale")
 
 
 def structure_tensors(structure) -> StructureTensors:
-    """The products of an algebra ("c") or of a pre-algebra (prec, succ and
-    dot = prec + succ) under one common denominator D, the lcd of the
-    structure constants, as sparse int rows: rows[op][a][b] lists the pairs
-    (k, D * c[a][b][k]) with a nonzero coefficient, and scale is D.  Only
-    the nonzero constants are scaled, and dot is summed in ints."""
+    """The products of an algebra ("c"), of a pre-algebra (prec, succ and
+    dot = prec + succ) or of an anti-flexible bimodule (its base's "c" and
+    its actions as products: "l" for l(e_a) v_b and "r" for r(e_b) v_a, so
+    that on the regular bimodule both are c) under one common denominator
+    D, the lcd of the structure constants, as sparse int rows:
+    rows[op][a][b] lists the pairs (k, D * c[a][b][k]) with a nonzero
+    coefficient, and scale is D.  Only the nonzero constants are scaled,
+    and dot is summed in ints."""
     if isinstance(structure, Algebra):
         products = (("c", structure.product),)
-    else:
+    elif isinstance(structure, PreAlgebra):
         products = (("prec", structure.prec), ("succ", structure.succ))
+    else:
+        l = [list(zip(*m)) for m in structure.l]
+        r = [list(zip(*m)) for m in structure.r]
+        products = (("c", structure.base.product), ("l", l),
+                    ("r", list(zip(*r))))
     rows = {op: [[[(k, x) for k, x in enumerate(row) if x] for row in plane]
                  for plane in t] for op, t in products}
     d = _lcd(x for t in rows.values() for plane in t for row in plane

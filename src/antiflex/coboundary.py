@@ -6,9 +6,7 @@ of two placed elements sharing exactly one slot multiplies the components
 meeting at the shared slot (first factor's component on the left) and keeps
 the free components at their slots.  All the cubic expressions appearing in
 the dual-structure conditions are finite signed sums of such placed
-products, encoded here as symbolic term lists so that the flip of product
-decorations (flp) and the outer slot swap (sigma13) act on expressions
-before evaluation.
+products, encoded here as symbolic term lists.
 
 Every term is bilinear in its two factors and linear in the structure
 constants, so an expression is evaluated in ints: the structure constants
@@ -116,21 +114,7 @@ def _placed_nonzeros(entries, pos, s, stride):
 # symbolic expressions: signed sums of placed products
 # ---------------------------------------------------------------------------
 # A factor is (tag, p, q) with tag naming an r-element; a term is
-# (sign, factor, op, factor).  The decoration flip exchanges the two factors
-# and swaps prec <-> succ on the product (dot is fixed); the outer slot swap
-# relabels slot s as 4 - s in every placement.
-
-_FLP_OP = {"prec": "succ", "succ": "prec", "dot": "dot"}
-
-
-def flp_expression(terms):
-    return tuple((sign, f2, _FLP_OP[op], f1) for sign, f1, op, f2 in terms)
-
-
-def sigma13_expression(terms):
-    rel = lambda f: (f[0], 4 - f[1], 4 - f[2])
-    return tuple((sign, rel(f1), op, rel(f2)) for sign, f1, op, f2 in terms)
-
+# (sign, factor, op, factor).
 
 def _numerators(c, terms, mats):
     """A term list on the structure tensors c (see structure_tensors) in

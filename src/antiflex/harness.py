@@ -28,15 +28,15 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
     check_pre_bimodule, semidirect_pre
-from .coboundary import RPair, SPECIAL_CASES, check_pafybe, \
-    check_coboundary_conditions, coboundary_bialgebra, pafybe_core, \
+from .coboundary import RPair, SPECIAL_CASES, _PAFYBE, _numerators, \
+    check_pafybe, check_coboundary_conditions, coboundary_bialgebra, \
     special_case_bialgebra
 from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
     build_pre_double, check_af_matched, check_pre_matched
 from .operators import OOperator, canonical_solution, check_rota_baxter, \
     check_o_operator, check_two_cocycle, check_r_double_consistency, \
-    induced_pre_from_map, o_operator_core, require_af_bimodule, \
-    require_anti_flexible, rota_baxter_core, solution_from_o_operator
+    induced_pre_from_map, o_operator_numerators, regular_tensors, \
+    require_af_bimodule, require_anti_flexible, solution_from_o_operator
 from .linalg import vec_is_zero
 
 FORMAT_VERSION = 1
@@ -183,15 +183,26 @@ _ROWS = {row.cls: row for row in _SCHEMA}
 
 def _read_tensor(data, extents, nouns, path):
     """The nested lists of Fractions a tensor field holds; nouns[i] names
-    what level i must hold, for the error when it does not."""
+    what level i must hold, for the error when it does not.  The path of
+    an entry is formatted only when a level holds a fault: the level is
+    then read again, entry by entry, each under its own path, up to the
+    entry that raises."""
     n = extents[0]
     if not isinstance(data, list) or len(data) != n:
         raise FormatError("%s: expected %s" % (path, nouns[0] % n))
-    if len(extents) == 1:
-        return [parse_scalar(v, "%s[%d]" % (path, i))
-                for i, v in enumerate(data)]
-    return [_read_tensor(x, extents[1:], nouns[1:], "%s[%d]" % (path, i))
-            for i, x in enumerate(data)]
+    leaf = len(extents) == 1
+    try:
+        if leaf:
+            return [parse_scalar(x, path) for x in data]
+        return [_read_tensor(x, extents[1:], nouns[1:], path) for x in data]
+    except FormatError:
+        for i, x in enumerate(data):
+            at = "%s[%d]" % (path, i)
+            if leaf:
+                parse_scalar(x, at)
+            else:
+                _read_tensor(x, extents[1:], nouns[1:], at)
+        raise
 
 
 def _write_tensor(t, depth):
@@ -570,67 +581,51 @@ class SearchSpec:
 def grid_search(spec: SearchSpec, subject):
     """Exhaustively enumerate candidate matrices with entries drawn from
     the coefficient set, in lexicographic order, and keep those that pass
-    the module check for the target.  prepare() runs the check's
-    precondition on the subject once, before the enumeration, and returns
-    the test that runs only the check's core on each candidate.  build
-    makes the candidate tested from a tuple of grid values, and found_as
-    the matrix kept.  Returns (found, report)."""
+    the check for the target.  Every check is homogeneous in the
+    candidate, so the candidates are enumerated in ints, as the
+    coefficient set times its lcd, and one is accepted when its int
+    residuals are all zero: no report is built, and only the matrices kept
+    are divided back.  The check's precondition on the subject runs once,
+    before the enumeration, and the subject's int tensors are built once.
+    Returns (found, report)."""
     coeffs = spec.coefficient_set
-    grid = coeffs
-    if spec.target == "rota-baxter":
-        n = subject.dimension
-        if n > spec.bound:
-            raise PreconditionError("grid_search: dimension %d exceeds the "
-                                    "bound %d" % (n, spec.bound))
-        nfree = n * n
-        shape = [(i, j) for i in range(n) for j in range(n)]
-        build = found_as = lambda vals: _fill_matrix(n, n, shape, vals)
-
-        def prepare():
-            require_anti_flexible(subject, "check_rota_baxter")
-            return lambda m: rota_baxter_core(subject, m).passed
-    elif spec.target == "pafybe-symmetric":
-        n = subject.dimension
-        if n > spec.bound:
-            raise PreconditionError("grid_search: dimension %d exceeds the "
-                                    "bound %d" % (n, spec.bound))
-        shape = [(i, j) for i in range(n) for j in range(i, n)]
-        nfree = len(shape)
-        # PAFYBE is homogeneous in r, so the candidates are enumerated in
-        # ints, as the coefficient set times its lcd, and only the accepted
-        # ones are divided back
-        scale = lcm(*(c.denominator for c in coeffs))
-        grid = [int(c * scale) for c in coeffs]
-        build = lambda vals: _fill_symmetric(n, shape, vals)
-        found_as = lambda vals: _fill_symmetric(
-            n, shape, [Fraction(v, scale) for v in vals])
-
-        def prepare():
-            tensors = structure_tensors(subject)
-            return lambda r: pafybe_core(tensors, r).passed
-    elif spec.target == "o-operator":
-        n = subject.base.dimension
-        m = subject.space_dim
+    if spec.target == "o-operator":
+        n, m = subject.base.dimension, subject.space_dim
         if max(n, m) > spec.bound:
             raise PreconditionError("grid_search: dimensions (%d, %d) exceed "
                                     "the bound %d" % (n, m, spec.bound))
-        nfree = n * m
-        shape = [(i, j) for i in range(n) for j in range(m)]
-        build = found_as = lambda vals: _fill_matrix(n, m, shape, vals)
-
-        def prepare():
-            require_af_bimodule(subject, "check_o_operator")
-            return lambda t: o_operator_core(subject, t).passed
     else:
-        raise PreconditionError("grid_search: unknown target %r"
-                                % (spec.target,))
-    size = len(coeffs) ** nfree
+        n = m = subject.dimension
+        if n > spec.bound:
+            raise PreconditionError("grid_search: dimension %d exceeds the "
+                                    "bound %d" % (n, spec.bound))
+    if spec.target == "pafybe-symmetric":
+        shape = [(i, j) for i in range(n) for j in range(i, n)]
+        matrix = lambda vals: _fill_symmetric(n, shape, vals)
+    else:
+        shape = range(n * m)
+        matrix = lambda vals: _rows(m, vals)
+    size = len(coeffs) ** len(shape)
     if size > 10 ** 8:
         raise PreconditionError("grid_search: search space has %d candidates "
                                 "(limit 10^8)" % size)
-    accept = prepare()
-    found = [found_as(vals) for vals in itertools.product(grid, repeat=nfree)
-             if accept(build(vals))]
+    if spec.target == "pafybe-symmetric":
+        tensors = structure_tensors(subject)
+        accept = lambda r: not any(_numerators(tensors, _PAFYBE,
+                                               {"r": r})[0])
+    else:
+        if spec.target == "rota-baxter":
+            require_anti_flexible(subject, "check_rota_baxter")
+            numerators = o_operator_numerators(regular_tensors(subject))
+        else:
+            require_af_bimodule(subject, "check_o_operator")
+            numerators = o_operator_numerators(structure_tensors(subject))
+        accept = lambda t: next(numerators(t), None) is None
+    scale = lcm(*(c.denominator for c in coeffs))
+    found = [matrix([Fraction(v, scale) for v in vals])
+             for vals in itertools.product([int(c * scale) for c in coeffs],
+                                           repeat=len(shape))
+             if accept(matrix(vals))]
     report = {"format_version": FORMAT_VERSION, "target": spec.target,
               "candidates": size, "found": len(found),
               "coefficient_set": [_fmt(c) for c in coeffs]}
@@ -645,11 +640,9 @@ def search_results(target, found):
     return [_write(LinearMap(len(m), len(m[0]), m)) for m in found]
 
 
-def _fill_matrix(rows, cols, shape, vals):
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for (i, j), v in zip(shape, vals):
-        m[i][j] = v
-    return m
+def _rows(cols, vals):
+    """The entries of a matrix in row-major order as its rows."""
+    return [vals[at:at + cols] for at in range(0, len(vals), cols)]
 
 
 def _fill_symmetric(n, shape, vals):

@@ -102,14 +102,6 @@ def vec_sub(u, v):
     return _combine((u,), (v,))
 
 
-def vec_neg(v):
-    return [ZERO - a if a else ZERO for a in v]
-
-
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
 def vec_is_zero(v):
     return not any(v)
 
@@ -159,10 +151,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 # ---------------------------------------------------------------------------
 # rank-3 tensors
 # ---------------------------------------------------------------------------
@@ -174,15 +162,6 @@ def t3_add(*ts):
 def t3_sub(a, b):
     return [[_combine((ra,), (rb,)) for ra, rb in zip(pa, pb)]
             for pa, pb in zip(a, b)]
-
-
-def t3_neg(a):
-    return [[[ZERO - x if x else ZERO for x in row] for row in plane]
-            for plane in a]
-
-
-def t3_is_zero(t):
-    return not any(any(row) for plane in t for row in plane)
 
 
 def contract_product(c, x, y):
@@ -207,23 +186,8 @@ def contract_product(c, x, y):
 
 
 # ---------------------------------------------------------------------------
-# tensor-square / tensor-cube elements and their permutations
+# tensor-square and tensor-cube elements
 # ---------------------------------------------------------------------------
-
-def permute3(t, perm):
-    """Index permutation of an element of A(x)A(x)A.
-
-    sigma13 swaps the outer slots, x(x)y(x)z -> z(x)y(x)x (an involution);
-    sigma123 is the 3-cycle x(x)y(x)z -> z(x)x(x)y (order three).
-    """
-    n = len(t)
-    rng = range(n)
-    if perm == "sigma13":
-        return [[[t[k][j][i] for k in rng] for j in rng] for i in rng]
-    if perm == "sigma123":
-        return [[[t[j][k][i] for k in rng] for j in rng] for i in rng]
-    raise ValueError("permute3: unknown permutation %r" % (perm,))
-
 
 def apply2(p, q, m):
     """Apply the operator p (x) q to an element m of A (x) A."""
@@ -274,11 +238,6 @@ def mat_inverse(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def solve(m, b):
-    """Solve m x = b exactly (m square invertible)."""
-    return mat_vec(mat_inverse(m), b)
 
 
 def mat_rank(m):

@@ -15,11 +15,12 @@ L*_succ, A*) of the underlying algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_matrix, require_pass, require_square, scan, \
-    underlying_algebra
+    StructureTensors, _lcd, check_identities, require_matrix, require_pass, \
+    require_square, scan, structure_tensors, underlying_algebra
 from .bialgebra import dual_products_from_comult
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     dual_maps, multiplication_operators, regular_pre_bimodule, \
@@ -28,7 +29,7 @@ from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
     special_case_rpair
 from .matched import build_pre_double, dual_pre_matched
 from .linalg import (
-    ONE, transpose, zeros_mat, zeros_t3, basis_vec,
+    ONE, ZERO, transpose, zeros_mat, zeros_t3, basis_vec,
     vec_add, vec_sub, mat_vec,
     mat_inverse, mat_rank,
 )
@@ -46,24 +47,20 @@ def require_anti_flexible(alg: Algebra, caller):
 
 
 def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
-    """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs."""
+    """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs: the O-operator
+    identity of B on the regular bimodule, l(x)v = x*v and r(x)u = u*x."""
     require_square("check_rota_baxter", "alpha", alpha, alg.dimension)
     require_anti_flexible(alg, "check_rota_baxter")
-    return rota_baxter_core(alg, alpha, all_failures)
+    return _relabelled(_o_operator_report(regular_tensors(alg), alpha,
+                                          all_failures), "rota-baxter")
 
 
-def rota_baxter_core(alg: Algebra, alpha, all_failures=False) -> CheckReport:
-    """check_rota_baxter without its precondition, for callers that have
-    validated the base once (grid_search)."""
-    n = alg.dimension
-    basis = [basis_vec(n, i) for i in range(n)]
-    cols = [[alpha[k][i] for k in range(n)] for i in range(n)]
-    return scan("rota-baxter", (
-        ("rota-baxter", (i, j), vec_sub(
-            alg.mul(cols[i], cols[j]),
-            mat_vec(alpha, vec_add(alg.mul(basis[i], cols[j]),
-                                   alg.mul(cols[i], basis[j])))))
-        for i, j in product(range(n), repeat=2)), all_failures)
+def regular_tensors(alg: Algebra) -> StructureTensors:
+    """The structure tensors of the regular bimodule of alg (see
+    structure_tensors): both actions are the product."""
+    c = structure_tensors(alg)
+    rows = c.rows["c"]
+    return StructureTensors({"c": rows, "l": rows, "r": rows}, c.scale)
 
 
 def _rb_defect(alg, alpha, x, y):
@@ -139,20 +136,76 @@ def check_o_operator(oo: OOperator, all_failures=False) -> CheckReport:
 
 def o_operator_core(bm: AfBimodule, T, all_failures=False) -> CheckReport:
     """check_o_operator without its precondition, for callers that have
-    validated the bimodule once (grid_search); T is a (dim A) x (dim V)
-    matrix."""
-    alg = bm.base
-    n = alg.dimension
-    m = bm.space_dim
-    cols = [[T[k][i] for k in range(n)] for i in range(m)]
-    lT = [act(bm.l, col) for col in cols]
-    rT = [act(bm.r, col) for col in cols]
-    # l(T(u_i)) u_j + r(T(u_j)) u_i
+    validated the bimodule; T is a (dim A) x (dim V) matrix."""
+    return _o_operator_report(structure_tensors(bm), T, all_failures)
+
+
+def _o_operator_report(c, T, all_failures):
+    """The O-operator check of the matrix T on the structure tensors c of a
+    bimodule.  T is scaled to ints by its lcd D_m, and only the basis pairs
+    whose int residual is nonzero are divided back, as Fraction(v, D *
+    D_m**2), with the shared ZERO at zero coordinates."""
+    d = _lcd(x for row in T for x in row)
+    n, scale = len(T), c.scale * d * d
+    blocks = o_operator_numerators(c)(
+        [[x.numerator * (d // x.denominator) for x in row] for row in T])
     return scan("o-operator", (
-        ("o-operator", (i, j), vec_sub(
-            alg.mul(cols[i], cols[j]),
-            mat_vec(T, [lT[i][k][j] + rT[j][k][i] for k in range(m)])))
-        for i, j in product(range(m), repeat=2)), all_failures)
+        ("o-operator", (i, j),
+         [Fraction(v, scale) if v else ZERO for v in block[at:at + n]])
+        for i, block in blocks
+        for j, at in enumerate(range(0, len(block), n))
+        if any(block[at:at + n])), all_failures)
+
+
+def o_operator_numerators(c):
+    """The function that takes an int matrix t, (dim A) x (dim V), to the
+    residuals of its O-operator identity on the structure tensors c of a
+    bimodule (rows c, l and r, scale D; see structure_tensors):
+
+      t(u_i)*t(u_j) - t(l(t(u_i))u_j + r(t(u_j))u_i)
+
+    at the basis pairs (u_i, u_j) of V, times D.  They are yielded lazily,
+    one i at a time and only where nonzero, as (i, block) with coordinate
+    q at u_j in block[j * dim A + q].  Every term has two factors of t and
+    one structure constant, so at t = D_m * T each entry is D * D_m**2
+    times that of T.  The nonzero rows of c are listed once, here, by
+    their first index, and only they and the nonzero entries of t are
+    visited."""
+    c_rows, l_rows, r_rows = (
+        [[(b, row) for b, row in enumerate(plane) if row]
+         for plane in c.rows[op]] for op in "clr")
+
+    def numerators(t):
+        n, m = len(t), len(t[0])
+        # t(u_k) has the coordinate x at e_a for each (a, x) of image[k],
+        # and each (k, x) of at_row[a]
+        at_row = [[(k, x) for k, x in enumerate(row) if x] for row in t]
+        image = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*t)]
+        for i in range(m):
+            out = [0] * (m * n)
+            for a, x in image[i]:
+                for b, row in c_rows[a]:            # e_a * e_b
+                    for j, y in at_row[b]:
+                        at, xy = j * n, x * y
+                        for q, z in row:
+                            out[at + q] += xy * z
+                for j, row in l_rows[a]:            # l(e_a)u_j
+                    at = j * n
+                    for k, z in row:
+                        xz = x * z
+                        for q, y in image[k]:
+                            out[at + q] -= xz * y
+            for b, row in r_rows[i]:                # r(e_b)u_i
+                for j, x in at_row[b]:
+                    at = j * n
+                    for k, z in row:
+                        xz = x * z
+                        for q, y in image[k]:
+                            out[at + q] -= xz * y
+            if any(out):
+                yield i, out
+
+    return numerators
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from antiflex.algebra import PreAlgebra
 from antiflex.bimodule import multiplication_operators, act
 from antiflex.linalg import (
     basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, apply2, t3_sub,
-    vec_neg,
 )
+
+from helpers import vec_neg
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ rows as they were written for it."""
 from itertools import product
 
 from antiflex.bimodule import AfBimodule, PreBimodule, act
-from antiflex.linalg import commutator, mat_mul, mat_sub, transpose
+from antiflex.linalg import mat_mul, mat_sub, transpose
+
+from helpers import commutator
 
 # the rows of antiflex.bimodule by their arguments alone: (label, identity
 # of the semidirect product, its arguments)

@@ -21,10 +21,11 @@ from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
 from antiflex.bimodule import act, multiplication_operators
 from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
     _cubic_first_kind, _cubic_second_kind, _quadratic_residuals, \
-    _require_base, _rpair_mats, flp_expression, \
-    sigma13_expression, special_case_rpair
+    _require_base, _rpair_mats, special_case_rpair
 from antiflex.linalg import ZERO, apply2, eye, mat_add, mat_is_zero, \
     mat_mul, mat_neg, mat_sub, t3_add, transpose
+
+from helpers import flp_expression, sigma13_expression
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ generators, and perturbation utilities."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from antiflex.algebra import Algebra, PreAlgebra, from_associative
 from antiflex.bialgebra import dual_products_from_comult
 from antiflex.coboundary import special_case_bialgebra
 from antiflex.harness import corpus_names, load_corpus
+from antiflex.linalg import ZERO, mat_inverse, mat_mul, mat_sub, mat_vec
 from antiflex.matched import dual_pre_matched, standard_dual_matched
 from antiflex.operators import canonical_solution
 
@@ -58,6 +60,18 @@ def rand_sym_mat(rng, n, span=2):
 def rand_t3(rng, n, span=1):
     return [[[Fraction(rng.randint(-span, span)) for _ in range(n)]
              for _ in range(n)] for _ in range(n)]
+
+
+def over(tensors, q):
+    """The rank-3 tensors times the one rational that makes their entries
+    integers over q with no common factor, so that the lcd of their
+    entries is exactly q; some entry must be nonzero."""
+    entries = [x for t in tensors for plane in t for row in plane
+               for x in row if x]
+    d = lcm(*(x.denominator for x in entries))
+    mu = Fraction(d, gcd(*(int(x * d) for x in entries)) * q)
+    return [[[[x * mu for x in row] for row in plane] for plane in t]
+            for t in tensors]
 
 
 def bump_t3(t, i, j, k, amount=1):
@@ -134,3 +148,68 @@ def bialgebra_pairs():
     left, right = split_bialgebra("qt2", "one"), \
         split_bialgebra("qt2", "one", "prec-right")
     return out + [pairs(left, right), pairs(right, left)]
+
+
+# ---------------------------------------------------------------------------
+# linear algebra that only the tests use
+# ---------------------------------------------------------------------------
+
+def vec_neg(v):
+    return [ZERO - a if a else ZERO for a in v]
+
+
+def vec_scale(c, v):
+    return [c * a for a in v]
+
+
+def commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def t3_neg(a):
+    return [[[ZERO - x if x else ZERO for x in row] for row in plane]
+            for plane in a]
+
+
+def t3_is_zero(t):
+    return not any(any(row) for plane in t for row in plane)
+
+
+def permute3(t, perm):
+    """Index permutation of an element of A(x)A(x)A.
+
+    sigma13 swaps the outer slots, x(x)y(x)z -> z(x)y(x)x (an involution);
+    sigma123 is the 3-cycle x(x)y(x)z -> z(x)x(x)y (order three).
+    """
+    n = len(t)
+    rng = range(n)
+    if perm == "sigma13":
+        return [[[t[k][j][i] for k in rng] for j in rng] for i in rng]
+    if perm == "sigma123":
+        return [[[t[j][k][i] for k in rng] for j in rng] for i in rng]
+    raise ValueError("permute3: unknown permutation %r" % (perm,))
+
+
+def solve(m, b):
+    """Solve m x = b exactly (m square invertible)."""
+    return mat_vec(mat_inverse(m), b)
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the term lists of antiflex.coboundary
+# ---------------------------------------------------------------------------
+# A factor is (tag, p, q) with tag naming an r-element; a term is
+# (sign, factor, op, factor).  The decoration flip exchanges the two factors
+# and swaps prec <-> succ on the product (dot is fixed); the outer slot swap
+# relabels slot s as 4 - s in every placement.
+
+_FLP_OP = {"prec": "succ", "succ": "prec", "dot": "dot"}
+
+
+def flp_expression(terms):
+    return tuple((sign, f2, _FLP_OP[op], f1) for sign, f1, op, f2 in terms)
+
+
+def sigma13_expression(terms):
+    rel = lambda f: (f[0], 4 - f[1], 4 - f[2])
+    return tuple((sign, rel(f1), op, rel(f2)) for sign, f1, op, f2 in terms)

@@ -1,17 +1,115 @@
-"""The r-double and the operator form written out by hand from r as a map
+"""References for antiflex.operators.
+
+The Fraction path: the Rota-Baxter and O-operator checks as they were
+before both ran as one int kernel, the O-operator identity on the
+structure tensors of a bimodule, with every residual a Fraction sum per
+basis pair, and the grid search over them, which enumerated Fraction
+candidates and built a report for each.
+
+The r-double and the operator form written out by hand from r as a map
 A* -> A: the reference that antiflex.operators, which reads both through
 the coboundary pre double and the O-operator check, is tested against."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_square, scan
-from antiflex.bimodule import act, multiplication_operators
+from antiflex.algebra import Algebra, PreAlgebra, CheckReport, \
+    PreconditionError, check_identities, require_square, scan
+from antiflex.bimodule import AfBimodule, act, multiplication_operators
 from antiflex.coboundary import r_is_symmetric
+from antiflex.harness import FORMAT_VERSION
 from antiflex.linalg import basis_vec, mat_vec, transpose, vec_add, \
-    vec_neg, vec_sub, zeros_t3
-from antiflex.operators import r_map_matrix
+    vec_sub, zeros_t3
+from antiflex.operators import OOperator, r_map_matrix, \
+    require_af_bimodule, require_anti_flexible
+
+import coboundary_reference
+from helpers import vec_neg
+
+
+# ---------------------------------------------------------------------------
+# the Fraction path
+# ---------------------------------------------------------------------------
+
+def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
+    """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs."""
+    require_square("check_rota_baxter", "alpha", alpha, alg.dimension)
+    require_anti_flexible(alg, "check_rota_baxter")
+    return rota_baxter_core(alg, alpha, all_failures)
+
+
+def rota_baxter_core(alg: Algebra, alpha, all_failures=False) -> CheckReport:
+    """check_rota_baxter without its precondition, for callers that have
+    validated the base once (grid_search)."""
+    n = alg.dimension
+    basis = [basis_vec(n, i) for i in range(n)]
+    cols = [[alpha[k][i] for k in range(n)] for i in range(n)]
+    return scan("rota-baxter", (
+        ("rota-baxter", (i, j), vec_sub(
+            alg.mul(cols[i], cols[j]),
+            mat_vec(alpha, vec_add(alg.mul(basis[i], cols[j]),
+                                   alg.mul(cols[i], basis[j])))))
+        for i, j in product(range(n), repeat=2)), all_failures)
+
+
+def check_o_operator(oo: OOperator, all_failures=False) -> CheckReport:
+    """T(u)*T(v) = T(l(T(u))v + r(T(v))u) over all basis pairs of V."""
+    require_af_bimodule(oo.bimodule, "check_o_operator")
+    return o_operator_core(oo.bimodule, oo.T, all_failures)
+
+
+def o_operator_core(bm: AfBimodule, T, all_failures=False) -> CheckReport:
+    """check_o_operator without its precondition, for callers that have
+    validated the bimodule once (grid_search); T is a (dim A) x (dim V)
+    matrix."""
+    alg = bm.base
+    n = alg.dimension
+    m = bm.space_dim
+    cols = [[T[k][i] for k in range(n)] for i in range(m)]
+    lT = [act(bm.l, col) for col in cols]
+    rT = [act(bm.r, col) for col in cols]
+    # l(T(u_i)) u_j + r(T(u_j)) u_i
+    return scan("o-operator", (
+        ("o-operator", (i, j), vec_sub(
+            alg.mul(cols[i], cols[j]),
+            mat_vec(T, [lT[i][k][j] + rT[j][k][i] for k in range(m)])))
+        for i, j in product(range(m), repeat=2)), all_failures)
+
+
+def grid_search(spec, subject):
+    """The found matrices and the report of a grid search, each candidate
+    a matrix of the coefficients, in the order of itertools.product over
+    its free entries, checked by the cores above (PAFYBE by
+    coboundary_reference) after the precondition on the subject."""
+    coeffs = spec.coefficient_set
+    if spec.target == "pafybe-symmetric":
+        n = subject.dimension
+        nfree = n * (n + 1) // 2
+        found = coboundary_reference.pafybe_grid_search(subject, coeffs)
+    else:
+        if spec.target == "rota-baxter":
+            n = m = subject.dimension
+            require_anti_flexible(subject, "check_rota_baxter")
+            accept = lambda t: rota_baxter_core(subject, t).passed
+        else:
+            n, m = subject.base.dimension, subject.space_dim
+            require_af_bimodule(subject, "check_o_operator")
+            accept = lambda t: o_operator_core(subject, t).passed
+        nfree = n * m
+        found = []
+        for vals in product(coeffs, repeat=nfree):
+            t = [list(vals[i * m:(i + 1) * m]) for i in range(n)]
+            if accept(t):
+                found.append(t)
+    return found, {"format_version": FORMAT_VERSION, "target": spec.target,
+                   "candidates": len(coeffs) ** nfree, "found": len(found),
+                   "coefficient_set": [str(Fraction(c)) for c in coeffs]}
+
+
+# ---------------------------------------------------------------------------
+# the r-double and the operator form by hand
+# ---------------------------------------------------------------------------
 
 
 def _dual_op(maps, coeffs):

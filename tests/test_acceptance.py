@@ -27,11 +27,12 @@ from antiflex.operators import (
 )
 from antiflex.bialgebra import dual_products_from_comult
 from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
-    permute3, zeros_mat, zeros_t3
+    zeros_mat, zeros_t3
 
 from helpers import (
-    CORPUS, DIM2_PRE, FROM_ASSOC_VARIANTS, perturbed_algebras,
-    perturbed_pre_algebras, rand_mat, rand_sym_mat, seeded, sparse_mat,
+    CORPUS, DIM2_PRE, FROM_ASSOC_VARIANTS, flp_expression, permute3,
+    perturbed_algebras, perturbed_pre_algebras, rand_mat, rand_sym_mat,
+    seeded, sigma13_expression, sparse_mat,
 )
 
 SMALL_NAMES = ("q1", "qt2", "t3", "ut2")  # dim <= 3
@@ -263,8 +264,7 @@ def test_criterion_09():
 @criterion(10, "tensor-calculus symmetry remarks")
 def test_criterion_10():
     from antiflex.coboundary import _EXPRESSIONS, _rpair_mats, \
-        evaluate_expression, flp_expression, sigma13_expression, \
-        structure_tensors
+        evaluate_expression, structure_tensors
     from coboundary_reference import _CASE2_M, _CASE2_PP
     subjects = [PreAlgebra(1, zeros_t3(1), zeros_t3(1))] + DIM2_PRE
     qt2 = from_associative(CORPUS["qt2"], "succ-left")

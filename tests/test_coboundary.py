@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,14 +17,13 @@ from antiflex.coboundary import (
 from antiflex.harness import SearchSpec, grid_search, search_results
 from antiflex.operators import canonical_solution, check_rota_baxter
 from antiflex.linalg import (
-    apply2, eye, mat_add, permute3, t3_add, t3_is_zero, transpose, zeros_mat,
-    zeros_t3,
+    apply2, eye, mat_add, transpose, zeros_mat, zeros_t3,
 )
 from antiflex.bimodule import multiplication_operators
 from antiflex.algebra import PreAlgebra, from_associative
 
-from helpers import CORPUS, DIM2_PRE, rand_mat, rand_sym_mat, seeded, \
-    sparse_mat
+from helpers import CORPUS, DIM2_PRE, flp_expression, over, permute3, \
+    rand_mat, rand_sym_mat, seeded, sigma13_expression, sparse_mat
 import coboundary_reference
 
 
@@ -139,7 +137,7 @@ def test_symmetry_remarks():
 
 def _flp_tensor(palg, rp, which):
     from antiflex.coboundary import _EXPRESSIONS, _rpair_mats, \
-        evaluate_expression, flp_expression, structure_tensors
+        evaluate_expression, structure_tensors
     return evaluate_expression(structure_tensors(palg),
                                flp_expression(_EXPRESSIONS[which]),
                                _rpair_mats(rp))
@@ -147,15 +145,14 @@ def _flp_tensor(palg, rp, which):
 
 def _flp_tensor_of(expected_n, palg, rp, which):
     from antiflex.coboundary import _EXPRESSIONS, _rpair_mats, \
-        evaluate_expression, flp_expression, sigma13_expression, \
-        structure_tensors
+        evaluate_expression, structure_tensors
     return evaluate_expression(
         structure_tensors(palg), flp_expression(sigma13_expression(
             flp_expression(_EXPRESSIONS[which]))), _rpair_mats(rp))
 
 
 def test_flp_is_involution():
-    from antiflex.coboundary import _EXPRESSIONS, flp_expression
+    from antiflex.coboundary import _EXPRESSIONS
     for which in ("M", "M'", "P'"):
         terms = _EXPRESSIONS[which]
         assert flp_expression(flp_expression(terms)) == list(terms) or \
@@ -343,15 +340,8 @@ def test_r_checks_reject_inexact_entries():
 # ---------------------------------------------------------------------------
 
 def _over(prec, succ, q):
-    """prec and succ times the one rational that makes their entries
-    integers over q with no common factor, so that the lcd of the structure
-    constants is exactly q; at least one entry must be nonzero."""
-    entries = [x for t in (prec, succ) for plane in t for row in plane
-               for x in row if x]
-    d = lcm(*(x.denominator for x in entries))
-    mu = Fraction(d, gcd(*(int(x * d) for x in entries)) * q)
-    return PreAlgebra(len(prec), *([[[x * mu for x in row] for row in plane]
-                                    for plane in t] for t in (prec, succ)))
+    """The pre-algebra of prec and succ scaled to the lcd q (see over)."""
+    return PreAlgebra(len(prec), *over((prec, succ), q))
 
 
 def _pre_af_subjects():

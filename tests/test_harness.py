@@ -60,6 +60,33 @@ def test_malformed_scalar_diagnostic():
         parse_file(json.dumps(doc))
 
 
+def test_tensor_errors_name_the_faulty_entry():
+    # the exact text of a fault deep in a tensor, whose path is formatted
+    # only when the fault is found
+    base = json.loads(serialize(CORPUS["m2"]))
+
+    def message(edit):
+        doc = json.loads(json.dumps(base))
+        edit(doc["product"])
+        with pytest.raises(FormatError) as exc:
+            parse_file(json.dumps(doc))
+        return str(exc.value)
+
+    def bad_scalar(t):
+        t[1][0][1] = "x"
+
+    def long_row(t):
+        t[1][0].append("0")
+
+    def short_plane(t):
+        t[2].pop()
+    assert message(bad_scalar) == \
+        "algebra.product[1][0][1]: malformed scalar 'x'"
+    assert message(long_row) == \
+        "algebra.product[1][0]: expected a list of length 4"
+    assert message(short_plane) == "algebra.product[2]: expected 4 rows"
+
+
 def test_scalars_are_only_what_serialize_writes():
     def parse(scalar):
         return parse_file(json.dumps({

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiflex.linalg import (
-    apply2, apply_slot3, basis_vec, commutator, contract_product, dot, eye,
+    apply2, apply_slot3, basis_vec, contract_product, dot, eye,
     mat_add, mat_inverse, mat_is_zero, mat_mul, mat_neg, mat_rank, mat_sub,
-    mat_vec, permute3, solve,
-    t3_add, t3_is_zero, t3_neg, t3_sub, transpose, vec_add, vec_is_zero,
-    vec_neg, vec_scale, vec_sub, zeros_mat, zeros_t3, SingularMatrixError,
+    mat_vec, t3_add, t3_sub, transpose, vec_add, vec_is_zero, vec_sub,
+    zeros_mat, zeros_t3, SingularMatrixError,
 )
 
-from helpers import rand_frac, rand_mat, rand_t3, rand_vec, seeded
+from helpers import commutator, permute3, rand_frac, rand_mat, rand_t3, \
+    rand_vec, seeded, solve, t3_is_zero, t3_neg, vec_neg, vec_scale
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 

@@ -1,26 +1,32 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
-    check_identities, from_associative, underlying_algebra
+    check_identities, from_associative, structure_tensors, \
+    underlying_algebra
 from antiflex.bialgebra import dual_products_from_comult
-from antiflex.bimodule import AfBimodule, multiplication_operators
+from antiflex.bimodule import AfBimodule, act, derive_bimodule, \
+    multiplication_operators, regular_af_bimodule, regular_pre_bimodule
 from antiflex.coboundary import check_pafybe, r_is_symmetric, \
     special_case_bialgebra
 from antiflex.matched import build_pre_double, dual_pre_matched
-from antiflex.harness import SearchSpec, grid_search
+from antiflex.harness import SEARCH_TARGETS, SearchSpec, grid_search, \
+    search_results
 from antiflex.operators import (
     OOperator, assembled_double, canonical_solution, check_generalized_rb,
     check_o_operator, check_r_double_consistency, check_rota_baxter,
-    check_two_cocycle, compatible_structure_on_A, form_from_r, induced_pre_from_map, operator_form_check, r_map_matrix,
-    solution_from_o_operator,
+    check_two_cocycle, compatible_structure_on_A, form_from_r,
+    induced_pre_from_map, o_operator_core, operator_form_check,
+    r_map_matrix, regular_tensors, solution_from_o_operator,
 )
 from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
     mat_vec, transpose, zeros_mat, zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, all_corpus_pre, rand_mat, \
-    rand_sym_mat, rand_t3, seeded
+from helpers import CORPUS, DIM2_PRE, all_corpus_pre, over, rand_mat, \
+    rand_sym_mat, rand_t3, rand_vec, seeded
 import operators_reference as reference
 
 
@@ -306,3 +312,248 @@ def test_grid_found_o_operators_yield_solutions():
             double, r = solution_from_o_operator(OOperator(bm, t))
             assert r_is_symmetric(r)
             assert check_pafybe(double, r).passed
+
+
+# ---------------------------------------------------------------------------
+# the int kernel against the Fraction path, on non-integral inputs
+# ---------------------------------------------------------------------------
+
+denominators = st.integers(2, 7)
+fractions = st.builds(Fraction, st.integers(-7, 7), denominators)
+entries = st.one_of(st.just(Fraction(0)), fractions)
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+# anti-flexible algebras of dimensions 1-4 with a nonzero product: the
+# corpus algebras and the underlying algebras of three canonical doubles
+_AF_ALGEBRAS = [alg for alg in CORPUS.values()
+                if any(x for plane in alg.product for row in plane
+                       for x in row)] + [
+    underlying_algebra(canonical_solution(from_associative(
+        CORPUS[name], "succ-left"))[0]) for name in ("q1", "qt2", "t3")]
+
+
+# the corpus splittings with a nonzero product
+_SPLITTINGS = [p for p in all_corpus_pre() if any(
+    x for t in (p.prec, p.succ) for plane in t for row in plane for x in row)]
+
+
+@st.composite
+def splittings(draw, max_dim=4):
+    """A pre-anti-flexible algebra of dimension at most max_dim whose
+    structure constants have lcd 2-7: one of _SPLITTINGS times a
+    rational."""
+    palg = draw(st.sampled_from([p for p in _SPLITTINGS
+                                 if p.dimension <= max_dim]))
+    return PreAlgebra(palg.dimension,
+                      *over((palg.prec, palg.succ), draw(denominators)))
+
+
+@st.composite
+def af_algebras(draw, max_dim=4):
+    """An anti-flexible algebra of dimension at most max_dim whose
+    structure constants have lcd 2-7: one of _AF_ALGEBRAS times a
+    rational."""
+    alg = draw(st.sampled_from([a for a in _AF_ALGEBRAS
+                                if a.dimension <= max_dim]))
+    return Algebra(alg.dimension, *over((alg.product,), draw(denominators)))
+
+
+def _block_sum(maps, k):
+    """Each n x n matrix of a family as the top left block of an
+    (n + k) x (n + k) matrix, zero elsewhere."""
+    return [[list(row) + [Fraction(0)] * k for row in m]
+            + [[Fraction(0)] * (len(m) + k) for _ in range(k)] for m in maps]
+
+
+@st.composite
+def af_bimodules(draw, max_dim=4):
+    """A bimodule that passes its check, over an algebra of af_algebras:
+    the regular bimodule, its sum with a zero bimodule of dimension 1-3,
+    a zero bimodule of dimension 1-4, or one of the anti-flexible
+    bimodules derived from the regular bimodule of a splitting."""
+    alg = draw(af_algebras(max_dim))
+    n = alg.dimension
+    kind = draw(st.sampled_from(("regular", "sum", "zero", "derived")))
+    if kind == "regular":
+        return regular_af_bimodule(alg)
+    if kind == "sum":
+        k = draw(st.integers(1, max(1, max_dim - n)))
+        reg = regular_af_bimodule(alg)
+        return AfBimodule(alg, n + k, _block_sum(reg.l, k),
+                          _block_sum(reg.r, k))
+    if kind == "zero":
+        k = draw(st.integers(1, max_dim))
+        zero = [zeros_mat(k) for _ in range(n)]
+        return AfBimodule(alg, k, zero, zero)
+    return derive_bimodule(regular_pre_bimodule(draw(splittings(max_dim))),
+                           draw(st.sampled_from(("af-sum", "af-outer",
+                                                 "af-dual-sum",
+                                                 "af-dual-outer"))))
+
+
+@st.composite
+def random_bimodules(draw):
+    """A base of dimension 1-4 and a space of dimension 1-4 with random
+    structure constants and actions (not a bimodule in general) whose
+    entries have denominators 2-7."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def family(rows, cols):
+        return draw(st.lists(_matrices(rows, cols), min_size=n, max_size=n))
+    return AfBimodule(Algebra(n, family(n, n)), m, family(m, m),
+                      family(m, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), af_algebras())
+def test_check_rota_baxter_matches_fraction_path(data, alg):
+    n = alg.dimension
+    alpha = data.draw(st.one_of(_matrices(n, n), st.just(zeros_mat(n))))
+    for every in (False, True):
+        assert check_rota_baxter(alg, alpha, every) == \
+            reference.check_rota_baxter(alg, alpha, every)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), af_bimodules())
+def test_check_o_operator_matches_fraction_path(data, bm):
+    oo = OOperator(bm, data.draw(_matrices(bm.base.dimension, bm.space_dim)))
+    for every in (False, True):
+        assert check_o_operator(oo, every) == \
+            reference.check_o_operator(oo, every)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), random_bimodules())
+def test_o_operator_core_matches_fraction_path_off_bimodules(data, bm):
+    # the kernel decides any structure constants, bimodule or not
+    t = data.draw(_matrices(bm.base.dimension, bm.space_dim))
+    for every in (False, True):
+        assert o_operator_core(bm, t, every) == \
+            reference.o_operator_core(bm, t, every)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_operator_form_matches_fraction_path(data, n):
+    cube = st.lists(_matrices(n, n), min_size=n, max_size=n)
+    palg = PreAlgebra(n, data.draw(cube), data.draw(cube))
+    upper = data.draw(st.lists(entries, min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2))
+    r = zeros_mat(n)
+    for (i, j), x in zip([(i, j) for i in range(n) for j in range(i, n)],
+                         upper):
+        r[i][j] = r[j][i] = x
+    for every in (False, True):
+        assert operator_form_check(palg, r, every) == \
+            reference.operator_form_check(palg, r, every)
+
+
+@st.composite
+def grid_cases(draw):
+    """A search spec of every target with a subject small enough that the
+    Fraction path enumerates its grid quickly, with the coefficient sets
+    (-1, 1/2) and (0, 1/3) or one to three random ones."""
+    coeffs = draw(st.one_of(
+        st.sampled_from(((Fraction(-1), Fraction(1, 2)),
+                         (Fraction(0), Fraction(1, 3)))),
+        st.lists(fractions, min_size=1, max_size=3, unique=True).map(tuple)))
+    target = draw(st.sampled_from(SEARCH_TARGETS))
+    if target == "rota-baxter":
+        subject = draw(af_algebras(2))
+        nfree = subject.dimension ** 2
+    elif target == "o-operator":
+        subject = draw(af_bimodules(2))
+        nfree = subject.base.dimension * subject.space_dim
+    else:
+        subject = draw(splittings(2))
+        nfree = subject.dimension * (subject.dimension + 1) // 2
+    assume(len(coeffs) ** nfree <= 256)
+    return SearchSpec(target, coeffs, 4), subject
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_cases())
+def test_grid_search_matches_fraction_path(case):
+    spec, subject = case
+    found, report = grid_search(spec, subject)
+    expected, expected_report = reference.grid_search(spec, subject)
+    assert found == expected and report == expected_report
+    assert search_results(spec.target, found) == \
+        search_results(spec.target, expected)
+
+
+def test_regular_tensors_are_the_regular_bimodule():
+    for alg in _AF_ALGEBRAS:
+        assert regular_tensors(alg) == \
+            structure_tensors(regular_af_bimodule(alg))
+
+
+def test_pinned_corpus_searches():
+    # candidates, found, and the first and last found matrices of the grids
+    # on the unpermuted corpus
+    ut2, m2 = CORPUS["ut2"], CORPUS["m2"]
+
+    def mat(rows):
+        return [[Fraction(x) for x in row.split()] for row in rows]
+    zero3 = mat(["0 0 0"] * 3)
+    cases = (
+        ("rota-baxter", (0, 1), ut2, 512, 6, zero3,
+         mat(["0 1 0", "0 0 0", "0 0 0"])),
+        ("o-operator", (0, 1), regular_af_bimodule(ut2), 512, 6, zero3,
+         mat(["0 1 0", "0 0 0", "0 0 0"])),
+        ("pafybe-symmetric", (-1, 0, 1), from_associative(ut2, "succ-left"),
+         729, 31, mat(["-1 -1 0", "-1 -1 0", "0 0 0"]),
+         mat(["1 1 0", "1 1 0", "0 0 0"])),
+        ("pafybe-symmetric", (0, 1), from_associative(m2, "succ-left"),
+         1024, 19, mat(["0 0 0 0"] * 4), mat(["1 1 1 1"] * 4)))
+    for target, coeffs, subject, size, count, first, last in cases:
+        found, report = grid_search(SearchSpec(target, coeffs, 4), subject)
+        assert (report["candidates"], report["found"]) == (size, count)
+        assert len(found) == count
+        assert (found[0], found[-1]) == (first, last)
+
+
+def _oracle_defect(bm, t, u, v):
+    """T(u)*T(v) - T(l(T(u))v + r(T(v))u) at elements u, v of V, through
+    Algebra.mul, act and mat_vec: a path apart from the int kernel."""
+    tu, tv = mat_vec(t, u), mat_vec(t, v)
+    inner = [a + b for a, b in zip(mat_vec(act(bm.l, tu), v),
+                                   mat_vec(act(bm.r, tv), u))]
+    return [a - b for a, b in zip(bm.base.mul(tu, tv), mat_vec(t, inner))]
+
+
+def test_grid_found_maps_agree_with_random_elements():
+    # every Rota-Baxter and O-operator map the {0, 1} grids find on ut2 and
+    # m2, and 20 they reject, evaluated on random rational elements; the
+    # Rota-Baxter identity is the O-operator identity on the regular
+    # bimodule
+    rng = seeded(233)
+    coeffs = (Fraction(0), Fraction(1))
+    for name in ("ut2", "m2"):
+        alg = CORPUS[name]
+        n = alg.dimension
+        bm = regular_af_bimodule(alg)
+        rb, _ = grid_search(SearchSpec("rota-baxter", coeffs, 4), alg)
+        oo, _ = grid_search(SearchSpec("o-operator", coeffs, 4), bm)
+        assert rb == oo
+        rejected = []
+        while len(rejected) < 20:
+            t = [[Fraction(rng.randint(0, 1)) for _ in range(n)]
+                 for _ in range(n)]
+            if t not in rb:
+                rejected.append(t)
+        for t in rb + rejected:
+            verdict = check_rota_baxter(alg, t)
+            assert verdict.passed == (t in rb)
+            assert check_o_operator(OOperator(bm, t)).passed == verdict.passed
+            random_verdict = all(
+                not any(_oracle_defect(bm, t, rand_vec(rng, n),
+                                       rand_vec(rng, n)))
+                for _ in range(8))
+            assert random_verdict == verdict.passed
