@@ -14,6 +14,14 @@ are scaled once by their lcd D_c (structure_tensors), the factor matrices
 by their lcd D_m, and the int sum is divided back once, as
 Fraction(v, D_c * D_m**2).  Scalars in and out are Fractions.
 
+The comultiplications and all six condition families run in ints on the
+support in the same way: each multiplication operator is an image table
+of the nonzero structure rows, applied to the nonzeros of an r-sum or a
+cubic tensor, and every family is homogeneous, so its residuals are
+divided back once: coboundary_delta by D_c * D_m, the four quadratic
+families by D_c**2 * D_m and the two cubic ones by D_c**2 * D_m**2, each
+only where it is nonzero.
+
 The two one-parameter special cases are the coboundary conditions at the
 r-pairs (r, -sigma r) and (-r, r), relabelled by SPECIAL_CASE_LABELS.  In
 case one coboundary-1 and coboundary-2 vanish identically, and the others
@@ -23,19 +31,17 @@ with case-two-C the negated coboundary-3.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import compress, product
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    _lcd, _scaled, check_identities, require_pass, require_square, scan, \
-    structure_tensors
+    _lcd, _nested, _scaled, check_identities, require_pass, require_square, \
+    scan, structure_tensors
 from .bialgebra import Bialgebra
-from .bimodule import multiplication_operators, act
-from .linalg import (
-    ZERO, eye, transpose, mat_add, mat_neg, mat_mul, mat_is_zero, apply2,
-    apply_slot3, t3_add, t3_sub, zeros_mat,
-)
+from .linalg import ZERO, transpose, mat_add, mat_neg
 
 
 @dataclass(frozen=True)
@@ -116,39 +122,57 @@ def _placed_nonzeros(entries, pos, s, stride):
 # A factor is (tag, p, q) with tag naming an r-element; a term is
 # (sign, factor, op, factor).
 
-def _numerators(c, terms, mats):
-    """A term list on the structure tensors c (see structure_tensors) in
-    ints: (the flat tensor of its value times D, D).  Each term is bilinear
-    in its two factors, so with every factor matrix scaled by one lcd D_m,
-    every signed term adds D = D_c * D_m**2 times its value into one int
-    tensor.  Each factor's nonzeros are read once, and placed once per
-    placement and shared slot."""
-    n = len(c.rows["prec"])
-    stride = (n * n, n, 1)
+def _compiled(terms):
+    """A term list with the slot its two factors share appended to each
+    term: (sign, factor, op, factor, shared slot)."""
+    return tuple((sign, f1, op, f2, _shared_slot(f1[1:], f2[1:]))
+                 for sign, f1, op, f2 in terms)
+
+
+def _int_entries(mats):
+    """The nonzero entries ((i, j), x) of each factor matrix in ints, every
+    matrix scaled by the one lcd D_m of their entries, and D_m; matrices of
+    ints are taken as they are, with D_m = 1."""
     entries = {tag: [((i, j), x) for i, row in enumerate(m)
                      for j, x in enumerate(row) if x]
                for tag, m in mats.items()}
+    if all(type(x) is int for e in entries.values() for _, x in e):
+        return entries, 1
     d = _lcd(x for e in entries.values() for _, x in e)
-    entries = {tag: _scaled(e, d) for tag, e in entries.items()}
-    placed = {}     # (factor, shared slot) -> its placed nonzeros
-    out = [0] * (n * n * n)
-    for sign, f1, op, f2 in terms:
-        s = _shared_slot(f1[1:], f2[1:])
+    return {tag: _scaled(e, d) for tag, e in entries.items()}, d
+
+
+def _evaluated(c, terms, entries, placed, out):
+    """Add a compiled term list on the structure tensors c (see
+    structure_tensors) and the int factor entries of _int_entries into the
+    flat int tensor out, and return it: each term is bilinear in its two
+    factors, so every signed term adds D_c * D_m**2 times its value.
+    placed caches the placed nonzeros of each factor at each shared slot;
+    term lists on the same entries may share it."""
+    n = len(c.rows["prec"])
+    stride = (n * n, n, 1)
+    for sign, f1, op, f2, s in terms:
         for f in (f1, f2):
             if (f, s) not in placed:
                 placed[f, s] = _placed_nonzeros(entries[f[0]], f[1:], s,
                                                 stride)
         placed_product(placed[f1, s], placed[f2, s], stride[s - 1],
                        c.rows[op], out, sign)
-    return out, c.scale * d * d
+    return out
 
 
-def _divided(flat, d, n):
-    """The rank-3 tensor flat / d, entry [i][j][k] at (i * n + j) * n + k,
+def _numerators(c, terms, mats):
+    """A compiled term list on the factor matrices mats in ints: (the flat
+    tensor of its value times D, D), D = D_c * D_m**2."""
+    entries, d = _int_entries(mats)
+    n = len(c.rows["prec"])
+    return _evaluated(c, terms, entries, {}, [0] * n ** 3), c.scale * d * d
+
+
+def _divided(flat, d, shape):
+    """The tensor flat / d as nested lists of the given shape (row-major),
     with the shared ZERO at its zeros."""
-    t = [Fraction(v, d) if v else ZERO for v in flat]
-    return [[t[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-            for i in range(n)]
+    return _nested([Fraction(v, d) if v else ZERO for v in flat], shape)
 
 
 def evaluate_expression(c, terms, mats):
@@ -156,7 +180,8 @@ def evaluate_expression(c, terms, mats):
     (see structure_tensors); mats maps factor tags to coefficient matrices.
     Every signed term is added into one int tensor, which is divided back
     once."""
-    return _divided(*_numerators(c, terms, mats), len(c.rows["prec"]))
+    n = len(c.rows["prec"])
+    return _divided(*_numerators(c, _compiled(terms), mats), (n, n, n))
 
 
 def _rpair_mats(rp: RPair):
@@ -198,6 +223,7 @@ _EXPRESSIONS = {
            (-1, ("prec", 3, 1), "prec", ("succ", 2, 1)),
            (-1, ("prec", 3, 1), "succ", ("sum", 2, 1))),
 }
+_COMPILED = {key: _compiled(terms) for key, terms in _EXPRESSIONS.items()}
 
 
 def mnpq(palg: PreAlgebra, rp: RPair, which):
@@ -208,33 +234,140 @@ def mnpq(palg: PreAlgebra, rp: RPair, which):
         raise PreconditionError("mnpq: unknown expression %r" % (which,))
     if rp.dimension != palg.dimension:
         raise PreconditionError("mnpq: dimension mismatch")
-    return evaluate_expression(structure_tensors(palg), _EXPRESSIONS[key],
-                               _rpair_mats(rp))
+    n = palg.dimension
+    return _divided(*_numerators(structure_tensors(palg), _COMPILED[key],
+                                 _rpair_mats(rp)), (n, n, n))
 
 
 # the r-term of the second cubic condition: each operator acts on the
 # second component of r_prec, the one at the slot it shares with
-# r_prec + r_succ
-_RPRIME = ((1, ("op1", 3, 2), "succ", ("sum", 1, 2)),
-           (-1, ("op2", 3, 1), "succ", ("sum", 2, 1)))
+# r_prec + r_succ.  op1 and op2 are r_prec acted on at every e_i at once:
+# their first component is i * n**3 + p, which placed at slot 3, of
+# stride 1, is the offset of e_i's block in a flat tensor over
+# (i, s1, s2, s3).
+_RPRIME = _compiled(((1, ("op1", 3, 2), "succ", ("sum", 1, 2)),
+                     (-1, ("op2", 3, 1), "succ", ("sum", 2, 1))))
+_RPRIME_OPS = {"op1": ("Rp[i]", "Ls[i]"), "op2": ("Lp[i]", "Rs[i]")}
 
 
-def _rprime(c, ops, rp, x):
-    """The r-term of the second cubic condition at the basis element x;
-    None, a zero term, when r_prec + r_succ is zero."""
-    s12 = mat_add(rp.r_prec, rp.r_succ)
-    if mat_is_zero(s12):
-        return None
-    op1 = mat_add(ops["R_prec"][x], ops["L_succ"][x])
-    op2 = mat_add(ops["L_prec"][x], ops["R_succ"][x])
-    return evaluate_expression(c, _RPRIME, {
-        "op1": mat_mul(rp.r_prec, transpose(op1)),
-        "op2": mat_mul(rp.r_prec, transpose(op2)), "sum": s12})
+# ---------------------------------------------------------------------------
+# multiplication operators on the support
+# ---------------------------------------------------------------------------
+# An operator is written as in the dense formulas: L or R of prec, succ
+# or dot at a basis index, Lp[i] ... Rd[j]; at a product of two, Ls[i<j]
+# for L_succ(e_i prec e_j) and Rp[j>i] for R_prec(e_j succ e_i); two in a
+# row for their composite, the second applied first; "id" for the
+# identity.  Its image table lists, for each basis vector e_u, the nonzero
+# coordinates v of its images as pairs (offset, v), the offset of the
+# index and of the coordinate in a flat int output, so that a contraction
+# adds at sums of offsets and never visits a zero of the structure.
+_OPERATOR = re.compile(r"([LR])([psd])\[(\w)(?:([<>])(\w))?\]")
+_PRODUCTS = {"p": "prec", "s": "succ", "d": "dot", "<": "prec", ">": "succ"}
+
+
+def _operator_table(c, n, strides, tables, spec, s_out):
+    """The image table of an operator on the structure tensors c, with an
+    index x at stride strides[x] and the coordinate at s_out, cached in
+    tables.  The identity covers n * n basis vectors, so that it can carry
+    two slots of a cubic tensor, and a composite passes its inner index at
+    stride n**4, past every offset of a flat rank-4 output."""
+    if (spec, s_out) in tables:
+        return tables[spec, s_out]
+    big, ops = n ** 4, [m.group() for m in _OPERATOR.finditer(spec)]
+    if not ops:
+        t = [[(u * s_out, 1)] for u in range(n * n)]
+    elif len(ops) == 2:
+        t = _through(_operator_table(c, n, strides, tables, ops[1], big),
+                     _operator_table(c, n, strides, tables, ops[0], s_out),
+                     big)
+    else:
+        side, op, x, at, y = _OPERATOR.fullmatch(spec).groups()
+        rows, s_var = c.rows[_PRODUCTS[op]], big if at else strides[x]
+        t = [[] for _ in rows]
+        for a, plane in enumerate(rows):
+            for b, row in enumerate(plane):
+                t[b if side == "L" else a] += [
+                    ((a if side == "L" else b) * s_var + o * s_out, v)
+                    for o, v in row]
+        if at:                  # the product e_x at e_y, by coordinate
+            made = [[] for _ in rows]
+            for a, plane in enumerate(c.rows[_PRODUCTS[at]]):
+                for b, row in enumerate(plane):
+                    for k, v in row:
+                        made[k].append((a * strides[x] + b * strides[y], v))
+            t = _through(t, made, big)
+    tables[spec, s_out] = t
+    return t
+
+
+def _through(first, then, big):
+    """The image table of a composite: each entry of first carries an index
+    k at stride big, which the entries then[k] replace."""
+    out = []
+    for entries in first:
+        acc = {}
+        for off, c1 in entries:
+            k, rest = divmod(off, big)
+            for o, c2 in then[k]:
+                acc[rest + o] = acc.get(rest + o, 0) + c1 * c2
+        out.append([(o, v) for o, v in acc.items() if v])
+    return out
+
+
+def _contract(out, entries, left, right, sign=1):
+    """Add sign * x * c1 * c2 into out at o1 + o2 for each nonzero entry
+    ((u, v), x) and each (o1, c1) of left[u] and (o2, c2) of right[v]: the
+    operator pair left (x) right applied to a matrix of ints."""
+    for (u, v), x in entries:
+        images = right[v]
+        if not images:
+            continue
+        if sign < 0:
+            x = -x
+        for o1, c1 in left[u]:
+            k = x * c1
+            for o2, c2 in images:
+                out[o1 + o2] += k * c2
+
+
+def _family(terms, table, sums, n, rank):
+    """The flat int tensor over rank indices of terms (sign, r-sum, P, Q),
+    each adding sign (P (x) Q) applied to the r-sum, P's coordinate at
+    stride n and Q's at 1; () when every r-sum of the terms is zero."""
+    out = ()
+    for sign, m, p, q in terms:
+        if sums[m]:
+            out = out or [0] * n ** rank
+            _contract(out, sums[m], table(p, n), table(q, 1), sign)
+    return out
+
+
+def _rsums(rp):
+    """The int entries (see _int_entries) of r_prec and r_succ ("prec",
+    "succ"), their flips ("sp", "ss"), their sum and its flip ("sum",
+    "ssum"), and r_succ + sigma r_prec and r_prec + sigma r_succ ("s_sp",
+    "p_ss"), under one D_m, and D_m."""
+    e, d = _int_entries({"prec": rp.r_prec, "succ": rp.r_succ})
+    flip = lambda entries: [((j, i), x) for (i, j), x in entries]
+    e["sp"], e["ss"] = flip(e["prec"]), flip(e["succ"])
+    for key, a, b in (("sum", "prec", "succ"), ("s_sp", "succ", "sp"),
+                      ("p_ss", "prec", "ss")):
+        acc = dict(e[a])
+        for ij, x in e[b]:
+            acc[ij] = acc.get(ij, 0) + x
+        e[key] = [(ij, x) for ij, x in acc.items() if x]
+    e["ssum"] = flip(e["sum"])
+    return e, d
 
 
 # ---------------------------------------------------------------------------
 # the coboundary comultiplications
 # ---------------------------------------------------------------------------
+
+# D_prec and D_succ at each e_i as terms (sign, r-sum, P, Q) of _family
+_DELTAS = (((1, "prec", "id", "Ls[i]"), (1, "ss", "Rd[i]", "id")),
+           ((1, "succ", "id", "Ld[i]"), (1, "sp", "Rp[i]", "id")))
+
 
 def coboundary_delta(palg: PreAlgebra, rp: RPair):
     """The comultiplication tensors induced by an r-pair:
@@ -242,20 +375,18 @@ def coboundary_delta(palg: PreAlgebra, rp: RPair):
       D_succ(x) = (id (x) L_dot(x)) r_succ + (R_prec(x) (x) id) sigma r_prec
       D_prec(x) = (id (x) L_succ(x)) r_prec + (R_dot(x) (x) id) sigma r_succ
 
-    returned as (delta_prec, delta_succ) in comultiplication-tensor form.
+    returned as (delta_prec, delta_succ) in comultiplication-tensor form,
+    each summed in ints and divided back by D_c * D_m.
     """
     if rp.dimension != palg.dimension:
         raise PreconditionError("coboundary_delta: dimension mismatch")
-    ops = multiplication_operators(palg)
     n = palg.dimension
-    ident = eye(n)
-    sp = transpose(rp.r_prec)
-    ss = transpose(rp.r_succ)
-    dsucc = [mat_add(apply2(ident, ops["L_dot"][i], rp.r_succ),
-                     apply2(ops["R_prec"][i], ident, sp)) for i in range(n)]
-    dprec = [mat_add(apply2(ident, ops["L_succ"][i], rp.r_prec),
-                     apply2(ops["R_dot"][i], ident, ss)) for i in range(n)]
-    return dprec, dsucc
+    c = structure_tensors(palg)
+    sums, d = _rsums(rp)
+    table = partial(_operator_table, c, n, {"i": n * n}, {})
+    return tuple(_divided(_family(terms, table, sums, n, 3) or
+                          [0] * n ** 3, c.scale * d, (n, n, n))
+                 for terms in _DELTAS)
 
 
 def coboundary_bialgebra(palg: PreAlgebra, rp: RPair) -> Bialgebra:
@@ -269,76 +400,37 @@ def coboundary_bialgebra(palg: PreAlgebra, rp: RPair) -> Bialgebra:
 # the six coboundary condition families
 # ---------------------------------------------------------------------------
 
-def _quadratic_residuals(palg, ops, rp):
-    """The four quadratic conditions on each basis pair (e_i, e_j), as a
-    stream of matrix residuals.  Every term applies an operator pair to one
-    of four sums of the r-pair, formed once per check; a sum that is
-    exactly zero makes its terms zero, and they are skipped."""
-    n = palg.dimension
-    ident = eye(n)
-    Lp, Rp = ops["L_prec"], ops["R_prec"]
-    Ls, Rs = ops["L_succ"], ops["R_succ"]
-    Ld, Rd = ops["L_dot"], ops["R_dot"]
-    r_prec, r_succ = list(map(list, rp.r_prec)), list(map(list, rp.r_succ))
-    sp, ss = transpose(r_prec), transpose(r_succ)
-    s_sp, p_ss, both, sboth = (None if mat_is_zero(m) else m for m in (
-        mat_add(r_succ, sp),                    # r_succ + sigma r_prec
-        mat_add(r_prec, ss),                    # r_prec + sigma r_succ
-        mat_add(r_succ, r_prec), mat_add(sp, ss)))
+# The four quadratic conditions on each basis pair (e_i, e_j) as terms
+# (sign, r-sum, P, Q) of _family.
+_QUADRATIC = {
+    "coboundary-1": (
+        (1, "s_sp", "Rp[j]", "Ld[i]"), (1, "s_sp", "Ls[j]", "Rd[i]")),
+    "coboundary-2": (
+        (1, "s_sp", "Ls[i]", "Ld[j]"), (-1, "s_sp", "Rp[j]", "Rd[i]"),
+        (-1, "s_sp", "Ls[j]", "Ld[i]"), (1, "s_sp", "Rp[i]", "Rd[j]")),
+    "coboundary-3": (
+        (1, "p_ss", "Rs[j]", "Ls[i]"), (1, "p_ss", "Lp[j]", "Rp[i]"),
+        (1, "ssum", "Rp[j]", "Ls[i]"), (1, "ssum", "Ls[j]", "Rp[i]"),
+        (-1, "ssum", "Ls[j<i]", "id"), (-1, "ssum", "Rp[i>j]", "id"),
+        (1, "sum", "id", "Ls[i<j]"), (1, "sum", "id", "Rp[j>i]")),
+    "coboundary-4": (
+        (1, "sum", "Rp[i]", "Rp[j]"), (1, "sum", "Ls[i]", "Ls[j]"),
+        (-1, "sum", "id", "Ls[i]Rp[j]"), (-1, "sum", "id", "Rp[i]Ls[j]"),
+        (1, "ssum", "Ls[i]Rp[j]", "id"), (1, "ssum", "Rp[i]Ls[j]", "id"),
+        (-1, "ssum", "Ls[j]", "Ls[i]"), (-1, "ssum", "Rp[j]", "Rp[i]"),
+        (1, "s_sp", "Rp[i]", "Rs[j]"), (1, "s_sp", "Ls[i]", "Lp[j]"),
+        (-1, "p_ss", "Lp[j]", "Ls[i]"), (-1, "p_ss", "Rs[j]", "Rp[i]")),
+}
 
-    def total(*groups):
-        """The sum of sign (P (x) Q) m over the groups (m, (sign, P, Q)...)."""
-        terms = [apply2(p, q, m) if sign > 0 else mat_neg(apply2(p, q, m))
-                 for m, *pairs in groups if m is not None
-                 for sign, p, q in pairs]
-        return mat_add(*terms) if terms else zeros_mat(n)
-
-    for i, j in product(range(n), repeat=2):
-        yield "coboundary-1", (i, j), total(
-            (s_sp, (1, Rp[j], Ld[i]), (1, Ls[j], Rd[i])))
-        yield "coboundary-2", (i, j), total(
-            (s_sp, (1, Ls[i], Ld[j]), (-1, Rp[j], Rd[i]),
-             (-1, Ls[j], Ld[i]), (1, Rp[i], Rd[j])))
-        op_in = None if both is None else mat_add(
-            act(Ls, palg.prec[i][j]), act(Rp, palg.succ[j][i]))
-        op_out = None if sboth is None else mat_add(
-            act(Ls, palg.prec[j][i]), act(Rp, palg.succ[i][j]))
-        yield "coboundary-3", (i, j), total(
-            (p_ss, (1, Rs[j], Ls[i]), (1, Lp[j], Rp[i])),
-            (sboth, (1, Rp[j], Ls[i]), (1, Ls[j], Rp[i]),
-             (-1, op_out, ident)),
-            (both, (1, ident, op_in)))
-        lr = None if both is None and sboth is None else mat_add(
-            mat_mul(Ls[i], Rp[j]), mat_mul(Rp[i], Ls[j]))
-        yield "coboundary-4", (i, j), total(
-            (both, (1, Rp[i], Rp[j]), (1, Ls[i], Ls[j]), (-1, ident, lr)),
-            (sboth, (1, lr, ident), (-1, Ls[j], Ls[i]), (-1, Rp[j], Rp[i])),
-            (s_sp, (1, Rp[i], Rs[j]), (1, Ls[i], Lp[j])),
-            (p_ss, (-1, Lp[j], Ls[i]), (-1, Rs[j], Rp[i])))
-
-
-def _cubic_first_kind(ops, tensors, i):
-    """((id(x)id(x)L_succ(x)) - (R_prec(x)(x)id(x)id) sigma13.flp
-    + (id(x)id(x)R_prec(x)) flp - (L_succ(x)(x)id(x)id) flp.sigma13.flp)
-    applied to M, given the tensors (M, P, N, Q)."""
-    mv, pv, nv, qv = tensors
-    return t3_sub(t3_add(apply_slot3(mv, 3, ops["L_succ"][i]),
-                         apply_slot3(pv, 3, ops["R_prec"][i])),
-                  t3_add(apply_slot3(nv, 1, ops["R_prec"][i]),
-                         apply_slot3(qv, 1, ops["L_succ"][i])))
-
-
-def _cubic_second_kind(ops, tensors, i, rterm=None):
-    """((id(x)id(x)L_dot(x)) + (id(x)id(x)R_dot(x)) flp) M + R
-    - ((R_prec(x)(x)id(x)id) + (L_succ(x)(x)id(x)id) flp) P, given the
-    tensors (M, flp M, P, flp P)."""
-    mv, nv, pv, qv = tensors
-    pos = t3_add(apply_slot3(mv, 3, ops["L_dot"][i]),
-                 apply_slot3(nv, 3, ops["R_dot"][i]))
-    if rterm is not None:
-        pos = t3_add(pos, rterm)
-    return t3_sub(pos, t3_add(apply_slot3(pv, 1, ops["R_prec"][i]),
-                              apply_slot3(qv, 1, ops["L_succ"][i])))
+# The two cubic conditions on each basis element e_i: terms (sign, tensor,
+# operator, slot), each adding sign times the operator at e_i applied at
+# slot 3 or slot 1 of a cubic tensor; the second also adds the r-term.
+_CUBIC = {
+    "dual-structure-1": ((1, "M", "Ls[i]", 3), (1, "P", "Rp[i]", 3),
+                         (-1, "N", "Rp[i]", 1), (-1, "Q", "Ls[i]", 1)),
+    "dual-structure-2": ((1, "M'", "Ld[i]", 3), (1, "N'", "Rd[i]", 3),
+                         (-1, "P'", "Rp[i]", 1), (-1, "Q'", "Ls[i]", 1)),
+}
 
 
 def _require_base(caller, palg):
@@ -361,21 +453,60 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
                 all_failures)
 
 
+def _blocks(families, n, k, d):
+    """(label, index, residual) for each family at each tuple of k basis
+    indices where its block of the flat tensor over (index, residual) is
+    nonzero, in order index then family, divided back by d.  A family's
+    tensor is built by families[label]() on its first read."""
+    built, size = {}, n ** (4 - k)
+    for at, idx in enumerate(product(range(n), repeat=k)):
+        for label, build in families.items():
+            if label not in built:
+                flat = build()
+                built[label] = flat if any(flat) else ()
+            block = built[label][at * size:(at + 1) * size]
+            if any(block):
+                yield label, idx, _divided(block, d, (n,) * (4 - k))
+
+
 def _coboundary_residuals(palg, rp):
-    """The residual stream of the six families, for a base and an r-pair
-    already checked; the cubic tensors are built only when the stream is
-    read past the quadratic conditions."""
-    ops = multiplication_operators(palg)
-    yield from _quadratic_residuals(palg, ops, rp)
-    c, mats = structure_tensors(palg), _rpair_mats(rp)
-    t = {key: evaluate_expression(c, terms, mats)
-         for key, terms in _EXPRESSIONS.items()}
-    first = t["M"], t["P"], t["N"], t["Q"]
-    second = t["M'"], t["N'"], t["P'"], t["Q'"]
-    for i in range(palg.dimension):
-        yield "dual-structure-1", (i,), _cubic_first_kind(ops, first, i)
-        yield "dual-structure-2", (i,), _cubic_second_kind(
-            ops, second, i, _rprime(c, ops, rp, i))
+    """The nonzero residuals of the six families, for a base and an r-pair
+    already checked, in ints: the quadratic families under D_c**2 * D_m
+    and the cubic ones under D_c**2 * D_m**2.  Each family is built when
+    the stream first reads it, so the cubic tensors are built only when
+    the stream is read past the quadratic conditions."""
+    n = palg.dimension
+    c = structure_tensors(palg)
+    sums, d = _rsums(rp)
+    table = partial(_operator_table, c, n, {"i": n ** 3, "j": n * n}, {})
+    yield from _blocks({label: lambda terms=terms: _family(
+        terms, table, sums, n, 4) for label, terms in _QUADRATIC.items()},
+        n, 2, c.scale ** 2 * d)
+    placed, nn = {}, n * n
+
+    def cubic(label):
+        out = [0] * n ** 4
+        for sign, key, name, slot in _CUBIC[label]:
+            # the tensor as a matrix over (s1 s2, s3) or over (s2 s3, s1)
+            flat = _evaluated(c, _COMPILED[key], sums, placed, [0] * n ** 3)
+            s_in, s_out = (n, 1) if slot == 3 else (1, nn)
+            entries = [(divmod(t, n) if slot == 3 else divmod(t, nn)[::-1],
+                        flat[t]) for t in compress(range(n ** 3), flat)]
+            _contract(out, entries, table("id", s_in), table(name, s_out),
+                      sign)
+        if label == "dual-structure-2" and sums["sum"]:
+            ops = partial(_operator_table, c, n, {"i": nn}, {})
+            factors = {"sum": sums["sum"]}
+            for tag, names in _RPRIME_OPS.items():
+                op = _family([(1, "prec", "id", name) for name in names],
+                             ops, sums, n, 3)
+                factors[tag] = [((t // nn * n ** 3 + t // n % n, t % n), x)
+                                for t, x in enumerate(op) if x]
+            _evaluated(c, _RPRIME, factors, {}, out)
+        return out
+
+    yield from _blocks({label: lambda label=label: cubic(label)
+                        for label in _CUBIC}, n, 1, (c.scale * d) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +516,7 @@ def _coboundary_residuals(palg, rp):
 _PAFYBE = ((1, ("r", 2, 3), "dot", ("r", 1, 2)),
            (-1, ("r", 1, 2), "prec", ("r", 1, 3)),
            (-1, ("r", 1, 3), "succ", ("r", 2, 3)))
+_PAFYBE_TERMS = _compiled(_PAFYBE)
 
 
 def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
@@ -398,8 +530,9 @@ def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
 def pafybe_core(c, r, all_failures=False) -> CheckReport:
     """check_pafybe on the structure tensors of the pre-algebra, built once
     by the caller; the dimension of r is not checked."""
-    flat, d = _numerators(c, _PAFYBE, {"r": r})
-    return scan("pafybe", [("pafybe", (), _divided(flat, d, len(r)))]
+    n = len(r)
+    flat, d = _numerators(c, _PAFYBE_TERMS, {"r": r})
+    return scan("pafybe", [("pafybe", (), _divided(flat, d, (n, n, n)))]
                 if any(flat) else (), all_failures)
 
 

@@ -28,7 +28,7 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
     check_pre_bimodule, semidirect_pre
-from .coboundary import RPair, SPECIAL_CASES, _PAFYBE, _numerators, \
+from .coboundary import RPair, SPECIAL_CASES, _PAFYBE_TERMS, _numerators, \
     check_pafybe, check_coboundary_conditions, coboundary_bialgebra, \
     special_case_bialgebra
 from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
@@ -98,10 +98,6 @@ def parse_scalar(s, path):
         except (ValueError, ZeroDivisionError):
             pass    # past the digit limit of int(), or a zero denominator
     raise FormatError("%s: malformed scalar %r" % (path, s))
-
-
-def _fmt(x):
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +202,11 @@ def _read_tensor(data, extents, nouns, path):
 
 
 def _write_tensor(t, depth):
-    """The nested lists of "p/q" strings of a tensor of depth levels."""
+    """The nested lists of "p/q" strings of a tensor of depth levels.  Its
+    scalars are ints and Fractions, as every class of _SCHEMA checks on
+    construction, and str writes both in lowest terms."""
     if depth == 1:
-        return [_fmt(x) for x in t]
+        return list(map(str, t))
     return [_write_tensor(x, depth - 1) for x in t]
 
 
@@ -611,7 +609,7 @@ def grid_search(spec: SearchSpec, subject):
                                 "(limit 10^8)" % size)
     if spec.target == "pafybe-symmetric":
         tensors = structure_tensors(subject)
-        accept = lambda r: not any(_numerators(tensors, _PAFYBE,
+        accept = lambda r: not any(_numerators(tensors, _PAFYBE_TERMS,
                                                {"r": r})[0])
     else:
         if spec.target == "rota-baxter":
@@ -628,7 +626,7 @@ def grid_search(spec: SearchSpec, subject):
              if accept(matrix(vals))]
     report = {"format_version": FORMAT_VERSION, "target": spec.target,
               "candidates": size, "found": len(found),
-              "coefficient_set": [_fmt(c) for c in coeffs]}
+              "coefficient_set": list(map(str, coeffs))}
     return found, report
 
 

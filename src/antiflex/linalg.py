@@ -30,10 +30,6 @@ ONE = Fraction(1)
 # constructors
 # ---------------------------------------------------------------------------
 
-def zeros_vec(n):
-    return [ZERO] * n
-
-
 def zeros_mat(rows, cols=None):
     cols = rows if cols is None else cols
     return [[ZERO] * cols for _ in range(rows)]
@@ -50,7 +46,7 @@ def eye(n):
 
 
 def basis_vec(n, i):
-    v = zeros_vec(n)
+    v = [ZERO] * n
     v[i] = ONE
     return v
 
@@ -76,21 +72,6 @@ def _combine(pos, neg=()):
         for i, x in enumerate(v):
             if x:
                 out[i] -= x
-    return out
-
-
-def _rows_times(a, b_rows, cols):
-    """The matrix product of the rows a with a matrix of cols columns given
-    by the nonzeros of its rows (see _nonzeros): row by row, each nonzero
-    a_ik meets only the nonzeros of row k."""
-    out = []
-    for row in a:
-        acc = [ZERO] * cols
-        for x, bk in zip(row, b_rows):
-            if x:
-                for j, y in bk:
-                    acc[j] += x * y
-        out.append(acc)
     return out
 
 
@@ -127,7 +108,18 @@ def mat_neg(a):
 
 
 def mat_mul(a, b):
-    return _rows_times(a, [_nonzeros(row) for row in b], len(b[0]))
+    """Row by row: each nonzero a_ik meets only the nonzeros of row k of
+    b."""
+    b_rows = [_nonzeros(row) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * len(b[0])
+        for x, bk in zip(row, b_rows):
+            if x:
+                for j, y in bk:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(m, v):
@@ -141,10 +133,6 @@ def mat_vec(m, v):
                 acc += a * x
         out.append(acc)
     return out
-
-
-def mat_is_zero(m):
-    return not any(map(any, m))
 
 
 def transpose(m):
@@ -183,35 +171,6 @@ def contract_product(c, x, y):
                 for k, ck in cij:
                     out[k] += coeff * ck
     return out
-
-
-# ---------------------------------------------------------------------------
-# tensor-square and tensor-cube elements
-# ---------------------------------------------------------------------------
-
-def apply2(p, q, m):
-    """Apply the operator p (x) q to an element m of A (x) A."""
-    return mat_mul(mat_mul(p, m), transpose(q))
-
-
-def apply_slot3(t, slot, p):
-    """Apply operator p at one tensor slot (1, 2 or 3) of a rank-3 element.
-
-    Each slot is one matrix product: p times t flattened to (slot 1, slots
-    2-3) for slot 1, p times each plane t[i] for slot 2, and each plane
-    times p^T for slot 3."""
-    if slot == 1:
-        n2, n3 = len(t[0]), len(t[0][0])
-        flat = _rows_times(p, [_nonzeros([x for row in plane for x in row])
-                               for plane in t], n2 * n3)
-        return [[r[j * n3:(j + 1) * n3] for j in range(n2)] for r in flat]
-    if slot == 2:
-        return [_rows_times(p, [_nonzeros(row) for row in plane],
-                            len(plane[0])) for plane in t]
-    if slot == 3:
-        pt = [_nonzeros(col) for col in zip(*p)]
-        return [_rows_times(plane, pt, len(p)) for plane in t]
-    raise ValueError("apply_slot3: slot must be 1, 2 or 3")
 
 
 # ---------------------------------------------------------------------------

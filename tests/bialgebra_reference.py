@@ -14,10 +14,10 @@ from itertools import product
 from antiflex.algebra import PreAlgebra
 from antiflex.bimodule import multiplication_operators, act
 from antiflex.linalg import (
-    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, apply2, t3_sub,
+    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, t3_sub,
 )
 
-from helpers import vec_neg
+from helpers import apply2, vec_neg
 
 
 # ---------------------------------------------------------------------------

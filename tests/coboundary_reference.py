@@ -5,7 +5,12 @@ r-term of the second cubic condition and the PAFYBE and coboundary checks
 as they were before the placed-product kernel ran in ints under one common
 denominator, with the placed-product kernel as it was then: it takes the
 factor matrices and re-extracts their nonzeros at every call.  Every sum
-is a Fraction sum, and the int path is tested against them.
+is a Fraction sum, and the int path is tested against them.  The
+coboundary comultiplications and the four quadratic and two cubic
+condition families are the dense operator forms they had before they ran
+in ints on the support: each operator a matrix from
+multiplication_operators, applied to an r-sum by apply2 or to a cubic
+tensor at one slot by apply_slot3.
 
 The two one-parameter special cases written out by hand from r: the
 per-case residuals and cubic term lists that antiflex.coboundary, which
@@ -20,12 +25,12 @@ from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
     check_identities, require_square, scan
 from antiflex.bimodule import act, multiplication_operators
 from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
-    _cubic_first_kind, _cubic_second_kind, _quadratic_residuals, \
     _require_base, _rpair_mats, special_case_rpair
-from antiflex.linalg import ZERO, apply2, eye, mat_add, mat_is_zero, \
-    mat_mul, mat_neg, mat_sub, t3_add, transpose
+from antiflex.linalg import ZERO, eye, mat_add, mat_mul, mat_neg, mat_sub, \
+    t3_add, t3_sub, transpose, zeros_mat
 
-from helpers import flp_expression, sigma13_expression
+from helpers import apply2, apply_slot3, flp_expression, mat_is_zero, \
+    sigma13_expression
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,100 @@ def _rprime(c, ops, rp, x):
     placed_product(mat_mul(rp.r_prec, transpose(op2)), (3, 1), s12, (2, 1),
                    c["succ"], out, -1)
     return _unflatten(out, n)
+
+
+def coboundary_delta(palg: PreAlgebra, rp):
+    """The comultiplication tensors induced by an r-pair:
+
+      D_succ(x) = (id (x) L_dot(x)) r_succ + (R_prec(x) (x) id) sigma r_prec
+      D_prec(x) = (id (x) L_succ(x)) r_prec + (R_dot(x) (x) id) sigma r_succ
+
+    returned as (delta_prec, delta_succ) in comultiplication-tensor form.
+    """
+    if rp.dimension != palg.dimension:
+        raise PreconditionError("coboundary_delta: dimension mismatch")
+    ops = multiplication_operators(palg)
+    n = palg.dimension
+    ident = eye(n)
+    sp = transpose(rp.r_prec)
+    ss = transpose(rp.r_succ)
+    dsucc = [mat_add(apply2(ident, ops["L_dot"][i], rp.r_succ),
+                     apply2(ops["R_prec"][i], ident, sp)) for i in range(n)]
+    dprec = [mat_add(apply2(ident, ops["L_succ"][i], rp.r_prec),
+                     apply2(ops["R_dot"][i], ident, ss)) for i in range(n)]
+    return dprec, dsucc
+
+
+def _quadratic_residuals(palg, ops, rp):
+    """The four quadratic conditions on each basis pair (e_i, e_j), as a
+    stream of matrix residuals.  Every term applies an operator pair to one
+    of four sums of the r-pair, formed once per check; a sum that is
+    exactly zero makes its terms zero, and they are skipped."""
+    n = palg.dimension
+    ident = eye(n)
+    Lp, Rp = ops["L_prec"], ops["R_prec"]
+    Ls, Rs = ops["L_succ"], ops["R_succ"]
+    Ld, Rd = ops["L_dot"], ops["R_dot"]
+    r_prec, r_succ = list(map(list, rp.r_prec)), list(map(list, rp.r_succ))
+    sp, ss = transpose(r_prec), transpose(r_succ)
+    s_sp, p_ss, both, sboth = (None if mat_is_zero(m) else m for m in (
+        mat_add(r_succ, sp),                    # r_succ + sigma r_prec
+        mat_add(r_prec, ss),                    # r_prec + sigma r_succ
+        mat_add(r_succ, r_prec), mat_add(sp, ss)))
+
+    def total(*groups):
+        """The sum of sign (P (x) Q) m over the groups (m, (sign, P, Q)...)."""
+        terms = [apply2(p, q, m) if sign > 0 else mat_neg(apply2(p, q, m))
+                 for m, *pairs in groups if m is not None
+                 for sign, p, q in pairs]
+        return mat_add(*terms) if terms else zeros_mat(n)
+
+    for i, j in product(range(n), repeat=2):
+        yield "coboundary-1", (i, j), total(
+            (s_sp, (1, Rp[j], Ld[i]), (1, Ls[j], Rd[i])))
+        yield "coboundary-2", (i, j), total(
+            (s_sp, (1, Ls[i], Ld[j]), (-1, Rp[j], Rd[i]),
+             (-1, Ls[j], Ld[i]), (1, Rp[i], Rd[j])))
+        op_in = None if both is None else mat_add(
+            act(Ls, palg.prec[i][j]), act(Rp, palg.succ[j][i]))
+        op_out = None if sboth is None else mat_add(
+            act(Ls, palg.prec[j][i]), act(Rp, palg.succ[i][j]))
+        yield "coboundary-3", (i, j), total(
+            (p_ss, (1, Rs[j], Ls[i]), (1, Lp[j], Rp[i])),
+            (sboth, (1, Rp[j], Ls[i]), (1, Ls[j], Rp[i]),
+             (-1, op_out, ident)),
+            (both, (1, ident, op_in)))
+        lr = None if both is None and sboth is None else mat_add(
+            mat_mul(Ls[i], Rp[j]), mat_mul(Rp[i], Ls[j]))
+        yield "coboundary-4", (i, j), total(
+            (both, (1, Rp[i], Rp[j]), (1, Ls[i], Ls[j]), (-1, ident, lr)),
+            (sboth, (1, lr, ident), (-1, Ls[j], Ls[i]), (-1, Rp[j], Rp[i])),
+            (s_sp, (1, Rp[i], Rs[j]), (1, Ls[i], Lp[j])),
+            (p_ss, (-1, Lp[j], Ls[i]), (-1, Rs[j], Rp[i])))
+
+
+def _cubic_first_kind(ops, tensors, i):
+    """((id(x)id(x)L_succ(x)) - (R_prec(x)(x)id(x)id) sigma13.flp
+    + (id(x)id(x)R_prec(x)) flp - (L_succ(x)(x)id(x)id) flp.sigma13.flp)
+    applied to M, given the tensors (M, P, N, Q)."""
+    mv, pv, nv, qv = tensors
+    return t3_sub(t3_add(apply_slot3(mv, 3, ops["L_succ"][i]),
+                         apply_slot3(pv, 3, ops["R_prec"][i])),
+                  t3_add(apply_slot3(nv, 1, ops["R_prec"][i]),
+                         apply_slot3(qv, 1, ops["L_succ"][i])))
+
+
+def _cubic_second_kind(ops, tensors, i, rterm=None):
+    """((id(x)id(x)L_dot(x)) + (id(x)id(x)R_dot(x)) flp) M + R
+    - ((R_prec(x)(x)id(x)id) + (L_succ(x)(x)id(x)id) flp) P, given the
+    tensors (M, flp M, P, flp P)."""
+    mv, nv, pv, qv = tensors
+    pos = t3_add(apply_slot3(mv, 3, ops["L_dot"][i]),
+                 apply_slot3(nv, 3, ops["R_dot"][i]))
+    if rterm is not None:
+        pos = t3_add(pos, rterm)
+    return t3_sub(pos, t3_add(apply_slot3(pv, 1, ops["R_prec"][i]),
+                              apply_slot3(qv, 1, ops["L_succ"][i])))
 
 
 def check_coboundary_conditions(palg: PreAlgebra, rp,

@@ -5,13 +5,14 @@ writes every kind from the rows of _SCHEMA, is tested against: the same
 object bytes, or the same FormatError message, on every document."""
 
 import json
+from fractions import Fraction
 
 from antiflex.algebra import Algebra, PreAlgebra
 from antiflex.bialgebra import Bialgebra
 from antiflex.bimodule import AfBimodule, PreBimodule
 from antiflex.coboundary import RPair
 from antiflex.harness import FORMAT_VERSION, FormatError, LinearMap, \
-    RElement, _fmt, parse_scalar
+    RElement, parse_scalar
 from antiflex.matched import AfMatchedPair, PreMatchedPair
 
 
@@ -40,6 +41,10 @@ def _mats(data, count, rows, cols, path):
         raise FormatError("%s: expected %d matrices" % (path, count))
     return tuple(_mat(m, rows, cols, "%s[%d]" % (path, i))
                  for i, m in enumerate(data))
+
+
+def _fmt(x):
+    return str(Fraction(x))
 
 
 def _emit_mat(m):

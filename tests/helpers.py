@@ -9,7 +9,8 @@ from antiflex.algebra import Algebra, PreAlgebra, from_associative
 from antiflex.bialgebra import dual_products_from_comult
 from antiflex.coboundary import special_case_bialgebra
 from antiflex.harness import corpus_names, load_corpus
-from antiflex.linalg import ZERO, mat_inverse, mat_mul, mat_sub, mat_vec
+from antiflex.linalg import ZERO, mat_inverse, mat_mul, mat_sub, mat_vec, \
+    transpose
 from antiflex.matched import dual_pre_matched, standard_dual_matched
 from antiflex.operators import canonical_solution
 
@@ -188,6 +189,33 @@ def permute3(t, perm):
     if perm == "sigma123":
         return [[[t[j][k][i] for k in rng] for j in rng] for i in rng]
     raise ValueError("permute3: unknown permutation %r" % (perm,))
+
+
+def mat_is_zero(m):
+    return not any(map(any, m))
+
+
+def apply2(p, q, m):
+    """Apply the operator p (x) q to an element m of A (x) A."""
+    return mat_mul(mat_mul(p, m), transpose(q))
+
+
+def apply_slot3(t, slot, p):
+    """Apply operator p at one tensor slot (1, 2 or 3) of a rank-3 element.
+
+    Each slot is one matrix product: p times t flattened to (slot 1, slots
+    2-3) for slot 1, p times each plane t[i] for slot 2, and each plane
+    times p^T for slot 3."""
+    if slot == 1:
+        n2, n3 = len(t[0]), len(t[0][0])
+        flat = mat_mul(p, [[x for row in plane for x in row]
+                           for plane in t])
+        return [[r[j * n3:(j + 1) * n3] for j in range(n2)] for r in flat]
+    if slot == 2:
+        return [mat_mul(p, plane) for plane in t]
+    if slot == 3:
+        return [mat_mul(plane, transpose(p)) for plane in t]
+    raise ValueError("apply_slot3: slot must be 1, 2 or 3")
 
 
 def solve(m, b):

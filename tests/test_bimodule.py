@@ -9,11 +9,11 @@ from antiflex.bimodule import (
     check_af_bimodule, check_pre_bimodule, derive_bimodule,
     regular_af_bimodule, regular_pre_bimodule, semidirect_af, semidirect_pre,
 )
-from antiflex.linalg import mat_add, mat_is_zero, zeros_mat
+from antiflex.linalg import mat_add, zeros_mat
 
 from bimodule_reference import reference_residuals
 from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
-    rand_mat, rand_t3, seeded
+    mat_is_zero, rand_mat, rand_t3, seeded
 
 PRE_TRANSFORMS = ("reduced", "dual-full", "dual-reduced")
 AF_TRANSFORMS = ("af-sum", "af-outer", "af-dual-sum", "af-dual-outer")

@@ -16,14 +16,13 @@ from antiflex.coboundary import (
 )
 from antiflex.harness import SearchSpec, grid_search, search_results
 from antiflex.operators import canonical_solution, check_rota_baxter
-from antiflex.linalg import (
-    apply2, eye, mat_add, transpose, zeros_mat, zeros_t3,
-)
+from antiflex.linalg import eye, mat_add, transpose, zeros_mat, zeros_t3
 from antiflex.bimodule import multiplication_operators
 from antiflex.algebra import PreAlgebra, from_associative
 
-from helpers import CORPUS, DIM2_PRE, flp_expression, over, permute3, \
-    rand_mat, rand_sym_mat, seeded, sigma13_expression, sparse_mat
+from helpers import CORPUS, DIM2_PRE, apply2, flp_expression, \
+    matrix_units, over, permute3, rand_mat, rand_sym_mat, seeded, \
+    sigma13_expression, sparse_mat
 import coboundary_reference
 
 
@@ -344,11 +343,34 @@ def _over(prec, succ, q):
     return PreAlgebra(len(prec), *over((prec, succ), q))
 
 
+# Pre-anti-flexible pre-algebras that are not dendriform, unlike every
+# splitting of an associative algebra: (x > y) < z - x > (y < z) is not
+# zero, so the order of the operators in a composite matters; and in the
+# third, R_prec and L_succ of e_j > e_i and e_i < e_j differ from those of
+# e_i > e_j and e_j < e_i.
+NOT_DENDRIFORM = [
+    PreAlgebra(2, [[[0, 0], [1, 0]], [[0, 0], [-1, 0]]],
+               [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    PreAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+               [[[0, 1], [0, 1]], [[0, 0], [0, 0]]]),
+    PreAlgebra(3, [[[0, -1, 0], [0, 0, 0], [0, 0, 0]],
+                   [[0, 0, 0], [0, 0, 0], [-1, 0, 0]],
+                   [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+               [[[0, -1, 0], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, 0], [1, 0, 0], [0, 0, 0]]]),
+]
+
+
 def _pre_af_subjects():
-    """The corpus splittings (dimensions 1-4) and the canonical doubles of
-    q1, qt2 and t3 (dimensions 2 and 4), with their canonical r or None."""
-    out = [(from_associative(alg, variant), None) for alg in CORPUS.values()
-           for variant in ("succ-left", "prec-right")]
+    """The corpus splittings (dimensions 1-4), the canonical doubles of
+    q1, qt2 and t3 (dimensions 2 and 4), and the NOT_DENDRIFORM pre-algebras
+    and their canonical doubles (dimensions 2 to 6), with their canonical r
+    or None."""
+    out = [(palg, None) for palg in NOT_DENDRIFORM]
+    out += [(from_associative(alg, variant), None) for alg in CORPUS.values()
+            for variant in ("succ-left", "prec-right")]
+    out += [canonical_solution(palg) for palg in NOT_DENDRIFORM]
     out += [canonical_solution(from_associative(CORPUS[name], "succ-left"))
             for name in ("q1", "qt2", "t3")]
     return out
@@ -439,6 +461,53 @@ def test_coboundary_checks_match_fraction_path(data, subject):
     rp = RPair(data.draw(_matrices(n)), data.draw(_matrices(n)))
     assert check_coboundary_conditions(palg, rp, True) == \
         coboundary_reference.check_coboundary_conditions(palg, rp, True)
+
+
+def test_coboundary_checks_match_reference_off_dendriform():
+    # every term of the quadratic families shows on these subjects: the
+    # canonical doubles of ut2 and m2 (not commutative) and the
+    # NOT_DENDRIFORM pre-algebras and their doubles, at random r-pairs
+    rng = seeded(127)
+    doubles = [from_associative(CORPUS[name], "succ-left")
+               for name in ("ut2", "m2")] + NOT_DENDRIFORM
+    subjects = NOT_DENDRIFORM + [canonical_solution(palg)[0]
+                                 for palg in doubles]
+    for palg in subjects:
+        n = palg.dimension
+        rp = RPair(rand_mat(rng, n, span=1), rand_mat(rng, n, span=1))
+        for every in (False, True):
+            assert check_coboundary_conditions(palg, rp, every) == \
+                coboundary_reference.check_coboundary_conditions(
+                    palg, rp, every)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), random_pre_algebras())
+def test_coboundary_delta_matches_fraction_path(data, palg):
+    _check_scale(palg)
+    n = palg.dimension
+    rp = RPair(data.draw(_matrices(n)), data.draw(_matrices(n)))
+    got = coboundary_delta(palg, rp)
+    assert got == coboundary_reference.coboundary_delta(palg, rp)
+    assert all(type(x) is Fraction for delta in got for m in delta
+               for row in m for x in row)
+
+
+def test_special_case_conditions_on_m3():
+    # the canonical solution on the splitting of the 3 x 3 matrices passes
+    # both cases; r + e1 (x) e1 fails each at a cubic condition, with the
+    # reference's witness and failures
+    double, r = canonical_solution(from_associative(matrix_units(3),
+                                                    "succ-left"))
+    bumped = [list(row) for row in r]
+    bumped[0][0] += 1
+    for case in SPECIAL_CASES:
+        assert special_case_conditions(double, r, case).passed
+        for every in (False, True):
+            report = special_case_conditions(double, bumped, case, every)
+            assert not report.passed
+            assert report == coboundary_reference.special_case_conditions(
+                double, bumped, case, every), (case, every)
 
 
 @settings(max_examples=20, deadline=None)

@@ -29,13 +29,12 @@ from antiflex.harness import (
     grid_search, load_corpus, load_file, parse_file, random_element_oracle,
     run_check, save_file, serialize,
 )
-from antiflex.linalg import eye, mat_is_zero, vec_is_zero, zeros_mat, \
-    zeros_t3
+from antiflex.linalg import eye, vec_is_zero, zeros_mat, zeros_t3
 
 import harness_reference
 from bialgebra_reference import bialgebra_condition_residuals
 from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, bump_t3, \
-    split_bialgebra
+    mat_is_zero, split_bialgebra
 
 
 def test_corpus_round_trip_byte_identical():

@@ -1,17 +1,21 @@
+import ast
+import inspect
+import pathlib
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antiflex import linalg
 from antiflex.linalg import (
-    apply2, apply_slot3, basis_vec, contract_product, dot, eye,
-    mat_add, mat_inverse, mat_is_zero, mat_mul, mat_neg, mat_rank, mat_sub,
-    mat_vec, t3_add, t3_sub, transpose, vec_add, vec_is_zero, vec_sub,
-    zeros_mat, zeros_t3, SingularMatrixError,
+    basis_vec, contract_product, dot, eye, mat_add, mat_inverse, mat_mul,
+    mat_neg, mat_rank, mat_sub, mat_vec, t3_add, t3_sub, transpose, vec_add,
+    vec_is_zero, vec_sub, zeros_mat, zeros_t3, SingularMatrixError,
 )
 
-from helpers import commutator, permute3, rand_frac, rand_mat, rand_t3, \
-    rand_vec, seeded, solve, t3_is_zero, t3_neg, vec_neg, vec_scale
+from helpers import apply2, apply_slot3, commutator, mat_is_zero, permute3, \
+    rand_frac, rand_mat, rand_t3, rand_vec, seeded, solve, t3_is_zero, \
+    t3_neg, vec_neg, vec_scale
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -275,3 +279,24 @@ def test_zero_tests_skip_only_exact_zeros():
     # a sum whose nonzero terms cancel is an exact zero, not skipped early
     assert_exact(vec_add([tiny, 0], [-tiny, 0]), [ZERO, ZERO])
     assert_exact(dot([tiny, tiny], [1, -1]), ZERO)
+
+
+def _names_used(path):
+    """The names a module reads, leaving out each function's reads of its
+    own name (recursion)."""
+    used = set()
+    for node in ast.parse(path.read_text()).body:
+        own = node.name if isinstance(node, ast.FunctionDef) else None
+        used |= {n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and n.id != own}
+    return used
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # a helper that only the tests use lives in tests/helpers.py, not here
+    src = pathlib.Path(linalg.__file__).parent
+    used = set().union(*(_names_used(path) for path in src.glob("*.py")))
+    public = {name for name, obj in vars(linalg).items()
+              if inspect.isfunction(obj) and obj.__module__ == linalg.__name__
+              and not name.startswith("_")}
+    assert public and public <= used, sorted(public - used)
