@@ -319,7 +319,7 @@ def _triple(t, n):
     return (*divmod(ij, n), k)
 
 
-def basis_residuals(structure):
+def basis_residuals(structure, c=None):
     """The function label -> the nonzero entries (i, j, k, q, x) of the
     residual tensor of the identity `label` of COMPOSITIONS: coordinate q
     of the identity at the basis triple (e_i, e_j, e_k) is x, and every
@@ -331,10 +331,11 @@ def basis_residuals(structure):
     (structure_tensors), each composition is enumerated over the nonzero
     rows of its products only, and every entry whose int sum is nonzero is
     divided back once, as Fraction(v, D**2).  The entries of a label are
-    listed once per evaluator and freed with it.
+    listed once per evaluator and freed with it.  c, where the caller has
+    built them, are structure_tensors(structure).
     """
     d = structure.dimension
-    c = structure_tensors(structure)
+    c = structure_tensors(structure) if c is None else c
     tensors = {}    # label -> its nonzero entries
     # each product's nonzero rows (u, v, row), and the same rows listed by
     # u as (v, row) and by v as (u, row)
@@ -459,11 +460,15 @@ def triple_residuals(tensor, labels, n):
                            dict.fromkeys("ijkq", n), "ijk", "q")
 
 
-def check_identities(subject, kind, all_failures=False) -> CheckReport:
-    """Check the defining identities of `kind` over all basis triples."""
+def check_identities(subject, kind, all_failures=False,
+                     tensors=None) -> CheckReport:
+    """Check the defining identities of `kind` over all basis triples;
+    tensors, where the caller has built them, are
+    structure_tensors(subject)."""
     labels = _kind_labels(subject, kind)
-    return scan(kind, triple_residuals(basis_residuals(subject), labels,
-                                       subject.dimension), all_failures)
+    return scan(kind, triple_residuals(basis_residuals(subject, tensors),
+                                       labels, subject.dimension),
+                all_failures)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _cmd_construct(args):
 
 
 def _cmd_search(args):
-    subject = load_file(args.subject)
+    (subject,) = load_inputs("search", args.target, [args.subject])
     coeffs = tuple(parse_scalar(c, "--coeffs")
                    for c in args.coeffs.split(","))
     spec = SearchSpec(args.target, coeffs, args.bound)

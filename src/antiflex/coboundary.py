@@ -378,10 +378,15 @@ def coboundary_delta(palg: PreAlgebra, rp: RPair):
     returned as (delta_prec, delta_succ) in comultiplication-tensor form,
     each summed in ints and divided back by D_c * D_m.
     """
-    if rp.dimension != palg.dimension:
+    return _delta(structure_tensors(palg), rp)
+
+
+def _delta(c, rp):
+    """coboundary_delta on the structure tensors c of the pre-algebra,
+    built by the caller."""
+    n = len(c.rows["prec"])
+    if rp.dimension != n:
         raise PreconditionError("coboundary_delta: dimension mismatch")
-    n = palg.dimension
-    c = structure_tensors(palg)
     sums, d = _rsums(rp)
     table = partial(_operator_table, c, n, {"i": n * n}, {})
     return tuple(_divided(_family(terms, table, sums, n, 3) or
@@ -434,8 +439,13 @@ _CUBIC = {
 
 
 def _require_base(caller, palg):
-    require_pass(check_identities(palg, "pre-anti-flexible"),
+    """The structure tensors of palg, built once for its pre-anti-flexible
+    check and for the caller's kernel, after raising PreconditionError,
+    naming the caller, unless palg passes the check."""
+    c = structure_tensors(palg)
+    require_pass(check_identities(palg, "pre-anti-flexible", tensors=c),
                  "%s: base fails the pre-anti-flexible check" % caller)
+    return c
 
 
 def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
@@ -445,11 +455,11 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
     conditions over basis pairs, and two cubic dual-structure conditions
     over basis elements (P, N, Q are the images of M, and N', Q' of M'
     and P', under the decoration flip and the outer slot swap)."""
-    _require_base("check_coboundary_conditions", palg)
+    c = _require_base("check_coboundary_conditions", palg)
     if rp.dimension != palg.dimension:
         raise PreconditionError("check_coboundary_conditions: dimension "
                                 "mismatch")
-    return scan("coboundary-conditions", _coboundary_residuals(palg, rp),
+    return scan("coboundary-conditions", _coboundary_residuals(c, rp),
                 all_failures)
 
 
@@ -469,14 +479,14 @@ def _blocks(families, n, k, d):
                 yield label, idx, _divided(block, d, (n,) * (4 - k))
 
 
-def _coboundary_residuals(palg, rp):
-    """The nonzero residuals of the six families, for a base and an r-pair
-    already checked, in ints: the quadratic families under D_c**2 * D_m
-    and the cubic ones under D_c**2 * D_m**2.  Each family is built when
-    the stream first reads it, so the cubic tensors are built only when
-    the stream is read past the quadratic conditions."""
-    n = palg.dimension
-    c = structure_tensors(palg)
+def _coboundary_residuals(c, rp):
+    """The nonzero residuals of the six families, given the structure
+    tensors c of a base and an r-pair already checked, in ints: the
+    quadratic families under D_c**2 * D_m and the cubic ones under
+    D_c**2 * D_m**2.  Each family is built when the stream first reads
+    it, so the cubic tensors are built only when the stream is read past
+    the quadratic conditions."""
+    n = rp.dimension
     sums, d = _rsums(rp)
     table = partial(_operator_table, c, n, {"i": n ** 3, "j": n * n}, {})
     yield from _blocks({label: lambda terms=terms: _family(
@@ -574,8 +584,8 @@ def special_case_rpair(r, case) -> RPair:
 def special_case_bialgebra(palg: PreAlgebra, r, case) -> Bialgebra:
     """The candidate bialgebra of a one-parameter r-element under the given
     specialization."""
-    _require_base("special_case_bialgebra", palg)
-    return coboundary_bialgebra(palg, special_case_rpair(r, case))
+    c = _require_base("special_case_bialgebra", palg)
+    return Bialgebra(palg, *_delta(c, special_case_rpair(r, case)))
 
 
 def special_case_conditions(palg: PreAlgebra, r, case,
@@ -586,13 +596,13 @@ def special_case_conditions(palg: PreAlgebra, r, case,
     special_case_rpair(r, case), relabelled by SPECIAL_CASE_LABELS: case one
     drops coboundary-1 and -2, which vanish identically, and case-two-C is
     the negated coboundary-3."""
-    _require_base("special_case_conditions", palg)
+    c = _require_base("special_case_conditions", palg)
     if case not in SPECIAL_CASES:
         raise PreconditionError("special_case_conditions: unknown case %r"
                                 % (case,))
     require_square("special_case_conditions", "r", r, palg.dimension)
     report = scan("special-case-" + case, _coboundary_residuals(
-        palg, special_case_rpair(r, case)), all_failures)
+        c, special_case_rpair(r, case)), all_failures)
     if report.passed:
         return report
     labels = SPECIAL_CASE_LABELS[case]

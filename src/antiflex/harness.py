@@ -10,7 +10,6 @@ the offending path.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import random
@@ -37,7 +36,7 @@ from .operators import OOperator, canonical_solution, check_rota_baxter, \
     check_o_operator, check_two_cocycle, check_r_double_consistency, \
     induced_pre_from_map, o_operator_numerators, regular_tensors, \
     require_af_bimodule, require_anti_flexible, solution_from_o_operator
-from .linalg import vec_is_zero
+from .linalg import ONE, ZERO, vec_is_zero
 
 FORMAT_VERSION = 1
 
@@ -82,6 +81,9 @@ class LinearMap:
 # the scalars serialize writes: an optional minus sign, ASCII digits, and
 # optionally a slash and more digits
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the scalars that make up most package-written files, each read as one
+# shared Fraction (Fractions are immutable)
+_COMMON = {"0": ZERO, "1": ONE, "-1": -ONE}
 
 
 def parse_scalar(s, path):
@@ -90,6 +92,9 @@ def parse_scalar(s, path):
     if not isinstance(s, str):
         raise FormatError("%s: scalar must be a \"p/q\" string, got %r"
                           % (path, s))
+    common = _COMMON.get(s)
+    if common is not None:
+        return common
     match = _SCALAR.fullmatch(s)
     if match is not None:
         p, q = match.groups()
@@ -480,11 +485,12 @@ CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
 
 
 def load_inputs(verb, command, paths):
-    """The parsed input files of a command, "check" or "construct" by verb,
-    after checking their number and what each one holds against its entry
-    in _CHECKS or _CONSTRUCTIONS; a mismatch is a FormatError naming the
-    command and the file."""
-    expected = (_CHECKS if verb == "check" else _CONSTRUCTIONS)[command][0]
+    """The parsed input files of a command, "check", "construct" or
+    "search" by verb, after checking their number and what each one holds
+    against its entry in _CHECKS, _CONSTRUCTIONS or _SEARCHES; a mismatch
+    is a FormatError naming the command and the file."""
+    expected = {"check": _CHECKS, "construct": _CONSTRUCTIONS,
+                "search": _SEARCHES}[verb][command][0]
     command = "%s %s" % (verb, command)
     if len(paths) != len(expected):
         raise FormatError("%s reads %d input files, got %d"
@@ -548,7 +554,40 @@ def random_element_oracle(kind, subject, trials=100, seed=0):
 # bounded grid searches
 # ---------------------------------------------------------------------------
 
-SEARCH_TARGETS = ("rota-baxter", "pafybe-symmetric", "o-operator")
+def _pafybe_residual(tensors):
+    """r -> the flat int PAFYBE residual of _numerators on tensors."""
+    return lambda r: _numerators(tensors, _PAFYBE_TERMS, {"r": r})[0]
+
+
+def _o_operator_residual(tensors):
+    """t -> the whole flat int residual of o_operator_numerators on
+    tensors, with zeros for the blocks it does not yield."""
+    numerators = o_operator_numerators(tensors)
+
+    def residual(t):
+        size = len(t) * len(t[0])
+        out = [0] * (len(t[0]) * size)
+        for i, block in numerators(t):
+            out[i * size:(i + 1) * size] = block
+        return out
+    return residual
+
+
+# each search target: (its subject file, as in _CHECKS; its precondition;
+# subject -> the function taking an int candidate to its flat residual)
+_SEARCHES = {
+    "rota-baxter": ((_ALGEBRA,), lambda alg: require_anti_flexible(
+        alg, "check_rota_baxter"),
+        lambda alg: _o_operator_residual(regular_tensors(alg))),
+    "pafybe-symmetric": ((_PRE,), lambda palg: None,
+                         lambda palg: _pafybe_residual(
+                             structure_tensors(palg))),
+    "o-operator": ((_AF_BIMODULE,), lambda bm: require_af_bimodule(
+        bm, "check_o_operator"),
+        lambda bm: _o_operator_residual(structure_tensors(bm))),
+}
+
+SEARCH_TARGETS = tuple(_SEARCHES)
 
 
 @dataclass(frozen=True)
@@ -576,16 +615,85 @@ class SearchSpec:
             Fraction(c) for c in self.coefficient_set)))
 
 
+def _quadratic_form(residual, free):
+    """(squares, cross) of a flat int residual homogeneous of degree 2 in
+    free int variables, by polarization (see grid_search): squares[k] is
+    Q_k = residual(e_k), and cross[k] lists (u, the nonzeros (at, x) of
+    B_uk = residual(e_u + e_k) - Q_u - Q_k) for each u < k with B_uk not
+    zero."""
+    unit = lambda *us: residual([int(v in us) for v in range(free)])
+    squares = [unit(k) for k in range(free)]
+    cross = [[] for _ in range(free)]
+    for k in range(free):
+        for u in range(k):
+            nonzeros = [(at, x - a - b) for at, (x, a, b) in enumerate(zip(
+                unit(u, k), squares[u], squares[k])) if x != a + b]
+            if nonzeros:
+                cross[k].append((u, nonzeros))
+    return squares, cross
+
+
+def _grid_residuals(form, values):
+    """(point, residual of the form) at every point of values**free, in
+    itertools.product order, walked depth first: entry k = x adds
+    x * (x * Q_k + sum_{u<k} x_u B_uk) to its prefix's residual, the sum
+    over u taken once per prefix.  point is one list, changed in place."""
+    squares, cross = form
+    free = len(squares)
+    point = [0] * free
+    partial = [[0] * len(squares[0])] + [None] * free
+    linear = partial[:free]
+    nexts = [0] * free      # the index in values of each entry's next value
+    k = 0
+    while k >= 0:
+        if nexts[k] == len(values):
+            nexts[k] = 0
+            k -= 1
+            continue
+        x = point[k] = values[nexts[k]]
+        nexts[k] += 1
+        at = partial[k]
+        if x:
+            at = [p + x * (x * q + l)
+                  for p, q, l in zip(at, squares[k], linear[k])]
+        if k + 1 == free:
+            yield point, at
+            continue
+        k += 1
+        partial[k] = at
+        line = [0] * len(at)
+        for u, nonzeros in cross[k]:
+            xu = point[u]
+            if xu:
+                for i, b in nonzeros:
+                    line[i] += xu * b
+        linear[k] = line
+
+
 def grid_search(spec: SearchSpec, subject):
     """Exhaustively enumerate candidate matrices with entries drawn from
     the coefficient set, in lexicographic order, and keep those that pass
-    the check for the target.  Every check is homogeneous in the
-    candidate, so the candidates are enumerated in ints, as the
-    coefficient set times its lcd, and one is accepted when its int
-    residuals are all zero: no report is built, and only the matrices kept
-    are divided back.  The check's precondition on the subject runs once,
-    before the enumeration, and the subject's int tensors are built once.
-    Returns (found, report)."""
+    the check for the target.  Returns (found, report).
+
+    Candidates are enumerated in ints, as the coefficient set times its
+    lcd; only the matrices kept are divided back.  The int residual K of
+    each check is homogeneous of degree 2 in the F free entries (every
+    term has two factors of the candidate), so after the precondition it
+    is compiled once by polarization, Q_k = K(e_k) and B_uk = K(e_u + e_k)
+    - Q_u - Q_k, and then exactly, at every int point x,
+
+      K(x) = sum_k x_k**2 Q_k + sum_{u<k} x_u x_k B_uk.
+
+    That takes F * (F + 1) / 2 kernel runs, more than the one a one-value
+    coefficient set used to cost.  The grid is walked depth first in
+    itertools.product order, each candidate's whole residual one update
+    of its prefix's, and kept when every entry is zero."""
+    inputs, precondition, residual_of = _SEARCHES[spec.target]
+    ((what, types),) = inputs
+    if not isinstance(subject, types):
+        raise PreconditionError("grid_search: a %s search needs %s, not %s"
+                                % (spec.target, what,
+                                   type(subject).__name__))
     coeffs = spec.coefficient_set
     if spec.target == "o-operator":
         n, m = subject.base.dimension, subject.space_dim
@@ -607,23 +715,13 @@ def grid_search(spec: SearchSpec, subject):
     if size > 10 ** 8:
         raise PreconditionError("grid_search: search space has %d candidates "
                                 "(limit 10^8)" % size)
-    if spec.target == "pafybe-symmetric":
-        tensors = structure_tensors(subject)
-        accept = lambda r: not any(_numerators(tensors, _PAFYBE_TERMS,
-                                               {"r": r})[0])
-    else:
-        if spec.target == "rota-baxter":
-            require_anti_flexible(subject, "check_rota_baxter")
-            numerators = o_operator_numerators(regular_tensors(subject))
-        else:
-            require_af_bimodule(subject, "check_o_operator")
-            numerators = o_operator_numerators(structure_tensors(subject))
-        accept = lambda t: next(numerators(t), None) is None
+    precondition(subject)
+    residual = residual_of(subject)
+    form = _quadratic_form(lambda vals: residual(matrix(vals)), len(shape))
     scale = lcm(*(c.denominator for c in coeffs))
-    found = [matrix([Fraction(v, scale) for v in vals])
-             for vals in itertools.product([int(c * scale) for c in coeffs],
-                                           repeat=len(shape))
-             if accept(matrix(vals))]
+    found = [matrix([Fraction(v, scale) for v in point])
+             for point, at in _grid_residuals(
+                 form, [int(c * scale) for c in coeffs]) if not any(at)]
     report = {"format_version": FORMAT_VERSION, "target": spec.target,
               "candidates": size, "found": len(found),
               "coefficient_set": list(map(str, coeffs))}

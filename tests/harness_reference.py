@@ -2,18 +2,27 @@
 described every kind: a hand-written parser per kind and an if-chain of
 emitters.  It is the reference that antiflex.harness, which reads and
 writes every kind from the rows of _SCHEMA, is tested against: the same
-object bytes, or the same FormatError message, on every document."""
+object bytes, or the same FormatError message, on every document.
 
+Also the grid search as it was before each target's residual was compiled
+into a quadratic form: every candidate checked by a whole run of the int
+kernel."""
+
+import itertools
 import json
 from fractions import Fraction
+from math import lcm
 
-from antiflex.algebra import Algebra, PreAlgebra
+from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
+    structure_tensors
 from antiflex.bialgebra import Bialgebra
 from antiflex.bimodule import AfBimodule, PreBimodule
-from antiflex.coboundary import RPair
+from antiflex.coboundary import RPair, _PAFYBE_TERMS, _numerators
 from antiflex.harness import FORMAT_VERSION, FormatError, LinearMap, \
-    RElement, parse_scalar
+    RElement, SearchSpec, _fill_symmetric, _rows, parse_scalar
 from antiflex.matched import AfMatchedPair, PreMatchedPair
+from antiflex.operators import o_operator_numerators, regular_tensors, \
+    require_af_bimodule, require_anti_flexible
 
 
 def _vec(data, n, path):
@@ -292,3 +301,57 @@ def serialize(obj) -> bytes:
     doc = {"format_version": FORMAT_VERSION}
     doc.update(_emit(obj))
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def grid_search(spec: SearchSpec, subject):
+    """Exhaustively enumerate candidate matrices with entries drawn from
+    the coefficient set, in lexicographic order, and keep those that pass
+    the check for the target.  Every check is homogeneous in the
+    candidate, so the candidates are enumerated in ints, as the
+    coefficient set times its lcd, and one is accepted when its int
+    residuals are all zero: no report is built, and only the matrices kept
+    are divided back.  The check's precondition on the subject runs once,
+    before the enumeration, and the subject's int tensors are built once.
+    Returns (found, report)."""
+    coeffs = spec.coefficient_set
+    if spec.target == "o-operator":
+        n, m = subject.base.dimension, subject.space_dim
+        if max(n, m) > spec.bound:
+            raise PreconditionError("grid_search: dimensions (%d, %d) exceed "
+                                    "the bound %d" % (n, m, spec.bound))
+    else:
+        n = m = subject.dimension
+        if n > spec.bound:
+            raise PreconditionError("grid_search: dimension %d exceeds the "
+                                    "bound %d" % (n, spec.bound))
+    if spec.target == "pafybe-symmetric":
+        shape = [(i, j) for i in range(n) for j in range(i, n)]
+        matrix = lambda vals: _fill_symmetric(n, shape, vals)
+    else:
+        shape = range(n * m)
+        matrix = lambda vals: _rows(m, vals)
+    size = len(coeffs) ** len(shape)
+    if size > 10 ** 8:
+        raise PreconditionError("grid_search: search space has %d candidates "
+                                "(limit 10^8)" % size)
+    if spec.target == "pafybe-symmetric":
+        tensors = structure_tensors(subject)
+        accept = lambda r: not any(_numerators(tensors, _PAFYBE_TERMS,
+                                               {"r": r})[0])
+    else:
+        if spec.target == "rota-baxter":
+            require_anti_flexible(subject, "check_rota_baxter")
+            numerators = o_operator_numerators(regular_tensors(subject))
+        else:
+            require_af_bimodule(subject, "check_o_operator")
+            numerators = o_operator_numerators(structure_tensors(subject))
+        accept = lambda t: next(numerators(t), None) is None
+    scale = lcm(*(c.denominator for c in coeffs))
+    found = [matrix([Fraction(v, scale) for v in vals])
+             for vals in itertools.product([int(c * scale) for c in coeffs],
+                                           repeat=len(shape))
+             if accept(matrix(vals))]
+    report = {"format_version": FORMAT_VERSION, "target": spec.target,
+              "candidates": size, "found": len(found),
+              "coefficient_set": list(map(str, coeffs))}
+    return found, report

@@ -23,6 +23,25 @@ DIM2_PRE = [from_associative(CORPUS[a], v)
             for a in ("qt2", "t3") for v in ("succ-left", "prec-right")]
 
 
+# Pre-anti-flexible pre-algebras that are not dendriform, unlike every
+# splitting of an associative algebra: (x > y) < z - x > (y < z) is not
+# zero, so the order of the operators in a composite matters; and in the
+# third, R_prec and L_succ of e_j > e_i and e_i < e_j differ from those of
+# e_i > e_j and e_j < e_i.
+NOT_DENDRIFORM = [
+    PreAlgebra(2, [[[0, 0], [1, 0]], [[0, 0], [-1, 0]]],
+               [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    PreAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+               [[[0, 1], [0, 1]], [[0, 0], [0, 0]]]),
+    PreAlgebra(3, [[[0, -1, 0], [0, 0, 0], [0, 0, 0]],
+                   [[0, 0, 0], [0, 0, 0], [-1, 0, 0]],
+                   [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+               [[[0, -1, 0], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, 0], [1, 0, 0], [0, 0, 0]]]),
+]
+
+
 def all_corpus_pre():
     return [from_associative(alg, v)
             for alg in CORPUS.values() for v in FROM_ASSOC_VARIANTS]
@@ -132,23 +151,39 @@ def split_bialgebra(name, case, split="succ-left"):
     return special_case_bialgebra(double, r, case)
 
 
+def cross_pairs(a, b):
+    """The route 2 and route 4 pairs of the products of the bialgebra a
+    with the comultiplications of the bialgebra b."""
+    dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
+    return (standard_dual_matched(a.palg, dual, False),
+            dual_pre_matched(a.palg, dual, False))
+
+
 def bialgebra_pairs():
     """The route 2 and route 4 pairs of the case-one and case-two
     bialgebras of qt2, t3 and ut2 and of their same-dimension crosses (the
     products of one with the comultiplications of another), and two failing
     crosses: qt2 split succ-left with qt2 split prec-right."""
-    def pairs(a, b):
-        dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
-        return (standard_dual_matched(a.palg, dual, False),
-                dual_pre_matched(a.palg, dual, False))
-
     groups = [[split_bialgebra(name, case) for name in names
                for case in ("one", "two")]
               for names in (("qt2", "t3"), ("ut2",))]
-    out = [pairs(a, b) for group in groups for a in group for b in group]
+    out = [cross_pairs(a, b) for group in groups for a in group
+           for b in group]
     left, right = split_bialgebra("qt2", "one"), \
         split_bialgebra("qt2", "one", "prec-right")
-    return out + [pairs(left, right), pairs(right, left)]
+    return out + [cross_pairs(left, right), cross_pairs(right, left)]
+
+
+def not_dendriform_bialgebras():
+    """The case-one and case-two bialgebras of the canonical solutions of
+    the NOT_DENDRIFORM pre-algebras, on their doubles (dimensions 4, 4
+    and 6)."""
+    out = []
+    for palg in NOT_DENDRIFORM:
+        double, r = canonical_solution(palg)
+        out += [special_case_bialgebra(double, r, case)
+                for case in ("one", "two")]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from antiflex.linalg import eye, zeros_t3
 
 from bialgebra_reference import co_identity_residuals, condition_residuals
 from helpers import CORPUS, all_corpus_pre, bump_t3, matrix_units, \
-    rand_t3, seeded, split_bialgebra
+    not_dendriform_bialgebras, rand_t3, seeded, split_bialgebra
 from antiflex.algebra import from_associative
 
 
@@ -122,6 +122,28 @@ def test_conditions_match_reference_on_crosses():
         assert len(every.failures) > 1
         assert every == scan("bialgebra-conditions", condition_residuals(
             a.palg, b.delta_prec, b.delta_succ), True)
+
+
+def test_conditions_match_reference_off_dendriform():
+    # the case-one and case-two bialgebras on the NOT_DENDRIFORM doubles,
+    # whose bases are not dendriform, pass every route, and the products
+    # of each with the comultiplications of each of its dimension give the
+    # reference's report, failing on 8 of the 20 crosses
+    bialgebras = not_dendriform_bialgebras()
+    failing = 0
+    for a in bialgebras:
+        assert verify_bialgebra(a).passed
+        for b in bialgebras:
+            if a.dimension != b.dimension:
+                continue
+            for every in (False, True):
+                got = check_bialgebra_conditions(a.palg, b.delta_prec,
+                                                 b.delta_succ, every)
+                assert got == scan("bialgebra-conditions",
+                                   condition_residuals(a.palg, b.delta_prec,
+                                                       b.delta_succ), every)
+            failing += not got.passed
+    assert failing == 8
 
 
 def test_verify_builds_the_double_and_checks_the_base_once(monkeypatch):

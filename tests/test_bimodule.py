@@ -13,7 +13,8 @@ from antiflex.linalg import mat_add, zeros_mat
 
 from bimodule_reference import reference_residuals
 from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
-    mat_is_zero, rand_mat, rand_t3, seeded
+    cross_pairs, mat_is_zero, not_dendriform_bialgebras, rand_mat, rand_t3, \
+    seeded
 
 PRE_TRANSFORMS = ("reduced", "dual-full", "dual-reduced")
 AF_TRANSFORMS = ("af-sum", "af-outer", "af-dual-sum", "af-dual-outer")
@@ -193,9 +194,11 @@ def test_rows_match_reference_on_random_bimodules():
 
 
 def test_rows_match_reference_on_component_bimodules():
-    # the component bimodules of the route 2 and route 4 matched pairs
+    # the component bimodules of the route 2 and route 4 matched pairs, and
+    # of those of the bialgebras on the NOT_DENDRIFORM doubles
     seen = set()
-    for mp, pmp in bialgebra_pairs():
+    for mp, pmp in bialgebra_pairs() + [
+            cross_pairs(b, b) for b in not_dendriform_bialgebras()]:
         for bm in (AfBimodule(mp.algA, mp.algB.dimension, mp.lA, mp.rA),
                    AfBimodule(mp.algB, mp.algA.dimension, mp.lB, mp.rB),
                    PreBimodule(pmp.palgA, pmp.palgB.dimension, pmp.ls_A,

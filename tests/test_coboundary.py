@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import antiflex.algebra as antiflex_algebra
+import antiflex.coboundary as antiflex_coboundary
 from antiflex.algebra import PreconditionError, check_identities
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
@@ -20,9 +22,9 @@ from antiflex.linalg import eye, mat_add, transpose, zeros_mat, zeros_t3
 from antiflex.bimodule import multiplication_operators
 from antiflex.algebra import PreAlgebra, from_associative
 
-from helpers import CORPUS, DIM2_PRE, apply2, flp_expression, \
-    matrix_units, over, permute3, rand_mat, rand_sym_mat, seeded, \
-    sigma13_expression, sparse_mat
+from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, apply2, \
+    flp_expression, matrix_units, over, permute3, rand_mat, rand_sym_mat, \
+    seeded, sigma13_expression, sparse_mat
 import coboundary_reference
 
 
@@ -343,25 +345,6 @@ def _over(prec, succ, q):
     return PreAlgebra(len(prec), *over((prec, succ), q))
 
 
-# Pre-anti-flexible pre-algebras that are not dendriform, unlike every
-# splitting of an associative algebra: (x > y) < z - x > (y < z) is not
-# zero, so the order of the operators in a composite matters; and in the
-# third, R_prec and L_succ of e_j > e_i and e_i < e_j differ from those of
-# e_i > e_j and e_j < e_i.
-NOT_DENDRIFORM = [
-    PreAlgebra(2, [[[0, 0], [1, 0]], [[0, 0], [-1, 0]]],
-               [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]),
-    PreAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
-               [[[0, 1], [0, 1]], [[0, 0], [0, 0]]]),
-    PreAlgebra(3, [[[0, -1, 0], [0, 0, 0], [0, 0, 0]],
-                   [[0, 0, 0], [0, 0, 0], [-1, 0, 0]],
-                   [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
-               [[[0, -1, 0], [0, 0, 0], [0, 0, 0]],
-                [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-                [[0, 0, 0], [1, 0, 0], [0, 0, 0]]]),
-]
-
-
 def _pre_af_subjects():
     """The corpus splittings (dimensions 1-4), the canonical doubles of
     q1, qt2 and t3 (dimensions 2 and 4), and the NOT_DENDRIFORM pre-algebras
@@ -508,6 +491,26 @@ def test_special_case_conditions_on_m3():
             assert not report.passed
             assert report == coboundary_reference.special_case_conditions(
                 double, bumped, case, every), (case, every)
+
+
+def test_coboundary_checks_build_the_structure_tensors_once(monkeypatch):
+    # the base's pre-anti-flexible check and the kernel read one build
+    double, r = canonical_solution(from_associative(CORPUS["ut2"],
+                                                    "succ-left"))
+    builds = []
+
+    def counted(structure):
+        builds.append(structure)
+        return structure_tensors(structure)
+    monkeypatch.setattr(antiflex_algebra, "structure_tensors", counted)
+    monkeypatch.setattr(antiflex_coboundary, "structure_tensors", counted)
+    for call in (lambda: check_coboundary_conditions(
+                     double, special_case_rpair(r, "two")),
+                 lambda: special_case_conditions(double, r, "one"),
+                 lambda: special_case_bialgebra(double, r, "two")):
+        builds.clear()
+        call()
+        assert builds == [double]
 
 
 @settings(max_examples=20, deadline=None)

@@ -24,8 +24,8 @@ from antiflex.matched import AfMatchedPair, dual_pre_matched, \
 from antiflex.operators import OOperator, assembled_double, \
     canonical_solution, check_o_operator, check_rota_baxter
 from antiflex.harness import (
-    CHECK_COMMANDS, CORPUS_DIR, FormatError, LinearMap, RElement,
-    SearchSpec, corpus_names,
+    CHECK_COMMANDS, CORPUS_DIR, SEARCH_TARGETS, FormatError, LinearMap,
+    RElement, SearchSpec, corpus_names,
     grid_search, load_corpus, load_file, parse_file, random_element_oracle,
     run_check, save_file, serialize,
 )
@@ -853,6 +853,41 @@ def test_cli_construct_on_every_file_kind_exits_with_a_code(tmp_path,
     assert main(["construct", "coboundary", pre, relt, "-o", out]) == 2
     assert "a single-matrix r-element needs --case" in \
         capsys.readouterr().err
+
+
+def test_cli_search_on_every_file_kind_exits_with_a_code(tmp_path, capsys):
+    # every search target, on every package-written file kind, ends in
+    # exit 0 or 2, never in a traceback; a wrong kind names the file
+    paths = []
+    for k, text in enumerate(DOCUMENTS):
+        paths.append(str(tmp_path / ("in%d.json" % k)))
+        with open(paths[-1], "w") as fh:
+            fh.write(text)
+    for target in SEARCH_TARGETS:
+        for path in paths:
+            argv = ["search", target, path, "--bound", "2"]
+            assert main(argv) in (0, 2), argv
+            capsys.readouterr()
+    alg, pre = paths[0], paths[1]
+    for target, path, what in (("pafybe-symmetric", alg, "a pre-algebra"),
+                               ("rota-baxter", pre, "an algebra"),
+                               ("o-operator", alg, "a bimodule with "
+                                "variant 'anti-flexible'"),
+                               ("o-operator", pre, "a bimodule with "
+                                "variant 'anti-flexible'")):
+        assert main(["search", target, path]) == 2
+        assert capsys.readouterr().err == "error: search %s: %s is not %s " \
+            "file\n" % (target, path, what)
+
+
+def test_grid_search_rejects_a_subject_of_the_wrong_type():
+    qt2, palg = CORPUS["qt2"], DIM2_PRE[0]
+    for target, subject in (("pafybe-symmetric", qt2),
+                            ("rota-baxter", palg), ("o-operator", qt2),
+                            ("o-operator", regular_pre_bimodule(palg))):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "grid_search: a %s search needs " % target)):
+            grid_search(SearchSpec(target, bound=2), subject)
 
 
 def test_matrix_payloads_reject_inexact_entries():

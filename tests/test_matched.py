@@ -17,7 +17,7 @@ from antiflex.linalg import basis_vec, mat_add, mat_neg, transpose, \
     vec_is_zero, zeros_mat, zeros_t3
 
 from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
-    rand_mat, rand_t3, seeded
+    cross_pairs, not_dendriform_bialgebras, rand_mat, rand_t3, seeded
 from matched_reference import double_residuals, reference_residuals, \
     separate_path_check
 
@@ -197,10 +197,12 @@ def test_condition_table_matches_reference_on_random_pairs():
             assert 2 * len(table) > len(reference)
 
 
-def test_checkers_match_reference_on_bialgebra_pairs():
-    # the public reports equal those of a scan over the reference residuals
+def _failing_against_reference(pairs):
+    """How many of the af and pre matched pairs fail, after checking that
+    each public report equals that of a scan over the reference
+    residuals."""
     failing = 0
-    for mp, pmp in bialgebra_pairs():
+    for mp, pmp in pairs:
         for pair, check, name in ((mp, check_af_matched, "af-matched"),
                                   (pmp, check_pre_matched, "pre-matched")):
             expected = [(label, idx, res) for label, idx, res
@@ -210,7 +212,22 @@ def test_checkers_match_reference_on_bialgebra_pairs():
             if expected:
                 assert check(pair) == scan(name, expected)
                 failing += 1
-    assert failing == 4  # the af and the pre pair of each failing cross
+    return failing
+
+
+def test_checkers_match_reference_on_bialgebra_pairs():
+    # the af and the pre pair of each failing cross fail
+    assert _failing_against_reference(bialgebra_pairs()) == 4
+
+
+def test_checkers_match_reference_off_dendriform():
+    # the pairs of the case-one and case-two bialgebras on the
+    # NOT_DENDRIFORM doubles, whose bases are not dendriform, and of their
+    # same-dimension crosses: the af and the pre pair of 8 of the 20 fail
+    bialgebras = not_dendriform_bialgebras()
+    pairs = [cross_pairs(a, b) for a in bialgebras for b in bialgebras
+             if a.dimension == b.dimension]
+    assert _failing_against_reference(pairs) == 16
 
 
 def test_component_bimodule_precondition():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from antiflex.bimodule import AfBimodule, act, derive_bimodule, \
 from antiflex.coboundary import check_pafybe, r_is_symmetric, \
     special_case_bialgebra
 from antiflex.matched import build_pre_double, dual_pre_matched
+from antiflex import harness
 from antiflex.harness import SEARCH_TARGETS, SearchSpec, grid_search, \
     search_results
 from antiflex.operators import (
@@ -25,8 +27,9 @@ from antiflex.operators import (
 from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
     mat_vec, transpose, zeros_mat, zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, all_corpus_pre, over, rand_mat, \
-    rand_sym_mat, rand_t3, rand_vec, seeded
+from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
+    over, rand_mat, rand_sym_mat, rand_t3, rand_vec, seeded
+import harness_reference
 import operators_reference as reference
 
 
@@ -486,6 +489,122 @@ def test_grid_search_matches_fraction_path(case):
     assert found == expected and report == expected_report
     assert search_results(spec.target, found) == \
         search_results(spec.target, expected)
+
+
+# ---------------------------------------------------------------------------
+# the compiled quadratic form of each search target against its kernel
+# ---------------------------------------------------------------------------
+
+def _cube(n):
+    return st.lists(_matrices(n, n), min_size=n, max_size=n)
+
+
+@st.composite
+def compiled_cases(draw):
+    """A search target and a subject with random structure constants whose
+    denominators are 2-7 (not one its precondition passes, in general),
+    or a NOT_DENDRIFORM pre-algebra for pafybe-symmetric, with the number
+    of free entries of its candidates and the matrix of a point of them."""
+    target = draw(st.sampled_from(SEARCH_TARGETS))
+    n = draw(st.integers(1, 2))
+    if target == "o-operator":
+        m = draw(st.integers(1, 2))
+        subject = AfBimodule(Algebra(n, draw(_cube(n))), m, *(
+            draw(st.lists(_matrices(m, m), min_size=n, max_size=n))
+            for _ in "lr"))
+        return target, subject, n * m, lambda vals: [
+            vals[i * m:(i + 1) * m] for i in range(n)]
+    if target == "rota-baxter":
+        return target, Algebra(n, draw(_cube(n))), n * n, lambda vals: [
+            vals[i * n:(i + 1) * n] for i in range(n)]
+    subject = draw(st.one_of(st.sampled_from(NOT_DENDRIFORM), st.builds(
+        PreAlgebra, st.just(n), _cube(n), _cube(n))))
+    n = subject.dimension
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def symmetric(vals):
+        r = zeros_mat(n)
+        for (i, j), x in zip(upper, vals):
+            r[i][j] = r[j][i] = x
+        return r
+    return target, subject, len(upper), symmetric
+
+
+@settings(max_examples=60, deadline=None)
+@given(compiled_cases(), st.lists(st.integers(-3, 3), min_size=1,
+                                  max_size=3, unique=True))
+def test_compiled_form_is_the_kernel(case, values):
+    # at every point of a grid the depth-first walk gives the whole int
+    # residual that the target's kernel gives on the candidate matrix,
+    # passing or failing
+    target, subject, free, matrix = case
+    assume(len(values) ** free <= 729)
+    residual = harness._SEARCHES[target][2](subject)
+    kernel = lambda vals: residual(matrix(vals))
+    form = harness._quadratic_form(kernel, free)
+    points = [(list(point), at) for point, at in
+              harness._grid_residuals(form, values)]
+    assert [point for point, _ in points] == \
+        list(map(list, product(values, repeat=free)))
+    for point, at in points:
+        assert at == kernel(point), point
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_grid_search_matches_per_candidate_path(data):
+    # the found matrices and report, or the precondition's message, of the
+    # compiled search and of the search that ran the kernel per candidate,
+    # on subjects that pass their precondition, random ones that need not,
+    # and NOT_DENDRIFORM
+    spec, subject = data.draw(grid_cases())
+    if data.draw(st.booleans()):
+        if spec.target == "pafybe-symmetric":
+            subject = data.draw(st.sampled_from(NOT_DENDRIFORM))
+        elif spec.target == "rota-baxter":
+            n = subject.dimension
+            subject = Algebra(n, data.draw(_cube(n)))
+        else:
+            n, m = subject.base.dimension, subject.space_dim
+            subject = AfBimodule(Algebra(n, data.draw(_cube(n))), m, *(
+                data.draw(st.lists(_matrices(m, m), min_size=n, max_size=n))
+                for _ in "lr"))
+
+    def outcome(search):
+        try:
+            return search(spec, subject)
+        except PreconditionError as exc:
+            return str(exc)
+    got = outcome(grid_search)
+    assert got == outcome(harness_reference.grid_search)
+
+
+def test_grid_search_compiles_each_target_once(monkeypatch):
+    # each search runs its kernel free * (free + 1) / 2 times, whatever
+    # the number of candidates
+    calls = []
+    numerators, o_operator = harness._numerators, \
+        harness.o_operator_numerators
+
+    def counted(kernel):
+        def call(*args):
+            calls.append(args)
+            return kernel(*args)
+        return call
+    monkeypatch.setattr(harness, "_numerators", counted(numerators))
+    monkeypatch.setattr(harness, "o_operator_numerators",
+                        lambda c: counted(o_operator(c)))
+    ut2 = CORPUS["ut2"]
+    for target, subject, free in (
+            ("rota-baxter", ut2, 9),
+            ("o-operator", regular_af_bimodule(ut2), 9),
+            ("pafybe-symmetric", from_associative(ut2, "succ-left"), 6),
+            ("pafybe-symmetric", DIM2_PRE[0], 3)):
+        for coeffs in ((0,), (0, 1), (-1, 0, 1)):
+            calls.clear()
+            _, report = grid_search(SearchSpec(target, coeffs, 3), subject)
+            assert len(calls) == free * (free + 1) // 2, (target, coeffs)
+            assert report["candidates"] == len(coeffs) ** free
 
 
 def test_regular_tensors_are_the_regular_bimodule():
