@@ -63,6 +63,17 @@ def require_tensor(caller, field, t, shape):
                         % (caller, field, i, j, k, x))
 
 
+def _require_actions(caller, obj, fields, acting, space):
+    """Store each action family named in fields of the frozen dataclass obj
+    as a tuple, after checking that it holds one space x space matrix of
+    ints and Fractions per basis element of the acting algebra, whose
+    dimension is acting."""
+    for name in fields:
+        maps = getattr(obj, name)
+        require_tensor(caller, name, maps, (acting, space, space))
+        object.__setattr__(obj, name, tuple(maps))
+
+
 @dataclass(frozen=True)
 class Algebra:
     dimension: int
@@ -486,12 +497,11 @@ def derived_products(palg: PreAlgebra, kind) -> Algebra:
     kind='commutator-of-underlying': [x,y] = x.y - y.x."""
     n = palg.dimension
     if kind == "lie-admissible":
-        flipped = [[palg.prec[j][i] for j in range(n)] for i in range(n)]
-        return Algebra(n, t3_sub(palg.succ, flipped), palg.basis_names)
+        return Algebra(n, t3_sub(palg.succ, transpose(palg.prec)),
+                       palg.basis_names)
     if kind == "commutator-of-underlying":
         dot = underlying_algebra(palg).product
-        flipped = [[dot[j][i] for j in range(n)] for i in range(n)]
-        return Algebra(n, t3_sub(dot, flipped), palg.basis_names)
+        return Algebra(n, t3_sub(dot, transpose(dot)), palg.basis_names)
     raise ValueError("derived_products: unknown kind %r" % (kind,))
 
 
@@ -508,7 +518,7 @@ def from_associative(assoc: Algebra, variant) -> PreAlgebra:
                  "from_associative: input is not associative")
     n = assoc.dimension
     c = assoc.product
-    flipped = [[c[j][i] for j in range(n)] for i in range(n)]
+    flipped = transpose(c)
     zero = zeros_t3(n)
     if variant == "succ-left":
         return PreAlgebra(n, zero, c, assoc.basis_names)

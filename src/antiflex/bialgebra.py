@@ -30,7 +30,7 @@ from .algebra import PreAlgebra, CheckReport, basis_residuals, \
     check_identities, require_matrix, require_pass, require_tensor, scan, \
     table_residuals, triple_residuals
 from .bimodule import act
-from .linalg import basis_vec, transpose, mat_mul, mat_sub, mat_vec
+from .linalg import transpose, mat_mul, mat_sub, mat_vec
 from .matched import (
     standard_dual_matched, dual_pre_matched, build_af_double,
     build_pre_double, omega_double_check, _matched_report,
@@ -244,32 +244,30 @@ def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
 
 
 def _hom_residuals(psi, src, dst):
+    """On the product rows of src and the columns of psi, the rows of its
+    transpose: psi(e_i) is psit[i] and psi*(f_s) is psi[s]."""
     nA, nB = src.dimension, dst.dimension
     psit = transpose(psi)
     for i, j in product(range(nA), repeat=2):
-        x, y = basis_vec(nA, i), basis_vec(nA, j)
-        px, py = mat_vec(psi, x), mat_vec(psi, y)
+        px, py = psit[i], psit[j]
         for label, mine, theirs in (
-                ("hom-prec", src.palg.mul_prec(x, y),
-                 dst.palg.mul_prec(px, py)),
-                ("hom-succ", src.palg.mul_succ(x, y),
-                 dst.palg.mul_succ(px, py))):
+                ("hom-prec", src.palg.prec[i][j], dst.palg.mul_prec(px, py)),
+                ("hom-succ", src.palg.succ[i][j], dst.palg.mul_succ(px, py))):
             yield label, (i, j), [a - b for a, b in
                                   zip(mat_vec(psi, mine), theirs)]
     for i in range(nA):
-        px = mat_vec(psi, basis_vec(nA, i))
         for label, dA, dB in (("hom-comult-prec", src.delta_prec,
                                dst.delta_prec),
                               ("hom-comult-succ", src.delta_succ,
                                dst.delta_succ)):
             yield label, (i,), mat_sub(mat_mul(mat_mul(psi, dA[i]), psit),
-                                       act(dB, px))
+                                       act(dB, psit[i]))
     # dual side: beta maps are the comultiplications dual to the products;
     # psi*: B* -> A* has matrix psi^T.
     betaA = comult_from_products(src.palg)
     betaB = comult_from_products(dst.palg)
     for s in range(nB):
-        pa = mat_vec(psit, basis_vec(nB, s))
+        pa = psi[s]
         for label, bB, bA in (("hom-beta-prec", betaB[0], betaA[0]),
                               ("hom-beta-succ", betaB[1], betaA[1])):
             yield label, (s,), mat_sub(mat_mul(mat_mul(psit, bB[s]), psi),

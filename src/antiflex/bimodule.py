@@ -2,6 +2,12 @@
 
 Action maps A -> End(V) are stored as lists of matrices, one per basis
 element of A, and extended linearly when evaluated on general elements.
+The duals of the regular actions are the structure tensor c read in
+another index order: with L(e_i)v = e_i*v and R(e_j)u = u*e_j, L*(e_i) is
+the plane c[i] and R*(e_j) is transpose(c)[j], and L and R are their
+transposes.  A dual family that is such a view (the dual pairs of
+matched), and a family that derive_bimodule passes through, shares its
+rows with the tensor it was read from: it must not be mutated.
 
 A bimodule is an identity of its semidirect product A + V read on the
 V-block: the semidirect product has the identity of A exactly when the base
@@ -18,20 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Algebra, PreAlgebra, CheckReport, basis_residuals, \
-    require_pass, require_tensor, scan, table_residuals, underlying_algebra
+from .algebra import Algebra, PreAlgebra, CheckReport, _require_actions, \
+    basis_residuals, require_pass, scan, table_residuals, underlying_algebra
 from .linalg import mat_add, mat_neg, transpose, zeros_mat, zeros_t3
-
-
-def _require_maps(caller, bm, fields):
-    """Store each action field of a bimodule as a tuple, after checking
-    that it holds one space_dim x space_dim matrix of ints and Fractions
-    per basis element of the base."""
-    m = bm.space_dim
-    for name in fields:
-        maps = getattr(bm, name)
-        require_tensor(caller, name, maps, (bm.base.dimension, m, m))
-        object.__setattr__(bm, name, tuple(maps))
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,8 @@ class AfBimodule:
     r: tuple
 
     def __post_init__(self):
-        _require_maps("AfBimodule", self, ("l", "r"))
+        _require_actions("AfBimodule", self, ("l", "r"),
+                         self.base.dimension, self.space_dim)
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,9 @@ class PreBimodule:
     r_prec: tuple
 
     def __post_init__(self):
-        _require_maps("PreBimodule", self,
-                      ("l_succ", "r_succ", "l_prec", "r_prec"))
+        _require_actions("PreBimodule", self,
+                         ("l_succ", "r_succ", "l_prec", "r_prec"),
+                         self.base.dimension, self.space_dim)
 
     @property
     def l_dot(self):
@@ -71,16 +68,6 @@ def dual_maps(maps):
     """The dual of each map of a family, acting on dual coordinates: its
     matrix transpose."""
     return tuple(transpose(m) for m in maps)
-
-
-def dual_full_actions(l_succ, r_succ, l_prec, r_prec):
-    """The actions (r_dot*, -l_prec*, -r_succ*, l_dot*) on V* of the dual-full
-    bimodule of the actions (l_succ, r_succ, l_prec, r_prec) on V, in the
-    same order."""
-    def neg(maps):
-        return tuple(mat_neg(m) for m in dual_maps(maps))
-    return (dual_maps(map(mat_add, r_prec, r_succ)), neg(l_prec), neg(r_succ),
-            dual_maps(map(mat_add, l_prec, l_succ)))
 
 
 def act(maps, coeffs):
@@ -98,37 +85,22 @@ def act(maps, coeffs):
     return out
 
 
+def _regular_maps(c):
+    """The left and right multiplications (L, R) of the product tensor c,
+    one matrix per basis element: the transposes of L* = c and
+    R* = transpose(c)."""
+    return dual_maps(c), dual_maps(transpose(c))
+
+
 def regular_af_bimodule(alg: Algebra) -> AfBimodule:
     """(L, R, A): left/right multiplications acting on the algebra itself."""
-    n = alg.dimension
-    c = alg.product
-    left = [[[c[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
-    right = [[[c[i][j][k] for i in range(n)] for k in range(n)] for j in range(n)]
-    return AfBimodule(alg, n, left, right)
-
-
-def multiplication_operators(palg: PreAlgebra):
-    """Regular operator families (L_prec, R_prec, L_succ, R_succ) of a
-    pre-algebra, each a tuple of matrices indexed by basis element."""
-    n = palg.dimension
-    out = {}
-    for name, c in (("prec", palg.prec), ("succ", palg.succ)):
-        out["L_" + name] = tuple(
-            [[c[i][j][k] for j in range(n)] for k in range(n)] for i in range(n))
-        out["R_" + name] = tuple(
-            [[c[i][j][k] for i in range(n)] for k in range(n)] for j in range(n))
-    out["L_dot"] = tuple(mat_add(a, b)
-                         for a, b in zip(out["L_prec"], out["L_succ"]))
-    out["R_dot"] = tuple(mat_add(a, b)
-                         for a, b in zip(out["R_prec"], out["R_succ"]))
-    return out
+    return AfBimodule(alg, alg.dimension, *_regular_maps(alg.product))
 
 
 def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
     """(L_succ, R_succ, L_prec, R_prec, A): the pre-algebra acting on itself."""
-    ops = multiplication_operators(palg)
-    return PreBimodule(palg, palg.dimension,
-                       ops["L_succ"], ops["R_succ"], ops["L_prec"], ops["R_prec"])
+    return PreBimodule(palg, palg.dimension, *_regular_maps(palg.succ),
+                       *_regular_maps(palg.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +199,10 @@ def derive_bimodule(bm: PreBimodule, transform):
     if transform == "reduced":
         return PreBimodule(bm.base, m, bm.l_succ, zero, zero, bm.r_prec)
     if transform == "dual-full":
-        return PreBimodule(bm.base, m, *dual_full_actions(
-            bm.l_succ, bm.r_succ, bm.l_prec, bm.r_prec))
+        neg_l_prec, neg_r_succ = (tuple(mat_neg(d) for d in dual_maps(maps))
+                                  for maps in (bm.l_prec, bm.r_succ))
+        return PreBimodule(bm.base, m, dual_maps(bm.r_dot), neg_l_prec,
+                           neg_r_succ, dual_maps(bm.l_dot))
     if transform == "dual-reduced":
         return PreBimodule(bm.base, m, dual_maps(bm.r_prec), zero, zero,
                            dual_maps(bm.l_succ))

@@ -15,7 +15,7 @@ from .algebra import PreconditionError, ALGEBRA_KINDS, \
     FROM_ASSOCIATIVE_VARIANTS, PREALGEBRA_KINDS
 from .coboundary import SPECIAL_CASES
 from .harness import FormatError, SearchSpec, CHECK_COMMANDS, CONSTRUCTIONS, \
-    SEARCH_TARGETS, grid_search, load_file, load_inputs, parse_scalar, \
+    SEARCH_TARGETS, grid_search, load_inputs, parse_scalar, \
     random_element_oracle, run_check, run_construction, save_file, \
     search_results
 from .linalg import SingularMatrixError
@@ -70,7 +70,7 @@ def _cmd_search(args):
 
 
 def _cmd_oracle(args):
-    subject = load_file(args.subject)
+    (subject,) = load_inputs("oracle", args.kind, [args.subject])
     report = random_element_oracle(args.kind, subject, args.trials, args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["verdict"] == "pass" else 1

@@ -22,8 +22,9 @@ from math import lcm
 from operator import attrgetter
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, from_associative, identity_residuals, \
-    induce_pre_from_form, require_matrix, require_square, structure_tensors
+    ALGEBRA_KINDS, PREALGEBRA_KINDS, check_identities, from_associative, \
+    identity_residuals, induce_pre_from_form, require_matrix, \
+    require_square, structure_tensors
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
     check_pre_bimodule, semidirect_pre
@@ -483,14 +484,18 @@ _CONSTRUCTIONS = {
 
 CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
 
+# the oracle's subject file, as in _CHECKS, for each identity kind
+_ORACLE = dict.fromkeys(ALGEBRA_KINDS + PREALGEBRA_KINDS, ((_ANY_ALGEBRA,),))
+
 
 def load_inputs(verb, command, paths):
-    """The parsed input files of a command, "check", "construct" or
-    "search" by verb, after checking their number and what each one holds
-    against its entry in _CHECKS, _CONSTRUCTIONS or _SEARCHES; a mismatch
-    is a FormatError naming the command and the file."""
+    """The parsed input files of a command, "check", "construct", "search"
+    or "oracle" by verb, after checking their number and what each one
+    holds against its entry in _CHECKS, _CONSTRUCTIONS, _SEARCHES or
+    _ORACLE; a mismatch is a FormatError naming the command and the
+    file."""
     expected = {"check": _CHECKS, "construct": _CONSTRUCTIONS,
-                "search": _SEARCHES}[verb][command][0]
+                "search": _SEARCHES, "oracle": _ORACLE}[verb][command][0]
     command = "%s %s" % (verb, command)
     if len(paths) != len(expected):
         raise FormatError("%s reads %d input files, got %d"
@@ -527,7 +532,11 @@ def random_element_oracle(kind, subject, trials=100, seed=0):
     """Compare the basis-tuple verdict of an identity check with its
     evaluation on pseudo-random rational triples; disagreement means the
     checker is broken (multilinearity makes the two equivalent) and aborts.
+    At least one trial must run: with none, nothing could disagree.
     """
+    if type(trials) is not int or trials < 1:
+        raise PreconditionError("random_element_oracle: trials must be a "
+                                "positive int, got %r" % (trials,))
     basis_verdict = check_identities(subject, kind).passed
     rng = random.Random(seed)
     n = subject.dimension

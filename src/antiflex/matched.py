@@ -29,6 +29,13 @@ in A, and B-on-A the A-block at (x, y, a) with x, y in B.  So the rows
 AF_BIMODULE and PRE_BIMODULE are read on the double's evaluator too (see
 bimodule.block_residuals), and each check evaluates one structure, its
 double.
+
+The dual pairs act by duals of regular actions, each the structure tensor
+of a factor read in another index order (see bimodule): R*(e_j) is
+transpose(c)[j] and L*(e_i) is the plane c[i].  Their action families are
+views that share rows with the factors' product tensors, or with one
+another (the sum of the two products, read in both orders), and must not
+be mutated.
 """
 
 from __future__ import annotations
@@ -36,11 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    basis_residuals, check_cyclic_form, check_identities, require_pass, \
-    require_tensor, scan, table_residuals, underlying_algebra
+    _require_actions, basis_residuals, check_cyclic_form, check_identities, \
+    require_pass, scan, table_residuals, underlying_algebra
 from .bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
-    direct_sum_tensor, dual_full_actions, dual_maps, multiplication_operators
-from .linalg import ONE, zeros_mat
+    direct_sum_tensor
+from .linalg import ONE, mat_neg, t3_add, transpose, zeros_mat
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,9 @@ class AfMatchedPair:
     rB: tuple
 
     def __post_init__(self):
-        _require_actions("AfMatchedPair", self, self.algA, self.algB,
-                         ("lA", "rA"), ("lB", "rB"))
+        nA, nB = self.algA.dimension, self.algB.dimension
+        _require_actions("AfMatchedPair", self, ("lA", "rA"), nA, nB)
+        _require_actions("AfMatchedPair", self, ("lB", "rB"), nB, nA)
 
 
 @dataclass(frozen=True)
@@ -78,22 +86,11 @@ class PreMatchedPair:
     rp_B: tuple
 
     def __post_init__(self):
-        _require_actions("PreMatchedPair", self, self.palgA, self.palgB,
-                         ("ls_A", "rs_A", "lp_A", "rp_A"),
-                         ("ls_B", "rs_B", "lp_B", "rp_B"))
-
-
-def _require_actions(caller, mp, A, B, fields_A, fields_B):
-    """Store each action family of a matched pair as a tuple, after checking
-    that it holds one matrix of ints and Fractions per basis element of the
-    acting algebra: A's maps on B are (dim A, dim B, dim B) and B's maps on
-    A are (dim B, dim A, dim A)."""
-    nA, nB = A.dimension, B.dimension
-    for fields, shape in ((fields_A, (nA, nB, nB)), (fields_B, (nB, nA, nA))):
-        for name in fields:
-            maps = getattr(mp, name)
-            require_tensor(caller, name, maps, shape)
-            object.__setattr__(mp, name, tuple(maps))
+        nA, nB = self.palgA.dimension, self.palgB.dimension
+        _require_actions("PreMatchedPair", self,
+                         ("ls_A", "rs_A", "lp_A", "rp_A"), nA, nB)
+        _require_actions("PreMatchedPair", self,
+                         ("ls_B", "rs_B", "lp_B", "rp_B"), nB, nA)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +210,9 @@ def build_pre_double(mp: PreMatchedPair) -> PreAlgebra:
 # the standard dual pair and the skew form on A + A*
 # ---------------------------------------------------------------------------
 
-def _dual_operators(caller, palgA, palgAstar, check_inputs):
-    """The regular operator families of a pre-algebra and of a companion
-    structure on its dual, after the checks the dual pairs share."""
+def _require_dual_pair(caller, palgA, palgAstar, check_inputs):
+    """The checks the dual pairs share: equal dimensions, and with
+    check_inputs both factors pre-anti-flexible."""
     if palgA.dimension != palgAstar.dimension:
         raise PreconditionError("%s: dimension mismatch" % caller)
     if check_inputs:
@@ -223,7 +220,6 @@ def _dual_operators(caller, palgA, palgAstar, check_inputs):
             require_pass(check_identities(p, "pre-anti-flexible"),
                          "%s: %s factor fails the pre-anti-flexible check"
                          % (caller, name))
-    return multiplication_operators(palgA), multiplication_operators(palgAstar)
 
 
 def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
@@ -233,12 +229,12 @@ def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     dual space.  Validity is not asserted here: whether the compatibility
     conditions hold is exactly what check_af_matched and the skew-form
     criterion decide."""
-    opsA, opsS = _dual_operators("standard_dual_matched", palgA, palgAstar,
-                                 check_inputs)
+    _require_dual_pair("standard_dual_matched", palgA, palgAstar,
+                       check_inputs)
     return AfMatchedPair(
         underlying_algebra(palgA), underlying_algebra(palgAstar),
-        dual_maps(opsA["R_prec"]), dual_maps(opsA["L_succ"]),
-        dual_maps(opsS["R_prec"]), dual_maps(opsS["L_succ"]))
+        transpose(palgA.prec), palgA.succ,
+        transpose(palgAstar.prec), palgAstar.succ)
 
 
 def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
@@ -249,11 +245,13 @@ def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     four families of the dualized full bimodule, arranged so that the
     underlying algebra of this pair's pre double is the standard dual
     pair's double."""
-    opsA, opsS = _dual_operators("dual_pre_matched", palgA, palgAstar,
-                                 check_inputs)
-    return PreMatchedPair(palgA, palgAstar, *(
-        action for ops in (opsA, opsS) for action in dual_full_actions(
-            ops["L_succ"], ops["R_succ"], ops["L_prec"], ops["R_prec"])))
+    _require_dual_pair("dual_pre_matched", palgA, palgAstar, check_inputs)
+    actions = []
+    for p in (palgA, palgAstar):
+        dot = t3_add(p.prec, p.succ)
+        actions += [transpose(dot), [mat_neg(m) for m in p.prec],
+                    [mat_neg(m) for m in transpose(p.succ)], dot]
+    return PreMatchedPair(palgA, palgAstar, *actions)
 
 
 def omega_matrix(n):

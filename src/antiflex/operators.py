@@ -23,15 +23,14 @@ from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     require_square, scan, structure_tensors, underlying_algebra
 from .bialgebra import dual_products_from_comult
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
-    dual_maps, multiplication_operators, regular_pre_bimodule, \
-    derive_bimodule, semidirect_pre
+    regular_pre_bimodule, derive_bimodule, semidirect_pre
 from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
     special_case_rpair
 from .matched import build_pre_double, dual_pre_matched
 from .linalg import (
-    ONE, ZERO, transpose, zeros_mat, zeros_t3, basis_vec,
-    vec_add, vec_sub, mat_vec,
-    mat_inverse, mat_rank,
+    ONE, ZERO, transpose, zeros_mat, basis_vec,
+    vec_add, vec_sub, dot, mat_mul, mat_vec,
+    mat_inverse, mat_rank, t3_add,
 )
 
 
@@ -93,15 +92,14 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
 
 
 def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
-    """The half-products x > y = a(x)*y and x < y = x*a(y)."""
+    """The half-products x > y = a(x)*y and x < y = x*a(y): the plane of
+    e_i > - is the planes of c summed over column i of a, and the plane of
+    e_i < - is a^T c[i]."""
     n = alg.dimension
     require_square("induced_pre_from_map", "alpha", alpha, n)
-    c = alg.product
-    succ = [[[sum(alpha[m][i] * c[m][j][k] for m in range(n))
-              for k in range(n)] for j in range(n)] for i in range(n)]
-    prec = [[[sum(alpha[m][j] * c[i][m][k] for m in range(n))
-              for k in range(n)] for j in range(n)] for i in range(n)]
-    return PreAlgebra(n, prec, succ, alg.basis_names)
+    c, alpha_t = alg.product, transpose(alpha)
+    return PreAlgebra(n, [mat_mul(alpha_t, plane) for plane in c],
+                      [act(c, col) for col in alpha_t], alg.basis_names)
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +272,17 @@ def form_from_r(palg: PreAlgebra, r):
 
 
 def check_two_cocycle(palg: PreAlgebra, form, all_failures=False) -> CheckReport:
-    """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples."""
+    """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples, on
+    the product rows e_i.e_j, e_k < e_i and e_j > e_k."""
     n = palg.dimension
     require_square("check_two_cocycle", "form", form, n)
-
-    def residuals():
-        for i, j, k in product(range(n), repeat=3):
-            xy = palg.mul_dot(basis_vec(n, i), basis_vec(n, j))
-            zx = palg.mul_prec(basis_vec(n, k), basis_vec(n, i))
-            yz = palg.mul_succ(basis_vec(n, j), basis_vec(n, k))
-            lhs = sum(xy[p] * form[p][k] for p in range(n))
-            rhs = sum(form[j][p] * zx[p] for p in range(n)) + \
-                sum(form[i][p] * yz[p] for p in range(n))
-            yield "two-cocycle", (i, j, k), [lhs - rhs]
-    return scan("two-cocycle", residuals(), all_failures)
+    prec, succ = palg.prec, palg.succ
+    dots, form_t = t3_add(prec, succ), transpose(form)
+    return scan("two-cocycle", (
+        ("two-cocycle", (i, j, k), [dot(dots[i][j], form_t[k])
+                                    - (dot(form[j], prec[k][i])
+                                       + dot(form[i], succ[j][k]))])
+        for i, j, k in product(range(n), repeat=3)), all_failures)
 
 
 def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
@@ -299,9 +294,8 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     require_square("operator_form_check", "r", r, n)
     if not r_is_symmetric(r):
         raise PreconditionError("operator_form_check: r must be symmetric")
-    ops = multiplication_operators(palg)
-    bm = AfBimodule(underlying_algebra(palg), n, dual_maps(ops["R_prec"]),
-                    dual_maps(ops["L_succ"]))
+    bm = AfBimodule(underlying_algebra(palg), n, transpose(palg.prec),
+                    palg.succ)
     return _relabelled(o_operator_core(bm, r_map_matrix(r), all_failures),
                        "operator-form")
 
@@ -312,18 +306,14 @@ def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:
     require_pass(check_pafybe(palg, r), "compatible_structure_on_A: r fails "
                  "the Yang-Baxter check")
     n = palg.dimension
-    ops = multiplication_operators(palg)
     rmat = r_map_matrix(r)
-    rinv = mat_inverse(rmat)
-    prec = zeros_t3(n)
-    succ = zeros_t3(n)
-    for i in range(n):
-        for j in range(n):
-            p = mat_vec(rmat, mat_vec(transpose(ops["L_succ"][j]),
-                                      mat_vec(rinv, basis_vec(n, i))))
-            s = mat_vec(rmat, mat_vec(transpose(ops["R_prec"][i]),
-                                      mat_vec(rinv, basis_vec(n, j))))
-            prec[i][j], succ[i][j] = p, s
+    # row i of the transpose of r^{-1} is r^{-1}(e_i); L*_succ(e_j) is the
+    # plane succ[j] and R*_prec(e_i) is transpose(prec)[i]
+    rinv, prec_t = transpose(mat_inverse(rmat)), transpose(palg.prec)
+    prec = [[mat_vec(rmat, mat_vec(palg.succ[j], rinv[i])) for j in range(n)]
+            for i in range(n)]
+    succ = [[mat_vec(rmat, mat_vec(prec_t[i], rinv[j])) for j in range(n)]
+            for i in range(n)]
     return PreAlgebra(n, prec, succ, palg.basis_names)
 
 
@@ -339,27 +329,17 @@ def solution_from_o_operator(oo: OOperator):
     require_pass(check_o_operator(oo), "solution_from_o_operator: T fails "
                  "the O-operator check")
     bm = oo.bimodule
-    n = bm.base.dimension
     m = bm.space_dim
     if mat_rank(list(map(list, oo.T))) != m:
         raise PreconditionError("solution_from_o_operator: T must be "
                                 "injective")
-    cols = [[oo.T[k][i] for k in range(n)] for i in range(m)]
     # products on T(V) in V-coordinates: v_i < v_j = r(T(v_j))v_i,
-    # v_i > v_j = l(T(v_i))v_j
-    prec = zeros_t3(m)
-    succ = zeros_t3(m)
-    for i in range(m):
-        for j in range(m):
-            p = mat_vec(act(bm.r, cols[j]), basis_vec(m, i))
-            s = mat_vec(act(bm.l, cols[i]), basis_vec(m, j))
-            prec[i][j], succ[i][j] = p, s
-    image = PreAlgebra(m, prec, succ)
+    # v_i > v_j = l(T(v_i))v_j, read off the rows of the transposes
+    r_t, l_t = ([transpose(act(maps, col)) for col in transpose(oo.T)]
+                for maps in (bm.r, bm.l))
+    image = PreAlgebra(m, transpose(r_t), l_t)
     zero = tuple(zeros_mat(m) for _ in range(m))
-    actions = PreBimodule(image, m,
-                          tuple(transpose(act(bm.r, cols[i])) for i in range(m)),
-                          zero, zero,
-                          tuple(transpose(act(bm.l, cols[i])) for i in range(m)))
+    actions = PreBimodule(image, m, r_t, zero, zero, l_t)
     double = semidirect_pre(actions)
     r = zeros_mat(2 * m)
     for i in range(m):

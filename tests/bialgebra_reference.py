@@ -12,12 +12,12 @@ were written for them."""
 from itertools import product
 
 from antiflex.algebra import PreAlgebra
-from antiflex.bimodule import multiplication_operators, act
+from antiflex.bimodule import act
 from antiflex.linalg import (
     basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, t3_sub,
 )
 
-from helpers import apply2, vec_neg
+from helpers import apply2, multiplication_operators, vec_neg
 
 
 # ---------------------------------------------------------------------------

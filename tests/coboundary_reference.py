@@ -23,14 +23,14 @@ from itertools import product
 
 from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
     check_identities, require_square, scan
-from antiflex.bimodule import act, multiplication_operators
+from antiflex.bimodule import act
 from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
     _require_base, _rpair_mats, special_case_rpair
 from antiflex.linalg import ZERO, eye, mat_add, mat_mul, mat_neg, mat_sub, \
     t3_add, t3_sub, transpose, zeros_mat
 
 from helpers import apply2, apply_slot3, flp_expression, mat_is_zero, \
-    sigma13_expression
+    multiplication_operators, sigma13_expression
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from antiflex.algebra import Algebra, PreAlgebra, from_associative
 from antiflex.bialgebra import dual_products_from_comult
 from antiflex.coboundary import special_case_bialgebra
 from antiflex.harness import corpus_names, load_corpus
-from antiflex.linalg import ZERO, mat_inverse, mat_mul, mat_sub, mat_vec, \
-    transpose
+from antiflex.linalg import ZERO, mat_add, mat_inverse, mat_mul, mat_sub, \
+    mat_vec, transpose
 from antiflex.matched import dual_pre_matched, standard_dual_matched
 from antiflex.operators import canonical_solution
 
@@ -189,6 +189,23 @@ def not_dendriform_bialgebras():
 # ---------------------------------------------------------------------------
 # linear algebra that only the tests use
 # ---------------------------------------------------------------------------
+
+def multiplication_operators(palg: PreAlgebra):
+    """Regular operator families (L_prec, R_prec, L_succ, R_succ) of a
+    pre-algebra, each a tuple of matrices indexed by basis element."""
+    n = palg.dimension
+    out = {}
+    for name, c in (("prec", palg.prec), ("succ", palg.succ)):
+        out["L_" + name] = tuple(
+            [[c[i][j][k] for j in range(n)] for k in range(n)] for i in range(n))
+        out["R_" + name] = tuple(
+            [[c[i][j][k] for i in range(n)] for k in range(n)] for j in range(n))
+    out["L_dot"] = tuple(mat_add(a, b)
+                         for a, b in zip(out["L_prec"], out["L_succ"]))
+    out["R_dot"] = tuple(mat_add(a, b)
+                         for a, b in zip(out["R_prec"], out["R_succ"]))
+    return out
+
 
 def vec_neg(v):
     return [ZERO - a if a else ZERO for a in v]

@@ -16,7 +16,7 @@ from itertools import product
 
 from antiflex.algebra import Algebra, PreAlgebra, CheckReport, \
     PreconditionError, check_identities, require_square, scan
-from antiflex.bimodule import AfBimodule, act, multiplication_operators
+from antiflex.bimodule import AfBimodule, act
 from antiflex.coboundary import r_is_symmetric
 from antiflex.harness import FORMAT_VERSION
 from antiflex.linalg import basis_vec, mat_vec, transpose, vec_add, \
@@ -25,7 +25,7 @@ from antiflex.operators import OOperator, r_map_matrix, \
     require_af_bimodule, require_anti_flexible
 
 import coboundary_reference
-from helpers import vec_neg
+from helpers import multiplication_operators, vec_neg
 
 
 # ---------------------------------------------------------------------------

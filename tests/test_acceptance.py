@@ -10,8 +10,7 @@ from antiflex.algebra import (
     underlying_algebra,
 )
 from antiflex.bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
-    check_pre_bimodule, derive_bimodule, multiplication_operators, \
-    regular_pre_bimodule, semidirect_pre
+    check_pre_bimodule, derive_bimodule, regular_pre_bimodule, semidirect_pre
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
     RPair, check_coboundary_conditions, check_pafybe, coboundary_bialgebra,
@@ -30,9 +29,10 @@ from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
     zeros_mat, zeros_t3
 
 from helpers import (
-    CORPUS, DIM2_PRE, FROM_ASSOC_VARIANTS, flp_expression, permute3,
-    perturbed_algebras, perturbed_pre_algebras, rand_mat, rand_sym_mat,
-    seeded, sigma13_expression, sparse_mat,
+    CORPUS, DIM2_PRE, FROM_ASSOC_VARIANTS, flp_expression,
+    multiplication_operators, permute3, perturbed_algebras,
+    perturbed_pre_algebras, rand_mat, rand_sym_mat, seeded,
+    sigma13_expression, sparse_mat,
 )
 
 SMALL_NAMES = ("q1", "qt2", "t3", "ut2")  # dim <= 3

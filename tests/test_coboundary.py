@@ -19,12 +19,11 @@ from antiflex.coboundary import (
 from antiflex.harness import SearchSpec, grid_search, search_results
 from antiflex.operators import canonical_solution, check_rota_baxter
 from antiflex.linalg import eye, mat_add, transpose, zeros_mat, zeros_t3
-from antiflex.bimodule import multiplication_operators
 from antiflex.algebra import PreAlgebra, from_associative
 
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, apply2, \
-    flp_expression, matrix_units, over, permute3, rand_mat, rand_sym_mat, \
-    seeded, sigma13_expression, sparse_mat
+    flp_expression, matrix_units, multiplication_operators, over, permute3, \
+    rand_mat, rand_sym_mat, seeded, sigma13_expression, sparse_mat
 import coboundary_reference
 
 

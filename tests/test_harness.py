@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
-    from_associative, identity_residuals
+from antiflex.algebra import ALGEBRA_KINDS, PREALGEBRA_KINDS, Algebra, \
+    PreAlgebra, PreconditionError, from_associative, identity_residuals
 from antiflex.bialgebra import Bialgebra, dual_products_from_comult
 from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
     regular_pre_bimodule
@@ -878,6 +878,48 @@ def test_cli_search_on_every_file_kind_exits_with_a_code(tmp_path, capsys):
         assert main(["search", target, path]) == 2
         assert capsys.readouterr().err == "error: search %s: %s is not %s " \
             "file\n" % (target, path, what)
+
+
+def test_cli_oracle_on_every_file_kind_exits_with_a_code(tmp_path, capsys):
+    # every identity kind, on every package-written file kind, ends in
+    # exit 0, 1 or 2, never in a traceback; a file that holds neither an
+    # algebra nor a pre-algebra is named
+    paths = []
+    for k, text in enumerate(DOCUMENTS):
+        paths.append(str(tmp_path / ("in%d.json" % k)))
+        with open(paths[-1], "w") as fh:
+            fh.write(text)
+    for kind in ALGEBRA_KINDS + PREALGEBRA_KINDS:
+        for path in paths:
+            argv = ["oracle", kind, path, "--trials", "5"]
+            code = main(argv)
+            err = capsys.readouterr().err
+            if isinstance(load_file(path), (Algebra, PreAlgebra)):
+                assert code in (0, 1, 2), argv
+            else:
+                assert code == 2, argv
+                assert err == "error: oracle %s: %s is not an algebra or " \
+                    "pre-algebra file\n" % (kind, path)
+
+
+def test_oracle_needs_at_least_one_trial(tmp_path, capsys):
+    # with no trial run nothing can disagree: a count of trials that is
+    # not a positive int is an input error, not a checker bug
+    bad = Algebra(2, bump_t3(CORPUS["t3"].product, 0, 1, 0))
+    for trials in (0, -5, True, 1.5):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "random_element_oracle: trials must be a positive int, got "
+                "%r" % (trials,))):
+            random_element_oracle("associative", bad, trials)
+    p = tmp_path / "bad.json"
+    save_file(p, bad)
+    for trials in ("0", "-5"):
+        assert main(["oracle", "associative", str(p), "--trials",
+                     trials]) == 2
+        assert capsys.readouterr().err == "error: random_element_oracle: " \
+            "trials must be a positive int, got %s\n" % trials
+    assert main(["oracle", "associative", str(p), "--trials", "1"]) == 1
+    capsys.readouterr()
 
 
 def test_grid_search_rejects_a_subject_of_the_wrong_type():

@@ -11,13 +11,13 @@ from antiflex.matched import (
     dual_pre_matched, omega_double_check, omega_matrix,
     standard_dual_matched,
 )
-from antiflex.bimodule import derive_bimodule, multiplication_operators, \
-    regular_pre_bimodule
+from antiflex.bimodule import derive_bimodule, regular_pre_bimodule
 from antiflex.linalg import basis_vec, mat_add, mat_neg, transpose, \
     vec_is_zero, zeros_mat, zeros_t3
 
 from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
-    cross_pairs, not_dendriform_bialgebras, rand_mat, rand_t3, seeded
+    cross_pairs, multiplication_operators, not_dendriform_bialgebras, \
+    rand_mat, rand_t3, seeded
 from matched_reference import double_residuals, reference_residuals, \
     separate_path_check
 

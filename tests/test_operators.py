@@ -10,7 +10,7 @@ from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
     underlying_algebra
 from antiflex.bialgebra import dual_products_from_comult
 from antiflex.bimodule import AfBimodule, act, derive_bimodule, \
-    multiplication_operators, regular_af_bimodule, regular_pre_bimodule
+    regular_af_bimodule, regular_pre_bimodule
 from antiflex.coboundary import check_pafybe, r_is_symmetric, \
     special_case_bialgebra
 from antiflex.matched import build_pre_double, dual_pre_matched
@@ -28,7 +28,8 @@ from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
     mat_vec, transpose, zeros_mat, zeros_t3
 
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
-    over, rand_mat, rand_sym_mat, rand_t3, rand_vec, seeded
+    multiplication_operators, over, rand_mat, rand_sym_mat, rand_t3, \
+    rand_vec, seeded
 import harness_reference
 import operators_reference as reference
 
