@@ -17,7 +17,10 @@ that support is exactly zero.
 Every table of identities the package reads (the identities themselves,
 the bimodule blocks, the matched-pair conditions, the bialgebra conditions
 and co-identities) is rows on one reader, `table_residuals`, which turns
-those entries into the nonzero residuals of the rows.  Every checker is one
+those entries into the nonzero residuals of the rows.  The other kernels
+(the placed products, the coboundary families and the O-operator identity)
+compute flat int tensors, and one reader, `flat_residuals`, cuts each into
+the residuals of its index tuples.  Every checker is one
 `scan` of a lazy stream of (label, index tuple, residual) in lexicographic
 order of the index tuples: the first nonzero residual is the witness, and
 unless every failure is asked for, the stream is read no further.
@@ -28,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm, prod
 from typing import Optional
 
@@ -399,6 +403,29 @@ def _nested(flat, shape):
     for n in reversed(shape[1:]):
         flat = [flat[s:s + n] for s in range(0, len(flat), n)]
     return flat
+
+
+def _divided(flat, d, shape):
+    """The tensor flat / d as nested lists of the given shape (row-major),
+    with the shared ZERO at its zeros."""
+    return _nested([Fraction(v, d) if v else ZERO for v in flat], shape)
+
+
+def flat_residuals(families, index, shape, d):
+    """(label, index tuple, residual) of each family at each index tuple
+    where its block is nonzero, in scan order (index tuple, then family),
+    divided back by d.  A family is a flat int tensor over the index
+    extents index and then the residual extents shape, built by
+    families[label]() on its first read."""
+    built, size = {}, prod(shape)
+    for at, idx in enumerate(product(*map(range, index))):
+        for label, build in families.items():
+            if label not in built:
+                flat = build()
+                built[label] = flat if any(flat) else ()
+            block = built[label][at * size:(at + 1) * size]
+            if any(block):
+                yield label, idx, _divided(block, d, shape)
 
 
 def table_residuals(tensor, rows, extents, index, axes):

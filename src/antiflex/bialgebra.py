@@ -245,16 +245,20 @@ def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
 
 def _hom_residuals(psi, src, dst):
     """On the product rows of src and the columns of psi, the rows of its
-    transpose: psi(e_i) is psit[i] and psi*(f_s) is psi[s]."""
+    transpose: psi(e_i) is psit[i].  The dual side is the product side
+    read through the pairing: entry [j][l] of the beta residual at f_s is
+    minus coordinate s of the product residual at (e_j, e_l)."""
     nA, nB = src.dimension, dst.dimension
     psit = transpose(psi)
+    products = {}       # (label, i, j) -> the product residual
     for i, j in product(range(nA), repeat=2):
         px, py = psit[i], psit[j]
         for label, mine, theirs in (
                 ("hom-prec", src.palg.prec[i][j], dst.palg.mul_prec(px, py)),
                 ("hom-succ", src.palg.succ[i][j], dst.palg.mul_succ(px, py))):
-            yield label, (i, j), [a - b for a, b in
-                                  zip(mat_vec(psi, mine), theirs)]
+            res = products[label, i, j] = [a - b for a, b in
+                                           zip(mat_vec(psi, mine), theirs)]
+            yield label, (i, j), res
     for i in range(nA):
         for label, dA, dB in (("hom-comult-prec", src.delta_prec,
                                dst.delta_prec),
@@ -262,16 +266,11 @@ def _hom_residuals(psi, src, dst):
                                dst.delta_succ)):
             yield label, (i,), mat_sub(mat_mul(mat_mul(psi, dA[i]), psit),
                                        act(dB, psit[i]))
-    # dual side: beta maps are the comultiplications dual to the products;
-    # psi*: B* -> A* has matrix psi^T.
-    betaA = comult_from_products(src.palg)
-    betaB = comult_from_products(dst.palg)
     for s in range(nB):
-        pa = psi[s]
-        for label, bB, bA in (("hom-beta-prec", betaB[0], betaA[0]),
-                              ("hom-beta-succ", betaB[1], betaA[1])):
-            yield label, (s,), mat_sub(mat_mul(mat_mul(psit, bB[s]), psi),
-                                       act(bA, pa))
+        for label, side in (("hom-beta-prec", "hom-prec"),
+                            ("hom-beta-succ", "hom-succ")):
+            yield label, (s,), [[-products[side, j, l][s] for l in range(nA)]
+                                for j in range(nA)]
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Algebra, PreAlgebra, CheckReport, _require_actions, \
-    basis_residuals, require_pass, scan, table_residuals, underlying_algebra
+from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
+    _require_actions, basis_residuals, require_pass, scan, table_residuals, \
+    underlying_algebra
 from .linalg import mat_add, mat_neg, transpose, zeros_mat, zeros_t3
 
 
@@ -192,6 +193,10 @@ def derive_bimodule(bm: PreBimodule, transform):
       af-dual-outer -> (r_prec*, l_succ*, V*)
     Dual maps are matrix transposes.
     """
+    if transform not in BIMODULE_TRANSFORMS:
+        raise PreconditionError("derive_bimodule: unknown transform %r; "
+                                "the transforms are %s"
+                                % (transform, ", ".join(BIMODULE_TRANSFORMS)))
     require_pass(check_pre_bimodule(bm),
                  "derive_bimodule: input fails the pre-bimodule check")
     m = bm.space_dim
@@ -214,10 +219,7 @@ def derive_bimodule(bm: PreBimodule, transform):
     if transform == "af-dual-sum":
         return AfBimodule(af_base, m, dual_maps(bm.r_dot),
                           dual_maps(bm.l_dot))
-    if transform == "af-dual-outer":
-        return AfBimodule(af_base, m, dual_maps(bm.r_prec),
-                          dual_maps(bm.l_succ))
-    raise ValueError("derive_bimodule: unknown transform %r" % (transform,))
+    return AfBimodule(af_base, m, dual_maps(bm.r_prec), dual_maps(bm.l_succ))
 
 
 def direct_sum_tensor(cA, cB, lA, rA, lB, rB):

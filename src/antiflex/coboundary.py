@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from itertools import compress, product
+from itertools import compress
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    _lcd, _nested, _scaled, check_identities, require_pass, require_square, \
-    scan, structure_tensors
+    _divided, _lcd, _scaled, check_identities, flat_residuals, \
+    require_pass, require_square, scan, structure_tensors
 from .bialgebra import Bialgebra
-from .linalg import ZERO, transpose, mat_add, mat_neg
+from .linalg import transpose, mat_add, mat_neg
 
 
 @dataclass(frozen=True)
@@ -167,12 +166,6 @@ def _numerators(c, terms, mats):
     entries, d = _int_entries(mats)
     n = len(c.rows["prec"])
     return _evaluated(c, terms, entries, {}, [0] * n ** 3), c.scale * d * d
-
-
-def _divided(flat, d, shape):
-    """The tensor flat / d as nested lists of the given shape (row-major),
-    with the shared ZERO at its zeros."""
-    return _nested([Fraction(v, d) if v else ZERO for v in flat], shape)
 
 
 def evaluate_expression(c, terms, mats):
@@ -463,22 +456,6 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
                 all_failures)
 
 
-def _blocks(families, n, k, d):
-    """(label, index, residual) for each family at each tuple of k basis
-    indices where its block of the flat tensor over (index, residual) is
-    nonzero, in order index then family, divided back by d.  A family's
-    tensor is built by families[label]() on its first read."""
-    built, size = {}, n ** (4 - k)
-    for at, idx in enumerate(product(range(n), repeat=k)):
-        for label, build in families.items():
-            if label not in built:
-                flat = build()
-                built[label] = flat if any(flat) else ()
-            block = built[label][at * size:(at + 1) * size]
-            if any(block):
-                yield label, idx, _divided(block, d, (n,) * (4 - k))
-
-
 def _coboundary_residuals(c, rp):
     """The nonzero residuals of the six families, given the structure
     tensors c of a base and an r-pair already checked, in ints: the
@@ -489,9 +466,9 @@ def _coboundary_residuals(c, rp):
     n = rp.dimension
     sums, d = _rsums(rp)
     table = partial(_operator_table, c, n, {"i": n ** 3, "j": n * n}, {})
-    yield from _blocks({label: lambda terms=terms: _family(
+    yield from flat_residuals({label: lambda terms=terms: _family(
         terms, table, sums, n, 4) for label, terms in _QUADRATIC.items()},
-        n, 2, c.scale ** 2 * d)
+        (n, n), (n, n), c.scale ** 2 * d)
     placed, nn = {}, n * n
 
     def cubic(label):
@@ -515,8 +492,9 @@ def _coboundary_residuals(c, rp):
             _evaluated(c, _RPRIME, factors, {}, out)
         return out
 
-    yield from _blocks({label: lambda label=label: cubic(label)
-                        for label in _CUBIC}, n, 1, (c.scale * d) ** 2)
+    yield from flat_residuals({label: lambda label=label: cubic(label)
+                               for label in _CUBIC}, (n,), (n, n, n),
+                              (c.scale * d) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +518,9 @@ def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
 def pafybe_core(c, r, all_failures=False) -> CheckReport:
     """check_pafybe on the structure tensors of the pre-algebra, built once
     by the caller; the dimension of r is not checked."""
-    n = len(r)
     flat, d = _numerators(c, _PAFYBE_TERMS, {"r": r})
-    return scan("pafybe", [("pafybe", (), _divided(flat, d, (n, n, n)))]
-                if any(flat) else (), all_failures)
+    return scan("pafybe", flat_residuals({"pafybe": lambda: flat}, (),
+                                         (len(r),) * 3, d), all_failures)
 
 
 # ---------------------------------------------------------------------------

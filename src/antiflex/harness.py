@@ -568,32 +568,18 @@ def _pafybe_residual(tensors):
     return lambda r: _numerators(tensors, _PAFYBE_TERMS, {"r": r})[0]
 
 
-def _o_operator_residual(tensors):
-    """t -> the whole flat int residual of o_operator_numerators on
-    tensors, with zeros for the blocks it does not yield."""
-    numerators = o_operator_numerators(tensors)
-
-    def residual(t):
-        size = len(t) * len(t[0])
-        out = [0] * (len(t[0]) * size)
-        for i, block in numerators(t):
-            out[i * size:(i + 1) * size] = block
-        return out
-    return residual
-
-
 # each search target: (its subject file, as in _CHECKS; its precondition;
 # subject -> the function taking an int candidate to its flat residual)
 _SEARCHES = {
     "rota-baxter": ((_ALGEBRA,), lambda alg: require_anti_flexible(
         alg, "check_rota_baxter"),
-        lambda alg: _o_operator_residual(regular_tensors(alg))),
+        lambda alg: o_operator_numerators(regular_tensors(alg))),
     "pafybe-symmetric": ((_PRE,), lambda palg: None,
                          lambda palg: _pafybe_residual(
                              structure_tensors(palg))),
     "o-operator": ((_AF_BIMODULE,), lambda bm: require_af_bimodule(
         bm, "check_o_operator"),
-        lambda bm: _o_operator_residual(structure_tensors(bm))),
+        lambda bm: o_operator_numerators(structure_tensors(bm))),
 }
 
 SEARCH_TARGETS = tuple(_SEARCHES)

@@ -45,12 +45,6 @@ def eye(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def basis_vec(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
-
-
 # ---------------------------------------------------------------------------
 # vector / matrix arithmetic
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ L*_succ, A*) of the underlying algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    StructureTensors, _lcd, check_identities, require_matrix, require_pass, \
-    require_square, scan, structure_tensors, underlying_algebra
+    StructureTensors, _lcd, basis_residuals, check_identities, \
+    flat_residuals, require_matrix, require_pass, require_square, scan, \
+    structure_tensors, table_residuals, underlying_algebra
 from .bialgebra import dual_products_from_comult
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     regular_pre_bimodule, derive_bimodule, semidirect_pre
@@ -28,9 +28,8 @@ from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
     special_case_rpair
 from .matched import build_pre_double, dual_pre_matched
 from .linalg import (
-    ONE, ZERO, transpose, zeros_mat, basis_vec,
-    vec_add, vec_sub, dot, mat_mul, mat_vec,
-    mat_inverse, mat_rank, t3_add,
+    ONE, transpose, zeros_mat, dot, mat_mul, mat_vec, mat_inverse, mat_rank,
+    t3_add,
 )
 
 
@@ -62,33 +61,25 @@ def regular_tensors(alg: Algebra) -> StructureTensors:
     return StructureTensors({"c": rows, "l": rows, "r": rows}, c.scale)
 
 
-def _rb_defect(alg, alpha, x, y):
-    """a(x)*a(y) - a(x*a(y) + a(x)*y)."""
-    ax, ay = mat_vec(alpha, x), mat_vec(alpha, y)
-    return vec_sub(alg.mul(ax, ay),
-                   mat_vec(alpha, vec_add(alg.mul(x, ay), alg.mul(ax, y))))
-
-
 def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     """The trilinear condition equivalent to the induced half-products
     being pre-anti-flexible:
 
       (a(x)*a(y) - a(x*a(y)+a(x)*y)) * z
         + z * (a(y)*a(x) - a(y*a(x)+a(y)*x)) = 0.
+
+    On an anti-flexible base its residual at (x, y, z) is minus the
+    pre-anti-flexible-lr identity of induced_pre_from_map at (x, y, z), so
+    it is that identity's row, negated, read off the induced pre-algebra.
     """
     n = alg.dimension
     require_square("check_generalized_rb", "alpha", alpha, n)
     require_anti_flexible(alg, "check_generalized_rb")
-    basis = [basis_vec(n, i) for i in range(n)]
-
-    def residuals():
-        for i, j in product(range(n), repeat=2):
-            dij = _rb_defect(alg, alpha, basis[i], basis[j])
-            dji = _rb_defect(alg, alpha, basis[j], basis[i])
-            for k in range(n):
-                yield "generalized-rota-baxter", (i, j, k), vec_add(
-                    alg.mul(dij, basis[k]), alg.mul(basis[k], dji))
-    return scan("generalized-rota-baxter", residuals(), all_failures)
+    return scan("generalized-rota-baxter", table_residuals(
+        basis_residuals(induced_pre_from_map(alg, alpha)),
+        [("generalized-rota-baxter", "pre-anti-flexible-lr",
+          tuple((ch, 0) for ch in "ijkq"), -1)],
+        dict.fromkeys("ijkq", n), "ijk", "q"), all_failures)
 
 
 def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
@@ -140,19 +131,14 @@ def o_operator_core(bm: AfBimodule, T, all_failures=False) -> CheckReport:
 
 def _o_operator_report(c, T, all_failures):
     """The O-operator check of the matrix T on the structure tensors c of a
-    bimodule.  T is scaled to ints by its lcd D_m, and only the basis pairs
-    whose int residual is nonzero are divided back, as Fraction(v, D *
-    D_m**2), with the shared ZERO at zero coordinates."""
+    bimodule.  T is scaled to ints by its lcd D_m, and the residual at each
+    basis pair where it is nonzero is divided back by D * D_m**2."""
     d = _lcd(x for row in T for x in row)
-    n, scale = len(T), c.scale * d * d
-    blocks = o_operator_numerators(c)(
+    flat = o_operator_numerators(c)(
         [[x.numerator * (d // x.denominator) for x in row] for row in T])
-    return scan("o-operator", (
-        ("o-operator", (i, j),
-         [Fraction(v, scale) if v else ZERO for v in block[at:at + n]])
-        for i, block in blocks
-        for j, at in enumerate(range(0, len(block), n))
-        if any(block[at:at + n])), all_failures)
+    return scan("o-operator", flat_residuals(
+        {"o-operator": lambda: flat}, (len(T[0]),) * 2, (len(T),),
+        c.scale * d * d), all_failures)
 
 
 def o_operator_numerators(c):
@@ -162,13 +148,12 @@ def o_operator_numerators(c):
 
       t(u_i)*t(u_j) - t(l(t(u_i))u_j + r(t(u_j))u_i)
 
-    at the basis pairs (u_i, u_j) of V, times D.  They are yielded lazily,
-    one i at a time and only where nonzero, as (i, block) with coordinate
-    q at u_j in block[j * dim A + q].  Every term has two factors of t and
-    one structure constant, so at t = D_m * T each entry is D * D_m**2
-    times that of T.  The nonzero rows of c are listed once, here, by
-    their first index, and only they and the nonzero entries of t are
-    visited."""
+    at the basis pairs (u_i, u_j) of V, times D, as one flat int tensor
+    with coordinate q at (u_i, u_j) in entry (i * dim V + j) * dim A + q.
+    Every term has two factors of t and one structure constant, so at t =
+    D_m * T each entry is D * D_m**2 times that of T.  The nonzero rows of
+    c are listed once, here, by their first index, and only they and the
+    nonzero entries of t are visited."""
     c_rows, l_rows, r_rows = (
         [[(b, row) for b, row in enumerate(plane) if row]
          for plane in c.rows[op]] for op in "clr")
@@ -179,6 +164,7 @@ def o_operator_numerators(c):
         # and each (k, x) of at_row[a]
         at_row = [[(k, x) for k, x in enumerate(row) if x] for row in t]
         image = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*t)]
+        flat = []
         for i in range(m):
             out = [0] * (m * n)
             for a, x in image[i]:
@@ -200,8 +186,8 @@ def o_operator_numerators(c):
                         xz = x * z
                         for q, y in image[k]:
                             out[at + q] -= xz * y
-            if any(out):
-                yield i, out
+            flat += out
+        return flat
 
     return numerators
 

@@ -7,17 +7,22 @@ Also the same pairings read at every basis tuple through the per-triple
 evaluator of identity_reference (pairing_residuals and
 co_identity_pairings here), the dense readers that route 1 and the
 co-identity tables of antiflex.bialgebra replaced, with the rows as they
-were written for them."""
+were written for them.
+
+And the bialgebra homomorphism check as it was before its dual side was
+read off the product side: the beta comultiplications built by
+comult_from_products and compared through mat_mul and act."""
 
 from itertools import product
 
-from antiflex.algebra import PreAlgebra
+from antiflex.algebra import PreAlgebra, CheckReport, require_matrix, scan
+from antiflex.bialgebra import Bialgebra, comult_from_products
 from antiflex.bimodule import act
 from antiflex.linalg import (
-    basis_vec, eye, transpose, zeros_t3, mat_add, mat_sub, t3_sub,
+    eye, transpose, zeros_t3, mat_add, mat_mul, mat_sub, mat_vec, t3_sub,
 )
 
-from helpers import apply2, multiplication_operators, vec_neg
+from helpers import apply2, basis_vec, multiplication_operators, vec_neg
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +234,52 @@ def pairing_residuals(n, evaluate):
                     res = [[v[n + j] for v in row] for row in no_y[label]]
                 yield label, (i, j), res if sign > 0 else \
                     [vec_neg(row) for row in res]
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms, the dual side through the comultiplications
+# ---------------------------------------------------------------------------
+
+def check_bialgebra_hom(psi, src: Bialgebra, dst: Bialgebra,
+                        all_failures=False) -> CheckReport:
+    """psi: A -> B a pre-algebra homomorphism whose dual is also one.
+
+    Checked on basis elements: psi(x ? y) = psi(x) ? psi(y) for both
+    half-products; (psi (x) psi) D_?A = D_?B o psi; and the dual-side
+    conditions (psi* (x) psi*) beta_?B = beta_?A o psi*, where beta are the
+    comultiplications dual to the products (index transpositions).
+    """
+    require_matrix("check_bialgebra_hom", "psi", psi, dst.dimension,
+                   src.dimension)
+    return scan("bialgebra-hom", _hom_residuals(psi, src, dst), all_failures)
+
+
+def _hom_residuals(psi, src, dst):
+    """On the product rows of src and the columns of psi, the rows of its
+    transpose: psi(e_i) is psit[i] and psi*(f_s) is psi[s]."""
+    nA, nB = src.dimension, dst.dimension
+    psit = transpose(psi)
+    for i, j in product(range(nA), repeat=2):
+        px, py = psit[i], psit[j]
+        for label, mine, theirs in (
+                ("hom-prec", src.palg.prec[i][j], dst.palg.mul_prec(px, py)),
+                ("hom-succ", src.palg.succ[i][j], dst.palg.mul_succ(px, py))):
+            yield label, (i, j), [a - b for a, b in
+                                  zip(mat_vec(psi, mine), theirs)]
+    for i in range(nA):
+        for label, dA, dB in (("hom-comult-prec", src.delta_prec,
+                               dst.delta_prec),
+                              ("hom-comult-succ", src.delta_succ,
+                               dst.delta_succ)):
+            yield label, (i,), mat_sub(mat_mul(mat_mul(psi, dA[i]), psit),
+                                       act(dB, psit[i]))
+    # dual side: beta maps are the comultiplications dual to the products;
+    # psi*: B* -> A* has matrix psi^T.
+    betaA = comult_from_products(src.palg)
+    betaB = comult_from_products(dst.palg)
+    for s in range(nB):
+        pa = psi[s]
+        for label, bB, bA in (("hom-beta-prec", betaB[0], betaA[0]),
+                              ("hom-beta-succ", betaB[1], betaA[1])):
+            yield label, (s,), mat_sub(mat_mul(mat_mul(psit, bB[s]), psi),
+                                       act(bA, pa))

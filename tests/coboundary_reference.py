@@ -17,15 +17,21 @@ per-case residuals and cubic term lists that antiflex.coboundary, which
 reads both cases as the coboundary conditions at the specialised r-pair,
 is tested against, with the helpers that derived the companion tensors
 of each cubic expression by the decoration flip and the outer slot
-swap."""
+swap.
+
+The block reader of the coboundary families and the int PAFYBE check as
+they were before algebra.flat_residuals read every flat int residual:
+the reader took n and the number k of basis indices, and the PAFYBE
+check built its one residual by hand."""
 
 from itertools import product
 
 from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
-    check_identities, require_square, scan
+    _divided, check_identities, require_square, scan
 from antiflex.bimodule import act
 from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
-    _require_base, _rpair_mats, special_case_rpair
+    _PAFYBE_TERMS, _numerators, _require_base, _rpair_mats, \
+    special_case_rpair
 from antiflex.linalg import ZERO, eye, mat_add, mat_mul, mat_neg, mat_sub, \
     t3_add, t3_sub, transpose, zeros_mat
 
@@ -414,3 +420,32 @@ def special_case_conditions(palg: PreAlgebra, r, case,
     if case == "one":
         return scan("special-case-one", case_one(), all_failures)
     return scan("special-case-two", case_two(), all_failures)
+
+
+# ---------------------------------------------------------------------------
+# the per-family block reader and the int PAFYBE check
+# ---------------------------------------------------------------------------
+
+def _blocks(families, n, k, d):
+    """(label, index, residual) for each family at each tuple of k basis
+    indices where its block of the flat tensor over (index, residual) is
+    nonzero, in order index then family, divided back by d.  A family's
+    tensor is built by families[label]() on its first read."""
+    built, size = {}, n ** (4 - k)
+    for at, idx in enumerate(product(range(n), repeat=k)):
+        for label, build in families.items():
+            if label not in built:
+                flat = build()
+                built[label] = flat if any(flat) else ()
+            block = built[label][at * size:(at + 1) * size]
+            if any(block):
+                yield label, idx, _divided(block, d, (n,) * (4 - k))
+
+
+def pafybe_int_core(c, r, all_failures=False) -> CheckReport:
+    """check_pafybe on the structure tensors of the pre-algebra, built once
+    by the caller; the dimension of r is not checked."""
+    n = len(r)
+    flat, d = _numerators(c, _PAFYBE_TERMS, {"r": r})
+    return scan("pafybe", [("pafybe", (), _divided(flat, d, (n, n, n)))]
+                if any(flat) else (), all_failures)

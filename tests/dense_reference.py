@@ -14,14 +14,14 @@ from antiflex.bialgebra import Bialgebra, comult_from_products
 from antiflex.bimodule import AfBimodule, PreBimodule, act, dual_maps, \
     semidirect_pre
 from antiflex.coboundary import check_pafybe, r_is_symmetric
-from antiflex.linalg import ONE, basis_vec, mat_add, mat_inverse, mat_mul, \
+from antiflex.linalg import ONE, mat_add, mat_inverse, mat_mul, \
     mat_neg, mat_rank, mat_sub, mat_vec, t3_sub, transpose, zeros_mat, \
     zeros_t3
 from antiflex.matched import AfMatchedPair, PreMatchedPair
 from antiflex.operators import OOperator, _relabelled, check_o_operator, \
     o_operator_core, r_map_matrix
 
-from helpers import multiplication_operators
+from helpers import basis_vec, multiplication_operators
 
 
 # ---------------------------------------------------------------------------

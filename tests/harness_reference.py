@@ -6,7 +6,9 @@ object bytes, or the same FormatError message, on every document.
 
 Also the grid search as it was before each target's residual was compiled
 into a quadratic form: every candidate checked by a whole run of the int
-kernel."""
+kernel.  Its O-operator kernel is the per-i one of operators_reference,
+and _o_operator_residual the adapter that the compiled grid read it
+through before the kernel returned one flat tensor."""
 
 import itertools
 import json
@@ -21,8 +23,10 @@ from antiflex.coboundary import RPair, _PAFYBE_TERMS, _numerators
 from antiflex.harness import FORMAT_VERSION, FormatError, LinearMap, \
     RElement, SearchSpec, _fill_symmetric, _rows, parse_scalar
 from antiflex.matched import AfMatchedPair, PreMatchedPair
-from antiflex.operators import o_operator_numerators, regular_tensors, \
-    require_af_bimodule, require_anti_flexible
+from antiflex.operators import regular_tensors, require_af_bimodule, \
+    require_anti_flexible
+
+from operators_reference import o_operator_numerators
 
 
 def _vec(data, n, path):
@@ -355,3 +359,17 @@ def grid_search(spec: SearchSpec, subject):
               "candidates": size, "found": len(found),
               "coefficient_set": list(map(str, coeffs))}
     return found, report
+
+
+def _o_operator_residual(tensors):
+    """t -> the whole flat int residual of o_operator_numerators on
+    tensors, with zeros for the blocks it does not yield."""
+    numerators = o_operator_numerators(tensors)
+
+    def residual(t):
+        size = len(t) * len(t[0])
+        out = [0] * (len(t[0]) * size)
+        for i, block in numerators(t):
+            out[i * size:(i + 1) * size] = block
+        return out
+    return residual

@@ -3,16 +3,19 @@ generators, and perturbation utilities."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd, lcm
 
-from antiflex.algebra import Algebra, PreAlgebra, from_associative
+from antiflex.algebra import Algebra, PreAlgebra, check_identities, \
+    from_associative
 from antiflex.bialgebra import dual_products_from_comult
 from antiflex.coboundary import special_case_bialgebra
-from antiflex.harness import corpus_names, load_corpus
-from antiflex.linalg import ZERO, mat_add, mat_inverse, mat_mul, mat_sub, \
-    mat_vec, transpose
+from antiflex.harness import SearchSpec, corpus_names, grid_search, \
+    load_corpus
+from antiflex.linalg import ONE, ZERO, mat_add, mat_inverse, mat_mul, \
+    mat_sub, mat_vec, transpose
 from antiflex.matched import dual_pre_matched, standard_dual_matched
-from antiflex.operators import canonical_solution
+from antiflex.operators import canonical_solution, induced_pre_from_map
 
 CORPUS = {name: load_corpus(name) for name in corpus_names()}
 
@@ -40,6 +43,42 @@ NOT_DENDRIFORM = [
                 [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
                 [[0, 0, 0], [1, 0, 0], [0, 0, 0]]]),
 ]
+
+
+@lru_cache(maxsize=None)
+def non_associative_af(count=40):
+    """The first count anti-flexible algebras of dimension 3 that are not
+    associative among seeded sparse draws (random.Random(5)): 2-6
+    structure constants set to +-1 at random places."""
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for _ in range(rng.randint(2, 6)):
+            c[rng.randrange(3)][rng.randrange(3)][rng.randrange(3)] = \
+                rng.choice((-1, 1))
+        alg = Algebra(3, c)
+        if check_identities(alg, "anti-flexible").passed and \
+                not check_identities(alg, "associative").passed:
+            out.append(alg)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def induced_not_dendriform(count=12):
+    """The first count pre-algebras that are not dendriform among those
+    induced (induced_pre_from_map) by the Rota-Baxter maps over {-1, 0, 1}
+    of non_associative_af(), in grid order: pre-anti-flexible, since a
+    Rota-Baxter map on an anti-flexible algebra induces one."""
+    out = []
+    for alg in non_associative_af():
+        found, _ = grid_search(SearchSpec("rota-baxter", (-1, 0, 1)), alg)
+        out += [p for p in map(partial(induced_pre_from_map, alg), found)
+                if not check_identities(p, "dendriform").passed]
+        if len(out) >= count:
+            return tuple(out[:count])
+    raise AssertionError("fewer than %d induced pre-algebras are not "
+                         "dendriform" % count)
 
 
 def all_corpus_pre():
@@ -205,6 +244,12 @@ def multiplication_operators(palg: PreAlgebra):
     out["R_dot"] = tuple(mat_add(a, b)
                          for a, b in zip(out["R_prec"], out["R_succ"]))
     return out
+
+
+def basis_vec(n, i):
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
 
 
 def vec_neg(v):

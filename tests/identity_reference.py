@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from antiflex.algebra import CheckReport, _TERMS, _triple, \
     identity_residuals, structure_tensors
-from antiflex.linalg import ZERO, basis_vec, vec_is_zero
+from antiflex.linalg import ZERO, vec_is_zero
+
+from helpers import basis_vec
 
 
 def reference_check_identities(subject, kind, all_failures=False):

@@ -10,11 +10,11 @@ for it."""
 from antiflex.algebra import basis_residuals, scan
 from antiflex.bimodule import AfBimodule, PreBimodule, act, \
     check_af_bimodule, check_pre_bimodule
-from antiflex.linalg import basis_vec, mat_add, mat_vec, vec_add, vec_sub
+from antiflex.linalg import mat_add, mat_vec, vec_add, vec_sub
 from antiflex.matched import AfMatchedPair, PreMatchedPair, \
     build_af_double, build_pre_double, condition_residuals
 
-from helpers import vec_neg
+from helpers import basis_vec, vec_neg
 
 
 def af_matched_residuals_A(mp: AfMatchedPair, i, j, s):

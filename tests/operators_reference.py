@@ -8,24 +8,30 @@ candidates and built a report for each.
 
 The r-double and the operator form written out by hand from r as a map
 A* -> A: the reference that antiflex.operators, which reads both through
-the coboundary pre double and the O-operator check, is tested against."""
+the coboundary pre double and the O-operator check, is tested against.
+
+The generalized Rota-Baxter check as it was before it was read as a row
+of the induced pre-algebra, triple by triple in Fractions; and the int
+O-operator kernel as it was before it returned one flat tensor, yielding
+one block per basis element u_i with its report slicing the blocks per
+basis pair."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from antiflex.algebra import Algebra, PreAlgebra, CheckReport, \
-    PreconditionError, check_identities, require_square, scan
+    PreconditionError, _lcd, check_identities, require_square, scan
 from antiflex.bimodule import AfBimodule, act
 from antiflex.coboundary import r_is_symmetric
 from antiflex.harness import FORMAT_VERSION
-from antiflex.linalg import basis_vec, mat_vec, transpose, vec_add, \
+from antiflex.linalg import ZERO, mat_vec, transpose, vec_add, \
     vec_sub, zeros_t3
 from antiflex.operators import OOperator, r_map_matrix, \
     require_af_bimodule, require_anti_flexible
 
 import coboundary_reference
-from helpers import multiplication_operators, vec_neg
+from helpers import basis_vec, multiplication_operators, vec_neg
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +256,104 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
             yield "operator-form", (i, j), vec_sub(palg.mul_dot(ra, rb),
                                                    mat_vec(rmat, inner))
     return scan("operator-form", residuals(), all_failures)
+
+
+# ---------------------------------------------------------------------------
+# the per-triple generalized Rota-Baxter check and the per-i int kernel
+# ---------------------------------------------------------------------------
+
+def _rb_defect(alg, alpha, x, y):
+    """a(x)*a(y) - a(x*a(y) + a(x)*y)."""
+    ax, ay = mat_vec(alpha, x), mat_vec(alpha, y)
+    return vec_sub(alg.mul(ax, ay),
+                   mat_vec(alpha, vec_add(alg.mul(x, ay), alg.mul(ax, y))))
+
+
+def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport:
+    """The trilinear condition equivalent to the induced half-products
+    being pre-anti-flexible:
+
+      (a(x)*a(y) - a(x*a(y)+a(x)*y)) * z
+        + z * (a(y)*a(x) - a(y*a(x)+a(y)*x)) = 0.
+    """
+    n = alg.dimension
+    require_square("check_generalized_rb", "alpha", alpha, n)
+    require_anti_flexible(alg, "check_generalized_rb")
+    basis = [basis_vec(n, i) for i in range(n)]
+
+    def residuals():
+        for i, j in product(range(n), repeat=2):
+            dij = _rb_defect(alg, alpha, basis[i], basis[j])
+            dji = _rb_defect(alg, alpha, basis[j], basis[i])
+            for k in range(n):
+                yield "generalized-rota-baxter", (i, j, k), vec_add(
+                    alg.mul(dij, basis[k]), alg.mul(basis[k], dji))
+    return scan("generalized-rota-baxter", residuals(), all_failures)
+
+
+def o_operator_report(c, T, all_failures):
+    """The O-operator check of the matrix T on the structure tensors c of a
+    bimodule.  T is scaled to ints by its lcd D_m, and only the basis pairs
+    whose int residual is nonzero are divided back, as Fraction(v, D *
+    D_m**2), with the shared ZERO at zero coordinates."""
+    d = _lcd(x for row in T for x in row)
+    n, scale = len(T), c.scale * d * d
+    blocks = o_operator_numerators(c)(
+        [[x.numerator * (d // x.denominator) for x in row] for row in T])
+    return scan("o-operator", (
+        ("o-operator", (i, j),
+         [Fraction(v, scale) if v else ZERO for v in block[at:at + n]])
+        for i, block in blocks
+        for j, at in enumerate(range(0, len(block), n))
+        if any(block[at:at + n])), all_failures)
+
+
+def o_operator_numerators(c):
+    """The function that takes an int matrix t, (dim A) x (dim V), to the
+    residuals of its O-operator identity on the structure tensors c of a
+    bimodule (rows c, l and r, scale D; see structure_tensors):
+
+      t(u_i)*t(u_j) - t(l(t(u_i))u_j + r(t(u_j))u_i)
+
+    at the basis pairs (u_i, u_j) of V, times D.  They are yielded lazily,
+    one i at a time and only where nonzero, as (i, block) with coordinate
+    q at u_j in block[j * dim A + q].  Every term has two factors of t and
+    one structure constant, so at t = D_m * T each entry is D * D_m**2
+    times that of T.  The nonzero rows of c are listed once, here, by
+    their first index, and only they and the nonzero entries of t are
+    visited."""
+    c_rows, l_rows, r_rows = (
+        [[(b, row) for b, row in enumerate(plane) if row]
+         for plane in c.rows[op]] for op in "clr")
+
+    def numerators(t):
+        n, m = len(t), len(t[0])
+        # t(u_k) has the coordinate x at e_a for each (a, x) of image[k],
+        # and each (k, x) of at_row[a]
+        at_row = [[(k, x) for k, x in enumerate(row) if x] for row in t]
+        image = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*t)]
+        for i in range(m):
+            out = [0] * (m * n)
+            for a, x in image[i]:
+                for b, row in c_rows[a]:            # e_a * e_b
+                    for j, y in at_row[b]:
+                        at, xy = j * n, x * y
+                        for q, z in row:
+                            out[at + q] += xy * z
+                for j, row in l_rows[a]:            # l(e_a)u_j
+                    at = j * n
+                    for k, z in row:
+                        xz = x * z
+                        for q, y in image[k]:
+                            out[at + q] -= xz * y
+            for b, row in r_rows[i]:                # r(e_b)u_i
+                for j, x in at_row[b]:
+                    at = j * n
+                    for k, z in row:
+                        xz = x * z
+                        for q, y in image[k]:
+                            out[at + q] -= xz * y
+            if any(out):
+                yield i, out
+
+    return numerators

@@ -25,11 +25,11 @@ from antiflex.operators import (
     solution_from_o_operator,
 )
 from antiflex.bialgebra import dual_products_from_comult
-from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
+from antiflex.linalg import SingularMatrixError, eye, mat_rank, \
     zeros_mat, zeros_t3
 
 from helpers import (
-    CORPUS, DIM2_PRE, FROM_ASSOC_VARIANTS, flp_expression,
+    CORPUS, DIM2_PRE, FROM_ASSOC_VARIANTS, basis_vec, flp_expression,
     multiplication_operators, permute3, perturbed_algebras,
     perturbed_pre_algebras, rand_mat, rand_sym_mat, seeded,
     sigma13_expression, sparse_mat,

@@ -12,12 +12,12 @@ from antiflex.algebra import (
     pre_triple, require_pass, scan, structure_tensors, triple,
     underlying_algebra,
 )
-from antiflex.linalg import SingularMatrixError, basis_vec, \
+from antiflex.linalg import SingularMatrixError, \
     contract_product, eye, mat_inverse, vec_add, vec_sub, zeros_t3
 from antiflex.matched import omega_matrix
 from antiflex.operators import canonical_solution
 
-from helpers import CORPUS, FROM_ASSOC_VARIANTS, bump_t3, \
+from helpers import CORPUS, FROM_ASSOC_VARIANTS, basis_vec, bump_t3, \
     perturbed_algebras, perturbed_pre_algebras, rand_t3, rand_vec, seeded
 from cyclic_reference import reference_check_cyclic_form
 from identity_reference import reference_check_identities

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,9 +22,11 @@ from antiflex.matched import check_af_matched, check_pre_matched, \
 from antiflex.operators import canonical_solution
 from antiflex.linalg import eye, zeros_t3
 
+import bialgebra_reference
 from bialgebra_reference import co_identity_residuals, condition_residuals
-from helpers import CORPUS, all_corpus_pre, bump_t3, matrix_units, \
-    not_dendriform_bialgebras, rand_t3, seeded, split_bialgebra
+from helpers import CORPUS, all_corpus_pre, bump_t3, induced_not_dendriform, \
+    matrix_units, not_dendriform_bialgebras, rand_t3, seeded, \
+    split_bialgebra
 from antiflex.algebra import from_associative
 
 
@@ -294,6 +297,37 @@ def test_hom_basis_permutation():
         PreAlgebra(n, relabel_t3(b.palg.prec), relabel_t3(b.palg.succ)),
         relabel_t3(b.delta_prec), relabel_t3(b.delta_succ))
     assert check_bialgebra_hom(psi, b, relabeled).passed
+
+
+def test_hom_dual_side_matches_the_comultiplication_path():
+    # the dual side read off the product side gives the reports of the
+    # beta comultiplications built and compared as matrices, at rational
+    # psi with denominators 2-7, the identity and zero
+    rng = seeded(257)
+    subjects = [split_bialgebra(name, case, split)
+                for name in ("q1", "qt2", "t3")
+                for case, split in (("one", "succ-left"),
+                                    ("two", "prec-right"))]
+    subjects += not_dendriform_bialgebras()
+    double, r = canonical_solution(induced_not_dendriform()[0])
+    subjects += [special_case_bialgebra(double, r, case)
+                 for case in ("one", "two")]
+    failing = 0
+    for src, dst in product(subjects, repeat=2):
+        nA, nB = src.dimension, dst.dimension
+        psis = [[[Fraction(rng.randint(-3, 3), rng.randint(2, 7))
+                  if rng.random() < 0.4 else Fraction(0)
+                  for _ in range(nA)] for _ in range(nB)],
+                [[Fraction(0)] * nA for _ in range(nB)]]
+        if nA == nB:
+            psis.append(eye(nA))
+        for psi in psis:
+            for every in (False, True):
+                report = check_bialgebra_hom(psi, src, dst, every)
+                assert report == bialgebra_reference.check_bialgebra_hom(
+                    psi, src, dst, every)
+                failing += not report.passed
+    assert failing
 
 
 def test_dual_bialgebra_involution():

@@ -117,6 +117,24 @@ def test_derive_rejects_invalid():
             derive_bimodule(bad, "reduced")
 
 
+def test_derive_checks_the_transform_name_first():
+    # an unknown name is refused before the pre-bimodule check runs, here
+    # on a bimodule that would fail it, naming the valid transforms
+    palg = DIM2_PRE[0]
+    bm = regular_pre_bimodule(palg)
+    bad_maps = [[[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]]] * 2
+    bad = PreBimodule(palg, 2, bad_maps, bm.r_succ, bm.l_prec, bm.r_prec)
+    assert not check_pre_bimodule(bad).passed
+    for subject in (bm, bad):
+        with pytest.raises(PreconditionError, match=(
+                r"derive_bimodule: unknown transform 'dual_full'; the "
+                r"transforms are reduced, dual-full, dual-reduced, af-sum, "
+                r"af-outer, af-dual-sum, af-dual-outer$")):
+            derive_bimodule(subject, "dual_full")
+    for transform in PRE_TRANSFORMS + AF_TRANSFORMS:
+        derive_bimodule(bm, transform)
+
+
 def test_semidirect_zero_bimodule():
     palg = DIM2_PRE[0]
     sd = semidirect_pre(_zero_pre_bimodule(palg, 2))

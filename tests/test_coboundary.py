@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import antiflex.algebra as antiflex_algebra
 import antiflex.coboundary as antiflex_coboundary
-from antiflex.algebra import PreconditionError, check_identities
+from antiflex.algebra import PreconditionError, flat_residuals
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
-    SPECIAL_CASES, _EXPRESSIONS, _rpair_mats, RPair,
+    SPECIAL_CASES, _EXPRESSIONS, _rpair_mats, RPair, pafybe_core,
     check_coboundary_conditions, check_pafybe, coboundary_bialgebra,
     coboundary_delta, evaluate_expression, mnpq, r_is_symmetric,
     special_case_bialgebra, special_case_conditions, special_case_rpair,
@@ -22,7 +22,7 @@ from antiflex.linalg import eye, mat_add, transpose, zeros_mat, zeros_t3
 from antiflex.algebra import PreAlgebra, from_associative
 
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, apply2, \
-    flp_expression, matrix_units, multiplication_operators, over, permute3, \
+    flp_expression, induced_not_dendriform, matrix_units, multiplication_operators, over, permute3, \
     rand_mat, rand_sym_mat, seeded, sigma13_expression, sparse_mat
 import coboundary_reference
 
@@ -532,3 +532,54 @@ def test_pafybe_grid_search_matches_fraction_path(data, subject):
                       "coefficient_set": [str(c) for c in coeffs]}
     assert search_results("pafybe-symmetric", found) == \
         search_results("pafybe-symmetric", expected)
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the per-family reader it replaced
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 2))
+def test_flat_residuals_match_the_per_family_reader(data, n, k):
+    # random flat int families over k basis indices and 4 - k residual
+    # indices, some of them zero, read in the same order
+    flat = st.lists(st.integers(-2, 2), min_size=n ** 4, max_size=n ** 4)
+    tensors = {label: data.draw(st.one_of(flat, st.just([0] * n ** 4)))
+               for label in ("a", "b", "c")}
+    d = data.draw(st.integers(1, 7))
+    families = {label: lambda t=t: t for label, t in tensors.items()}
+    assert list(flat_residuals(families, (n,) * k, (n,) * (4 - k), d)) \
+        == list(coboundary_reference._blocks(families, n, k, d))
+
+
+def test_check_pafybe_matches_the_int_core_it_replaced():
+    # the corpus splittings, NOT_DENDRIFORM and the induced pre-algebras
+    # that are not dendriform, at rational and at solving r
+    rng = seeded(251)
+    subjects = [(from_associative(alg, "succ-left"), None)
+                for alg in CORPUS.values()] + [
+        (palg, None) for palg in NOT_DENDRIFORM + list(
+            induced_not_dendriform())] + [
+        canonical_solution(palg) for palg in NOT_DENDRIFORM]
+    for palg, r in subjects:
+        n = palg.dimension
+        c = structure_tensors(palg)
+        for r in ([r] if r else []) + [rand_sym_mat(rng, n),
+                                       [[Fraction(rng.randint(-3, 3),
+                                                  rng.randint(2, 7))
+                                         for _ in range(n)]
+                                        for _ in range(n)]]:
+            for every in (False, True):
+                assert pafybe_core(c, r, every) == \
+                    coboundary_reference.pafybe_int_core(c, r, every)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), random_pre_algebras())
+def test_check_pafybe_matches_the_int_core_on_rationals(data, palg):
+    n = palg.dimension
+    r = data.draw(st.one_of(_matrices(n), st.just(zeros_mat(n))))
+    c = structure_tensors(palg)
+    for every in (False, True):
+        assert pafybe_core(c, r, every) == \
+            coboundary_reference.pafybe_int_core(c, r, every)

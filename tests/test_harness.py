@@ -26,7 +26,7 @@ from antiflex.operators import OOperator, assembled_double, \
 from antiflex.harness import (
     CHECK_COMMANDS, CORPUS_DIR, SEARCH_TARGETS, FormatError, LinearMap,
     RElement, SearchSpec, corpus_names,
-    grid_search, load_corpus, load_file, parse_file, random_element_oracle,
+    grid_search, load_file, parse_file, random_element_oracle,
     run_check, save_file, serialize,
 )
 from antiflex.linalg import eye, vec_is_zero, zeros_mat, zeros_t3

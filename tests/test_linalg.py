@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from antiflex import linalg
 from antiflex.linalg import (
-    basis_vec, contract_product, dot, eye, mat_add, mat_inverse, mat_mul,
+    contract_product, dot, eye, mat_add, mat_inverse, mat_mul,
     mat_neg, mat_rank, mat_sub, mat_vec, t3_add, t3_sub, transpose, vec_add,
     vec_is_zero, vec_sub, zeros_mat, zeros_t3, SingularMatrixError,
 )
 
-from helpers import apply2, apply_slot3, commutator, mat_is_zero, permute3, \
-    rand_frac, rand_mat, rand_t3, rand_vec, seeded, solve, t3_is_zero, \
-    t3_neg, vec_neg, vec_scale
+from helpers import apply2, apply_slot3, basis_vec, commutator, \
+    mat_is_zero, permute3, rand_mat, rand_t3, rand_vec, seeded, solve, \
+    t3_is_zero, t3_neg, vec_neg, vec_scale
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -292,11 +292,23 @@ def _names_used(path):
     return used
 
 
+def _private_functions(path):
+    """The private functions defined at the top level of a module."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
 def test_every_public_function_has_a_caller_in_the_package():
-    # a helper that only the tests use lives in tests/helpers.py, not here
+    # a helper that only the tests use lives in tests/helpers.py, not here;
+    # so does every module's private helper that the package stops calling
     src = pathlib.Path(linalg.__file__).parent
     used = set().union(*(_names_used(path) for path in src.glob("*.py")))
     public = {name for name, obj in vars(linalg).items()
               if inspect.isfunction(obj) and obj.__module__ == linalg.__name__
               and not name.startswith("_")}
     assert public and public <= used, sorted(public - used)
+    private = {(path.name, name) for path in src.glob("*.py")
+               for name in _private_functions(path)}
+    assert private and {name for _, name in private} <= used, \
+        sorted(p for p in private if p[1] not in used)

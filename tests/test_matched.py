@@ -12,12 +12,12 @@ from antiflex.matched import (
     standard_dual_matched,
 )
 from antiflex.bimodule import derive_bimodule, regular_pre_bimodule
-from antiflex.linalg import basis_vec, mat_add, mat_neg, transpose, \
+from antiflex.linalg import mat_add, mat_neg, transpose, \
     vec_is_zero, zeros_mat, zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
-    cross_pairs, multiplication_operators, not_dendriform_bialgebras, \
-    rand_mat, rand_t3, seeded
+from helpers import CORPUS, DIM2_PRE, all_corpus_pre, basis_vec, \
+    bialgebra_pairs, cross_pairs, multiplication_operators, \
+    not_dendriform_bialgebras, rand_mat, rand_t3, seeded
 from matched_reference import double_residuals, reference_residuals, \
     separate_path_check
 

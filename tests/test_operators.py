@@ -21,15 +21,16 @@ from antiflex.operators import (
     OOperator, assembled_double, canonical_solution, check_generalized_rb,
     check_o_operator, check_r_double_consistency, check_rota_baxter,
     check_two_cocycle, compatible_structure_on_A, form_from_r,
-    induced_pre_from_map, o_operator_core, operator_form_check,
-    r_map_matrix, regular_tensors, solution_from_o_operator,
+    _o_operator_report, induced_pre_from_map, o_operator_core,
+    o_operator_numerators, operator_form_check, r_map_matrix,
+    regular_tensors, solution_from_o_operator,
 )
-from antiflex.linalg import SingularMatrixError, basis_vec, eye, mat_rank, \
-    mat_vec, transpose, zeros_mat, zeros_t3
+from antiflex.linalg import SingularMatrixError, eye, mat_rank, \
+    mat_vec, transpose, zeros_mat
 
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
-    multiplication_operators, over, rand_mat, rand_sym_mat, rand_t3, \
-    rand_vec, seeded
+    basis_vec, multiplication_operators, non_associative_af, over, \
+    rand_mat, rand_sym_mat, rand_t3, rand_vec, seeded
 import harness_reference
 import operators_reference as reference
 
@@ -677,3 +678,75 @@ def test_grid_found_maps_agree_with_random_elements():
                                        rand_vec(rng, n)))
                 for _ in range(8))
             assert random_verdict == verdict.passed
+
+
+# ---------------------------------------------------------------------------
+# the induced-identity row and the flat kernel against the code they
+# replaced, on rationals and on non-associative anti-flexible bases
+# ---------------------------------------------------------------------------
+
+@st.composite
+def af_bases(draw):
+    """An algebra of af_algebras() or one of non_associative_af()."""
+    return draw(st.one_of(af_algebras(),
+                          st.sampled_from(non_associative_af())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), af_bases())
+def test_generalized_rb_matches_the_per_triple_check(data, alg):
+    n = alg.dimension
+    alpha = data.draw(st.one_of(
+        _matrices(n, n), st.just(zeros_mat(n)),
+        st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=n,
+                          max_size=n), min_size=n, max_size=n)))
+    for every in (False, True):
+        assert check_generalized_rb(alg, alpha, every) == \
+            reference.check_generalized_rb(alg, alpha, every)
+        c = regular_tensors(alg)
+        assert _o_operator_report(c, alpha, every) == \
+            reference.o_operator_report(c, alpha, every)
+
+
+def test_generalized_rb_matches_the_per_triple_check_on_rb_maps():
+    # Rota-Baxter maps pass and sweep every triple; with one entry moved
+    # they fail, some of them
+    failing = 0
+    for alg in non_associative_af()[:12]:
+        found, _ = grid_search(SearchSpec("rota-baxter", (0, 1)), alg)
+        for alpha in found[:4]:
+            moved = [list(row) for row in alpha]
+            moved[0][1] += Fraction(1, 2)
+            for every in (False, True):
+                for a in (alpha, moved):
+                    report = check_generalized_rb(alg, a, every)
+                    assert report == \
+                        reference.check_generalized_rb(alg, a, every)
+                    failing += not report.passed
+            assert check_generalized_rb(alg, alpha).passed
+    assert failing
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.one_of(af_bimodules(), random_bimodules()))
+def test_o_operator_report_matches_the_per_block_report(data, bm):
+    n, m = bm.base.dimension, bm.space_dim
+    c = structure_tensors(bm)
+    t = data.draw(_matrices(n, m))
+    for every in (False, True):
+        assert _o_operator_report(c, t, every) == \
+            reference.o_operator_report(c, t, every)
+    ints = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=m,
+                                       max_size=m), min_size=n, max_size=n))
+    assert o_operator_numerators(c)(ints) == \
+        harness_reference._o_operator_residual(c)(ints)
+
+
+def test_grid_search_matches_reference_on_non_associative_bases():
+    for k, alg in enumerate(non_associative_af()[:6]):
+        for target, subject in (("rota-baxter", alg),
+                                ("o-operator", regular_af_bimodule(alg))):
+            for coeffs in ((0, 1),) + (((-1, 0, 1),) if k < 2 else ()):
+                spec = SearchSpec(target, coeffs, 3)
+                assert grid_search(spec, subject) == \
+                    harness_reference.grid_search(spec, subject)
