@@ -2,28 +2,22 @@
 
 An `Algebra` stores one bilinear product as a rank-3 tensor c with
 e_i * e_j = sum_k c[i][j][k] e_k.  A `PreAlgebra` stores two products
-(written `prec` for x < y and `succ` for x > y below, after the usual
-half-shuffle notation) whose sum is the underlying single product.
+(`prec` for x < y and `succ` for x > y, after the half-shuffle notation)
+whose sum is the underlying single product.
 
 Every identity the package checks is multilinear, so it holds on all
 elements exactly when it holds on basis tuples.  Each identity of
-`IDENTITIES` is also written in `COMPOSITIONS` as a signed sum of two-product
-compositions at permuted arguments, and `basis_residuals` lists the nonzero
-entries of its residual tensor straight from the structure constants, once
-per evaluator, on first use, in ints under the lcd of the structure
-constants and from the nonzero compositions alone; every entry outside
-that support is exactly zero.
-
-Every table of identities the package reads (the identities themselves,
-the bimodule blocks, the matched-pair conditions, the bialgebra conditions
-and co-identities) is rows on one reader, `table_residuals`, which turns
-those entries into the nonzero residuals of the rows.  The other kernels
-(the placed products, the coboundary families and the O-operator identity)
-compute flat int tensors, and one reader, `flat_residuals`, cuts each into
-the residuals of its index tuples.  Every checker is one
-`scan` of a lazy stream of (label, index tuple, residual) in lexicographic
-order of the index tuples: the first nonzero residual is the witness, and
-unless every failure is asked for, the stream is read no further.
+`IDENTITIES` is also written in `COMPOSITIONS` as a signed sum of
+two-product compositions, from which `basis_residuals` lists the nonzero
+entries of its residual tensor (see there).  Every identity table of the
+package (the identities, the bimodule blocks, the matched-pair and
+bialgebra conditions, the co-identities) is rows on one reader,
+`table_residuals`; every flat int residual of the other kernels (placed
+products, coboundary families, the O-operator identity) reaches its report
+through one reader, `flat_residuals`.  Every checker is one `scan` of a
+lazy stream of (label, index tuple, residual) in lexicographic order: the
+first nonzero residual is the witness, and unless every failure is asked
+for, the stream is read no further.
 """
 
 from __future__ import annotations
@@ -31,13 +25,14 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .linalg import (
     ZERO, Tensor3, Vector,
-    contract_product, t3_add, t3_sub, vec_add, vec_sub, dot,
+    contract_product, t3_sub, vec_add, vec_sub, dot,
     zeros_t3, mat_inverse, mat_vec, transpose, SingularMatrixError,
 )
 
@@ -78,11 +73,43 @@ def _require_actions(caller, obj, fields, acting, space):
         object.__setattr__(obj, name, tuple(maps))
 
 
+def _require_kind(caller, obj, cls):
+    """Raise PreconditionError, naming the caller, unless obj is a cls."""
+    if not isinstance(obj, cls):
+        raise PreconditionError("%s: expected %s, got %s"
+                                % (caller, cls.__name__, type(obj).__name__))
+
+
+def _trusted(cls, *values, tensors=None):
+    """The frozen dataclass cls with these field values, unchecked (no
+    __post_init__), for structures derived from checked inputs.  Action
+    families are given as tuples; a function value builds its field when
+    first read (_built); tensors are kept as its structure_tensors."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        obj.__dict__["_" + name if callable(value) else name] = value
+    if tensors:
+        obj.__dict__["_tensors"] = tensors
+    return obj
+
+
+def _built(self, name):
+    """The __getattr__ of the structures: a field that _trusted was given
+    a function for, built on its first read."""
+    build = self.__dict__.pop("_" + name, None)
+    if build is None:
+        raise AttributeError(name)
+    value = self.__dict__[name] = build()
+    return value
+
+
 @dataclass(frozen=True)
 class Algebra:
     dimension: int
     product: Tensor3
     basis_names: tuple = ()
+
+    __getattr__ = _built
 
     def __post_init__(self):
         require_tensor("Algebra", "product", self.product,
@@ -101,6 +128,8 @@ class PreAlgebra:
     prec: Tensor3
     succ: Tensor3
     basis_names: tuple = ()
+
+    __getattr__ = _built
 
     def __post_init__(self):
         for name in ("prec", "succ"):
@@ -290,32 +319,58 @@ StructureTensors = namedtuple("StructureTensors", "rows scale")
 
 def structure_tensors(structure) -> StructureTensors:
     """The products of an algebra ("c"), of a pre-algebra (prec, succ and
-    dot = prec + succ) or of an anti-flexible bimodule (its base's "c" and
-    its actions as products: "l" for l(e_a) v_b and "r" for r(e_b) v_a, so
-    that on the regular bimodule both are c) under one common denominator
-    D, the lcd of the structure constants, as sparse int rows:
-    rows[op][a][b] lists the pairs (k, D * c[a][b][k]) with a nonzero
-    coefficient, and scale is D.  Only the nonzero constants are scaled,
-    and dot is summed in ints."""
-    if isinstance(structure, Algebra):
-        products = (("c", structure.product),)
-    elif isinstance(structure, PreAlgebra):
-        products = (("prec", structure.prec), ("succ", structure.succ))
-    else:
-        l = [list(zip(*m)) for m in structure.l]
-        r = [list(zip(*m)) for m in structure.r]
-        products = (("c", structure.base.product), ("l", l),
-                    ("r", list(zip(*r))))
+    dot = prec + succ), or of a bimodule or matched pair (its base's, and
+    each action family F named after it: F(e_a) v_b at [a][b] for a left
+    family, whose name starts with "l", F(e_b) v_a for a right one, so
+    both are c on the regular bimodule) under D, the lcd of the structure
+    constants, as sparse int rows: rows[op][a][b] lists the pairs
+    (k, D * c[a][b][k]) with a nonzero coefficient, and scale is D.
+    Computed once and kept on the structure."""
+    c = structure.__dict__.get("_tensors")
+    if c is None:
+        c = structure.__dict__["_tensors"] = _scanned(structure)
+    return c
+
+
+def _products(s):
+    """The (name, dense product) pairs of structure_tensors."""
+    if isinstance(s, Algebra):
+        return [("c", s.product)]
+    if isinstance(s, PreAlgebra):
+        return [("prec", s.prec), ("succ", s.succ)]
+    out = _products(s.base) if hasattr(s, "base") else []
+    for name in list(s.__dataclass_fields__)[2:]:
+        t = [list(zip(*m)) for m in getattr(s, name)]
+        out.append((name, t if name[0] == "l" else list(zip(*t))))
+    return out
+
+
+def _scanned(structure) -> StructureTensors:
+    """structure_tensors, read off the dense fields."""
     rows = {op: [[[(k, x) for k, x in enumerate(row) if x] for row in plane]
-                 for plane in t] for op, t in products}
+                 for plane in t] for op, t in _products(structure)}
     d = _lcd(x for t in rows.values() for plane in t for row in plane
              for _, x in row)
-    rows = {op: [[_scaled(row, d) for row in plane] for plane in t]
-            for op, t in rows.items()}
+    return _tensors({op: [[_scaled(row, d) for row in plane] for plane in t]
+                     for op, t in rows.items()}, d)
+
+
+def _tensors(rows, d) -> StructureTensors:
+    """StructureTensors(rows, d), with dot where rows have prec."""
     if "prec" in rows:
         rows["dot"] = [[_row_sum(p, s) for p, s in zip(pp, ps)]
                        for pp, ps in zip(rows["prec"], rows["succ"])]
     return StructureTensors(rows, d)
+
+
+def _dense(rows, d, n):
+    """The dense tensor, n coordinates a row, of int rows under d."""
+    def vec(row):
+        v = [ZERO] * n
+        for k, x in row:
+            v[k] = Fraction(x, d)
+        return v
+    return [[vec(row) for row in plane] for plane in rows]
 
 
 def _row_sum(p, s):
@@ -334,23 +389,18 @@ def _triple(t, n):
     return (*divmod(ij, n), k)
 
 
-def basis_residuals(structure, c=None):
+def basis_residuals(structure):
     """The function label -> the nonzero entries (i, j, k, q, x) of the
     residual tensor of the identity `label` of COMPOSITIONS: coordinate q
-    of the identity at the basis triple (e_i, e_j, e_k) is x, and every
-    entry not listed is exactly zero, a sum of no terms or of terms that
-    cancel.  table_residuals reads every identity table from them.
-
-    On first use of a label its whole tensor is built from the support
-    alone: the structure constants are scaled to ints by their lcd D
-    (structure_tensors), each composition is enumerated over the nonzero
-    rows of its products only, and every entry whose int sum is nonzero is
-    divided back once, as Fraction(v, D**2).  The entries of a label are
-    listed once per evaluator and freed with it.  c, where the caller has
-    built them, are structure_tensors(structure).
+    of the identity at (e_i, e_j, e_k) is x, and every entry not listed is
+    exactly zero.  On first use of a label its whole tensor is built in
+    ints from the support alone: each composition is enumerated over the
+    nonzero rows of structure_tensors (under D), and every nonzero entry
+    is divided back once, as Fraction(v, D**2), and kept with the
+    evaluator.
     """
     d = structure.dimension
-    c = structure_tensors(structure) if c is None else c
+    c = structure_tensors(structure)
     tensors = {}    # label -> its nonzero entries
     # each product's nonzero rows (u, v, row), and the same rows listed by
     # u as (v, row) and by v as (u, row)
@@ -433,15 +483,13 @@ def table_residuals(tensor, rows, extents, index, axes):
     where its residual is nonzero, in scan order (index tuple, then row),
     given the basis_residuals of a structure.
 
-    A row is (label, identity, slots, sign).  Its four slots are (letter,
-    offset) for the identity's three arguments and for its coordinate: at
-    letter values v1..v4 the row is sign times coordinate o4 + v4 of the
-    identity at the basis triple (o1 + v1, o2 + v2, o3 + v3).  extents
-    gives each letter's number of values, index the letters of the index
-    tuple and axes those of the residual, nested lists over them.  The four
-    letters of a row are distinct and among index and axes, so each
-    nonzero entry of the identity in a row's ranges is one entry of one
-    residual; every residual that is not built is exactly zero.
+    A row is (label, identity, slots, sign), with four slots (letter,
+    offset) for the identity's arguments and coordinate: at letter values
+    v1..v4 the row is sign times coordinate o4 + v4 of the identity at the
+    basis triple (o1 + v1, o2 + v2, o3 + v3).  extents gives each letter's
+    number of values, index the letters of the index tuple and axes those
+    of the residual.  A row's four letters are distinct, so each nonzero
+    entry of the identity in its ranges is one entry of one residual.
     """
     shape = [extents[ch] for ch in axes]
     found = {}      # (index tuple, row number) -> its residual, flat
@@ -498,13 +546,10 @@ def triple_residuals(tensor, labels, n):
                            dict.fromkeys("ijkq", n), "ijk", "q")
 
 
-def check_identities(subject, kind, all_failures=False,
-                     tensors=None) -> CheckReport:
-    """Check the defining identities of `kind` over all basis triples;
-    tensors, where the caller has built them, are
-    structure_tensors(subject)."""
+def check_identities(subject, kind, all_failures=False) -> CheckReport:
+    """Check the defining identities of `kind` over all basis triples."""
     labels = _kind_labels(subject, kind)
-    return scan(kind, triple_residuals(basis_residuals(subject, tensors),
+    return scan(kind, triple_residuals(basis_residuals(subject),
                                        labels, subject.dimension),
                 all_failures)
 
@@ -514,9 +559,18 @@ def check_identities(subject, kind, all_failures=False,
 # ---------------------------------------------------------------------------
 
 def underlying_algebra(palg: PreAlgebra) -> Algebra:
-    """The single-product algebra with x.y = x<y + x>y."""
-    return Algebra(palg.dimension, t3_add(palg.prec, palg.succ),
-                   palg.basis_names)
+    """The single-product algebra with x.y = x<y + x>y: the dot rows of
+    palg, brought to their own lcd."""
+    c = structure_tensors(palg)
+    rows = c.rows["dot"]
+    g = gcd(c.scale, *(x for plane in rows for row in plane for _, x in row))
+    if g > 1:
+        rows = [[[(k, x // g) for k, x in row] for row in plane]
+                for plane in rows]
+    d = c.scale // g
+    return _trusted(Algebra, palg.dimension,
+                    partial(_dense, rows, d, palg.dimension), palg.basis_names,
+                    tensors=StructureTensors({"c": rows}, d))
 
 
 def derived_products(palg: PreAlgebra, kind) -> Algebra:
@@ -543,28 +597,21 @@ def from_associative(assoc: Algebra, variant) -> PreAlgebra:
         raise ValueError("from_associative: unknown variant %r" % (variant,))
     require_pass(check_identities(assoc, "associative"),
                  "from_associative: input is not associative")
-    n = assoc.dimension
-    c = assoc.product
-    flipped = transpose(c)
-    zero = zeros_t3(n)
-    if variant == "succ-left":
-        return PreAlgebra(n, zero, c, assoc.basis_names)
-    if variant == "succ-right":
-        return PreAlgebra(n, zero, flipped, assoc.basis_names)
-    if variant == "prec-left":
-        return PreAlgebra(n, c, zero, assoc.basis_names)
-    return PreAlgebra(n, flipped, zero, assoc.basis_names)
+    c, zero = assoc.product, zeros_t3(assoc.dimension)
+    if variant.endswith("right"):
+        c = transpose(c)
+    return _trusted(PreAlgebra, assoc.dimension,
+                    *((zero, c) if variant[0] == "s" else (c, zero)),
+                    assoc.basis_names)
 
 
 def check_cyclic_form(alg: Algebra, omega, all_failures=False) -> CheckReport:
     """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples.
 
     With w(u, v) = u^T omega v, each nonzero c[i][j][p] * omega[p][k] is a
-    term of w(e_i*e_j, e_k), which enters the residual at the three cyclic
-    rotations of (i, j, k).  The terms are added in ints, with the product
-    scaled by its lcd D_c and omega by its lcd D_w, and only the triples
-    whose sum is nonzero are divided back, as Fraction(v, D_c * D_w), and
-    scanned: every other triple is exactly zero.
+    term of w(e_i*e_j, e_k) at the three cyclic rotations of (i, j, k),
+    added in ints (the product under its lcd D_c, omega under D_w); only
+    the nonzero sums are divided back, by D_c * D_w, and scanned.
     """
     n = alg.dimension
     require_square("check_cyclic_form", "omega", omega, n)

@@ -2,33 +2,28 @@
 
 A comultiplication D: A -> A (x) A is stored as a rank-3 tensor d with
 D(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k, so D(e_i) is the matrix d[i].
-An operator pair acts by (P (x) Q) M = P M Q^T and the tensor flip sigma is
-the matrix transpose.  A bialgebra couples a pre-algebra structure on A
-with two comultiplications whose duals give the products on the dual
-space; validity is decided through four provably equivalent routes which
-the verifier cross-checks against each other.
+An operator pair acts by (P (x) Q) M = P M Q^T and the flip sigma is the
+matrix transpose.  A bialgebra is a pre-algebra on A with two
+comultiplications whose duals give the products on A*; verify_bialgebra
+decides it by four equivalent routes that must agree.
 
 Every route reads an identity of a double through the pairing of A with
-A*, as rows of a table read by the one table reader
-(algebra.table_residuals) off the identity's nonzero entries.  The two
+A*, as rows of a table read by algebra.table_residuals.  The two
 co-identities (CO_IDENTITIES) are coordinates of the pre-anti-flexible
-identities of the dual products.  Routes 1-3 read one evaluator of the AF
-double of the standard dual pair on A + A*: route 1's four compatibility
-conditions are rows of BIALGEBRA_CONDITIONS, each an entry of the double's
-anti-flexible identity paired with the basis letter its arguments leave
-out; route 2 reads its blocks on mixed triples and route 3 all of it, with
-the closedness of the canonical skew form.  Route 4 is that the pre double
-of the eight-map dual pair is pre-anti-flexible.
+identities of the dual products, and route 1's conditions
+(BIALGEBRA_CONDITIONS) entries of the AF double's anti-flexible identity,
+each paired with the basis letter its arguments leave out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 
-from .algebra import PreAlgebra, CheckReport, basis_residuals, \
-    check_identities, require_matrix, require_pass, require_tensor, scan, \
-    table_residuals, triple_residuals
+from .algebra import PreAlgebra, CheckReport, _require_kind, _trusted, \
+    basis_residuals, check_identities, require_matrix, require_pass, \
+    require_tensor, scan, table_residuals, triple_residuals
 from .bimodule import act
 from .linalg import transpose, mat_mul, mat_sub, mat_vec
 from .matched import (
@@ -54,6 +49,12 @@ class Bialgebra:
     def dimension(self):
         return self.palg.dimension
 
+    @cached_property
+    def dual(self) -> PreAlgebra:
+        """The products on the dual space (dual_products_from_comult), built
+        once."""
+        return _dual_products(self.delta_prec, self.delta_succ)
+
 
 def dual_products_from_comult(delta_prec, delta_succ) -> PreAlgebra:
     """The half-products on the dual space: <f_i ? f_j, e_k> = <f_i (x) f_j,
@@ -62,12 +63,18 @@ def dual_products_from_comult(delta_prec, delta_succ) -> PreAlgebra:
     n = len(delta_prec)
     for name, t in (("delta_prec", delta_prec), ("delta_succ", delta_succ)):
         require_tensor("dual_products_from_comult", name, t, (n,) * 3)
-    prec = [[[delta_prec[k][i][j] for k in range(n)] for j in range(n)]
-            for i in range(n)]
-    succ = [[[delta_succ[k][i][j] for k in range(n)] for j in range(n)]
-            for i in range(n)]
-    return PreAlgebra(n, prec, succ,
-                      tuple("f%d" % (i + 1) for i in range(n)))
+    return _dual_products(delta_prec, delta_succ)
+
+
+def _dual_products(delta_prec, delta_succ) -> PreAlgebra:
+    """dual_products_from_comult on comultiplication tensors already
+    checked."""
+    n = len(delta_prec)
+    r = range(n)
+    return _trusted(PreAlgebra, n, *([[[t[k][i][j] for k in r] for j in r]
+                                      for i in r]
+                                     for t in (delta_prec, delta_succ)),
+                    tuple("f%d" % (i + 1) for i in r))
 
 
 def comult_from_products(palg: PreAlgebra):
@@ -103,11 +110,15 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
       co-lr: ((Dp + Ds) (x) id)Ds - (id (x) Ds)Ds
              = (id (x) sDp)sDp - (s(Dp + Ds) (x) id)sDp
 
-    with s the flip.  Each is an identity of the dual products read through
-    the pairing: its residual at e_i is t[p][q][k] = coordinate i of the
-    identity at (f_p, f_q, f_k).
+    with s the flip: its residual at e_i is t[p][q][k] = coordinate i of
+    the identity of the dual products at (f_p, f_q, f_k).
     """
-    dual = dual_products_from_comult(delta_prec, delta_succ)
+    return _co_identities(dual_products_from_comult(delta_prec, delta_succ),
+                          all_failures)
+
+
+def _co_identities(dual, all_failures):
+    """check_dual_pre_via_rmatrix on the dual products."""
     return scan("dual-pre-via-comult", table_residuals(
         basis_residuals(dual),
         [(label, identity, [(ch, 0) for ch in letters], 1)
@@ -171,24 +182,20 @@ class ConsistencyError(AssertionError):
 
 
 def verify_bialgebra(b: Bialgebra, all_failures=False) -> CheckReport:
-    """Joint verdict of the four equivalent characterizations.
-
-    Routes, each a full pass/fail verdict:
-      1. the four compatibility conditions, as pairings on the AF double;
-      2. the dual-action matched pair of the underlying algebras passes;
-      3. the AF double is anti-flexible and the canonical skew form on it
-         is closed;
-      4. the pre double of the eight-map dual-action pair is
-         pre-anti-flexible.
-    Once the base and the dual products pass, bialgebra_routes runs them.
-    A failing verdict carries the witness of the first failing check among
-    the base identities, the dual co-identities and route 1, and with
-    all_failures every failure of that check.
+    """Joint verdict of the four equivalent characterizations, each a full
+    pass/fail verdict: 1. the four compatibility conditions, as pairings on
+    the AF double of the standard dual pair; 2. that pair is matched;
+    3. the AF double is anti-flexible and the canonical skew form on it is
+    closed; 4. the pre double of the eight-map dual pair is
+    pre-anti-flexible.  bialgebra_routes runs them once the base and the
+    dual products pass.  A failing verdict carries the witness of the
+    first failing check among the base identities, the co-identities and
+    route 1 (with all_failures, every failure of that check).
     """
+    _require_kind("verify_bialgebra", b, Bialgebra)
     report = check_identities(b.palg, "pre-anti-flexible", all_failures)
     if report.passed:
-        report = check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ,
-                                            all_failures)
+        report = _co_identities(b.dual, all_failures)
     if report.passed:
         report = bialgebra_routes(b, all_failures)[0]
     return replace(report, identity_name="bialgebra")
@@ -197,15 +204,11 @@ def verify_bialgebra(b: Bialgebra, all_failures=False) -> CheckReport:
 def bialgebra_routes(b: Bialgebra, all_failures=False):
     """Route 1's report and the verdicts of the four routes of
     verify_bialgebra, on a bialgebra whose base and dual products pass.
-
-    Routes 1-3 read one evaluator of the AF double and route 4 one of the
-    pre double: both factors pass, so by the matched-pair theorem route 4
-    is the pre matched check of that pair, read as one scan of every block
-    of every triple of its double.  Any disagreement among the routes
-    raises ConsistencyError.
+    Routes 1-3 read one evaluator of the AF double; route 4, by the
+    matched-pair theorem the pre matched check, is one scan of the pre
+    double.  Routes that disagree raise ConsistencyError.
     """
-    dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
-    mp = standard_dual_matched(b.palg, dual, check_inputs=False)
+    mp = standard_dual_matched(b.palg, b.dual, check_inputs=False)
     d = build_af_double(mp)
     tensor = basis_residuals(d)
     conds = scan("bialgebra-conditions", _condition_residuals(
@@ -215,7 +218,7 @@ def bialgebra_routes(b: Bialgebra, all_failures=False):
         tensor, ("anti-flexible",), d.dimension)).passed
               and omega_double_check(d).passed)
     route4 = check_identities(build_pre_double(dual_pre_matched(
-        b.palg, dual, check_inputs=False)), "pre-anti-flexible").passed
+        b.palg, b.dual, check_inputs=False)), "pre-anti-flexible").passed
 
     verdicts = (conds.passed, route2, route3, route4)
     if len(set(verdicts)) != 1:
@@ -279,6 +282,5 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     its comultiplications are the duals of b's products.  An involution."""
     require_pass(verify_bialgebra(b),
                  "dual_bialgebra: input fails verification")
-    dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
     dp, ds = comult_from_products(b.palg)
-    return Bialgebra(dual, tuple(dp), tuple(ds))
+    return Bialgebra(b.dual, tuple(dp), tuple(ds))

@@ -1,33 +1,28 @@
 """Bimodules of anti-flexible and of pre-anti-flexible algebras.
 
-Action maps A -> End(V) are stored as lists of matrices, one per basis
-element of A, and extended linearly when evaluated on general elements.
-The duals of the regular actions are the structure tensor c read in
-another index order: with L(e_i)v = e_i*v and R(e_j)u = u*e_j, L*(e_i) is
-the plane c[i] and R*(e_j) is transpose(c)[j], and L and R are their
-transposes.  A dual family that is such a view (the dual pairs of
-matched), and a family that derive_bimodule passes through, shares its
-rows with the tensor it was read from: it must not be mutated.
+Action maps A -> End(V) are stored as tuples of matrices, one per basis
+element of A.  With L(e_i)v = e_i*v and R(e_j)u = u*e_j, the dual L*(e_i)
+is the plane c[i] of the structure tensor and R*(e_j) is transpose(c)[j].
+A family that derive_bimodule passes through shares its rows with its
+input and must not be mutated.
 
 A bimodule is an identity of its semidirect product A + V read on the
-V-block: the semidirect product has the identity of A exactly when the base
-has it and the bimodule identities hold.  On a triple with one argument a
-in V and two in A, the V-block of the identity of A + V is linear in a, so
-it is a matrix; each bimodule identity is one such block, a row of
-AF_BIMODULE or PRE_BIMODULE.  The checkers read the rows off the nonzero
-entries of the semidirect product's identity tensor (algebra.table_residuals)
-over all basis pairs of A, which is complete by bilinearity.
+V-block: A + V has the identity of A exactly when the base has it and the
+bimodule identities hold.  On a triple with one argument in V that block
+is linear in it, a matrix, and each bimodule identity is one such block, a
+row of AF_BIMODULE or PRE_BIMODULE, read off the semidirect product's
+identity tensor (algebra.table_residuals) over all basis pairs of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    _require_actions, basis_residuals, require_pass, scan, table_residuals, \
-    underlying_algebra
-from .linalg import mat_add, mat_neg, transpose, zeros_mat, zeros_t3
+    _dense, _require_actions, _tensors, _trusted, basis_residuals, \
+    require_pass, scan, structure_tensors, table_residuals, underlying_algebra
+from .linalg import mat_add, mat_neg, transpose, zeros_mat
 
 
 @dataclass(frozen=True)
@@ -95,13 +90,14 @@ def _regular_maps(c):
 
 def regular_af_bimodule(alg: Algebra) -> AfBimodule:
     """(L, R, A): left/right multiplications acting on the algebra itself."""
-    return AfBimodule(alg, alg.dimension, *_regular_maps(alg.product))
+    return _trusted(AfBimodule, alg, alg.dimension,
+                    *_regular_maps(alg.product))
 
 
 def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
     """(L_succ, R_succ, L_prec, R_prec, A): the pre-algebra acting on itself."""
-    return PreBimodule(palg, palg.dimension, *_regular_maps(palg.succ),
-                       *_regular_maps(palg.prec))
+    return _trusted(PreBimodule, palg, palg.dimension,
+                    *_regular_maps(palg.succ), *_regular_maps(palg.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +134,10 @@ PRE_BIMODULE = (
 def block_residuals(rows, tensor, base, modules):
     """(label, (i, j), residual matrix) of each row at every basis pair of
     the base where it is nonzero, in checking order, given the
-    basis_residuals of a structure in which the index ranges base and
-    modules hold the base and the module: a semidirect product, or a double
-    and one of its factors.  The index pair is in base coordinates; column
-    t of the residual is the module block of the row's identity at a = the
-    t-th module vector."""
+    basis_residuals of a semidirect product or double whose index ranges
+    base and modules hold the base and the module.  Column t of the
+    residual is the module block of the row's identity at a = the t-th
+    module vector."""
     at = {"x": base, "y": base, "a": modules, "k": modules}
     return table_residuals(
         tensor, [(label, identity, [(ch, at[ch].start) for ch in letters], 1)
@@ -199,67 +194,71 @@ def derive_bimodule(bm: PreBimodule, transform):
                                 % (transform, ", ".join(BIMODULE_TRANSFORMS)))
     require_pass(check_pre_bimodule(bm),
                  "derive_bimodule: input fails the pre-bimodule check")
-    m = bm.space_dim
-    zero = tuple(zeros_mat(m) for _ in range(bm.base.dimension))
+    base, m = bm.base, bm.space_dim
+    zero = tuple(zeros_mat(m) for _ in range(base.dimension))
     if transform == "reduced":
-        return PreBimodule(bm.base, m, bm.l_succ, zero, zero, bm.r_prec)
+        return _trusted(PreBimodule, base, m, bm.l_succ, zero, zero, bm.r_prec)
     if transform == "dual-full":
         neg_l_prec, neg_r_succ = (tuple(mat_neg(d) for d in dual_maps(maps))
                                   for maps in (bm.l_prec, bm.r_succ))
-        return PreBimodule(bm.base, m, dual_maps(bm.r_dot), neg_l_prec,
-                           neg_r_succ, dual_maps(bm.l_dot))
+        return _trusted(PreBimodule, base, m, dual_maps(bm.r_dot), neg_l_prec,
+                        neg_r_succ, dual_maps(bm.l_dot))
     if transform == "dual-reduced":
-        return PreBimodule(bm.base, m, dual_maps(bm.r_prec), zero, zero,
-                           dual_maps(bm.l_succ))
-    af_base = underlying_algebra(bm.base)
+        return _trusted(PreBimodule, base, m, dual_maps(bm.r_prec), zero,
+                        zero, dual_maps(bm.l_succ))
+    af_base = underlying_algebra(base)
     if transform == "af-sum":
-        return AfBimodule(af_base, m, bm.l_dot, bm.r_dot)
+        return _trusted(AfBimodule, af_base, m, bm.l_dot, bm.r_dot)
     if transform == "af-outer":
-        return AfBimodule(af_base, m, bm.l_succ, bm.r_prec)
+        return _trusted(AfBimodule, af_base, m, bm.l_succ, bm.r_prec)
     if transform == "af-dual-sum":
-        return AfBimodule(af_base, m, dual_maps(bm.r_dot),
-                          dual_maps(bm.l_dot))
-    return AfBimodule(af_base, m, dual_maps(bm.r_prec), dual_maps(bm.l_succ))
+        return _trusted(AfBimodule, af_base, m, dual_maps(bm.r_dot),
+                        dual_maps(bm.l_dot))
+    return _trusted(AfBimodule, af_base, m, dual_maps(bm.r_prec),
+                    dual_maps(bm.l_succ))
 
 
-def direct_sum_tensor(cA, cB, lA, rA, lB, rB):
-    """The structure tensor on A + B, A-basis first, of the product
-    (x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a*b + lA(x)b + rA(y)a)
-    for x, y in A and a, b in B."""
-    nA, nB = len(cA), len(cB)
-    c = zeros_t3(nA + nB)
-    for i, j in product(range(nA), repeat=2):
-        c[i][j][:nA] = cA[i][j]
-    for s, t in product(range(nB), repeat=2):
-        c[nA + s][nA + t][nA:] = cB[s][t]
-    for s, j in product(range(nB), range(nA)):     # a * y
-        row = c[nA + s][j]
-        row[:nA] = [lB[s][k][j] for k in range(nA)]
-        row[nA:] = [rA[j][k][s] for k in range(nB)]
-    for i, t in product(range(nA), range(nB)):     # x * b
-        row = c[i][nA + t]
-        row[:nA] = [rB[t][k][i] for k in range(nA)]
-        row[nA:] = [lA[i][k][t] for k in range(nB)]
-    return c
+def _sum_rows(nA, nB, cA, cB, lA, rA, lB, rB):
+    """The rows on A + B, A-basis first, of the product
+    (x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a*b + lA(x)b + rA(y)a),
+    from the rows of its six parts (see structure_tensors) under one
+    denominator; None is a zero part."""
+    def part(rows, n1, n2):
+        return [[[]] * n2] * n1 if rows is None else rows
+    cB, lB, rB = part(cB, nB, nB), part(lB, nB, nA), part(rB, nA, nB)
+
+    def up(row):
+        return [(k + nA, x) for k, x in row]
+    return ([pa + [r + up(l) for r, l in zip(pr, pl)]
+             for pa, pr, pl in zip(cA, rB, lA)]
+            + [[l + up(r) for l, r in zip(pl, pr)] + [up(row) for row in pb]
+               for pl, pr, pb in zip(lB, rA, cB)])
 
 
-def _semidirect_tensor(c, l, r, m):
-    """The tensor on A + V of (x+u)(y+v) = x*y + l(x)v + r(y)u."""
-    zero = [zeros_mat(len(c))] * m
-    return direct_sum_tensor(c, zeros_t3(m), l, r, zero, zero)
+def _double(cls, names, nA, d, blocks):
+    """The cls on A + B with product op the _sum_rows of blocks[op] under d,
+    read off them into dense products when first read."""
+    n = len(names)
+    rows = {op: _sum_rows(nA, n - nA, *parts) for op, parts in blocks.items()}
+    dense = [partial(_dense, rows[op], d, n) for op in blocks]
+    return _trusted(cls, n, *dense, names, tensors=_tensors(rows, d))
 
 
-def _module_names(base, m):
-    return tuple(base.basis_names) + tuple("v%d" % (i + 1) for i in range(m))
+def _semidirect(cls, bm, ops):
+    """The semidirect product cls on A + V of bm: its product op is
+    op + l(x)v + r(y)u for each (op, l, r) of ops."""
+    c = structure_tensors(bm)
+    names = tuple(bm.base.basis_names) + tuple(
+        "v%d" % (i + 1) for i in range(bm.space_dim))
+    return _double(cls, names, bm.base.dimension, c.scale,
+                   {op: (c.rows[op], None, c.rows[l], c.rows[r], None, None)
+                    for op, l, r in ops})
 
 
 def semidirect_af(bm: AfBimodule) -> Algebra:
     """The algebra on A + V with (x+u)(y+v) = x*y + l(x)v + r(y)u; it is
     not validated (see semidirect_pre)."""
-    m = bm.space_dim
-    return Algebra(bm.base.dimension + m,
-                   _semidirect_tensor(bm.base.product, bm.l, bm.r, m),
-                   _module_names(bm.base, m))
+    return _semidirect(Algebra, bm, [("c", "l", "r")])
 
 
 def semidirect_pre(bm: PreBimodule) -> PreAlgebra:
@@ -270,8 +269,5 @@ def semidirect_pre(bm: PreBimodule) -> PreAlgebra:
     pre-anti-flexible check exactly when the base passes and the bimodule
     identities hold, and the test suite exercises both directions.
     """
-    base, m = bm.base, bm.space_dim
-    return PreAlgebra(base.dimension + m,
-                      _semidirect_tensor(base.prec, bm.l_prec, bm.r_prec, m),
-                      _semidirect_tensor(base.succ, bm.l_succ, bm.r_succ, m),
-                      _module_names(base, m))
+    return _semidirect(PreAlgebra, bm, [(op, "l_" + op, "r_" + op)
+                                        for op in ("prec", "succ")])

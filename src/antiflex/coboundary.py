@@ -3,30 +3,18 @@
 An r-element is an element of A (x) A stored as a coefficient matrix.  The
 rank-3 calculus places an r-element at two of three tensor slots; a product
 of two placed elements sharing exactly one slot multiplies the components
-meeting at the shared slot (first factor's component on the left) and keeps
-the free components at their slots.  All the cubic expressions appearing in
-the dual-structure conditions are finite signed sums of such placed
-products, encoded here as symbolic term lists.
+meeting there (the first factor's on the left) and keeps the free ones.
+The cubic expressions of the dual-structure conditions are signed sums of
+such placed products, encoded as symbolic term lists.
 
-Every term is bilinear in its two factors and linear in the structure
-constants, so an expression is evaluated in ints: the structure constants
-are scaled once by their lcd D_c (structure_tensors), the factor matrices
-by their lcd D_m, and the int sum is divided back once, as
-Fraction(v, D_c * D_m**2).  Scalars in and out are Fractions.
-
-The comultiplications and all six condition families run in ints on the
-support in the same way: each multiplication operator is an image table
-of the nonzero structure rows, applied to the nonzeros of an r-sum or a
-cubic tensor, and every family is homogeneous, so its residuals are
-divided back once: coboundary_delta by D_c * D_m, the four quadratic
-families by D_c**2 * D_m and the two cubic ones by D_c**2 * D_m**2, each
-only where it is nonzero.
+Everything runs in ints on the support: the structure constants are scaled
+by their lcd D_c (structure_tensors), the factor matrices by theirs, D_m,
+each multiplication operator is an image table of the nonzero structure
+rows, and every result is homogeneous, so it is divided back once, only
+where it is nonzero (the scales are given with each function).
 
 The two one-parameter special cases are the coboundary conditions at the
-r-pairs (r, -sigma r) and (-r, r), relabelled by SPECIAL_CASE_LABELS.  In
-case one coboundary-1 and coboundary-2 vanish identically, and the others
-are case-one-A to D; in case two the six families are case-two-A to F,
-with case-two-C the negated coboundary-3.
+r-pairs (r, -sigma r) and (-r, r), relabelled by SPECIAL_CASE_LABELS.
 """
 
 from __future__ import annotations
@@ -37,8 +25,8 @@ from functools import partial
 from itertools import compress
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    _divided, _lcd, _scaled, check_identities, flat_residuals, \
-    require_pass, require_square, scan, structure_tensors
+    _divided, _lcd, _require_kind, _scaled, _trusted, check_identities, \
+    flat_residuals, require_pass, require_square, scan, structure_tensors
 from .bialgebra import Bialgebra
 from .linalg import transpose, mat_add, mat_neg
 
@@ -71,16 +59,13 @@ def r_is_symmetric(r) -> bool:
 # ---------------------------------------------------------------------------
 
 def placed_product(f1, f2, step, rows, out, sign=1):
-    """Add sign times the product of two placed r-elements to out.
+    """Add sign times the product of two placed r-elements to out, a flat
+    rank-3 tensor with [s1][s2][s3] at (s1 * n + s2) * n + s3.
 
     Each factor is given by its nonzero entries at its placement (see
-    _placed_nonzeros); the placements share exactly one slot, whose flat
-    stride in out is step.  At the shared slot the two meeting components
-    are multiplied by a structure tensor given as sparse rows (see
-    structure_tensors), the first factor's component on the left; the free
-    components stay put.  out is a rank-3 tensor stored flat, entry
-    [s1][s2][s3] at (s1 * n + s2) * n + s3.  Only the nonzero entries of
-    the factors and of the structure rows are visited.
+    _placed_nonzeros); the placements share one slot, of stride step in
+    out, where the two components meeting are multiplied by the sparse
+    rows of a structure tensor, the first factor's on the left.
     """
     for a, off1, x1 in f1:
         row_a = rows[a]
@@ -371,12 +356,7 @@ def coboundary_delta(palg: PreAlgebra, rp: RPair):
     returned as (delta_prec, delta_succ) in comultiplication-tensor form,
     each summed in ints and divided back by D_c * D_m.
     """
-    return _delta(structure_tensors(palg), rp)
-
-
-def _delta(c, rp):
-    """coboundary_delta on the structure tensors c of the pre-algebra,
-    built by the caller."""
+    c = structure_tensors(palg)
     n = len(c.rows["prec"])
     if rp.dimension != n:
         raise PreconditionError("coboundary_delta: dimension mismatch")
@@ -390,8 +370,7 @@ def _delta(c, rp):
 def coboundary_bialgebra(palg: PreAlgebra, rp: RPair) -> Bialgebra:
     """The candidate bialgebra whose comultiplications are the coboundaries
     of the r-pair."""
-    dprec, dsucc = coboundary_delta(palg, rp)
-    return Bialgebra(palg, dprec, dsucc)
+    return _trusted(Bialgebra, palg, *coboundary_delta(palg, rp))
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +411,11 @@ _CUBIC = {
 
 
 def _require_base(caller, palg):
-    """The structure tensors of palg, built once for its pre-anti-flexible
-    check and for the caller's kernel, after raising PreconditionError,
-    naming the caller, unless palg passes the check."""
-    c = structure_tensors(palg)
-    require_pass(check_identities(palg, "pre-anti-flexible", tensors=c),
+    """The structure tensors of palg, after raising PreconditionError,
+    naming the caller, unless palg passes the pre-anti-flexible check."""
+    require_pass(check_identities(palg, "pre-anti-flexible"),
                  "%s: base fails the pre-anti-flexible check" % caller)
-    return c
+    return structure_tensors(palg)
 
 
 def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
@@ -460,9 +437,7 @@ def _coboundary_residuals(c, rp):
     """The nonzero residuals of the six families, given the structure
     tensors c of a base and an r-pair already checked, in ints: the
     quadratic families under D_c**2 * D_m and the cubic ones under
-    D_c**2 * D_m**2.  Each family is built when the stream first reads
-    it, so the cubic tensors are built only when the stream is read past
-    the quadratic conditions."""
+    D_c**2 * D_m**2, each built when the stream first reads it."""
     n = rp.dimension
     sums, d = _rsums(rp)
     table = partial(_operator_table, c, n, {"i": n ** 3, "j": n * n}, {})
@@ -511,6 +486,7 @@ def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     """The quadratic equation r_23 . r_12 = r_12 prec r_13 + r_13 succ r_23
     for a single r-element; symmetry of r is not required (use
     r_is_symmetric to report it separately)."""
+    _require_kind("check_pafybe", palg, PreAlgebra)
     require_square("check_pafybe", "r", r, palg.dimension)
     return pafybe_core(structure_tensors(palg), r, all_failures)
 
@@ -561,18 +537,17 @@ def special_case_rpair(r, case) -> RPair:
 def special_case_bialgebra(palg: PreAlgebra, r, case) -> Bialgebra:
     """The candidate bialgebra of a one-parameter r-element under the given
     specialization."""
-    c = _require_base("special_case_bialgebra", palg)
-    return Bialgebra(palg, *_delta(c, special_case_rpair(r, case)))
+    _require_base("special_case_bialgebra", palg)
+    return _trusted(Bialgebra, palg,
+                    *coboundary_delta(palg, special_case_rpair(r, case)))
 
 
 def special_case_conditions(palg: PreAlgebra, r, case,
                             all_failures=False) -> CheckReport:
-    """The per-case condition sets, each equation reported individually;
-    their joint validity is equivalent to the specialized candidate passing
-    the full bialgebra verification.  They are the coboundary conditions at
-    special_case_rpair(r, case), relabelled by SPECIAL_CASE_LABELS: case one
-    drops coboundary-1 and -2, which vanish identically, and case-two-C is
-    the negated coboundary-3."""
+    """The per-case condition sets, each equation reported individually,
+    jointly equivalent to the specialized candidate passing
+    verify_bialgebra: the coboundary conditions at special_case_rpair(r,
+    case), relabelled by SPECIAL_CASE_LABELS."""
     c = _require_base("special_case_conditions", palg)
     if case not in SPECIAL_CASES:
         raise PreconditionError("special_case_conditions: unknown case %r"

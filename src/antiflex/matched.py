@@ -2,52 +2,43 @@
 
 A matched pair is two algebras A and B acting on each other by bimodules
 such that the direct sum carries a single structure of the same class.
-The double products are built blockwise with the fixed convention A-basis
-first, then B-basis.
+The doubles use the convention A-basis first, then B-basis, and are
+assembled from the rows of their factors and pairs (bimodule._sum_rows).
 
-The checkers rest on the theorem that defines matched pairs: when A and B
-are anti-flexible (pre-anti-flexible) and each acts on the other by a
-bimodule, the pair is matched exactly when its double A + B is
-anti-flexible (pre-anti-flexible).  Every identity is multilinear, so it
-holds on the double exactly when it holds on basis triples.  On triples
-inside A or inside B it is the identity of that factor.  On a mixed triple,
-the block of the residual in the algebra that occurs once is an identity of
-the bimodule by which the other algebra acts on it, and the block in the
-algebra that occurs twice is one compatibility condition.  The
-anti-flexible identity AF(u, v, w) changes sign when u and w are exchanged,
-so up to sign a lone argument sits in the middle or at an end: two
-conditions for each block.  Of the pre-anti-flexible identities, m has the
-same symmetry and lr has none, which gives five conditions for each block.
-Each condition is therefore one row of a table (AF_CONDITIONS,
-PRE_CONDITIONS), read off the nonzero entries of the double's identity
-tensors by the one table reader (algebra.table_residuals), for both kinds
-of pair.
-
-The preconditions that both component bimodules pass are blocks of the
-same double: A-on-B is the B-block of its identities at (x, y, a) with x, y
-in A, and B-on-A the A-block at (x, y, a) with x, y in B.  So the rows
-AF_BIMODULE and PRE_BIMODULE are read on the double's evaluator too (see
-bimodule.block_residuals), and each check evaluates one structure, its
+When A and B are anti-flexible (pre-anti-flexible) and each acts on the
+other by a bimodule, the pair is matched exactly when its double is
+anti-flexible (pre-anti-flexible), which holds exactly on basis triples.
+On triples inside A or B it is the identity of that factor.  On a mixed
+triple, the block in the algebra that occurs once is an identity of the
+bimodule by which the other algebra acts on it, and the block in the
+algebra that occurs twice is one compatibility condition.  AF(u, v, w)
+changes sign when u and w are exchanged, so a lone argument sits in the
+middle or at an end: two conditions per block.  Of the pre-anti-flexible
+identities m has the same symmetry and lr none: five per block.  Each
+condition is one row of a table (AF_CONDITIONS, PRE_CONDITIONS) read off
+the double's identity tensors by algebra.table_residuals; so are both
+component bimodules (AF_BIMODULE, PRE_BIMODULE; see
+bimodule.block_residuals), so each check evaluates one structure, its
 double.
 
-The dual pairs act by duals of regular actions, each the structure tensor
-of a factor read in another index order (see bimodule): R*(e_j) is
-transpose(c)[j] and L*(e_i) is the plane c[i].  Their action families are
-views that share rows with the factors' product tensors, or with one
-another (the sum of the two products, read in both orders), and must not
-be mutated.
+The dual pairs act by duals of regular actions, each a factor's product
+read in another index order (see bimodule), so their rows are the
+factors' rows reordered, never scanned, and their matrices are built only
+when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from math import lcm
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    _require_actions, basis_residuals, check_cyclic_form, check_identities, \
-    require_pass, scan, table_residuals, underlying_algebra
-from .bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
-    direct_sum_tensor
-from .linalg import ONE, mat_neg, t3_add, transpose, zeros_mat
+    _built, _dense, _require_actions, _tensors, _trusted, basis_residuals, \
+    check_cyclic_form, check_identities, require_pass, scan, \
+    structure_tensors, table_residuals, underlying_algebra
+from .bimodule import AF_BIMODULE, PRE_BIMODULE, _double, block_residuals
+from .linalg import ONE, transpose, zeros_mat
 
 
 @dataclass(frozen=True)
@@ -60,6 +51,8 @@ class AfMatchedPair:
     rA: tuple
     lB: tuple
     rB: tuple
+
+    __getattr__ = _built
 
     def __post_init__(self):
         nA, nB = self.algA.dimension, self.algB.dimension
@@ -84,6 +77,8 @@ class PreMatchedPair:
     rs_B: tuple
     lp_B: tuple
     rp_B: tuple
+
+    __getattr__ = _built
 
     def __post_init__(self):
         nA, nB = self.palgA.dimension, self.palgB.dimension
@@ -165,13 +160,10 @@ def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
 
 def _matched_report(mp, tensor, all_failures=False) -> CheckReport:
     """check_af_matched or check_pre_matched, given the basis_residuals of
-    the double, so that a caller that also checks the whole double
-    evaluates it once.
-
-    Both component bimodules must pass first, else PreconditionError.  Each
-    is a block of the double's identities: A-on-B the B-block at (x, y, a)
-    with x, y in A and a in B, B-on-A the A-block at (x, y, a) with x, y in
-    B and a in A (see bimodule.block_residuals).
+    the double.  Both component bimodules must pass first, else
+    PreconditionError: A-on-B is the B-block of the double's identities at
+    (x, y, a) with x, y in A and a in B, and B-on-A the A-block with the
+    roles exchanged (see bimodule.block_residuals).
     """
     caller, name, nA, nB, bimodule, _ = _layout(mp)
     A, B = range(nA), range(nA, nA + nB)
@@ -186,24 +178,34 @@ def _matched_report(mp, tensor, all_failures=False) -> CheckReport:
 # the doubles
 # ---------------------------------------------------------------------------
 
+def _common(*structures):
+    """The structures' rows under their common denominator, and it."""
+    ts = [structure_tensors(s) for s in structures]
+    d = lcm(*(t.scale for t in ts))
+    return [{op: [[[(k, x * (d // t.scale)) for k, x in row] for row in plane]
+                  for plane in rows] if t.scale < d else rows
+             for op, rows in t.rows.items()} for t in ts], d
+
+
+def _names(A, B):
+    return tuple(A.basis_names) + tuple(n + "'" for n in B.basis_names)
+
+
 def build_af_double(mp: AfMatchedPair) -> Algebra:
     """(x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a o b + lA(x)b + rA(y)a)."""
-    names = tuple(mp.algA.basis_names) + tuple(
-        n + "'" for n in mp.algB.basis_names)
-    return Algebra(mp.algA.dimension + mp.algB.dimension, direct_sum_tensor(
-        mp.algA.product, mp.algB.product, mp.lA, mp.rA, mp.lB, mp.rB), names)
+    (a, b, f), d = _common(mp.algA, mp.algB, mp)
+    return _double(Algebra, _names(mp.algA, mp.algB), mp.algA.dimension, d,
+                   {"c": (a["c"], b["c"], f["lA"], f["rA"], f["lB"], f["rB"])})
 
 
 def build_pre_double(mp: PreMatchedPair) -> PreAlgebra:
     """(x+a) < (y+b) = {x<y + lpB(a)y + rpB(b)x} + {a<b + lpA(x)b + rpA(y)a},
     and the > analog, blockwise on A + B."""
-    A, B = mp.palgA, mp.palgB
-    names = tuple(A.basis_names) + tuple(n + "'" for n in B.basis_names)
-    return PreAlgebra(
-        A.dimension + B.dimension,
-        direct_sum_tensor(A.prec, B.prec, mp.lp_A, mp.rp_A, mp.lp_B, mp.rp_B),
-        direct_sum_tensor(A.succ, B.succ, mp.ls_A, mp.rs_A, mp.ls_B, mp.rs_B),
-        names)
+    (a, b, f), d = _common(mp.palgA, mp.palgB, mp)
+    return _double(PreAlgebra, _names(mp.palgA, mp.palgB), mp.palgA.dimension,
+                   d, {op: (a[op], b[op], *(f[lr + op[0] + "_" + side]
+                                            for side in "AB" for lr in "lr"))
+                       for op in ("prec", "succ")})
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,32 @@ def _require_dual_pair(caller, palgA, palgAstar, check_inputs):
                          % (caller, name))
 
 
+def _dual_pair(cls, algs, palgs, specs):
+    """The dual pair cls of the factors algs.  specs gives each action
+    family, in field order, as (name, product, sign): a left family is the
+    transpose of sign times that product of palgs on its side, a right one
+    sign times it, so its rows are that product's read in another order."""
+    (p, q), d = _common(*palgs)
+    n = len(p["prec"])
+    maps, rows = [], {}
+    for name, op, sign in specs:
+        left, src = name[0] == "l", (p, q)[name[-1] == "B"][op]
+        out = rows[name] = [[[] for _ in range(n)] for _ in range(n)]
+        for a, plane in enumerate(src):
+            for b, row in enumerate(plane):
+                for c, x in row:
+                    (out[b][c] if left else out[c][a]).append(
+                        (a if left else b, sign * x))
+        maps.append(partial(_view, src, sign * d, n, left))
+    return _trusted(cls, *algs, *maps, tensors=_tensors(rows, d))
+
+
+def _view(rows, d, n, left):
+    """A family of _dual_pair: its product's rows under d, as matrices."""
+    t = _dense(rows, d, n)
+    return tuple(transpose(t) if left else t)
+
+
 def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
                           check_inputs=True) -> AfMatchedPair:
     """The dual-action candidate matched pair (R*_prec, L*_succ) of the two
@@ -231,10 +259,11 @@ def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     criterion decide."""
     _require_dual_pair("standard_dual_matched", palgA, palgAstar,
                        check_inputs)
-    return AfMatchedPair(
-        underlying_algebra(palgA), underlying_algebra(palgAstar),
-        transpose(palgA.prec), palgA.succ,
-        transpose(palgAstar.prec), palgAstar.succ)
+    return _dual_pair(AfMatchedPair, (underlying_algebra(palgA),
+                                      underlying_algebra(palgAstar)),
+                      (palgA, palgAstar),
+                      (("lA", "prec", 1), ("rA", "succ", 1),
+                       ("lB", "prec", 1), ("rB", "succ", 1)))
 
 
 def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
@@ -246,12 +275,11 @@ def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
     underlying algebra of this pair's pre double is the standard dual
     pair's double."""
     _require_dual_pair("dual_pre_matched", palgA, palgAstar, check_inputs)
-    actions = []
-    for p in (palgA, palgAstar):
-        dot = t3_add(p.prec, p.succ)
-        actions += [transpose(dot), [mat_neg(m) for m in p.prec],
-                    [mat_neg(m) for m in transpose(p.succ)], dot]
-    return PreMatchedPair(palgA, palgAstar, *actions)
+    return _dual_pair(PreMatchedPair, (palgA, palgAstar), (palgA, palgAstar),
+                      (("ls_A", "dot", 1), ("rs_A", "prec", -1),
+                       ("lp_A", "succ", -1), ("rp_A", "dot", 1),
+                       ("ls_B", "dot", 1), ("rs_B", "prec", -1),
+                       ("lp_B", "succ", -1), ("rp_B", "dot", 1)))
 
 
 def omega_matrix(n):

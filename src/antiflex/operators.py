@@ -5,23 +5,23 @@ An r-element of A (x) A doubles as a linear map A* -> A by pairing against
 its second slot: r(u*) = sum_j <r, u* (x) e_j*> e_j.  Dual operators act on
 dual coordinates as matrix transposes throughout.
 
-A symmetric r is read through structures built elsewhere: its double on
-A + A* is the pre double of the case-two coboundary (the double that route
-4 of bialgebra.verify_bialgebra scans), and its operator form is the
-O-operator check of r as a map A* -> A against the bimodule (R*_prec,
-L*_succ, A*) of the underlying algebra.
+A symmetric r is read through structures built elsewhere: its double is
+the pre double of the case-two coboundary (route 4 of verify_bialgebra),
+and its operator form the O-operator check of r: A* -> A against the
+bimodule (R*_prec, L*_succ, A*) of the underlying algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    StructureTensors, _lcd, basis_residuals, check_identities, \
+    StructureTensors, _lcd, _require_kind, _trusted, basis_residuals, check_identities, \
     flat_residuals, require_matrix, require_pass, require_square, scan, \
     structure_tensors, table_residuals, underlying_algebra
-from .bialgebra import dual_products_from_comult
+from .bialgebra import _dual_products
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     regular_pre_bimodule, derive_bimodule, semidirect_pre
 from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
@@ -149,11 +149,9 @@ def o_operator_numerators(c):
       t(u_i)*t(u_j) - t(l(t(u_i))u_j + r(t(u_j))u_i)
 
     at the basis pairs (u_i, u_j) of V, times D, as one flat int tensor
-    with coordinate q at (u_i, u_j) in entry (i * dim V + j) * dim A + q.
-    Every term has two factors of t and one structure constant, so at t =
-    D_m * T each entry is D * D_m**2 times that of T.  The nonzero rows of
-    c are listed once, here, by their first index, and only they and the
-    nonzero entries of t are visited."""
+    with coordinate q at (u_i, u_j) in entry (i * dim V + j) * dim A + q:
+    at t = D_m * T each entry is D * D_m**2 times that of T.  Only the
+    nonzero rows of c and entries of t are visited."""
     c_rows, l_rows, r_rows = (
         [[(b, row) for b, row in enumerate(plane) if row]
          for plane in c.rows[op]] for op in "clr")
@@ -226,12 +224,14 @@ def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
     require_square("assembled_double", "r", r, n)
     if not r_is_symmetric(r):
         raise PreconditionError("assembled_double: r must be symmetric")
-    dual = dual_products_from_comult(*coboundary_delta(
+    dual = _dual_products(*coboundary_delta(
         palg, special_case_rpair(r, "two")))
     double = build_pre_double(dual_pre_matched(palg, dual,
                                                check_inputs=False))
-    return replace(double, basis_names=tuple(palg.basis_names)
-                   + dual.basis_names)
+    return _trusted(PreAlgebra, double.dimension,
+                    *(partial(getattr, double, op) for op in ("prec", "succ")),
+                    tuple(palg.basis_names) + dual.basis_names,
+                    tensors=structure_tensors(double))
 
 
 def check_r_double_consistency(palg: PreAlgebra, r,
@@ -260,6 +260,7 @@ def form_from_r(palg: PreAlgebra, r):
 def check_two_cocycle(palg: PreAlgebra, form, all_failures=False) -> CheckReport:
     """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples, on
     the product rows e_i.e_j, e_k < e_i and e_j > e_k."""
+    _require_kind("check_two_cocycle", palg, PreAlgebra)
     n = palg.dimension
     require_square("check_two_cocycle", "form", form, n)
     prec, succ = palg.prec, palg.succ
@@ -276,6 +277,7 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     pairs: the O-operator identity of T = r: A* -> A against the bimodule
     (R*_prec, L*_succ, A*) of the underlying algebra.  For symmetric r it
     is equivalent to the Yang-Baxter residual vanishing."""
+    _require_kind("operator_form_check", palg, PreAlgebra)
     n = palg.dimension
     require_square("operator_form_check", "r", r, n)
     if not r_is_symmetric(r):

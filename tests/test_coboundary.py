@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import antiflex.algebra as antiflex_algebra
-import antiflex.coboundary as antiflex_coboundary
 from antiflex.algebra import PreconditionError, flat_residuals
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
@@ -493,23 +492,27 @@ def test_special_case_conditions_on_m3():
 
 
 def test_coboundary_checks_build_the_structure_tensors_once(monkeypatch):
-    # the base's pre-anti-flexible check and the kernel read one build
-    double, r = canonical_solution(from_associative(CORPUS["ut2"],
-                                                    "succ-left"))
+    # the base's pre-anti-flexible check and the kernel read one build,
+    # kept on the base; each call gets a base without one
+    built, r = canonical_solution(from_associative(CORPUS["ut2"],
+                                                   "succ-left"))
     builds = []
+    scanned = antiflex_algebra._scanned
 
     def counted(structure):
         builds.append(structure)
-        return structure_tensors(structure)
-    monkeypatch.setattr(antiflex_algebra, "structure_tensors", counted)
-    monkeypatch.setattr(antiflex_coboundary, "structure_tensors", counted)
-    for call in (lambda: check_coboundary_conditions(
+        return scanned(structure)
+    monkeypatch.setattr(antiflex_algebra, "_scanned", counted)
+    for call in (lambda double: check_coboundary_conditions(
                      double, special_case_rpair(r, "two")),
-                 lambda: special_case_conditions(double, r, "one"),
-                 lambda: special_case_bialgebra(double, r, "two")):
+                 lambda double: special_case_conditions(double, r, "one"),
+                 lambda double: special_case_bialgebra(double, r, "two")):
+        double = PreAlgebra(built.dimension, built.prec, built.succ,
+                            built.basis_names)
         builds.clear()
-        call()
+        call(double)
         assert builds == [double]
+        assert builds[0] is double
 
 
 @settings(max_examples=20, deadline=None)

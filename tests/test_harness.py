@@ -946,3 +946,17 @@ def test_matrix_payloads_reject_inexact_entries():
         with pytest.raises(PreconditionError,
                            match="LinearMap: matrix" + entry):
             LinearMap(2, 2, m)
+
+
+def test_schema_rows_of_a_kind_can_be_told_apart():
+    # _read takes the positive ints of a kind before it picks the row, so
+    # every row of a kind has the same ones; it picks by the variant, or,
+    # for a kind written without one, by the last key of the first of two
+    # rows, which the second row lacks
+    for rows in harness._KINDS.values():
+        assert len({tuple(f for f in r.fields if f[1] is harness._INT)
+                    for r in rows}) == 1
+        assert (len({r.variant for r in rows} - {None}) == len(rows)
+                if rows[0].variant else len(rows) == 1 or (
+                    len(rows) == 2 and rows[1].variant is None
+                    and rows[0].fields[-1][0] not in dict(rows[1].fields)))

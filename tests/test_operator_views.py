@@ -17,7 +17,7 @@ from antiflex.algebra import Algebra, PreconditionError, derived_products, \
     from_associative, underlying_algebra
 from antiflex.bialgebra import check_bialgebra_hom
 from antiflex.bimodule import AfBimodule, PreBimodule, derive_bimodule, \
-    direct_sum_tensor, regular_af_bimodule, regular_pre_bimodule
+    regular_af_bimodule, regular_pre_bimodule
 from antiflex.linalg import eye, mat_add, transpose, zeros_mat
 from antiflex.matched import dual_pre_matched, standard_dual_matched
 from antiflex.operators import OOperator, canonical_solution, \
@@ -25,6 +25,7 @@ from antiflex.operators import OOperator, canonical_solution, \
     induced_pre_from_map, operator_form_check, solution_from_o_operator
 
 import dense_reference as dense
+from trusted_reference import direct_sum_tensor
 from helpers import CORPUS, FROM_ASSOC_VARIANTS, NOT_DENDRIFORM, \
     all_corpus_pre, rand_mat, seeded, split_bialgebra
 from test_coboundary import _matrices, fractions, pre_af_subjects, \
