@@ -73,11 +73,13 @@ def _require_actions(caller, obj, fields, acting, space):
         object.__setattr__(obj, name, tuple(maps))
 
 
-def _require_kind(caller, obj, cls):
-    """Raise PreconditionError, naming the caller, unless obj is a cls."""
-    if not isinstance(obj, cls):
-        raise PreconditionError("%s: expected %s, got %s"
-                                % (caller, cls.__name__, type(obj).__name__))
+def _require_kind(caller, obj, *classes):
+    """Raise PreconditionError, naming the caller, unless obj is an
+    instance of one of the classes."""
+    if not isinstance(obj, classes):
+        raise PreconditionError("%s: expected %s, got %s" % (
+            caller, " or ".join(c.__name__ for c in classes),
+            type(obj).__name__))
 
 
 def _trusted(cls, *values, tensors=None):
@@ -516,14 +518,12 @@ def table_residuals(tensor, rows, extents, index, axes):
 
 def _kind_labels(subject, kind):
     """The identity labels of `kind`, which must suit the subject."""
+    _require_kind("check_identities", subject, Algebra, PreAlgebra)
     if isinstance(subject, Algebra):
         if kind not in ALGEBRA_KINDS:
             raise PreconditionError("kind %r needs a pre-algebra subject" % (kind,))
-    elif isinstance(subject, PreAlgebra):
-        if kind not in PREALGEBRA_KINDS:
-            raise PreconditionError("kind %r needs a single-product algebra" % (kind,))
-    else:
-        raise TypeError("subject must be an Algebra or PreAlgebra")
+    elif kind not in PREALGEBRA_KINDS:
+        raise PreconditionError("kind %r needs a single-product algebra" % (kind,))
     return KIND_IDENTITIES[kind]
 
 
@@ -606,32 +606,41 @@ def from_associative(assoc: Algebra, variant) -> PreAlgebra:
 
 
 def check_cyclic_form(alg: Algebra, omega, all_failures=False) -> CheckReport:
-    """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples.
+    """Check w(x*y,z) + w(y*z,x) + w(z*x,y) = 0 over all basis triples."""
+    require_square("check_cyclic_form", "omega", omega, alg.dimension)
+    return _form_report("cyclic-form", alg, (
+        (1, "c", omega, ((2, 1, 0), (1, 0, 2), (0, 2, 1))),), all_failures)
 
-    With w(u, v) = u^T omega v, each nonzero c[i][j][p] * omega[p][k] is a
-    term of w(e_i*e_j, e_k) at the three cyclic rotations of (i, j, k),
-    added in ints (the product under its lcd D_c, omega under D_w); only
-    the nonzero sums are divided back, by D_c * D_w, and scanned.
+
+def _form_report(name, structure, terms, all_failures):
+    """The check `name` of a sum of terms over all basis triples (i, j, k).
+    A term (sign, op, omega, places) is sign w(e_a op e_b, e_c), with
+    w(u, v) = u^T omega v, at each place (pa, pb, pc): at the flat position
+    (i * n + j) * n + k = a n**pa + b n**pb + c n**pc.  It is added in
+    ints (the products under their lcd D_c, the forms under theirs, D_w);
+    only the nonzero sums are divided back, by D_c * D_w, and scanned.
     """
-    n = alg.dimension
-    require_square("check_cyclic_form", "omega", omega, n)
-    c = structure_tensors(alg)
-    form = [[(k, y) for k, y in enumerate(row) if y] for row in omega]
-    d = _lcd(y for row in form for _, y in row)
-    form = [_scaled(row, d) for row in form]
+    n = structure.dimension
+    c = structure_tensors(structure)
+    forms = [[[(k, y) for k, y in enumerate(row) if y] for row in term[2]]
+             for term in terms]
+    d = _lcd(y for form in forms for row in form for _, y in row)
     acc = {}    # flat position (i * n + j) * n + k -> int
-    for i, plane in enumerate(c.rows["c"]):
-        for j, row in enumerate(plane):
-            for p, x in row:
-                for k, y in form[p]:
-                    v = x * y
-                    for at in ((i * n + j) * n + k, (k * n + i) * n + j,
-                               (j * n + k) * n + i):
-                        acc[at] = acc.get(at, 0) + v
+    for (sign, op, _, places), form in zip(terms, forms):
+        form = [_scaled(row, d) for row in form]
+        strides = [(n ** pa, n ** pb, n ** pc) for pa, pb, pc in places]
+        for a, plane in enumerate(c.rows[op]):
+            for b, row in enumerate(plane):
+                for p, x in row:
+                    x *= sign
+                    for k, y in form[p]:
+                        v = x * y
+                        for sa, sb, sc in strides:
+                            at = a * sa + b * sb + k * sc
+                            acc[at] = acc.get(at, 0) + v
     scale = c.scale * d
-    return scan("cyclic-form", (
-        ("cyclic-form", _triple(at, n), [Fraction(v, scale)])
-        for at, v in sorted(acc.items()) if v), all_failures)
+    return scan(name, ((name, _triple(at, n), [Fraction(v, scale)])
+                       for at, v in sorted(acc.items()) if v), all_failures)
 
 
 def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
@@ -664,4 +673,4 @@ def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
             rhs_succ = [dot(omega[j], c[k][i]) for k in range(n)]
             prec[i][j] = mat_vec(omega_t_inv, rhs_prec)
             succ[i][j] = mat_vec(omega_t_inv, rhs_succ)
-    return PreAlgebra(n, prec, succ, alg.basis_names)
+    return _trusted(PreAlgebra, n, prec, succ, alg.basis_names)

@@ -26,10 +26,8 @@ from .algebra import PreAlgebra, CheckReport, _require_kind, _trusted, \
     require_tensor, scan, table_residuals, triple_residuals
 from .bimodule import act
 from .linalg import transpose, mat_mul, mat_sub, mat_vec
-from .matched import (
-    standard_dual_matched, dual_pre_matched, build_af_double,
-    build_pre_double, omega_double_check, _matched_report,
-)
+from .matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
+    _matched_report, build_af_double, build_pre_double, omega_double_check
 
 
 @dataclass(frozen=True)
@@ -165,9 +163,8 @@ def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
     require_pass(check_identities(palg, "pre-anti-flexible"),
                  "check_bialgebra_conditions: base fails the "
                  "pre-anti-flexible check")
-    d = build_af_double(standard_dual_matched(
-        palg, dual_products_from_comult(delta_prec, delta_succ),
-        check_inputs=False))
+    d = build_af_double(_dual_pair(AfMatchedPair, palg, Bialgebra(
+        palg, delta_prec, delta_succ).dual))
     return scan("bialgebra-conditions", _condition_residuals(
         palg.dimension, basis_residuals(d)), all_failures)
 
@@ -208,7 +205,7 @@ def bialgebra_routes(b: Bialgebra, all_failures=False):
     matched-pair theorem the pre matched check, is one scan of the pre
     double.  Routes that disagree raise ConsistencyError.
     """
-    mp = standard_dual_matched(b.palg, b.dual, check_inputs=False)
+    mp = _dual_pair(AfMatchedPair, b.palg, b.dual)
     d = build_af_double(mp)
     tensor = basis_residuals(d)
     conds = scan("bialgebra-conditions", _condition_residuals(
@@ -217,8 +214,8 @@ def bialgebra_routes(b: Bialgebra, all_failures=False):
     route3 = (scan("anti-flexible", triple_residuals(
         tensor, ("anti-flexible",), d.dimension)).passed
               and omega_double_check(d).passed)
-    route4 = check_identities(build_pre_double(dual_pre_matched(
-        b.palg, b.dual, check_inputs=False)), "pre-anti-flexible").passed
+    route4 = check_identities(build_pre_double(_dual_pair(
+        PreMatchedPair, b.palg, b.dual)), "pre-anti-flexible").passed
 
     verdicts = (conds.passed, route2, route3, route4)
     if len(set(verdicts)) != 1:
@@ -283,4 +280,4 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     require_pass(verify_bialgebra(b),
                  "dual_bialgebra: input fails verification")
     dp, ds = comult_from_products(b.palg)
-    return Bialgebra(b.dual, tuple(dp), tuple(ds))
+    return _trusted(Bialgebra, b.dual, tuple(dp), tuple(ds))

@@ -488,13 +488,7 @@ def check_pafybe(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     r_is_symmetric to report it separately)."""
     _require_kind("check_pafybe", palg, PreAlgebra)
     require_square("check_pafybe", "r", r, palg.dimension)
-    return pafybe_core(structure_tensors(palg), r, all_failures)
-
-
-def pafybe_core(c, r, all_failures=False) -> CheckReport:
-    """check_pafybe on the structure tensors of the pre-algebra, built once
-    by the caller; the dimension of r is not checked."""
-    flat, d = _numerators(c, _PAFYBE_TERMS, {"r": r})
+    flat, d = _numerators(structure_tensors(palg), _PAFYBE_TERMS, {"r": r})
     return scan("pafybe", flat_residuals({"pafybe": lambda: flat}, (),
                                          (len(r),) * 3, d), all_failures)
 

@@ -137,10 +137,6 @@ def transpose(m):
 # rank-3 tensors
 # ---------------------------------------------------------------------------
 
-def t3_add(*ts):
-    return [[_combine(rows) for rows in zip(*planes)] for planes in zip(*ts)]
-
-
 def t3_sub(a, b):
     return [[_combine((ra,), (rb,)) for ra, rb in zip(pa, pb)]
             for pa, pb in zip(a, b)]

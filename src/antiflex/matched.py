@@ -212,27 +212,38 @@ def build_pre_double(mp: PreMatchedPair) -> PreAlgebra:
 # the standard dual pair and the skew form on A + A*
 # ---------------------------------------------------------------------------
 
-def _require_dual_pair(caller, palgA, palgAstar, check_inputs):
-    """The checks the dual pairs share: equal dimensions, and with
-    check_inputs both factors pre-anti-flexible."""
+def _require_dual_pair(caller, palgA, palgAstar):
+    """The checks of the dual pairs: equal dimensions, and both factors
+    pre-anti-flexible."""
     if palgA.dimension != palgAstar.dimension:
         raise PreconditionError("%s: dimension mismatch" % caller)
-    if check_inputs:
-        for name, p in (("first", palgA), ("second", palgAstar)):
-            require_pass(check_identities(p, "pre-anti-flexible"),
-                         "%s: %s factor fails the pre-anti-flexible check"
-                         % (caller, name))
+    for name, p in (("first", palgA), ("second", palgAstar)):
+        require_pass(check_identities(p, "pre-anti-flexible"),
+                     "%s: %s factor fails the pre-anti-flexible check"
+                     % (caller, name))
 
 
-def _dual_pair(cls, algs, palgs, specs):
-    """The dual pair cls of the factors algs.  specs gives each action
-    family, in field order, as (name, product, sign): a left family is the
-    transpose of sign times that product of palgs on its side, a right one
-    sign times it, so its rows are that product's read in another order."""
-    (p, q), d = _common(*palgs)
+# each dual pair's action families, in field order: (name, product, sign)
+_DUAL_FAMILIES = {
+    AfMatchedPair: (("lA", "prec", 1), ("rA", "succ", 1),
+                    ("lB", "prec", 1), ("rB", "succ", 1)),
+    PreMatchedPair: (("ls_A", "dot", 1), ("rs_A", "prec", -1),
+                     ("lp_A", "succ", -1), ("rp_A", "dot", 1),
+                     ("ls_B", "dot", 1), ("rs_B", "prec", -1),
+                     ("lp_B", "succ", -1), ("rp_B", "dot", 1)),
+}
+
+
+def _dual_pair(cls, palgA, palgB):
+    """The dual pair cls of two pre-algebras of one dimension (for an
+    AfMatchedPair, of their underlying algebras), unchecked.  A left
+    family is the transpose of sign times that product of the factor on
+    its side, a right one sign times it, so its rows are that product's
+    read in another order."""
+    (p, q), d = _common(palgA, palgB)
     n = len(p["prec"])
     maps, rows = [], {}
-    for name, op, sign in specs:
+    for name, op, sign in _DUAL_FAMILIES[cls]:
         left, src = name[0] == "l", (p, q)[name[-1] == "B"][op]
         out = rows[name] = [[[] for _ in range(n)] for _ in range(n)]
         for a, plane in enumerate(src):
@@ -241,6 +252,8 @@ def _dual_pair(cls, algs, palgs, specs):
                     (out[b][c] if left else out[c][a]).append(
                         (a if left else b, sign * x))
         maps.append(partial(_view, src, sign * d, n, left))
+    algs = (palgA, palgB) if cls is PreMatchedPair else map(
+        underlying_algebra, (palgA, palgB))
     return _trusted(cls, *algs, *maps, tensors=_tensors(rows, d))
 
 
@@ -250,36 +263,27 @@ def _view(rows, d, n, left):
     return tuple(transpose(t) if left else t)
 
 
-def standard_dual_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
-                          check_inputs=True) -> AfMatchedPair:
+def standard_dual_matched(palgA: PreAlgebra,
+                          palgAstar: PreAlgebra) -> AfMatchedPair:
     """The dual-action candidate matched pair (R*_prec, L*_succ) of the two
     underlying algebras of a pre-algebra and a companion structure on its
     dual space.  Validity is not asserted here: whether the compatibility
     conditions hold is exactly what check_af_matched and the skew-form
     criterion decide."""
-    _require_dual_pair("standard_dual_matched", palgA, palgAstar,
-                       check_inputs)
-    return _dual_pair(AfMatchedPair, (underlying_algebra(palgA),
-                                      underlying_algebra(palgAstar)),
-                      (palgA, palgAstar),
-                      (("lA", "prec", 1), ("rA", "succ", 1),
-                       ("lB", "prec", 1), ("rB", "succ", 1)))
+    _require_dual_pair("standard_dual_matched", palgA, palgAstar)
+    return _dual_pair(AfMatchedPair, palgA, palgAstar)
 
 
-def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
-                     check_inputs=True) -> PreMatchedPair:
+def dual_pre_matched(palgA: PreAlgebra,
+                     palgAstar: PreAlgebra) -> PreMatchedPair:
     """The eight-map dual-action candidate pair on a pre-algebra and a
     companion structure on its dual: on each side the succ actions are
     (R*_dot, -L*_prec) and the prec actions are (-R*_succ, L*_dot) — the
     four families of the dualized full bimodule, arranged so that the
     underlying algebra of this pair's pre double is the standard dual
     pair's double."""
-    _require_dual_pair("dual_pre_matched", palgA, palgAstar, check_inputs)
-    return _dual_pair(PreMatchedPair, (palgA, palgAstar), (palgA, palgAstar),
-                      (("ls_A", "dot", 1), ("rs_A", "prec", -1),
-                       ("lp_A", "succ", -1), ("rp_A", "dot", 1),
-                       ("ls_B", "dot", 1), ("rs_B", "prec", -1),
-                       ("lp_B", "succ", -1), ("rp_B", "dot", 1)))
+    _require_dual_pair("dual_pre_matched", palgA, palgAstar)
+    return _dual_pair(PreMatchedPair, palgA, palgAstar)
 
 
 def omega_matrix(n):

@@ -15,22 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    StructureTensors, _lcd, _require_kind, _trusted, basis_residuals, check_identities, \
-    flat_residuals, require_matrix, require_pass, require_square, scan, \
-    structure_tensors, table_residuals, underlying_algebra
+    StructureTensors, _form_report, _lcd, _require_kind, _trusted, \
+    basis_residuals, check_identities, flat_residuals, require_matrix, \
+    require_pass, require_square, scan, structure_tensors, table_residuals
 from .bialgebra import _dual_products
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
-    regular_pre_bimodule, derive_bimodule, semidirect_pre
+    semidirect_pre
 from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
     special_case_rpair
-from .matched import build_pre_double, dual_pre_matched
-from .linalg import (
-    ONE, transpose, zeros_mat, dot, mat_mul, mat_vec, mat_inverse, mat_rank,
-    t3_add,
-)
+from .matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
+    build_pre_double
+from .linalg import ONE, transpose, zeros_mat, mat_mul, mat_vec, \
+    mat_inverse, mat_rank
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +87,8 @@ def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
     n = alg.dimension
     require_square("induced_pre_from_map", "alpha", alpha, n)
     c, alpha_t = alg.product, transpose(alpha)
-    return PreAlgebra(n, [mat_mul(alpha_t, plane) for plane in c],
-                      [act(c, col) for col in alpha_t], alg.basis_names)
+    return _trusted(PreAlgebra, n, [mat_mul(alpha_t, plane) for plane in c],
+                    [act(c, col) for col in alpha_t], alg.basis_names)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +118,8 @@ def require_af_bimodule(bm: AfBimodule, caller):
 def check_o_operator(oo: OOperator, all_failures=False) -> CheckReport:
     """T(u)*T(v) = T(l(T(u))v + r(T(v))u) over all basis pairs of V."""
     require_af_bimodule(oo.bimodule, "check_o_operator")
-    return o_operator_core(oo.bimodule, oo.T, all_failures)
-
-
-def o_operator_core(bm: AfBimodule, T, all_failures=False) -> CheckReport:
-    """check_o_operator without its precondition, for callers that have
-    validated the bimodule; T is a (dim A) x (dim V) matrix."""
-    return _o_operator_report(structure_tensors(bm), T, all_failures)
+    return _o_operator_report(structure_tensors(oo.bimodule), oo.T,
+                              all_failures)
 
 
 def _o_operator_report(c, T, all_failures):
@@ -226,8 +219,7 @@ def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
         raise PreconditionError("assembled_double: r must be symmetric")
     dual = _dual_products(*coboundary_delta(
         palg, special_case_rpair(r, "two")))
-    double = build_pre_double(dual_pre_matched(palg, dual,
-                                               check_inputs=False))
+    double = build_pre_double(_dual_pair(PreMatchedPair, palg, dual))
     return _trusted(PreAlgebra, double.dimension,
                     *(partial(getattr, double, op) for op in ("prec", "succ")),
                     tuple(palg.basis_names) + dual.basis_names,
@@ -258,33 +250,32 @@ def form_from_r(palg: PreAlgebra, r):
 
 
 def check_two_cocycle(palg: PreAlgebra, form, all_failures=False) -> CheckReport:
-    """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples, on
-    the product rows e_i.e_j, e_k < e_i and e_j > e_k."""
+    """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples: at
+    (i, j, k) the terms B(e_a.e_b, e_c) at (a, b, c), -B(e_c, e_a < e_b)
+    at (b, c, a) and -B(e_c, e_a > e_b) at (c, a, b)."""
     _require_kind("check_two_cocycle", palg, PreAlgebra)
-    n = palg.dimension
-    require_square("check_two_cocycle", "form", form, n)
-    prec, succ = palg.prec, palg.succ
-    dots, form_t = t3_add(prec, succ), transpose(form)
-    return scan("two-cocycle", (
-        ("two-cocycle", (i, j, k), [dot(dots[i][j], form_t[k])
-                                    - (dot(form[j], prec[k][i])
-                                       + dot(form[i], succ[j][k]))])
-        for i, j, k in product(range(n), repeat=3)), all_failures)
+    require_square("check_two_cocycle", "form", form, palg.dimension)
+    form_t = transpose(form)
+    return _form_report("two-cocycle", palg, (
+        (1, "dot", form, ((2, 1, 0),)), (-1, "prec", form_t, ((0, 2, 1),)),
+        (-1, "succ", form_t, ((1, 0, 2),))), all_failures)
 
 
 def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     """r(a).r(b) = r(R*_prec(r(a))b + L*_succ(r(b))a) over dual basis
     pairs: the O-operator identity of T = r: A* -> A against the bimodule
     (R*_prec, L*_succ, A*) of the underlying algebra.  For symmetric r it
-    is equivalent to the Yang-Baxter residual vanishing."""
+    is equivalent to the Yang-Baxter residual vanishing.  The bimodule is
+    palg's dot rows and lA, rA of the standard dual pair of (palg, palg)."""
     _require_kind("operator_form_check", palg, PreAlgebra)
-    n = palg.dimension
-    require_square("operator_form_check", "r", r, n)
+    require_square("operator_form_check", "r", r, palg.dimension)
     if not r_is_symmetric(r):
         raise PreconditionError("operator_form_check: r must be symmetric")
-    bm = AfBimodule(underlying_algebra(palg), n, transpose(palg.prec),
-                    palg.succ)
-    return _relabelled(o_operator_core(bm, r_map_matrix(r), all_failures),
+    c = structure_tensors(palg)
+    f = structure_tensors(_dual_pair(AfMatchedPair, palg, palg)).rows
+    bm = StructureTensors({"c": c.rows["dot"], "l": f["lA"], "r": f["rA"]},
+                          c.scale)
+    return _relabelled(_o_operator_report(bm, r_map_matrix(r), all_failures),
                        "operator-form")
 
 
@@ -302,7 +293,7 @@ def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:
             for i in range(n)]
     succ = [[mat_vec(rmat, mat_vec(prec_t[i], rinv[j])) for j in range(n)]
             for i in range(n)]
-    return PreAlgebra(n, prec, succ, palg.basis_names)
+    return _trusted(PreAlgebra, n, prec, succ, palg.basis_names)
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +316,27 @@ def solution_from_o_operator(oo: OOperator):
     # v_i > v_j = l(T(v_i))v_j, read off the rows of the transposes
     r_t, l_t = ([transpose(act(maps, col)) for col in transpose(oo.T)]
                 for maps in (bm.r, bm.l))
-    image = PreAlgebra(m, transpose(r_t), l_t)
-    zero = tuple(zeros_mat(m) for _ in range(m))
-    actions = PreBimodule(image, m, r_t, zero, zero, l_t)
-    double = semidirect_pre(actions)
-    r = zeros_mat(2 * m)
-    for i in range(m):
-        r[i][m + i] = ONE
-        r[m + i][i] = ONE
-    return double, r
+    return _solution(_trusted(PreAlgebra, m, transpose(r_t), l_t, tuple(
+        "e%d" % (i + 1) for i in range(m))), tuple(r_t), tuple(l_t))
 
 
 def canonical_solution(palg: PreAlgebra):
     """The flagship symmetric solution: the semidirect double of the
-    dual-reduced regular actions, with r = sum_i (e_i (x) e_i* +
-    e_i* (x) e_i)."""
+    dual-reduced regular actions (R*_prec, 0, 0, L*_succ), with
+    r = sum_i (e_i (x) e_i* + e_i* (x) e_i)."""
     require_pass(check_identities(palg, "pre-anti-flexible"),
                  "canonical_solution: base fails the pre-anti-flexible check")
-    n = palg.dimension
-    double = semidirect_pre(derive_bimodule(regular_pre_bimodule(palg),
-                                            "dual-reduced"))
-    r = zeros_mat(2 * n)
-    for i in range(n):
-        r[i][n + i] = ONE
-        r[n + i][i] = ONE
-    return double, r
+    return _solution(palg, tuple(transpose(palg.prec)), tuple(palg.succ))
+
+
+def _solution(base, l_succ, r_prec):
+    """(the semidirect double of the bimodule (l_succ, 0, 0, r_prec) of a
+    checked base on a space V of its dimension, sum_i e_i (x) v_i +
+    v_i (x) e_i)."""
+    m = base.dimension
+    zero = (zeros_mat(m),) * m
+    r = zeros_mat(2 * m)
+    for i in range(m):
+        r[i][m + i] = r[m + i][i] = ONE
+    return semidirect_pre(_trusted(PreBimodule, base, m, l_succ, zero, zero,
+                                   r_prec)), r

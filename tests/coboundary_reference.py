@@ -33,10 +33,10 @@ from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
     _PAFYBE_TERMS, _numerators, _require_base, _rpair_mats, \
     special_case_rpair
 from antiflex.linalg import ZERO, eye, mat_add, mat_mul, mat_neg, mat_sub, \
-    t3_add, t3_sub, transpose, zeros_mat
+    t3_sub, transpose, zeros_mat
 
 from helpers import apply2, apply_slot3, flp_expression, mat_is_zero, \
-    multiplication_operators, sigma13_expression
+    multiplication_operators, sigma13_expression, t3_add
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ from antiflex.linalg import ONE, mat_add, mat_inverse, mat_mul, \
     zeros_t3
 from antiflex.matched import AfMatchedPair, PreMatchedPair
 from antiflex.operators import OOperator, _relabelled, check_o_operator, \
-    o_operator_core, r_map_matrix
+    r_map_matrix
 
 from helpers import basis_vec, multiplication_operators
+from operators_reference import o_operator_core
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from antiflex.harness import SearchSpec, corpus_names, grid_search, \
     load_corpus
 from antiflex.linalg import ONE, ZERO, mat_add, mat_inverse, mat_mul, \
     mat_sub, mat_vec, transpose
-from antiflex.matched import dual_pre_matched, standard_dual_matched
+from antiflex.matched import AfMatchedPair, PreMatchedPair, _dual_pair
 from antiflex.operators import canonical_solution, induced_pre_from_map
 
 CORPUS = {name: load_corpus(name) for name in corpus_names()}
@@ -194,8 +194,8 @@ def cross_pairs(a, b):
     """The route 2 and route 4 pairs of the products of the bialgebra a
     with the comultiplications of the bialgebra b."""
     dual = dual_products_from_comult(b.delta_prec, b.delta_succ)
-    return (standard_dual_matched(a.palg, dual, False),
-            dual_pre_matched(a.palg, dual, False))
+    return (_dual_pair(AfMatchedPair, a.palg, dual),
+            _dual_pair(PreMatchedPair, a.palg, dual))
 
 
 def bialgebra_pairs():
@@ -244,6 +244,10 @@ def multiplication_operators(palg: PreAlgebra):
     out["R_dot"] = tuple(mat_add(a, b)
                          for a, b in zip(out["R_prec"], out["R_succ"]))
     return out
+
+
+def t3_add(*ts):
+    return [mat_add(*planes) for planes in zip(*ts)]
 
 
 def basis_vec(n, i):

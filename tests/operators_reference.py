@@ -14,24 +14,28 @@ The generalized Rota-Baxter check as it was before it was read as a row
 of the induced pre-algebra, triple by triple in Fractions; and the int
 O-operator kernel as it was before it returned one flat tensor, yielding
 one block per basis element u_i with its report slicing the blocks per
-basis pair."""
+basis pair.
+
+The two-cocycle check as it was before it was terms on the int kernel of
+the cyclic-form check, one Fraction sum per basis triple."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from antiflex.algebra import Algebra, PreAlgebra, CheckReport, \
-    PreconditionError, _lcd, check_identities, require_square, scan
+    PreconditionError, _lcd, _require_kind, check_identities, \
+    require_square, scan
 from antiflex.bimodule import AfBimodule, act
 from antiflex.coboundary import r_is_symmetric
 from antiflex.harness import FORMAT_VERSION
-from antiflex.linalg import ZERO, mat_vec, transpose, vec_add, \
+from antiflex.linalg import ZERO, dot, mat_vec, transpose, vec_add, \
     vec_sub, zeros_t3
 from antiflex.operators import OOperator, r_map_matrix, \
     require_af_bimodule, require_anti_flexible
 
 import coboundary_reference
-from helpers import basis_vec, multiplication_operators, vec_neg
+from helpers import basis_vec, multiplication_operators, t3_add, vec_neg
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +361,22 @@ def o_operator_numerators(c):
                 yield i, out
 
     return numerators
+
+
+# ---------------------------------------------------------------------------
+# the two-cocycle check, triple by triple in Fractions
+# ---------------------------------------------------------------------------
+
+def check_two_cocycle(palg: PreAlgebra, form, all_failures=False) -> CheckReport:
+    """B(x.y, z) = B(y, z < x) + B(x, y > z) over all basis triples, on
+    the product rows e_i.e_j, e_k < e_i and e_j > e_k."""
+    _require_kind("check_two_cocycle", palg, PreAlgebra)
+    n = palg.dimension
+    require_square("check_two_cocycle", "form", form, n)
+    prec, succ = palg.prec, palg.succ
+    dots, form_t = t3_add(prec, succ), transpose(form)
+    return scan("two-cocycle", (
+        ("two-cocycle", (i, j, k), [dot(dots[i][j], form_t[k])
+                                    - (dot(form[j], prec[k][i])
+                                       + dot(form[i], succ[j][k]))])
+        for i, j, k in product(range(n), repeat=3)), all_failures)

@@ -18,7 +18,7 @@ from antiflex.bimodule import check_af_bimodule, check_pre_bimodule, \
     regular_af_bimodule, regular_pre_bimodule
 from antiflex.coboundary import special_case_bialgebra
 from antiflex.matched import check_af_matched, check_pre_matched, \
-    dual_pre_matched, standard_dual_matched
+    PreMatchedPair, _dual_pair, dual_pre_matched, standard_dual_matched
 from antiflex.operators import canonical_solution
 from antiflex.linalg import eye, zeros_t3
 
@@ -226,7 +226,7 @@ def test_route_4_is_the_pre_matched_check():
             continue
         route4 = bialgebra_routes(b)[1][3]
         assert route4 == check_pre_matched(
-            dual_pre_matched(b.palg, dual, check_inputs=False)).passed
+            _dual_pair(PreMatchedPair, b.palg, dual)).passed
         seen[route4] += 1
     assert seen[True] >= 3 and seen[False] >= 4
 

@@ -12,12 +12,15 @@ from antiflex.bimodule import (
 from antiflex.linalg import mat_add, zeros_mat
 
 from bimodule_reference import reference_residuals
-from helpers import CORPUS, DIM2_PRE, all_corpus_pre, bialgebra_pairs, \
-    cross_pairs, mat_is_zero, not_dendriform_bialgebras, rand_mat, rand_t3, \
-    seeded
+from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
+    bialgebra_pairs, cross_pairs, induced_not_dendriform, mat_is_zero, \
+    non_associative_af, not_dendriform_bialgebras, rand_mat, rand_t3, seeded
 
 PRE_TRANSFORMS = ("reduced", "dual-full", "dual-reduced")
 AF_TRANSFORMS = ("af-sum", "af-outer", "af-dual-sum", "af-dual-outer")
+
+# pre-anti-flexible subjects whose underlying algebras are not associative
+NON_ASSOCIATIVE_PRE = NOT_DENDRIFORM + list(induced_not_dendriform()[:5])
 
 
 def _zero_pre_bimodule(palg, m):
@@ -26,8 +29,8 @@ def _zero_pre_bimodule(palg, m):
 
 
 def test_regular_af_bimodules_pass():
-    for name, alg in CORPUS.items():
-        assert check_af_bimodule(regular_af_bimodule(alg)).passed, name
+    for alg in list(CORPUS.values()) + list(non_associative_af()[:5]):
+        assert check_af_bimodule(regular_af_bimodule(alg)).passed, alg
 
 
 def test_zero_af_bimodule_passes():
@@ -65,7 +68,7 @@ def test_bimodule_maps_checked_at_construction():
 
 
 def test_regular_pre_bimodules_pass():
-    for palg in all_corpus_pre():
+    for palg in all_corpus_pre() + NON_ASSOCIATIVE_PRE:
         assert check_pre_bimodule(regular_pre_bimodule(palg)).passed
 
 
@@ -84,7 +87,7 @@ def test_swapped_maps_fail():
 
 
 def test_seven_transforms_closure():
-    for palg in all_corpus_pre():
+    for palg in all_corpus_pre() + NON_ASSOCIATIVE_PRE:
         bm = regular_pre_bimodule(palg)
         for tr in PRE_TRANSFORMS:
             assert check_pre_bimodule(derive_bimodule(bm, tr)).passed, tr
@@ -143,7 +146,7 @@ def test_semidirect_zero_bimodule():
 
 
 def test_semidirect_dual_reduced_passes():
-    for palg in all_corpus_pre():
+    for palg in all_corpus_pre() + NON_ASSOCIATIVE_PRE:
         bm = derive_bimodule(regular_pre_bimodule(palg), "dual-reduced")
         sd = semidirect_pre(bm)
         assert sd.dimension == 2 * palg.dimension
@@ -227,3 +230,16 @@ def test_rows_match_reference_on_component_bimodules():
                 seen.add(repr(bm))
                 assert not _rows_match_reference(bm)
     assert len(seen) > 10
+
+
+def test_rows_match_reference_on_non_associative_bimodules():
+    # the regular bimodules of non-associative bases and every bimodule
+    # derived from those of the pre-algebras, the canonical dual-reduced
+    # one included: all pass
+    subjects = [regular_af_bimodule(alg) for alg in non_associative_af()[:5]]
+    for palg in NON_ASSOCIATIVE_PRE:
+        regular = regular_pre_bimodule(palg)
+        subjects += [regular] + [derive_bimodule(regular, tr) for tr in
+                                 PRE_TRANSFORMS + AF_TRANSFORMS]
+    for bm in subjects:
+        assert not _rows_match_reference(bm)

@@ -9,7 +9,7 @@ import antiflex.algebra as antiflex_algebra
 from antiflex.algebra import PreconditionError, flat_residuals
 from antiflex.bialgebra import verify_bialgebra
 from antiflex.coboundary import (
-    SPECIAL_CASES, _EXPRESSIONS, _rpair_mats, RPair, pafybe_core,
+    SPECIAL_CASES, _EXPRESSIONS, _rpair_mats, RPair,
     check_coboundary_conditions, check_pafybe, coboundary_bialgebra,
     coboundary_delta, evaluate_expression, mnpq, r_is_symmetric,
     special_case_bialgebra, special_case_conditions, special_case_rpair,
@@ -573,7 +573,7 @@ def test_check_pafybe_matches_the_int_core_it_replaced():
                                          for _ in range(n)]
                                         for _ in range(n)]]:
             for every in (False, True):
-                assert pafybe_core(c, r, every) == \
+                assert check_pafybe(palg, r, every) == \
                     coboundary_reference.pafybe_int_core(c, r, every)
 
 
@@ -584,5 +584,5 @@ def test_check_pafybe_matches_the_int_core_on_rationals(data, palg):
     r = data.draw(st.one_of(_matrices(n), st.just(zeros_mat(n))))
     c = structure_tensors(palg)
     for every in (False, True):
-        assert pafybe_core(c, r, every) == \
+        assert check_pafybe(palg, r, every) == \
             coboundary_reference.pafybe_int_core(c, r, every)

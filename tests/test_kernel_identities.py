@@ -14,8 +14,8 @@ from antiflex.bialgebra import check_bialgebra_conditions, \
     check_dual_pre_via_rmatrix
 from antiflex.coboundary import RPair, check_coboundary_conditions, \
     check_pafybe, coboundary_bialgebra
-from antiflex.matched import build_af_double, omega_double_check, \
-    standard_dual_matched
+from antiflex.matched import AfMatchedPair, _dual_pair, build_af_double, \
+    omega_double_check
 from antiflex.operators import operator_form_check
 
 from helpers import NOT_DENDRIFORM, all_corpus_pre, induced_not_dendriform, \
@@ -117,7 +117,7 @@ def test_canonical_skew_form_is_closed_on_every_standard_dual_double():
             q = PreAlgebra(n, *([[[x / rng.randint(2, 7) for x in row]
                                   for row in plane] for plane in t]
                                 for t in (q.prec, q.succ)))
-        d = build_af_double(standard_dual_matched(p, q, check_inputs=False))
+        d = build_af_double(_dual_pair(AfMatchedPair, p, q))
         assert omega_double_check(d, True).passed
         not_pre_af += not check_identities(p, "pre-anti-flexible").passed
     assert not_pre_af > 40

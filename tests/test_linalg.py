@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from antiflex import linalg
 from antiflex.linalg import (
     contract_product, dot, eye, mat_add, mat_inverse, mat_mul,
-    mat_neg, mat_rank, mat_sub, mat_vec, t3_add, t3_sub, transpose, vec_add,
+    mat_neg, mat_rank, mat_sub, mat_vec, t3_sub, transpose, vec_add,
     vec_is_zero, vec_sub, zeros_mat, zeros_t3, SingularMatrixError,
 )
 
 from helpers import apply2, apply_slot3, basis_vec, commutator, \
     mat_is_zero, permute3, rand_mat, rand_t3, rand_vec, seeded, solve, \
-    t3_is_zero, t3_neg, vec_neg, vec_scale
+    t3_add, t3_is_zero, t3_neg, vec_neg, vec_scale
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 

@@ -12,11 +12,13 @@ from antiflex.matched import (
     standard_dual_matched,
 )
 from antiflex.bimodule import derive_bimodule, regular_pre_bimodule
+from antiflex.operators import canonical_solution
 from antiflex.linalg import mat_add, mat_neg, transpose, \
     vec_is_zero, zeros_mat, zeros_t3
 
-from helpers import CORPUS, DIM2_PRE, all_corpus_pre, basis_vec, \
-    bialgebra_pairs, cross_pairs, multiplication_operators, \
+from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
+    basis_vec, bialgebra_pairs, bump_t3, cross_pairs, \
+    induced_not_dendriform, multiplication_operators, non_associative_af, \
     not_dendriform_bialgebras, rand_mat, rand_t3, seeded
 from matched_reference import double_residuals, reference_residuals, \
     separate_path_check
@@ -33,11 +35,16 @@ def _zero_actions_pair(alg, m=1):
     return AfMatchedPair(alg, zeroB, zA, zA, zB, zB)
 
 
+# pre-anti-flexible subjects whose underlying algebras are not associative
+NON_ASSOCIATIVE_PRE = NOT_DENDRIFORM + list(induced_not_dendriform()[:5])
+
+
 def test_zero_second_factor_passes():
-    mp = _zero_actions_pair(CORPUS["qt2"])
-    assert check_af_matched(mp).passed
-    d = build_af_double(mp)
-    assert check_identities(d, "anti-flexible").passed
+    for alg in [CORPUS["qt2"]] + list(non_associative_af()[:5]):
+        mp = _zero_actions_pair(alg)
+        assert check_af_matched(mp).passed
+        d = build_af_double(mp)
+        assert check_identities(d, "anti-flexible").passed
 
 
 def test_standard_dual_with_zero_dual_passes():
@@ -77,7 +84,7 @@ def test_pre_matched_from_dual_actions():
 def test_dual_pre_matched_actions_are_the_dual_full_bimodules():
     # each side's four actions are those of the dual-full bimodule of the
     # regular bimodule: (R*_dot, -L*_prec, -R*_succ, L*_dot)
-    pres = all_corpus_pre()
+    pres = all_corpus_pre() + NON_ASSOCIATIVE_PRE
     for palg, companion in zip(pres, pres[1:] + pres[:1]):
         if palg.dimension != companion.dimension:
             continue
@@ -228,6 +235,39 @@ def test_checkers_match_reference_off_dendriform():
     pairs = [cross_pairs(a, b) for a in bialgebras for b in bialgebras
              if a.dimension == b.dimension]
     assert _failing_against_reference(pairs) == 16
+
+
+def test_checkers_match_reference_on_non_associative_dual_pairs():
+    # the dual pairs of the non-associative pre-algebras with each other,
+    # and on their canonical doubles with the zero and the regular
+    # companion; the skew-form criterion agrees with the af verdict
+    subjects = NON_ASSOCIATIVE_PRE + [
+        canonical_solution(palg)[0] for palg in NOT_DENDRIFORM[:2]]
+    pairs = [(standard_dual_matched(a, b), dual_pre_matched(a, b))
+             for a in subjects for b in subjects + [_zero_pre(a.dimension)]
+             if a.dimension == b.dimension]
+    assert 0 < _failing_against_reference(pairs) < 2 * len(pairs)
+    for mp, _ in pairs:
+        d = build_af_double(mp)
+        assert check_af_matched(mp).passed == (
+            check_identities(d, "anti-flexible").passed
+            and omega_double_check(d).passed)
+
+
+@pytest.mark.parametrize("build", [standard_dual_matched, dual_pre_matched])
+def test_dual_pairs_check_their_factors(build):
+    good = NOT_DENDRIFORM[0]
+    bad = PreAlgebra(2, bump_t3(good.prec, 0, 0, 0), good.succ)
+    assert not check_identities(bad, "pre-anti-flexible").passed
+    for args, message in (((good, NOT_DENDRIFORM[2]), "dimension mismatch"),
+                          ((bad, good), "first factor fails the "
+                           "pre-anti-flexible check; witness"),
+                          ((good, bad), "second factor fails the "
+                           "pre-anti-flexible check; witness")):
+        with pytest.raises(PreconditionError) as info:
+            build(*args)
+        assert str(info.value).startswith("%s: %s" % (build.__name__,
+                                                      message))
 
 
 def test_component_bimodule_precondition():

@@ -7,6 +7,7 @@ it was given, which a view that shares rows with its input could."""
 
 import copy
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -19,7 +20,8 @@ from antiflex.bialgebra import check_bialgebra_hom
 from antiflex.bimodule import AfBimodule, PreBimodule, derive_bimodule, \
     regular_af_bimodule, regular_pre_bimodule
 from antiflex.linalg import eye, mat_add, transpose, zeros_mat
-from antiflex.matched import dual_pre_matched, standard_dual_matched
+from antiflex.matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
+    dual_pre_matched, standard_dual_matched
 from antiflex.operators import OOperator, canonical_solution, \
     check_two_cocycle, compatible_structure_on_A, form_from_r, \
     induced_pre_from_map, operator_form_check, solution_from_o_operator
@@ -66,13 +68,15 @@ def _dense_dual_full(bm):
 
 
 def _pair_builders(palg, other):
-    """The two dual pairs of palg and other, with and without the check of
-    both factors."""
-    for check in (True, False):
-        for build, reference in ((standard_dual_matched,
-                                  dense.standard_dual_matched),
-                                 (dual_pre_matched, dense.dual_pre_matched)):
-            _same(build, reference, palg, other, check)
+    """The two dual pairs of palg and other, by the public builders, which
+    check both factors, and by the package's unchecked build."""
+    for cls, build, reference in (
+            (AfMatchedPair, standard_dual_matched,
+             dense.standard_dual_matched),
+            (PreMatchedPair, dual_pre_matched, dense.dual_pre_matched)):
+        _same(build, reference, palg, other)
+        _same(partial(_dual_pair, cls), partial(reference, check_inputs=False),
+              palg, other)
 
 
 def _pre_builders(palg, m):

@@ -13,7 +13,7 @@ from antiflex.bimodule import AfBimodule, act, derive_bimodule, \
     regular_af_bimodule, regular_pre_bimodule
 from antiflex.coboundary import check_pafybe, r_is_symmetric, \
     special_case_bialgebra
-from antiflex.matched import build_pre_double, dual_pre_matched
+from antiflex.matched import PreMatchedPair, _dual_pair, build_pre_double
 from antiflex import harness
 from antiflex.harness import SEARCH_TARGETS, SearchSpec, grid_search, \
     search_results
@@ -21,7 +21,7 @@ from antiflex.operators import (
     OOperator, assembled_double, canonical_solution, check_generalized_rb,
     check_o_operator, check_r_double_consistency, check_rota_baxter,
     check_two_cocycle, compatible_structure_on_A, form_from_r,
-    _o_operator_report, induced_pre_from_map, o_operator_core,
+    _o_operator_report, induced_pre_from_map,
     o_operator_numerators, operator_form_check, r_map_matrix,
     regular_tensors, solution_from_o_operator,
 )
@@ -29,8 +29,9 @@ from antiflex.linalg import SingularMatrixError, eye, mat_rank, \
     mat_vec, transpose, zeros_mat
 
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
-    basis_vec, multiplication_operators, non_associative_af, over, \
-    rand_mat, rand_sym_mat, rand_t3, rand_vec, seeded
+    basis_vec, induced_not_dendriform, multiplication_operators, \
+    non_associative_af, over, rand_mat, rand_sym_mat, rand_t3, rand_vec, \
+    seeded
 import harness_reference
 import operators_reference as reference
 
@@ -167,9 +168,9 @@ def test_assembled_double_is_the_route_four_double():
     for palg in all_corpus_pre():
         r = rand_sym_mat(rng, palg.dimension)
         b = special_case_bialgebra(palg, r, "two")
-        route4 = build_pre_double(dual_pre_matched(
-            palg, dual_products_from_comult(b.delta_prec, b.delta_succ),
-            check_inputs=False))
+        route4 = build_pre_double(_dual_pair(
+            PreMatchedPair, palg,
+            dual_products_from_comult(b.delta_prec, b.delta_succ)))
         d = assembled_double(palg, r)
         assert (d.prec, d.succ) == (route4.prec, route4.succ)
 
@@ -435,11 +436,11 @@ def test_check_o_operator_matches_fraction_path(data, bm):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), random_bimodules())
-def test_o_operator_core_matches_fraction_path_off_bimodules(data, bm):
+def test_o_operator_report_matches_fraction_path_off_bimodules(data, bm):
     # the kernel decides any structure constants, bimodule or not
     t = data.draw(_matrices(bm.base.dimension, bm.space_dim))
     for every in (False, True):
-        assert o_operator_core(bm, t, every) == \
+        assert _o_operator_report(structure_tensors(bm), t, every) == \
             reference.o_operator_core(bm, t, every)
 
 
@@ -457,6 +458,38 @@ def test_operator_form_matches_fraction_path(data, n):
     for every in (False, True):
         assert operator_form_check(palg, r, every) == \
             reference.operator_form_check(palg, r, every)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_two_cocycle_matches_the_per_triple_check(data, n):
+    cube = st.lists(_matrices(n, n), min_size=n, max_size=n)
+    palg = PreAlgebra(n, data.draw(cube), data.draw(cube))
+    form = data.draw(_matrices(n, n))
+    for every in (False, True):
+        assert check_two_cocycle(palg, form, every) == \
+            reference.check_two_cocycle(palg, form, every)
+
+
+def test_two_cocycle_matches_the_per_triple_check_on_solutions():
+    # the corpus splittings and the non-associative pre-algebras at a
+    # random form, and their canonical doubles at the form of the canonical
+    # solution, which passes, and at a random one
+    rng = seeded(262)
+    bases = all_corpus_pre() + NOT_DENDRIFORM + list(
+        induced_not_dendriform()[:5])
+    seen = {True: 0, False: 0}
+    for palg in bases:
+        double, r = canonical_solution(palg)
+        for subject, form in ((palg, rand_mat(rng, palg.dimension)),
+                              (double, form_from_r(double, r)),
+                              (double, rand_mat(rng, double.dimension))):
+            for every in (False, True):
+                report = check_two_cocycle(subject, form, every)
+                assert report == reference.check_two_cocycle(subject, form,
+                                                             every)
+            seen[report.passed] += 1
+    assert seen[True] >= len(bases) and seen[False]
 
 
 @st.composite

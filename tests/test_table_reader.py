@@ -15,7 +15,7 @@ from antiflex.bialgebra import BIALGEBRA_CONDITIONS, CO_IDENTITIES, \
 from antiflex.bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals
 from antiflex.matched import AF_CONDITIONS, PRE_CONDITIONS, \
     AfMatchedPair, PreMatchedPair, build_af_double, build_pre_double, \
-    condition_residuals, dual_pre_matched, standard_dual_matched
+    _dual_pair, condition_residuals
 from antiflex.coboundary import special_case_bialgebra
 from antiflex.linalg import ZERO
 from antiflex.operators import canonical_solution
@@ -104,13 +104,13 @@ def _bialgebra_agree(b):
     assert check_dual_pre_via_rmatrix(b.delta_prec, b.delta_succ) == \
         scan("dual-pre-via-comult", dense)
     found = len(every.failures) if not every.passed else 0
-    mp = standard_dual_matched(b.palg, dual, False)
+    mp = _dual_pair(AfMatchedPair, b.palg, dual)
     double = build_af_double(mp)
     found += _agree("bialgebra-conditions", _condition_residuals(
         n, basis_residuals(double)), bialgebra_reference.pairing_residuals(
             n, identity_reference.basis_residuals(double)))
     return found + _matched_agree(mp) + _matched_agree(
-        dual_pre_matched(b.palg, dual, False))
+        _dual_pair(PreMatchedPair, b.palg, dual))
 
 
 def _entry(rng):

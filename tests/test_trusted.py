@@ -2,32 +2,39 @@
 algebra._trusted from rows equals, field by field, in its structure
 tensors and in its file bytes, the public-constructor path kept in
 trusted_reference.py; the trusted path is reached only from the package;
-one verify_bialgebra call scans each structure at most once; and the
-library entry points reject a structure of the wrong kind."""
+each precondition is checked once: one verify_bialgebra call scans each
+structure at most once, canonical_solution checks its base once and no
+bimodule, and the constructions on checked inputs validate no output; and
+the library entry points reject a structure of the wrong kind."""
 
 import ast
+import importlib
 import os
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import antiflex
 import antiflex.algebra as antiflex_algebra
 from antiflex.algebra import FROM_ASSOCIATIVE_VARIANTS, Algebra, \
-    PreAlgebra, PreconditionError, from_associative, structure_tensors, \
-    underlying_algebra
-from antiflex.bialgebra import Bialgebra, dual_products_from_comult, \
-    verify_bialgebra
+    PreAlgebra, PreconditionError, check_identities, from_associative, \
+    induce_pre_from_form, structure_tensors, underlying_algebra
+from antiflex.bialgebra import Bialgebra, dual_bialgebra, \
+    dual_products_from_comult, verify_bialgebra
 from antiflex.bimodule import BIMODULE_TRANSFORMS, derive_bimodule, \
     regular_af_bimodule, regular_pre_bimodule, semidirect_af, \
     semidirect_pre
 from antiflex.coboundary import RPair, check_pafybe, coboundary_bialgebra, \
     special_case_bialgebra
-from antiflex.harness import serialize
-from antiflex.matched import AfMatchedPair, PreMatchedPair, \
-    build_af_double, build_pre_double, dual_pre_matched, \
+from antiflex.harness import random_element_oracle, serialize
+from antiflex.linalg import transpose
+from antiflex.matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
+    build_af_double, build_pre_double, dual_pre_matched, omega_matrix, \
     standard_dual_matched
-from antiflex.operators import assembled_double, canonical_solution, \
-    check_two_cocycle, operator_form_check
+from antiflex.operators import OOperator, assembled_double, \
+    canonical_solution, check_two_cocycle, compatible_structure_on_A, \
+    induced_pre_from_map, operator_form_check, solution_from_o_operator
 
 import trusted_reference as ref
 from helpers import CORPUS, NOT_DENDRIFORM, all_corpus_pre, \
@@ -107,11 +114,11 @@ def test_semidirect_products_match_the_public_path():
 
 def test_dual_pairs_and_their_doubles_match_the_public_path():
     for p, q in _same_dimension_pairs(PRE_SUBJECTS):
-        std = standard_dual_matched(_fresh(p), _fresh(q), False)
+        std = _dual_pair(AfMatchedPair, _fresh(p), _fresh(q))
         old_std = ref.standard_dual_matched(p, q, False)
         _same(std, old_std)
         _same(build_af_double(std), ref.build_af_double(old_std))
-        pre = dual_pre_matched(_fresh(p), _fresh(q), False)
+        pre = _dual_pair(PreMatchedPair, _fresh(p), _fresh(q))
         old_pre = ref.dual_pre_matched(p, q, False)
         _same(pre, old_pre)
         _same(build_pre_double(pre), ref.build_pre_double(old_pre))
@@ -157,6 +164,39 @@ def test_assembled_doubles_match_the_public_path():
         _same(assembled_double(palg, r), ref.assembled_double(palg, r))
 
 
+def _operator_bimodule(double):
+    """The bimodule (R*_prec, L*_succ, A*) of the underlying algebra of a
+    pre-algebra, against which a symmetric solution r on it is an
+    O-operator."""
+    return derive_bimodule(regular_pre_bimodule(double), "af-dual-outer")
+
+
+def test_constructions_on_checked_inputs_match_the_public_path():
+    rng = seeded(29)
+    for alg in AF_SUBJECTS:
+        alpha = rand_mat(rng, alg.dimension)
+        _same(induced_pre_from_map(alg, alpha),
+              ref.induced_pre_from_map(alg, alpha))
+    for palg in PRE_SUBJECTS:
+        (double, r), (old, old_r) = canonical_solution(_fresh(palg)), \
+            ref.canonical_solution(palg)
+        _same(double, old)
+        assert r == old_r
+        _same(compatible_structure_on_A(double, r),
+              ref.compatible_structure_on_A(double, r))
+        alg, omega = underlying_algebra(double), omega_matrix(palg.dimension)
+        _same(induce_pre_from_form(alg, omega),
+              ref.induce_pre_from_form(alg, omega))
+        oo = OOperator(_operator_bimodule(double), transpose(r))
+        (image, r2), (old_image, old_r2) = solution_from_o_operator(oo), \
+            ref.solution_from_o_operator(oo)
+        _same(image, old_image)
+        assert r2 == old_r2
+        for case in ("one", "two"):
+            b = special_case_bialgebra(double, r, case)
+            _same(dual_bialgebra(b), ref.dual_bialgebra(b))
+
+
 def _calls(path, name):
     """The lines of path that call name, directly or as an attribute."""
     with open(path) as fh:
@@ -199,6 +239,60 @@ def test_verify_bialgebra_scans_each_structure_at_most_once(monkeypatch,
     assert scanned[0] is b.palg and scanned[1] is b.dual
 
 
+def _counted(monkeypatch, name):
+    """The calls of the package function `name` from every module of the
+    package, as a list of their positional arguments that grows as they
+    are made."""
+    calls = []
+    for info in pkgutil.iter_modules(antiflex.__path__):
+        module = importlib.import_module("antiflex." + info.name)
+        f = vars(module).get(name)
+        if f is not None:
+            def counted(*args, f=f, **kwargs):
+                calls.append(args)
+                return f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("palg", PRE_SUBJECTS[::3])
+def test_canonical_solution_checks_its_base_once(monkeypatch, palg):
+    palg = _fresh(palg)
+    identities = _counted(monkeypatch, "check_identities")
+    bimodules = _counted(monkeypatch, "check_pre_bimodule")
+    canonical_solution(palg)
+    assert [(s.dimension, kind) for s, kind, *_ in identities] == \
+        [(palg.dimension, "pre-anti-flexible")]
+    assert bimodules == []
+
+
+def test_constructions_on_checked_inputs_validate_no_output(monkeypatch):
+    # every input is made before counting; what each construction builds
+    # from them is trusted, and operator_form_check also scans nothing
+    # once the rows of its pre-algebra are read
+    rng = seeded(30)
+    calls = []
+    for palg in PRE_SUBJECTS[::3]:
+        double, r = canonical_solution(palg)
+        alg, n = underlying_algebra(double), palg.dimension
+        b = special_case_bialgebra(double, r, "one")
+        oo = OOperator(_operator_bimodule(double), transpose(r))
+        structure_tensors(double)
+        calls += [
+            (operator_form_check, double, r),
+            (induced_pre_from_map, alg, rand_mat(rng, 2 * n)),
+            (compatible_structure_on_A, double, r),
+            (induce_pre_from_form, alg, omega_matrix(n)),
+            (solution_from_o_operator, oo), (dual_bialgebra, b)]
+    checked = _counted(monkeypatch, "require_tensor")
+    scanned = _counted(monkeypatch, "_scanned")
+    for f, *args in calls:
+        scanned.clear()
+        f(*args)
+        assert checked == [], f.__name__
+        assert scanned == [] or f is not operator_form_check
+
+
 ALG = CORPUS["qt2"]
 WRONG_KIND = [
     ("check_pafybe", lambda: check_pafybe(ALG, [[0, 0], [0, 0]]),
@@ -218,6 +312,16 @@ def test_library_entry_points_reject_the_wrong_kind(caller, call, expected):
         call()
     assert str(info.value) == "%s: expected %s, got Algebra" % (caller,
                                                                 expected)
+
+
+def test_identity_checks_reject_a_subject_that_is_no_algebra():
+    bm = regular_af_bimodule(CORPUS["ut2"])
+    for call in (lambda: check_identities(bm, "anti-flexible"),
+                 lambda: random_element_oracle("anti-flexible", bm)):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == "check_identities: expected Algebra or " \
+            "PreAlgebra, got AfBimodule"
 
 
 def test_underlying_algebra_brings_its_rows_to_their_own_lcd():

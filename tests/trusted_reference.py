@@ -13,17 +13,33 @@ from functools import partial
 from itertools import product
 
 from antiflex.algebra import FROM_ASSOCIATIVE_VARIANTS, Algebra, \
-    PreAlgebra, PreconditionError, _divided, check_identities, \
-    require_pass, require_square, require_tensor
-from antiflex.bialgebra import Bialgebra
+    PreAlgebra, PreconditionError, _divided, check_cyclic_form, \
+    check_identities, require_pass, require_square, require_tensor
+from antiflex.bialgebra import Bialgebra, comult_from_products, \
+    verify_bialgebra
 from antiflex.bimodule import BIMODULE_TRANSFORMS, AfBimodule, \
-    PreBimodule, _regular_maps, check_pre_bimodule, dual_maps
+    PreBimodule, _regular_maps, act, check_pre_bimodule, dual_maps
 from antiflex.coboundary import RPair, _DELTAS, _family, _operator_table, \
-    _require_base, _rsums, coboundary_delta, r_is_symmetric, \
+    _require_base, _rsums, check_pafybe, coboundary_delta, r_is_symmetric, \
     special_case_rpair
-from antiflex.linalg import mat_neg, t3_add, transpose, zeros_mat, zeros_t3
-from antiflex.matched import AfMatchedPair, PreMatchedPair, \
-    _require_dual_pair
+from antiflex.linalg import ONE, SingularMatrixError, dot, mat_inverse, \
+    mat_mul, mat_neg, mat_rank, mat_vec, transpose, zeros_mat, zeros_t3
+from antiflex.matched import AfMatchedPair, PreMatchedPair
+from antiflex.operators import OOperator, check_o_operator, r_map_matrix
+
+from helpers import t3_add
+
+
+def _require_dual_pair(caller, palgA, palgAstar, check_inputs):
+    """The checks the dual pairs share: equal dimensions, and with
+    check_inputs both factors pre-anti-flexible."""
+    if palgA.dimension != palgAstar.dimension:
+        raise PreconditionError("%s: dimension mismatch" % caller)
+    if check_inputs:
+        for name, p in (("first", palgA), ("second", palgAstar)):
+            require_pass(check_identities(p, "pre-anti-flexible"),
+                         "%s: %s factor fails the pre-anti-flexible check"
+                         % (caller, name))
 
 
 def underlying_algebra(palg: PreAlgebra) -> Algebra:
@@ -284,3 +300,122 @@ def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
                                                check_inputs=False))
     return replace(double, basis_names=tuple(palg.basis_names)
                    + dual.basis_names)
+
+
+# ---------------------------------------------------------------------------
+# constructions on checked inputs that the package made through their
+# public constructors before algebra._trusted
+# ---------------------------------------------------------------------------
+
+def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
+    """The half-products x > y = a(x)*y and x < y = x*a(y): the plane of
+    e_i > - is the planes of c summed over column i of a, and the plane of
+    e_i < - is a^T c[i]."""
+    n = alg.dimension
+    require_square("induced_pre_from_map", "alpha", alpha, n)
+    c, alpha_t = alg.product, transpose(alpha)
+    return PreAlgebra(n, [mat_mul(alpha_t, plane) for plane in c],
+                      [act(c, col) for col in alpha_t], alg.basis_names)
+
+
+def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
+    """Split an anti-flexible product through an invertible bilinear form.
+
+    omega is the Gram matrix of a nondegenerate form satisfying the cyclic
+    condition w(x*y,z)+w(y*z,x)+w(z*x,y)=0.  The two half-products are the
+    unique solutions of w(x<y, z) = w(x, y*z) and w(x>y, z) = w(y, z*x).
+    """
+    require_pass(check_identities(alg, "anti-flexible"),
+                 "induce_pre_from_form: base algebra fails the anti-flexible "
+                 "check")
+    require_pass(check_cyclic_form(alg, omega),
+                 "induce_pre_from_form: form violates the cyclic condition")
+    n = alg.dimension
+    try:
+        # w(v, -) as a row functional is v^T omega; solving omega^T u = rhs
+        # recovers u from the functional w(u, -).
+        omega_t_inv = mat_inverse(transpose(omega))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError("induce_pre_from_form: degenerate form") from exc
+    # with x = e_i and y = e_j, w(x, y*e_k) = omega[i] . c[j][k] and
+    # w(y, e_k*x) = omega[j] . c[k][i]
+    c = alg.product
+    prec = zeros_t3(n)
+    succ = zeros_t3(n)
+    for i in range(n):
+        for j in range(n):
+            rhs_prec = [dot(omega[i], c[j][k]) for k in range(n)]
+            rhs_succ = [dot(omega[j], c[k][i]) for k in range(n)]
+            prec[i][j] = mat_vec(omega_t_inv, rhs_prec)
+            succ[i][j] = mat_vec(omega_t_inv, rhs_succ)
+    return PreAlgebra(n, prec, succ, alg.basis_names)
+
+
+def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:
+    """The companion pre-structure of a nondegenerate symmetric solution:
+    x <' y = r(L*_succ(y) r^{-1}(x)), x >' y = r(R*_prec(x) r^{-1}(y))."""
+    require_pass(check_pafybe(palg, r), "compatible_structure_on_A: r fails "
+                 "the Yang-Baxter check")
+    n = palg.dimension
+    rmat = r_map_matrix(r)
+    # row i of the transpose of r^{-1} is r^{-1}(e_i); L*_succ(e_j) is the
+    # plane succ[j] and R*_prec(e_i) is transpose(prec)[i]
+    rinv, prec_t = transpose(mat_inverse(rmat)), transpose(palg.prec)
+    prec = [[mat_vec(rmat, mat_vec(palg.succ[j], rinv[i])) for j in range(n)]
+            for i in range(n)]
+    succ = [[mat_vec(rmat, mat_vec(prec_t[i], rinv[j])) for j in range(n)]
+            for i in range(n)]
+    return PreAlgebra(n, prec, succ, palg.basis_names)
+
+
+def solution_from_o_operator(oo: OOperator):
+    """The symmetric solution carried by an injective O-operator: products
+    on T(V) via preimages, the semidirect double with the dualized actions,
+    and r = T + sigma T placed on the antidiagonal blocks.  Returns
+    (double PreAlgebra, r matrix)."""
+    require_pass(check_o_operator(oo), "solution_from_o_operator: T fails "
+                 "the O-operator check")
+    bm = oo.bimodule
+    m = bm.space_dim
+    if mat_rank(list(map(list, oo.T))) != m:
+        raise PreconditionError("solution_from_o_operator: T must be "
+                                "injective")
+    # products on T(V) in V-coordinates: v_i < v_j = r(T(v_j))v_i,
+    # v_i > v_j = l(T(v_i))v_j, read off the rows of the transposes
+    r_t, l_t = ([transpose(act(maps, col)) for col in transpose(oo.T)]
+                for maps in (bm.r, bm.l))
+    image = PreAlgebra(m, transpose(r_t), l_t)
+    zero = tuple(zeros_mat(m) for _ in range(m))
+    actions = PreBimodule(image, m, r_t, zero, zero, l_t)
+    double = semidirect_pre(actions)
+    r = zeros_mat(2 * m)
+    for i in range(m):
+        r[i][m + i] = ONE
+        r[m + i][i] = ONE
+    return double, r
+
+
+def canonical_solution(palg: PreAlgebra):
+    """The flagship symmetric solution: the semidirect double of the
+    dual-reduced regular actions, with r = sum_i (e_i (x) e_i* +
+    e_i* (x) e_i)."""
+    require_pass(check_identities(palg, "pre-anti-flexible"),
+                 "canonical_solution: base fails the pre-anti-flexible check")
+    n = palg.dimension
+    double = semidirect_pre(derive_bimodule(regular_pre_bimodule(palg),
+                                            "dual-reduced"))
+    r = zeros_mat(2 * n)
+    for i in range(n):
+        r[i][n + i] = ONE
+        r[n + i][i] = ONE
+    return double, r
+
+
+def dual_bialgebra(b: Bialgebra) -> Bialgebra:
+    """Exchange the roles of the algebra and the comultiplications: the dual
+    structure's products are the ones induced by b's comultiplications, and
+    its comultiplications are the duals of b's products.  An involution."""
+    require_pass(verify_bialgebra(b),
+                 "dual_bialgebra: input fails verification")
+    dp, ds = comult_from_products(b.palg)
+    return Bialgebra(b.dual, tuple(dp), tuple(ds))
