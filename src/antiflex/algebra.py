@@ -480,25 +480,28 @@ def flat_residuals(families, index, shape, d):
                 yield label, idx, _divided(block, d, shape)
 
 
-def table_residuals(tensor, rows, extents, index, axes):
+def table_residuals(tensor, rows, args, coords, index, axes):
     """(label, index tuple, residual) of each row of an identity table
     where its residual is nonzero, in scan order (index tuple, then row),
     given the basis_residuals of a structure.
 
-    A row is (label, identity, slots, sign), with four slots (letter,
-    offset) for the identity's arguments and coordinate: at letter values
-    v1..v4 the row is sign times coordinate o4 + v4 of the identity at the
-    basis triple (o1 + v1, o2 + v2, o3 + v3).  extents gives each letter's
-    number of values, index the letters of the index tuple and axes those
-    of the residual.  A row's four letters are distinct, so each nonzero
-    entry of the identity in its ranges is one entry of one residual.
+    A row is (label, identity, letters, sign).  Its first three letters
+    range over the basis indices args[letter] of the identity's arguments
+    and its fourth over those coords[letter] of its coordinate, a letter's
+    value being its position in its range: at values v1..v4 the row is
+    sign times coordinate C[v4] of the identity at the basis triple
+    (A1[v1], A2[v2], A3[v3]), for A1..A3 and C the four ranges.  index
+    names the letters of the index tuple and axes those of the residual.
+    A row's four letters are distinct, so each nonzero entry of the
+    identity in its ranges is one entry of one residual.
     """
-    shape = [extents[ch] for ch in axes]
+    shape = [len(coords[ch] if ch in coords else args[ch]) for ch in axes]
     found = {}      # (index tuple, row number) -> its residual, flat
-    for r, (_, identity, slots, sign) in enumerate(rows):
-        letters = [ch for ch, _ in slots]
+    for r, (_, identity, letters, sign) in enumerate(rows):
+        a, b, e, k = letters
         (o0, h0), (o1, h1), (o2, h2), (o3, h3) = [
-            (o, o + extents[ch]) for ch, o in slots]
+            (at.start, at.stop)
+            for at in (args[a], args[b], args[e], coords[k])]
         pick = [letters.index(ch) for ch in index]
         place = [(letters.index(ch), prod(shape[m + 1:]))
                  for m, ch in enumerate(axes)]
@@ -540,10 +543,9 @@ def triple_residuals(tensor, labels, n):
     an n-dimensional structure whose residual is nonzero, in scan order,
     given its basis_residuals: one table row per label, read at its own
     arguments and coordinate."""
-    slots = tuple((ch, 0) for ch in "ijkq")
-    return table_residuals(tensor, [(label, label, slots, 1)
-                                    for label in labels],
-                           dict.fromkeys("ijkq", n), "ijk", "q")
+    at = dict.fromkeys("ijkq", range(n))
+    return table_residuals(tensor, [(label, label, "ijkq", 1)
+                                    for label in labels], at, at, "ijk", "q")
 
 
 def check_identities(subject, kind, all_failures=False) -> CheckReport:

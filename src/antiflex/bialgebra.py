@@ -91,11 +91,11 @@ def comult_from_products(palg: PreAlgebra):
 # ---------------------------------------------------------------------------
 
 # each co-identity by the identity of the dual products whose coordinates
-# it collects: (label, identity, its arguments and coordinate).  Entry
-# [p][q][k] of the residual at e_i is coordinate i of the identity at
-# (f_p, f_q, f_k).
-CO_IDENTITIES = (("co-identity-m", "pre-anti-flexible-m", "pqki"),
-                 ("co-identity-lr", "pre-anti-flexible-lr", "pqki"))
+# it collects: (label, identity, its arguments and coordinate, sign; see
+# algebra.table_residuals).  Entry [p][q][k] of the residual at e_i is
+# coordinate i of the identity at (f_p, f_q, f_k).
+CO_IDENTITIES = (("co-identity-m", "pre-anti-flexible-m", "pqki", 1),
+                 ("co-identity-lr", "pre-anti-flexible-lr", "pqki", 1))
 
 
 def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
@@ -117,11 +117,10 @@ def check_dual_pre_via_rmatrix(delta_prec, delta_succ,
 
 def _co_identities(dual, all_failures):
     """check_dual_pre_via_rmatrix on the dual products."""
+    at = dict.fromkeys("pqki", range(dual.dimension))
     return scan("dual-pre-via-comult", table_residuals(
-        basis_residuals(dual),
-        [(label, identity, [(ch, 0) for ch in letters], 1)
-         for label, identity, letters in CO_IDENTITIES],
-        dict.fromkeys("pqki", dual.dimension), "i", "pqk"), all_failures)
+        basis_residuals(dual), CO_IDENTITIES, at, at, "i", "pqk"),
+        all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +146,12 @@ BIALGEBRA_CONDITIONS = (
 def _condition_residuals(n, tensor):
     """(label, (i, j), residual) of the four conditions at every basis
     pair where it is nonzero, in checking order, given the basis_residuals
-    of the AF double: x, y sit at offset 0 and a, b at n, and the left-out
-    letter is read at its pair, the other offset."""
-    offset = {"x": 0, "y": 0, "a": n, "b": n}
-    return table_residuals(
-        tensor, [(label, identity, [(ch, offset[ch]) for ch in letters[:3]]
-                  + [(letters[3], n - offset[letters[3]])], sign)
-                 for label, identity, letters, sign in BIALGEBRA_CONDITIONS],
-        dict.fromkeys("xyab", n), "xy", "ab")
+    of the AF double: x, y range over A and a, b over A*, and the left-out
+    letter is read as a coordinate of its pair, the other block."""
+    A, D = range(n), range(n, 2 * n)
+    return table_residuals(tensor, BIALGEBRA_CONDITIONS,
+                           {"x": A, "y": A, "a": D, "b": D},
+                           {"b": A, "y": D}, "xy", "ab")
 
 
 def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    _dense, _require_actions, _tensors, _trusted, basis_residuals, \
-    require_pass, scan, structure_tensors, table_residuals, underlying_algebra
+    _dense, _require_actions, _require_kind, _tensors, _trusted, \
+    basis_residuals, require_pass, scan, structure_tensors, table_residuals, \
+    underlying_algebra
 from .linalg import mat_add, mat_neg, transpose, zeros_mat
 
 
@@ -105,10 +106,11 @@ def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
 # ---------------------------------------------------------------------------
 
 # One row per bimodule identity: (label, identity of the semidirect
-# product, its arguments and coordinate).  x, y are basis vectors of A, a
-# of V and k a coordinate of V; the row is read at (x, y) = (e_i, e_j) for
-# the index pair (i, j), and entry [k][t] of its residual matrix is
-# coordinate k of the identity at a = v_t.
+# product, its arguments and coordinate, sign; see
+# algebra.table_residuals).  x, y are basis vectors of A, a of V and k a
+# coordinate of V; the row is read at (x, y) = (e_i, e_j) for the index
+# pair (i, j), and entry [k][t] of its residual matrix is coordinate k of
+# the identity at a = v_t.
 #   af-bimodule-1:  l(x*y) - l(x)l(y) = r(x)r(y) - r(y*x)
 #   af-bimodule-2:  [l(x),r(y)] = [l(y),r(x)]
 # With ls/rs/lp/rp the succ/prec actions and l., r. their sums:
@@ -118,16 +120,16 @@ def regular_pre_bimodule(palg: PreAlgebra) -> PreBimodule:
 #   pre-bimodule-4:  rs(x)l.(y) - ls(y)rs(x) = rp(y)lp(x) - lp(x)r.(y)
 #   pre-bimodule-5:  rs(x)r.(y) - rs(y>x) = lp(x<y) - lp(x)l.(y)
 AF_BIMODULE = (
-    ("af-bimodule-1", "anti-flexible", "xyak"),
-    ("af-bimodule-2", "anti-flexible", "yaxk"),
+    ("af-bimodule-1", "anti-flexible", "xyak", 1),
+    ("af-bimodule-2", "anti-flexible", "yaxk", 1),
 )
 
 PRE_BIMODULE = (
-    ("pre-bimodule-1", "pre-anti-flexible-m", "yaxk"),
-    ("pre-bimodule-2", "pre-anti-flexible-m", "xyak"),
-    ("pre-bimodule-3", "pre-anti-flexible-lr", "xyak"),
-    ("pre-bimodule-4", "pre-anti-flexible-lr", "yaxk"),
-    ("pre-bimodule-5", "pre-anti-flexible-lr", "ayxk"),
+    ("pre-bimodule-1", "pre-anti-flexible-m", "yaxk", 1),
+    ("pre-bimodule-2", "pre-anti-flexible-m", "xyak", 1),
+    ("pre-bimodule-3", "pre-anti-flexible-lr", "xyak", 1),
+    ("pre-bimodule-4", "pre-anti-flexible-lr", "yaxk", 1),
+    ("pre-bimodule-5", "pre-anti-flexible-lr", "ayxk", 1),
 )
 
 
@@ -139,14 +141,12 @@ def block_residuals(rows, tensor, base, modules):
     residual is the module block of the row's identity at a = the t-th
     module vector."""
     at = {"x": base, "y": base, "a": modules, "k": modules}
-    return table_residuals(
-        tensor, [(label, identity, [(ch, at[ch].start) for ch in letters], 1)
-                 for label, identity, letters in rows],
-        {ch: len(r) for ch, r in at.items()}, "xy", "ka")
+    return table_residuals(tensor, rows, at, at, "xy", "ka")
 
 
 def check_af_bimodule(bm: AfBimodule, all_failures=False) -> CheckReport:
     """The two rows of AF_BIMODULE over all basis pairs."""
+    _require_kind("check_af_bimodule", bm, AfBimodule)
     d, n = semidirect_af(bm), bm.base.dimension
     return scan("af-bimodule", block_residuals(
         AF_BIMODULE, basis_residuals(d), range(n), range(n, d.dimension)),
@@ -155,6 +155,7 @@ def check_af_bimodule(bm: AfBimodule, all_failures=False) -> CheckReport:
 
 def check_pre_bimodule(bm: PreBimodule, all_failures=False) -> CheckReport:
     """The five rows of PRE_BIMODULE over all basis pairs."""
+    _require_kind("check_pre_bimodule", bm, PreBimodule)
     d, n = semidirect_pre(bm), bm.base.dimension
     return scan("pre-bimodule", block_residuals(
         PRE_BIMODULE, basis_residuals(d), range(n), range(n, d.dimension)),

@@ -370,6 +370,7 @@ def coboundary_delta(palg: PreAlgebra, rp: RPair):
 def coboundary_bialgebra(palg: PreAlgebra, rp: RPair) -> Bialgebra:
     """The candidate bialgebra whose comultiplications are the coboundaries
     of the r-pair."""
+    _require_base("coboundary_bialgebra", palg)
     return _trusted(Bialgebra, palg, *coboundary_delta(palg, rp))
 
 
@@ -547,13 +548,8 @@ def special_case_conditions(palg: PreAlgebra, r, case,
         raise PreconditionError("special_case_conditions: unknown case %r"
                                 % (case,))
     require_square("special_case_conditions", "r", r, palg.dimension)
-    report = scan("special-case-" + case, _coboundary_residuals(
-        c, special_case_rpair(r, case)), all_failures)
-    if report.passed:
-        return report
     labels = SPECIAL_CASE_LABELS[case]
-    failures = tuple((labels[label][0], idx,
-                      res if labels[label][1] > 0 else mat_neg(res))
-                     for label, idx, res in report.failures)
-    return CheckReport(False, report.identity_name, witness=failures[0],
-                       failures=failures)
+    return scan("special-case-" + case, (
+        (labels[label][0], idx, res if labels[label][1] > 0 else mat_neg(res))
+        for label, idx, res in _coboundary_residuals(
+            c, special_case_rpair(r, case))), all_failures)

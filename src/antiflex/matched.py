@@ -34,9 +34,9 @@ from functools import partial
 from math import lcm
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    _built, _dense, _require_actions, _tensors, _trusted, basis_residuals, \
-    check_cyclic_form, check_identities, require_pass, scan, \
-    structure_tensors, table_residuals, underlying_algebra
+    _built, _dense, _require_actions, _require_kind, _tensors, _trusted, \
+    basis_residuals, check_cyclic_form, check_identities, require_pass, \
+    scan, structure_tensors, table_residuals, underlying_algebra
 from .bimodule import AF_BIMODULE, PRE_BIMODULE, _double, block_residuals
 from .linalg import ONE, transpose, zeros_mat
 
@@ -92,35 +92,35 @@ class PreMatchedPair:
 # the compatibility conditions as blocks of the double
 # ---------------------------------------------------------------------------
 
-# One row per condition: (label, kept block, identity of the double, its
-# arguments and coordinate, sign).  x, y are basis vectors of A, a, b of B
-# and k a coordinate of the kept block.  An A row is read at (x, y, a) =
-# (e_i, e_j, f_s) for the index tuple (i, j, s), a B row at (x, a, b) =
-# (e_i, f_s, f_t) for (i, s, t).
-AF_CONDITIONS = (
-    ("af-matched-1", "A", "anti-flexible", "yxak", 1),
-    ("af-matched-3", "A", "anti-flexible", "xayk", 1),
-    ("af-matched-2", "B", "anti-flexible", "xabk", -1),
-    ("af-matched-4", "B", "anti-flexible", "axbk", 1),
-)
+# The condition rows of each kept block: (label, identity of the double,
+# its arguments and coordinate, sign; see algebra.table_residuals).  x, y
+# are basis vectors of A, a, b of B and k a coordinate of the kept block.
+# An A row is read at (x, y, a) = (e_i, e_j, f_s) for the index tuple
+# (i, j, s), a B row at (x, a, b) = (e_i, f_s, f_t) for (i, s, t).
+AF_CONDITIONS = {
+    "A": (("af-matched-1", "anti-flexible", "yxak", 1),
+          ("af-matched-3", "anti-flexible", "xayk", 1)),
+    "B": (("af-matched-2", "anti-flexible", "xabk", -1),
+          ("af-matched-4", "anti-flexible", "axbk", 1)),
+}
 
-PRE_CONDITIONS = (
-    ("pre-matched-1", "A", "pre-anti-flexible-m", "yxak", -1),
-    ("pre-matched-3", "A", "pre-anti-flexible-lr", "axyk", 1),
-    ("pre-matched-4", "A", "pre-anti-flexible-lr", "xyak", 1),
-    ("pre-matched-7", "A", "pre-anti-flexible-m", "xayk", 1),
-    ("pre-matched-9", "A", "pre-anti-flexible-lr", "xayk", 1),
-    ("pre-matched-2", "B", "pre-anti-flexible-m", "xbak", 1),
-    ("pre-matched-5", "B", "pre-anti-flexible-lr", "xbak", 1),
-    ("pre-matched-6", "B", "pre-anti-flexible-lr", "abxk", 1),
-    ("pre-matched-8", "B", "pre-anti-flexible-m", "axbk", 1),
-    ("pre-matched-10", "B", "pre-anti-flexible-lr", "axbk", 1),
-)
+PRE_CONDITIONS = {
+    "A": (("pre-matched-1", "pre-anti-flexible-m", "yxak", -1),
+          ("pre-matched-3", "pre-anti-flexible-lr", "axyk", 1),
+          ("pre-matched-4", "pre-anti-flexible-lr", "xyak", 1),
+          ("pre-matched-7", "pre-anti-flexible-m", "xayk", 1),
+          ("pre-matched-9", "pre-anti-flexible-lr", "xayk", 1)),
+    "B": (("pre-matched-2", "pre-anti-flexible-m", "xbak", 1),
+          ("pre-matched-5", "pre-anti-flexible-lr", "xbak", 1),
+          ("pre-matched-6", "pre-anti-flexible-lr", "abxk", 1),
+          ("pre-matched-8", "pre-anti-flexible-m", "axbk", 1),
+          ("pre-matched-10", "pre-anti-flexible-lr", "axbk", 1)),
+}
 
 
 def _layout(mp):
-    """(checker, report name, nA, nB, bimodule rows, condition rows) of a
-    matched pair of either kind."""
+    """(checker, report name, nA, nB, bimodule rows, condition rows by
+    kept block) of a matched pair of either kind."""
     if isinstance(mp, AfMatchedPair):
         return ("check_af_matched", "af-matched", mp.algA.dimension,
                 mp.algB.dimension, AF_BIMODULE, AF_CONDITIONS)
@@ -134,26 +134,25 @@ def condition_residuals(mp, tensor):
     basis_residuals of its double: for each i, the A rows over (i, j, s),
     then the B rows over (i, s, t).  The A rows and the B rows are each one
     table read, merged by a stable sort on (i, side)."""
-    _, _, nA, nB, _, rows = _layout(mp)
-    sides = []
-    for side, index, k in (("A", "xya", (0, nA)), ("B", "xab", (nA, nB))):
-        offset = {"x": 0, "y": 0, "a": nA, "b": nA, "k": k[0]}
-        sides += table_residuals(
-            tensor, [(label, identity, [(ch, offset[ch]) for ch in letters],
-                      sign) for label, block, identity, letters, sign in rows
-                     if block == side],
-            {"x": nA, "y": nA, "a": nB, "b": nB, "k": k[1]}, index, "k")
+    _, _, nA, nB, _, tables = _layout(mp)
+    A, B = range(nA), range(nA, nA + nB)
+    args, sides = {"x": A, "y": A, "a": B, "b": B}, []
+    for side, index, kept in (("A", "xya", A), ("B", "xab", B)):
+        sides += table_residuals(tensor, tables[side], args, {"k": kept},
+                                 index, "k")
     return sorted(sides, key=lambda failure: failure[1][0])
 
 
 def check_af_matched(mp: AfMatchedPair, all_failures=False) -> CheckReport:
     """The four compatibility conditions over all basis tuples."""
+    _require_kind("check_af_matched", mp, AfMatchedPair)
     return _matched_report(mp, basis_residuals(build_af_double(mp)),
                            all_failures)
 
 
 def check_pre_matched(mp: PreMatchedPair, all_failures=False) -> CheckReport:
     """The ten compatibility conditions over all basis tuples."""
+    _require_kind("check_pre_matched", mp, PreMatchedPair)
     return _matched_report(mp, basis_residuals(build_pre_double(mp)),
                            all_failures)
 

@@ -47,8 +47,8 @@ def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     identity of B on the regular bimodule, l(x)v = x*v and r(x)u = u*x."""
     require_square("check_rota_baxter", "alpha", alpha, alg.dimension)
     require_anti_flexible(alg, "check_rota_baxter")
-    return _relabelled(_o_operator_report(regular_tensors(alg), alpha,
-                                          all_failures), "rota-baxter")
+    return _o_operator_report(regular_tensors(alg), alpha, all_failures,
+                              "rota-baxter")
 
 
 def regular_tensors(alg: Algebra) -> StructureTensors:
@@ -73,11 +73,11 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
     n = alg.dimension
     require_square("check_generalized_rb", "alpha", alpha, n)
     require_anti_flexible(alg, "check_generalized_rb")
+    at = dict.fromkeys("ijkq", range(n))
     return scan("generalized-rota-baxter", table_residuals(
         basis_residuals(induced_pre_from_map(alg, alpha)),
-        [("generalized-rota-baxter", "pre-anti-flexible-lr",
-          tuple((ch, 0) for ch in "ijkq"), -1)],
-        dict.fromkeys("ijkq", n), "ijk", "q"), all_failures)
+        (("generalized-rota-baxter", "pre-anti-flexible-lr", "ijkq", -1),),
+        at, at, "ijk", "q"), all_failures)
 
 
 def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
@@ -117,21 +117,22 @@ def require_af_bimodule(bm: AfBimodule, caller):
 
 def check_o_operator(oo: OOperator, all_failures=False) -> CheckReport:
     """T(u)*T(v) = T(l(T(u))v + r(T(v))u) over all basis pairs of V."""
+    _require_kind("check_o_operator", oo, OOperator)
     require_af_bimodule(oo.bimodule, "check_o_operator")
     return _o_operator_report(structure_tensors(oo.bimodule), oo.T,
-                              all_failures)
+                              all_failures, "o-operator")
 
 
-def _o_operator_report(c, T, all_failures):
-    """The O-operator check of the matrix T on the structure tensors c of a
-    bimodule.  T is scaled to ints by its lcd D_m, and the residual at each
-    basis pair where it is nonzero is divided back by D * D_m**2."""
+def _o_operator_report(c, T, all_failures, name):
+    """The O-operator check `name` of the matrix T on the structure tensors
+    c of a bimodule.  T is scaled to ints by its lcd D_m, and the residual
+    at each basis pair where it is nonzero is divided back by D * D_m**2."""
     d = _lcd(x for row in T for x in row)
     flat = o_operator_numerators(c)(
         [[x.numerator * (d // x.denominator) for x in row] for row in T])
-    return scan("o-operator", flat_residuals(
-        {"o-operator": lambda: flat}, (len(T[0]),) * 2, (len(T),),
-        c.scale * d * d), all_failures)
+    return scan(name, flat_residuals(
+        {name: lambda: flat}, (len(T[0]),) * 2, (len(T),), c.scale * d * d),
+        all_failures)
 
 
 def o_operator_numerators(c):
@@ -193,13 +194,6 @@ def r_map_matrix(r):
     return transpose(r)
 
 
-def _relabelled(rep: CheckReport, name) -> CheckReport:
-    """A report under the check name `name`, each failure relabelled."""
-    failures = tuple((name,) + failure[1:] for failure in rep.failures)
-    return CheckReport(rep.passed, name, failures[0] if failures else None,
-                       failures)
-
-
 def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
     """The double A + A* of a symmetric r: the pre double of the eight-map
     dual pair (see matched.dual_pre_matched) of A and the products that the
@@ -231,9 +225,12 @@ def check_r_double_consistency(palg: PreAlgebra, r,
     """Whether the assembled double is itself pre-anti-flexible; for
     symmetric r this holds exactly when r solves the Yang-Baxter-type
     equation."""
-    return _relabelled(check_identities(assembled_double(palg, r),
-                                        "pre-anti-flexible", all_failures),
-                       "r-double")
+    d = assembled_double(palg, r)
+    at = dict.fromkeys("ijkq", range(d.dimension))
+    return scan("r-double", table_residuals(basis_residuals(d), (
+        ("r-double", "pre-anti-flexible-m", "ijkq", 1),
+        ("r-double", "pre-anti-flexible-lr", "ijkq", 1)), at, at, "ijk", "q"),
+        all_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +272,8 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     f = structure_tensors(_dual_pair(AfMatchedPair, palg, palg)).rows
     bm = StructureTensors({"c": c.rows["dot"], "l": f["lA"], "r": f["rA"]},
                           c.scale)
-    return _relabelled(_o_operator_report(bm, r_map_matrix(r), all_failures),
-                       "operator-form")
+    return _o_operator_report(bm, r_map_matrix(r), all_failures,
+                              "operator-form")
 
 
 def compatible_structure_on_A(palg: PreAlgebra, r) -> PreAlgebra:

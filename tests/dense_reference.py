@@ -18,8 +18,7 @@ from antiflex.linalg import ONE, mat_add, mat_inverse, mat_mul, \
     mat_neg, mat_rank, mat_sub, mat_vec, t3_sub, transpose, zeros_mat, \
     zeros_t3
 from antiflex.matched import AfMatchedPair, PreMatchedPair
-from antiflex.operators import OOperator, _relabelled, check_o_operator, \
-    r_map_matrix
+from antiflex.operators import OOperator, check_o_operator, r_map_matrix
 
 from helpers import basis_vec, multiplication_operators
 from operators_reference import o_operator_core
@@ -144,6 +143,13 @@ def dual_pre_matched(palgA: PreAlgebra, palgAstar: PreAlgebra,
 # ---------------------------------------------------------------------------
 # antiflex.operators
 # ---------------------------------------------------------------------------
+
+def _relabelled(rep: CheckReport, name) -> CheckReport:
+    """A report under the check name `name`, each failure relabelled."""
+    failures = tuple((name,) + failure[1:] for failure in rep.failures)
+    return CheckReport(rep.passed, name, failures[0] if failures else None,
+                       failures)
+
 
 def induced_pre_from_map(alg: Algebra, alpha) -> PreAlgebra:
     """The half-products x > y = a(x)*y and x < y = x*a(y)."""

@@ -790,6 +790,27 @@ def test_cli_from_rb_rejects_wrong_shape_maps(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_construct_coboundary_refuses_a_failing_base(tmp_path, capsys):
+    # a base that fails the pre-anti-flexible check (e < e = e > e = e
+    # fails lr at (e, e, e)) is an input error on both paths, an r-pair
+    # and a single r with --case: exit 2 naming the builder, no file
+    base, rpair, relt = (tmp_path / name for name in
+                         ("base.json", "rpair.json", "r.json"))
+    save_file(base, PreAlgebra(1, [[[1]]], [[[1]]]))
+    save_file(rpair, RPair([[1]], [[0]]))
+    save_file(relt, RElement(1, [[1]]))
+    out = tmp_path / "out.json"
+    for caller, files in (("coboundary_bialgebra", [rpair]),
+                          ("special_case_bialgebra", [relt, "--case", "one"]),
+                          ("special_case_bialgebra", [relt, "--case", "two"])):
+        assert main(["construct", "coboundary", str(base),
+                     *map(str, files), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: %s: base fails the pre-anti-flexible check; witness "
+            % caller)
+        assert not out.exists()
+
+
 def test_cli_exit_codes_separate_input_errors_from_bugs(tmp_path, capsys,
                                                         monkeypatch):
     alg = tmp_path / "qt2.json"

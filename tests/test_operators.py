@@ -440,7 +440,8 @@ def test_o_operator_report_matches_fraction_path_off_bimodules(data, bm):
     # the kernel decides any structure constants, bimodule or not
     t = data.draw(_matrices(bm.base.dimension, bm.space_dim))
     for every in (False, True):
-        assert _o_operator_report(structure_tensors(bm), t, every) == \
+        assert _o_operator_report(structure_tensors(bm), t, every,
+                                  "o-operator") == \
             reference.o_operator_core(bm, t, every)
 
 
@@ -737,7 +738,7 @@ def test_generalized_rb_matches_the_per_triple_check(data, alg):
         assert check_generalized_rb(alg, alpha, every) == \
             reference.check_generalized_rb(alg, alpha, every)
         c = regular_tensors(alg)
-        assert _o_operator_report(c, alpha, every) == \
+        assert _o_operator_report(c, alpha, every, "o-operator") == \
             reference.o_operator_report(c, alpha, every)
 
 
@@ -767,7 +768,7 @@ def test_o_operator_report_matches_the_per_block_report(data, bm):
     c = structure_tensors(bm)
     t = data.draw(_matrices(n, m))
     for every in (False, True):
-        assert _o_operator_report(c, t, every) == \
+        assert _o_operator_report(c, t, every, "o-operator") == \
             reference.o_operator_report(c, t, every)
     ints = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=m,
                                        max_size=m), min_size=n, max_size=n))

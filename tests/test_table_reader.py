@@ -12,7 +12,8 @@ from antiflex.algebra import COMPOSITIONS, Algebra, PreAlgebra, \
 from antiflex.bialgebra import BIALGEBRA_CONDITIONS, CO_IDENTITIES, \
     Bialgebra, _condition_residuals, check_dual_pre_via_rmatrix, \
     dual_products_from_comult
-from antiflex.bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals
+from antiflex.bimodule import AF_BIMODULE, PRE_BIMODULE, block_residuals, \
+    regular_af_bimodule
 from antiflex.matched import AF_CONDITIONS, PRE_CONDITIONS, \
     AfMatchedPair, PreMatchedPair, build_af_double, build_pre_double, \
     _dual_pair, condition_residuals
@@ -24,7 +25,8 @@ import bialgebra_reference
 import bimodule_reference
 import identity_reference
 import matched_reference
-from helpers import bump_t3, matrix_units, seeded, split_bialgebra
+from helpers import bump_t3, induced_not_dendriform, matrix_units, \
+    non_associative_af, seeded, split_bialgebra
 
 
 def _is_zero(res):
@@ -126,18 +128,27 @@ def _tensor(rng, n, m=None, k=None, density=0.4):
 
 
 def test_table_rows_name_an_identity_and_four_letters():
-    tables = {"AF_CONDITIONS": (AF_CONDITIONS, 2, 3),
-              "PRE_CONDITIONS": (PRE_CONDITIONS, 2, 3),
-              "AF_BIMODULE": (AF_BIMODULE, 1, 2),
-              "PRE_BIMODULE": (PRE_BIMODULE, 1, 2),
-              "BIALGEBRA_CONDITIONS": (BIALGEBRA_CONDITIONS, 1, 2),
-              "CO_IDENTITIES": (CO_IDENTITIES, 1, 2)}
-    for name, (rows, identity, letters) in tables.items():
+    # every row of every table, both kept blocks of the condition tables
+    # included, is (label, identity, letters, sign) in the reader's format
+    tables = {"AF_CONDITIONS A": AF_CONDITIONS["A"],
+              "AF_CONDITIONS B": AF_CONDITIONS["B"],
+              "PRE_CONDITIONS A": PRE_CONDITIONS["A"],
+              "PRE_CONDITIONS B": PRE_CONDITIONS["B"],
+              "AF_BIMODULE": AF_BIMODULE,
+              "PRE_BIMODULE": PRE_BIMODULE,
+              "BIALGEBRA_CONDITIONS": BIALGEBRA_CONDITIONS,
+              "CO_IDENTITIES": CO_IDENTITIES}
+    assert set(AF_CONDITIONS) == set(PRE_CONDITIONS) == {"A", "B"}
+    for name, rows in tables.items():
         assert rows, name
         for row in rows:
-            assert row[identity] in COMPOSITIONS, (name, row)
-            assert len(row[letters]) == len(set(row[letters])) == 4, \
+            assert len(row) == 4, (name, row)
+            label, identity, letters, sign = row
+            assert isinstance(label, str) and identity in COMPOSITIONS, \
                 (name, row)
+            assert isinstance(letters, str), (name, row)
+            assert len(letters) == len(set(letters)) == 4, (name, row)
+            assert sign in (1, -1), (name, row)
 
 
 def test_reader_matches_dense_readers_on_random_rationals():
@@ -193,3 +204,27 @@ def test_reader_matches_dense_readers_on_m3():
     b = special_case_bialgebra(double, r, "one")
     bumped = Bialgebra(b.palg, bump_t3(b.delta_prec, 0, 1, 3), b.delta_succ)
     assert _bialgebra_agree(bumped) > 0
+
+
+def test_reader_matches_dense_readers_on_non_associative_subjects():
+    # anti-flexible algebras that are not associative, with the pair of
+    # their regular actions on themselves; pre-anti-flexible algebras that
+    # are not dendriform, with their dual pairs with each other and the
+    # case-one and case-two bialgebras of their canonical solutions, as
+    # built and with one comultiplication entry bumped
+    found = 0
+    for alg in non_associative_af()[:3]:
+        bm = regular_af_bimodule(alg)
+        found += _identities_agree(alg) + _matched_agree(AfMatchedPair(
+            alg, alg, bm.l, bm.r, bm.l, bm.r))
+    pres = induced_not_dendriform()[:3]
+    for palg in pres:
+        found += _identities_agree(palg) + sum(
+            _matched_agree(_dual_pair(cls, palg, other))
+            for other in pres for cls in (AfMatchedPair, PreMatchedPair))
+        double, r = canonical_solution(palg)
+        for case in ("one", "two"):
+            b = special_case_bialgebra(double, r, case)
+            found += _bialgebra_agree(b) + _bialgebra_agree(Bialgebra(
+                b.palg, bump_t3(b.delta_prec, 0, 1, 3), b.delta_succ))
+    assert found > 100

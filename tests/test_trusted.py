@@ -22,18 +22,18 @@ from antiflex.algebra import FROM_ASSOCIATIVE_VARIANTS, Algebra, \
     induce_pre_from_form, structure_tensors, underlying_algebra
 from antiflex.bialgebra import Bialgebra, dual_bialgebra, \
     dual_products_from_comult, verify_bialgebra
-from antiflex.bimodule import BIMODULE_TRANSFORMS, derive_bimodule, \
-    regular_af_bimodule, regular_pre_bimodule, semidirect_af, \
-    semidirect_pre
+from antiflex.bimodule import BIMODULE_TRANSFORMS, check_af_bimodule, \
+    check_pre_bimodule, derive_bimodule, regular_af_bimodule, \
+    regular_pre_bimodule, semidirect_af, semidirect_pre
 from antiflex.coboundary import RPair, check_pafybe, coboundary_bialgebra, \
     special_case_bialgebra
 from antiflex.harness import random_element_oracle, serialize
 from antiflex.linalg import transpose
 from antiflex.matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
-    build_af_double, build_pre_double, dual_pre_matched, omega_matrix, \
-    standard_dual_matched
+    build_af_double, build_pre_double, check_af_matched, check_pre_matched, \
+    dual_pre_matched, omega_matrix, standard_dual_matched
 from antiflex.operators import OOperator, assembled_double, \
-    canonical_solution, check_two_cocycle, compatible_structure_on_A, \
+    canonical_solution, check_o_operator, check_two_cocycle, compatible_structure_on_A, \
     induced_pre_from_map, operator_form_check, solution_from_o_operator
 
 import trusted_reference as ref
@@ -312,6 +312,30 @@ def test_library_entry_points_reject_the_wrong_kind(caller, call, expected):
         call()
     assert str(info.value) == "%s: expected %s, got Algebra" % (caller,
                                                                 expected)
+
+
+def test_bimodule_matched_and_o_operator_checks_reject_the_wrong_kind():
+    # each checker names itself, the kind it reads and the kind it was
+    # handed, before it reads a field of the wrong structure
+    palg = from_associative(ALG, "succ-left")
+    af_pair, pre_pair = (_dual_pair(cls, palg, palg)
+                         for cls in (AfMatchedPair, PreMatchedPair))
+    calls = [
+        (check_af_bimodule, regular_pre_bimodule(palg),
+         "check_af_bimodule: expected AfBimodule, got PreBimodule"),
+        (check_pre_bimodule, regular_af_bimodule(ALG),
+         "check_pre_bimodule: expected PreBimodule, got AfBimodule"),
+        (check_af_matched, pre_pair,
+         "check_af_matched: expected AfMatchedPair, got PreMatchedPair"),
+        (check_pre_matched, af_pair,
+         "check_pre_matched: expected PreMatchedPair, got AfMatchedPair"),
+        (check_o_operator, ALG,
+         "check_o_operator: expected OOperator, got Algebra"),
+    ]
+    for check, subject, message in calls:
+        with pytest.raises(PreconditionError) as info:
+            check(subject)
+        assert str(info.value) == message
 
 
 def test_identity_checks_reject_a_subject_that_is_no_algebra():
