@@ -556,6 +556,15 @@ def check_identities(subject, kind, all_failures=False) -> CheckReport:
                 all_failures)
 
 
+def require_identities(caller, subject, kind, what="base"):
+    """The structure tensors of subject, after raising PreconditionError,
+    naming the caller and what the subject is to it, unless it passes the
+    `kind` check."""
+    require_pass(check_identities(subject, kind),
+                 "%s: %s fails the %s check" % (caller, what, kind))
+    return structure_tensors(subject)
+
+
 # ---------------------------------------------------------------------------
 # derived structures
 # ---------------------------------------------------------------------------
@@ -652,9 +661,8 @@ def induce_pre_from_form(alg: Algebra, omega) -> PreAlgebra:
     condition w(x*y,z)+w(y*z,x)+w(z*x,y)=0.  The two half-products are the
     unique solutions of w(x<y, z) = w(x, y*z) and w(x>y, z) = w(y, z*x).
     """
-    require_pass(check_identities(alg, "anti-flexible"),
-                 "induce_pre_from_form: base algebra fails the anti-flexible "
-                 "check")
+    require_identities("induce_pre_from_form", alg, "anti-flexible",
+                       "base algebra")
     require_pass(check_cyclic_form(alg, omega),
                  "induce_pre_from_form: form violates the cyclic condition")
     n = alg.dimension

@@ -22,8 +22,8 @@ from functools import cached_property
 from itertools import product
 
 from .algebra import PreAlgebra, CheckReport, _require_kind, _trusted, \
-    basis_residuals, check_identities, require_matrix, require_pass, \
-    require_tensor, scan, table_residuals, triple_residuals
+    basis_residuals, check_identities, require_identities, require_matrix, \
+    require_pass, require_tensor, scan, table_residuals, triple_residuals
 from .bimodule import act
 from .linalg import transpose, mat_mul, mat_sub, mat_vec
 from .matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
@@ -157,9 +157,8 @@ def _condition_residuals(n, tensor):
 def check_bialgebra_conditions(palg: PreAlgebra, delta_prec, delta_succ,
                                all_failures=False) -> CheckReport:
     """The four compatibility conditions over all basis pairs."""
-    require_pass(check_identities(palg, "pre-anti-flexible"),
-                 "check_bialgebra_conditions: base fails the "
-                 "pre-anti-flexible check")
+    require_identities("check_bialgebra_conditions", palg,
+                       "pre-anti-flexible")
     d = build_af_double(_dual_pair(AfMatchedPair, palg, Bialgebra(
         palg, delta_prec, delta_succ).dual))
     return scan("bialgebra-conditions", _condition_residuals(

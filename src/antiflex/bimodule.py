@@ -259,6 +259,7 @@ def _semidirect(cls, bm, ops):
 def semidirect_af(bm: AfBimodule) -> Algebra:
     """The algebra on A + V with (x+u)(y+v) = x*y + l(x)v + r(y)u; it is
     not validated (see semidirect_pre)."""
+    _require_kind("semidirect_af", bm, AfBimodule)
     return _semidirect(Algebra, bm, [("c", "l", "r")])
 
 
@@ -270,5 +271,6 @@ def semidirect_pre(bm: PreBimodule) -> PreAlgebra:
     pre-anti-flexible check exactly when the base passes and the bimodule
     identities hold, and the test suite exercises both directions.
     """
+    _require_kind("semidirect_pre", bm, PreBimodule)
     return _semidirect(PreAlgebra, bm, [(op, "l_" + op, "r_" + op)
                                         for op in ("prec", "succ")])

@@ -25,8 +25,8 @@ from functools import partial
 from itertools import compress
 
 from .algebra import PreAlgebra, CheckReport, PreconditionError, \
-    _divided, _lcd, _require_kind, _scaled, _trusted, check_identities, \
-    flat_residuals, require_pass, require_square, scan, structure_tensors
+    _divided, _lcd, _require_kind, _scaled, _trusted, flat_residuals, \
+    require_identities, require_square, scan, structure_tensors
 from .bialgebra import Bialgebra
 from .linalg import transpose, mat_add, mat_neg
 
@@ -52,6 +52,14 @@ class RPair:
 def r_is_symmetric(r) -> bool:
     """Whether the r-element is fixed by the tensor flip."""
     return list(map(list, r)) == transpose(r)
+
+
+def require_symmetric(caller, r, n):
+    """Raise PreconditionError, naming the caller, unless r is an n x n
+    matrix of ints and Fractions fixed by the tensor flip."""
+    require_square(caller, "r", r, n)
+    if not r_is_symmetric(r):
+        raise PreconditionError("%s: r must be symmetric" % caller)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +378,7 @@ def coboundary_delta(palg: PreAlgebra, rp: RPair):
 def coboundary_bialgebra(palg: PreAlgebra, rp: RPair) -> Bialgebra:
     """The candidate bialgebra whose comultiplications are the coboundaries
     of the r-pair."""
-    _require_base("coboundary_bialgebra", palg)
+    require_identities("coboundary_bialgebra", palg, "pre-anti-flexible")
     return _trusted(Bialgebra, palg, *coboundary_delta(palg, rp))
 
 
@@ -411,14 +419,6 @@ _CUBIC = {
 }
 
 
-def _require_base(caller, palg):
-    """The structure tensors of palg, after raising PreconditionError,
-    naming the caller, unless palg passes the pre-anti-flexible check."""
-    require_pass(check_identities(palg, "pre-anti-flexible"),
-                 "%s: base fails the pre-anti-flexible check" % caller)
-    return structure_tensors(palg)
-
-
 def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
                                 all_failures=False) -> CheckReport:
     """The six condition families whose joint validity is equivalent to the
@@ -426,7 +426,8 @@ def check_coboundary_conditions(palg: PreAlgebra, rp: RPair,
     conditions over basis pairs, and two cubic dual-structure conditions
     over basis elements (P, N, Q are the images of M, and N', Q' of M'
     and P', under the decoration flip and the outer slot swap)."""
-    c = _require_base("check_coboundary_conditions", palg)
+    c = require_identities("check_coboundary_conditions", palg,
+                           "pre-anti-flexible")
     if rp.dimension != palg.dimension:
         raise PreconditionError("check_coboundary_conditions: dimension "
                                 "mismatch")
@@ -532,7 +533,7 @@ def special_case_rpair(r, case) -> RPair:
 def special_case_bialgebra(palg: PreAlgebra, r, case) -> Bialgebra:
     """The candidate bialgebra of a one-parameter r-element under the given
     specialization."""
-    _require_base("special_case_bialgebra", palg)
+    require_identities("special_case_bialgebra", palg, "pre-anti-flexible")
     return _trusted(Bialgebra, palg,
                     *coboundary_delta(palg, special_case_rpair(r, case)))
 
@@ -543,7 +544,8 @@ def special_case_conditions(palg: PreAlgebra, r, case,
     jointly equivalent to the specialized candidate passing
     verify_bialgebra: the coboundary conditions at special_case_rpair(r,
     case), relabelled by SPECIAL_CASE_LABELS."""
-    c = _require_base("special_case_conditions", palg)
+    c = require_identities("special_case_conditions", palg,
+                           "pre-anti-flexible")
     if case not in SPECIAL_CASES:
         raise PreconditionError("special_case_conditions: unknown case %r"
                                 % (case,))

@@ -18,13 +18,14 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import attrgetter
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
-    ALGEBRA_KINDS, PREALGEBRA_KINDS, check_identities, from_associative, \
-    identity_residuals, induce_pre_from_form, require_matrix, \
-    require_square, structure_tensors
+    ALGEBRA_KINDS, PREALGEBRA_KINDS, _nested, check_identities, \
+    from_associative, identity_residuals, induce_pre_from_form, \
+    require_identities, require_matrix, require_square, structure_tensors
 from .bialgebra import Bialgebra, verify_bialgebra
 from .bimodule import AfBimodule, PreBimodule, check_af_bimodule, \
     check_pre_bimodule, semidirect_pre
@@ -36,7 +37,7 @@ from .matched import AfMatchedPair, PreMatchedPair, build_af_double, \
 from .operators import OOperator, canonical_solution, check_rota_baxter, \
     check_o_operator, check_two_cocycle, check_r_double_consistency, \
     induced_pre_from_map, o_operator_numerators, regular_tensors, \
-    require_af_bimodule, require_anti_flexible, solution_from_o_operator
+    require_af_bimodule, solution_from_o_operator
 from .linalg import ONE, ZERO, vec_is_zero
 
 FORMAT_VERSION = 1
@@ -368,19 +369,37 @@ def report_to_json(command, rep: CheckReport, elapsed=0.0):
 
 
 def run_check(command, inputs, kind=None, all_failures=False):
-    """Dispatch a named check over parsed inputs and return a JSON-ready
-    report (verdict, first witness, wall time)."""
+    """Run a named check over parsed inputs and return a JSON-ready report
+    (verdict, first witness, wall time)."""
     start = time.perf_counter()
-    rep = _dispatch_check(command, inputs, kind, all_failures)
+    if command not in _CHECKS:
+        raise FormatError("unknown check command %r" % (command,))
+    rep = _run(_CHECKS[command], inputs, {"kind": kind}, all_failures)
     return report_to_json(command, rep, time.perf_counter() - start)
 
 
-def as_matrix(obj):
-    if isinstance(obj, RElement):
-        return obj.r
-    if isinstance(obj, LinearMap):
-        return obj.matrix
-    raise FormatError("expected an r-element or linear-map payload")
+def run_construction(what, inputs, case, variant):
+    """Build a named construction from parsed inputs: (primary output,
+    secondary output or None)."""
+    out = _run(_CONSTRUCTIONS[what], inputs, {"case": case,
+                                              "variant": variant})
+    return out if isinstance(out, tuple) else (out, None)
+
+
+def _run(row, inputs, options, *last):
+    """Call the function of a row of _CHECKS or _CONSTRUCTIONS (of a
+    triple, the one the class of the last input selects) with the inputs in
+    file order, each one-matrix file as its matrix, then with the option
+    the row names (its default where options hold None), then with last."""
+    _files, run, *named = row
+    if isinstance(run, tuple):
+        cls, run, other = run
+        run = run if isinstance(inputs[-1], cls) else other
+    args = [x.r if isinstance(x, RElement) else x.matrix
+            if isinstance(x, LinearMap) else x for x in inputs]
+    for name, default in named:
+        args.append(default if options[name] is None else options[name])
+    return run(*args, *last)
 
 
 # what an input file of a command must hold: its description, and the
@@ -392,84 +411,65 @@ _AF_BIMODULE = ("a bimodule with variant 'anti-flexible'", (AfBimodule,))
 _MATRIX = ("an r-element with one matrix r, or a linear-map",
            (RElement, LinearMap))
 
-# each check command: (its input files, in order;
-#                      (inputs, kind, all_failures) -> CheckReport)
+# each check command: (its input files, in order; the function run_check
+# calls (see _run), or (a class, the function for a last input of that
+# class, the function for any other); for a command with an option, (the
+# option, its default))
 _CHECKS = {
-    "algebra": ((_ANY_ALGEBRA,), lambda ins, kind, every: check_identities(
-        ins[0], kind or "anti-flexible", every)),
-    "pre-algebra": ((_ANY_ALGEBRA,),
-                    lambda ins, kind, every: check_identities(
-                        ins[0], kind or "pre-anti-flexible", every)),
+    "algebra": ((_ANY_ALGEBRA,), check_identities, ("kind", "anti-flexible")),
+    "pre-algebra": ((_ANY_ALGEBRA,), check_identities,
+                    ("kind", "pre-anti-flexible")),
     "bimodule": ((("a bimodule", (AfBimodule, PreBimodule)),),
-                 lambda ins, kind, every: (
-                     check_af_bimodule if isinstance(ins[0], AfBimodule)
-                     else check_pre_bimodule)(ins[0], every)),
+                 (AfBimodule, check_af_bimodule, check_pre_bimodule)),
     "matched-pair": ((("a matched-pair", (AfMatchedPair, PreMatchedPair)),),
-                     lambda ins, kind, every: (
-                         check_af_matched if isinstance(ins[0], AfMatchedPair)
-                         else check_pre_matched)(ins[0], every)),
-    "bialgebra": ((("a bialgebra", (Bialgebra,)),),
-                  lambda ins, kind, every: verify_bialgebra(ins[0], every)),
-    "pafybe": ((_PRE, _MATRIX), lambda ins, kind, every: check_pafybe(
-        ins[0], as_matrix(ins[1]), every)),
+                     (AfMatchedPair, check_af_matched, check_pre_matched)),
+    "bialgebra": ((("a bialgebra", (Bialgebra,)),), verify_bialgebra),
+    "pafybe": ((_PRE, _MATRIX), check_pafybe),
     "coboundary": ((_PRE, ("an r-element with r_prec and r_succ", (RPair,))),
-                   lambda ins, kind, every: check_coboundary_conditions(
-                       ins[0], ins[1], every)),
-    "rota-baxter": ((_ALGEBRA, _MATRIX),
-                    lambda ins, kind, every: check_rota_baxter(
-                        ins[0], as_matrix(ins[1]), every)),
-    "o-operator": ((_AF_BIMODULE, _MATRIX),
-                   lambda ins, kind, every: check_o_operator(
-                       OOperator(ins[0], as_matrix(ins[1])), every)),
-    "cocycle-form": ((_PRE, _MATRIX), lambda ins, kind, every:
-                     check_two_cocycle(ins[0], as_matrix(ins[1]), every)),
-    "r-double": ((_PRE, _MATRIX), lambda ins, kind, every:
-                 check_r_double_consistency(ins[0], as_matrix(ins[1]),
-                                            every)),
+                   check_coboundary_conditions),
+    "rota-baxter": ((_ALGEBRA, _MATRIX), check_rota_baxter),
+    "o-operator": ((_AF_BIMODULE, _MATRIX), lambda bm, t, every:
+                   check_o_operator(OOperator(bm, t), every)),
+    "cocycle-form": ((_PRE, _MATRIX), check_two_cocycle),
+    "r-double": ((_PRE, _MATRIX), check_r_double_consistency),
 }
 
 CHECK_COMMANDS = tuple(_CHECKS)
 
 
-def _coboundary(ins, case, variant):
-    palg, relt = ins
-    if isinstance(relt, RPair):
-        return coboundary_bialgebra(palg, relt), None
+def _coboundary(palg, r, case):
+    """The coboundary bialgebra of an r-pair, or of a single matrix r under
+    the special case named."""
+    if isinstance(r, RPair):
+        return coboundary_bialgebra(palg, r)
     if case is None:
         raise FormatError("a single-matrix r-element needs --case "
                           "(one of %s)" % (SPECIAL_CASES,))
-    return special_case_bialgebra(palg, as_matrix(relt), case), None
+    return special_case_bialgebra(palg, r, case)
 
 
-def _solution(double_and_r):
+def _solution(double, r):
     """A constructed r as its file, with the double carrying it."""
-    double, r = double_and_r
     return RElement(double.dimension, r), double
 
 
-# each construction, as the checks: (its input files, in order;
-# (inputs, case, variant) -> (primary output, secondary output or None))
+# each construction, as the checks; its function gives the output, or the
+# pair (primary output, secondary output)
 _CONSTRUCTIONS = {
     "semidirect": ((("a bimodule with variant 'pre'", (PreBimodule,)),),
-                   lambda ins, case, variant: (semidirect_pre(ins[0]), None)),
+                   semidirect_pre),
     "double": ((("a matched-pair", (AfMatchedPair, PreMatchedPair)),),
-               lambda ins, case, variant: ((build_af_double if isinstance(
-                   ins[0], AfMatchedPair) else build_pre_double)(ins[0]),
-                   None)),
+               (AfMatchedPair, build_af_double, build_pre_double)),
     "coboundary": ((_PRE, ("an r-element or a linear-map",
-                           (RPair, RElement, LinearMap))), _coboundary),
-    "canonical-r": ((_PRE,), lambda ins, case, variant: _solution(
-        canonical_solution(ins[0]))),
-    "from-o-operator": ((_AF_BIMODULE, _MATRIX),
-                        lambda ins, case, variant: _solution(
-                            solution_from_o_operator(OOperator(
-                                ins[0], as_matrix(ins[1]))))),
-    "from-form": ((_ALGEBRA, _MATRIX), lambda ins, case, variant: (
-        induce_pre_from_form(ins[0], as_matrix(ins[1])), None)),
-    "from-associative": ((_ALGEBRA,), lambda ins, case, variant: (
-        from_associative(ins[0], variant), None)),
-    "from-rb": ((_ALGEBRA, _MATRIX), lambda ins, case, variant: (
-        induced_pre_from_map(ins[0], as_matrix(ins[1])), None)),
+                           (RPair, RElement, LinearMap))), _coboundary,
+                   ("case", None)),
+    "canonical-r": ((_PRE,), lambda palg: _solution(
+        *canonical_solution(palg))),
+    "from-o-operator": ((_AF_BIMODULE, _MATRIX), lambda bm, t: _solution(
+        *solution_from_o_operator(OOperator(bm, t)))),
+    "from-form": ((_ALGEBRA, _MATRIX), induce_pre_from_form),
+    "from-associative": ((_ALGEBRA,), from_associative, ("variant", None)),
+    "from-rb": ((_ALGEBRA, _MATRIX), induced_pre_from_map),
 }
 
 CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
@@ -495,18 +495,6 @@ def load_inputs(verb, command, paths):
         if not isinstance(obj, types):
             raise FormatError("%s: %s is not %s file" % (command, path, what))
     return inputs
-
-
-def _dispatch_check(command, inputs, kind, all_failures):
-    if command not in _CHECKS:
-        raise FormatError("unknown check command %r" % (command,))
-    return _CHECKS[command][1](inputs, kind, all_failures)
-
-
-def run_construction(what, inputs, case, variant):
-    """Build a named construction from parsed inputs: (primary output,
-    secondary output or None)."""
-    return _CONSTRUCTIONS[what][1](inputs, case, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +546,17 @@ def _pafybe_residual(tensors):
     return lambda r: _numerators(tensors, _PAFYBE_TERMS, {"r": r})[0]
 
 
-# each search target: (its subject file, as in _CHECKS; its precondition;
-# subject -> the function taking an int candidate to its flat residual)
+# each search target: (its subject file, as in _CHECKS; the precondition
+# of its check on the subject, or None; subject -> the function taking an
+# int candidate to its flat residual)
 _SEARCHES = {
-    "rota-baxter": ((_ALGEBRA,), lambda alg: require_anti_flexible(
-        alg, "check_rota_baxter"),
+    "rota-baxter": ((_ALGEBRA,), partial(
+        require_identities, "check_rota_baxter", kind="anti-flexible"),
         lambda alg: o_operator_numerators(regular_tensors(alg))),
-    "pafybe-symmetric": ((_PRE,), lambda palg: None,
-                         lambda palg: _pafybe_residual(
-                             structure_tensors(palg))),
-    "o-operator": ((_AF_BIMODULE,), lambda bm: require_af_bimodule(
-        bm, "check_o_operator"),
+    "pafybe-symmetric": ((_PRE,), None, lambda palg: _pafybe_residual(
+        structure_tensors(palg))),
+    "o-operator": ((_AF_BIMODULE,), partial(
+        require_af_bimodule, caller="check_o_operator"),
         lambda bm: o_operator_numerators(structure_tensors(bm))),
 }
 
@@ -690,12 +678,13 @@ def grid_search(spec: SearchSpec, subject):
         matrix = lambda vals: _fill_symmetric(n, shape, vals)
     else:
         shape = range(n * m)
-        matrix = lambda vals: _rows(m, vals)
+        matrix = lambda vals: _nested(vals, (n, m))
     size = len(coeffs) ** len(shape)
     if size > 10 ** 8:
         raise PreconditionError("grid_search: search space has %d candidates "
                                 "(limit 10^8)" % size)
-    precondition(subject)
+    if precondition is not None:
+        precondition(subject)
     residual = residual_of(subject)
     form = _quadratic_form(lambda vals: residual(matrix(vals)), len(shape))
     scale = lcm(*(c.denominator for c in coeffs))
@@ -714,11 +703,6 @@ def search_results(target, found):
     if target == "pafybe-symmetric":
         return [_write(RElement(len(m), m)) for m in found]
     return [_write(LinearMap(len(m), len(m[0]), m)) for m in found]
-
-
-def _rows(cols, vals):
-    """The entries of a matrix in row-major order as its rows."""
-    return [vals[at:at + cols] for at in range(0, len(vals), cols)]
 
 
 def _fill_symmetric(n, shape, vals):

@@ -35,7 +35,7 @@ from math import lcm
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     _built, _dense, _require_actions, _require_kind, _tensors, _trusted, \
-    basis_residuals, check_cyclic_form, check_identities, require_pass, \
+    basis_residuals, check_cyclic_form, require_identities, require_pass, \
     scan, structure_tensors, table_residuals, underlying_algebra
 from .bimodule import AF_BIMODULE, PRE_BIMODULE, _double, block_residuals
 from .linalg import ONE, transpose, zeros_mat
@@ -192,6 +192,7 @@ def _names(A, B):
 
 def build_af_double(mp: AfMatchedPair) -> Algebra:
     """(x+a)(y+b) = (x*y + lB(a)y + rB(b)x) + (a o b + lA(x)b + rA(y)a)."""
+    _require_kind("build_af_double", mp, AfMatchedPair)
     (a, b, f), d = _common(mp.algA, mp.algB, mp)
     return _double(Algebra, _names(mp.algA, mp.algB), mp.algA.dimension, d,
                    {"c": (a["c"], b["c"], f["lA"], f["rA"], f["lB"], f["rB"])})
@@ -200,6 +201,7 @@ def build_af_double(mp: AfMatchedPair) -> Algebra:
 def build_pre_double(mp: PreMatchedPair) -> PreAlgebra:
     """(x+a) < (y+b) = {x<y + lpB(a)y + rpB(b)x} + {a<b + lpA(x)b + rpA(y)a},
     and the > analog, blockwise on A + B."""
+    _require_kind("build_pre_double", mp, PreMatchedPair)
     (a, b, f), d = _common(mp.palgA, mp.palgB, mp)
     return _double(PreAlgebra, _names(mp.palgA, mp.palgB), mp.palgA.dimension,
                    d, {op: (a[op], b[op], *(f[lr + op[0] + "_" + side]
@@ -216,10 +218,8 @@ def _require_dual_pair(caller, palgA, palgAstar):
     pre-anti-flexible."""
     if palgA.dimension != palgAstar.dimension:
         raise PreconditionError("%s: dimension mismatch" % caller)
-    for name, p in (("first", palgA), ("second", palgAstar)):
-        require_pass(check_identities(p, "pre-anti-flexible"),
-                     "%s: %s factor fails the pre-anti-flexible check"
-                     % (caller, name))
+    for what, p in (("first factor", palgA), ("second factor", palgAstar)):
+        require_identities(caller, p, "pre-anti-flexible", what)
 
 
 # each dual pair's action families, in field order: (name, product, sign)

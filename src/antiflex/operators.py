@@ -18,12 +18,12 @@ from functools import partial
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
     StructureTensors, _form_report, _lcd, _require_kind, _trusted, \
-    basis_residuals, check_identities, flat_residuals, require_matrix, \
+    basis_residuals, flat_residuals, require_identities, require_matrix, \
     require_pass, require_square, scan, structure_tensors, table_residuals
 from .bialgebra import _dual_products
 from .bimodule import AfBimodule, PreBimodule, act, check_af_bimodule, \
     semidirect_pre
-from .coboundary import check_pafybe, coboundary_delta, r_is_symmetric, \
+from .coboundary import check_pafybe, coboundary_delta, require_symmetric, \
     special_case_rpair
 from .matched import AfMatchedPair, PreMatchedPair, _dual_pair, \
     build_pre_double
@@ -35,18 +35,11 @@ from .linalg import ONE, transpose, zeros_mat, mat_mul, mat_vec, \
 # Rota-Baxter operators and the induced half-products
 # ---------------------------------------------------------------------------
 
-def require_anti_flexible(alg: Algebra, caller):
-    """Raise PreconditionError, naming the caller, unless the base algebra
-    passes the anti-flexible check."""
-    require_pass(check_identities(alg, "anti-flexible"),
-                 "%s: base fails the anti-flexible check" % caller)
-
-
 def check_rota_baxter(alg: Algebra, alpha, all_failures=False) -> CheckReport:
     """B(x)*B(y) = B(x*B(y) + B(x)*y) over all basis pairs: the O-operator
     identity of B on the regular bimodule, l(x)v = x*v and r(x)u = u*x."""
     require_square("check_rota_baxter", "alpha", alpha, alg.dimension)
-    require_anti_flexible(alg, "check_rota_baxter")
+    require_identities("check_rota_baxter", alg, "anti-flexible")
     return _o_operator_report(regular_tensors(alg), alpha, all_failures,
                               "rota-baxter")
 
@@ -72,7 +65,7 @@ def check_generalized_rb(alg: Algebra, alpha, all_failures=False) -> CheckReport
     """
     n = alg.dimension
     require_square("check_generalized_rb", "alpha", alpha, n)
-    require_anti_flexible(alg, "check_generalized_rb")
+    require_identities("check_generalized_rb", alg, "anti-flexible")
     at = dict.fromkeys("ijkq", range(n))
     return scan("generalized-rota-baxter", table_residuals(
         basis_residuals(induced_pre_from_map(alg, alpha)),
@@ -207,10 +200,7 @@ def assembled_double(palg: PreAlgebra, r) -> PreAlgebra:
       a < x = r(a) < x - r(L*_dot(x)a)  + L*_dot(x)a
       a > x = r(a) > x + r(L*_prec(x)a) - L*_prec(x)a
     """
-    n = palg.dimension
-    require_square("assembled_double", "r", r, n)
-    if not r_is_symmetric(r):
-        raise PreconditionError("assembled_double: r must be symmetric")
+    require_symmetric("assembled_double", r, palg.dimension)
     dual = _dual_products(*coboundary_delta(
         palg, special_case_rpair(r, "two")))
     double = build_pre_double(_dual_pair(PreMatchedPair, palg, dual))
@@ -240,9 +230,7 @@ def check_r_double_consistency(palg: PreAlgebra, r,
 def form_from_r(palg: PreAlgebra, r):
     """B(x, y) = <r^{-1}(x), y> as a coefficient matrix; r must be symmetric
     and nondegenerate (a singular r raises)."""
-    require_square("form_from_r", "r", r, palg.dimension)
-    if not r_is_symmetric(r):
-        raise PreconditionError("form_from_r: r must be symmetric")
+    require_symmetric("form_from_r", r, palg.dimension)
     return mat_inverse(list(map(list, r)))
 
 
@@ -265,9 +253,7 @@ def operator_form_check(palg: PreAlgebra, r, all_failures=False) -> CheckReport:
     is equivalent to the Yang-Baxter residual vanishing.  The bimodule is
     palg's dot rows and lA, rA of the standard dual pair of (palg, palg)."""
     _require_kind("operator_form_check", palg, PreAlgebra)
-    require_square("operator_form_check", "r", r, palg.dimension)
-    if not r_is_symmetric(r):
-        raise PreconditionError("operator_form_check: r must be symmetric")
+    require_symmetric("operator_form_check", r, palg.dimension)
     c = structure_tensors(palg)
     f = structure_tensors(_dual_pair(AfMatchedPair, palg, palg)).rows
     bm = StructureTensors({"c": c.rows["dot"], "l": f["lA"], "r": f["rA"]},
@@ -321,8 +307,7 @@ def canonical_solution(palg: PreAlgebra):
     """The flagship symmetric solution: the semidirect double of the
     dual-reduced regular actions (R*_prec, 0, 0, L*_succ), with
     r = sum_i (e_i (x) e_i* + e_i* (x) e_i)."""
-    require_pass(check_identities(palg, "pre-anti-flexible"),
-                 "canonical_solution: base fails the pre-anti-flexible check")
+    require_identities("canonical_solution", palg, "pre-anti-flexible")
     return _solution(palg, tuple(transpose(palg.prec)), tuple(palg.succ))
 
 

@@ -27,16 +27,25 @@ check built its one residual by hand."""
 from itertools import product
 
 from antiflex.algebra import PreAlgebra, CheckReport, PreconditionError, \
-    _divided, check_identities, require_square, scan
+    _divided, check_identities, require_pass, require_square, scan, \
+    structure_tensors
 from antiflex.bimodule import act
 from antiflex.coboundary import SPECIAL_CASES, _EXPRESSIONS, _PAFYBE, \
-    _PAFYBE_TERMS, _numerators, _require_base, _rpair_mats, \
+    _PAFYBE_TERMS, _numerators, _rpair_mats, \
     special_case_rpair
 from antiflex.linalg import ZERO, eye, mat_add, mat_mul, mat_neg, mat_sub, \
     t3_sub, transpose, zeros_mat
 
 from helpers import apply2, apply_slot3, flp_expression, mat_is_zero, \
     multiplication_operators, sigma13_expression, t3_add
+
+
+def _require_base(caller, palg):
+    """The structure tensors of palg, after raising PreconditionError,
+    naming the caller, unless palg passes the pre-anti-flexible check."""
+    require_pass(check_identities(palg, "pre-anti-flexible"),
+                 "%s: base fails the pre-anti-flexible check" % caller)
+    return structure_tensors(palg)
 
 
 # ---------------------------------------------------------------------------

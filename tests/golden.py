@@ -15,9 +15,11 @@ differs between Python versions, so the manifest holds for the Python it
 was written with (3.11).
 
 Run as `python tests/golden.py` to compare the runs with tests/golden.json
-(exit 1 on a difference, naming each run), or as
-`python tests/golden.py --write` to rewrite that manifest from this
-checkout.  tests/test_golden.py makes the same comparison.
+(exit 1 on a difference, naming each verb and command that differs), or
+as `python tests/golden.py --write` to rewrite that manifest from this
+checkout.  `python tests/golden.py --list` prints each run's exit code,
+digest and argv, one a line, so that a difference is found by comparing
+two checkouts' lists.  tests/test_golden.py makes the comparison.
 """
 
 import hashlib
@@ -44,8 +46,8 @@ from antiflex.coboundary import RPair, SPECIAL_CASES, special_case_bialgebra, \
 from antiflex.harness import LinearMap, RElement, SearchSpec, grid_search, \
     serialize
 from antiflex.linalg import zeros_mat
-from antiflex.matched import AfMatchedPair, PreMatchedPair, \
-    build_af_double, dual_pre_matched, omega_matrix, standard_dual_matched
+from antiflex.matched import build_af_double, dual_pre_matched, \
+    omega_matrix, standard_dual_matched
 from antiflex.operators import canonical_solution, r_map_matrix
 
 from helpers import CORPUS, NOT_DENDRIFORM, bump_t3, \
@@ -277,14 +279,11 @@ def run(argv):
         stderr.getvalue(), written
 
 
-def sweep():
-    """The manifest of this checkout: for each verb and command, the
-    number of runs, the count of each exit code, and one digest of every
-    run's argv and outcome in order.  Runs in a fresh temporary working
-    directory."""
+def records():
+    """(argv, exit code, the bytes its outcome is hashed as) of every run,
+    in order, in a fresh temporary working directory."""
     objs = build_inputs()
     here = os.getcwd()
-    groups = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -300,19 +299,28 @@ def sweep():
                 reruns = _CHECK_FLAGS if argv[0] == "check" else ()
                 for flags in ((),) + reruns:
                     code, stdout, stderr, written = run([*argv, *flags])
-                    group = groups.setdefault(" ".join(argv[:2]), {
-                        "runs": 0, "exits": {}, "digest": hashlib.sha256()})
-                    group["runs"] += 1
-                    group["exits"][code] = group["exits"].get(code, 0) + 1
-                    group["digest"].update(json.dumps(
-                        [argv + list(flags), code, stdout, stderr,
-                         sorted(written)]).encode())
-                    for data in written.values():
-                        group["digest"].update(b"%d\0" % len(data) + data)
+                    yield [*argv, *flags], code, json.dumps(
+                        [[*argv, *flags], code, stdout, stderr,
+                         sorted(written)]).encode() + b"".join(
+                        b"%d\0" % len(data) + data
+                        for data in written.values())
                     if code not in (0, 1):
                         break
         finally:
             os.chdir(here)
+
+
+def sweep():
+    """The manifest of this checkout: for each verb and command, the
+    number of runs, the count of each exit code, and one digest of the
+    records of its runs in order."""
+    groups = {}
+    for argv, code, record in records():
+        group = groups.setdefault(" ".join(argv[:2]), {
+            "runs": 0, "exits": {}, "digest": hashlib.sha256()})
+        group["runs"] += 1
+        group["exits"][code] = group["exits"].get(code, 0) + 1
+        group["digest"].update(record)
     for group in groups.values():
         group["exits"] = {str(k): v for k, v in sorted(group["exits"].items())}
         group["digest"] = group["digest"].hexdigest()
@@ -335,6 +343,11 @@ def differences(expected, got):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--list"]:
+        for argv, code, record in records():
+            print(code, hashlib.sha256(record).hexdigest()[:16],
+                  " ".join(argv))
+        sys.exit(0)
     got = sweep()
     total = sum(group["runs"] for group in got.values())
     if sys.argv[1:] == ["--write"]:

@@ -16,17 +16,28 @@ from fractions import Fraction
 from math import lcm
 
 from antiflex.algebra import Algebra, PreAlgebra, PreconditionError, \
-    structure_tensors
+    check_identities, require_pass, structure_tensors
 from antiflex.bialgebra import Bialgebra
 from antiflex.bimodule import AfBimodule, PreBimodule
 from antiflex.coboundary import RPair, _PAFYBE_TERMS, _numerators
 from antiflex.harness import FORMAT_VERSION, FormatError, LinearMap, \
-    RElement, SearchSpec, _fill_symmetric, _rows, parse_scalar
+    RElement, SearchSpec, _fill_symmetric, parse_scalar
 from antiflex.matched import AfMatchedPair, PreMatchedPair
-from antiflex.operators import regular_tensors, require_af_bimodule, \
-    require_anti_flexible
+from antiflex.operators import regular_tensors, require_af_bimodule
 
 from operators_reference import o_operator_numerators
+
+
+def require_anti_flexible(alg: Algebra, caller):
+    """Raise PreconditionError, naming the caller, unless the base algebra
+    passes the anti-flexible check."""
+    require_pass(check_identities(alg, "anti-flexible"),
+                 "%s: base fails the anti-flexible check" % caller)
+
+
+def _rows(cols, vals):
+    """The entries of a matrix in row-major order as its rows."""
+    return [vals[at:at + cols] for at in range(0, len(vals), cols)]
 
 
 def _vec(data, n, path):

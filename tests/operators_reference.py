@@ -25,17 +25,24 @@ from itertools import product
 
 from antiflex.algebra import Algebra, PreAlgebra, CheckReport, \
     PreconditionError, _lcd, _require_kind, check_identities, \
-    require_square, scan
+    require_pass, require_square, scan
 from antiflex.bimodule import AfBimodule, act
 from antiflex.coboundary import r_is_symmetric
 from antiflex.harness import FORMAT_VERSION
 from antiflex.linalg import ZERO, dot, mat_vec, transpose, vec_add, \
     vec_sub, zeros_t3
 from antiflex.operators import OOperator, r_map_matrix, \
-    require_af_bimodule, require_anti_flexible
+    require_af_bimodule
 
 import coboundary_reference
 from helpers import basis_vec, multiplication_operators, t3_add, vec_neg
+
+
+def require_anti_flexible(alg: Algebra, caller):
+    """Raise PreconditionError, naming the caller, unless the base algebra
+    passes the anti-flexible check."""
+    require_pass(check_identities(alg, "anti-flexible"),
+                 "%s: base fails the anti-flexible check" % caller)
 
 
 # ---------------------------------------------------------------------------

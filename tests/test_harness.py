@@ -22,7 +22,8 @@ from antiflex.coboundary import RPair, check_pafybe, special_case_bialgebra, \
 from antiflex.matched import AfMatchedPair, dual_pre_matched, \
     standard_dual_matched
 from antiflex.operators import OOperator, assembled_double, \
-    canonical_solution, check_o_operator, check_rota_baxter
+    canonical_solution, check_o_operator, check_rota_baxter, \
+    induced_pre_from_map
 from antiflex.harness import (
     CHECK_COMMANDS, CORPUS_DIR, SEARCH_TARGETS, FormatError, LinearMap,
     RElement, SearchSpec, corpus_names,
@@ -294,6 +295,62 @@ def test_run_check_report_shape_and_determinism():
     rep3 = run_check("algebra", [bad], kind="associative")
     for key in ("verdict", "identity", "witness", "failure_count"):
         assert rep2[key] == rep3[key]
+
+
+def test_runners_read_the_matrix_of_a_payload_file():
+    # run_check and run_construction, handed RElement and LinearMap
+    # objects, give what the library call on their matrices gives
+    alg, palg = CORPUS["qt2"], DIM2_PRE[0]
+    double, r = canonical_solution(palg)
+    bm = regular_af_bimodule(alg)
+    found, _ = grid_search(SearchSpec("rota-baxter"), alg)
+    maps = [found[1], bump_t3([found[1]], 0, 1, 0)[0], eye(2)]
+    rs = [r, bump_t3([r], 0, 0, 1)[0], zeros_mat(4)]
+
+    def files(m):
+        return RElement(len(m), m), LinearMap(len(m), len(m[0]), m)
+
+    def json_of(command, report):
+        return dict(harness.report_to_json(command, report),
+                    wall_time_ms=None)
+    checks = [("pafybe", double, rs, check_pafybe),
+              ("rota-baxter", alg, maps, check_rota_baxter),
+              ("o-operator", bm, maps,
+               lambda bm, t, every: check_o_operator(OOperator(bm, t),
+                                                     every))]
+    verdicts = set()
+    for command, subject, matrices, check in checks:
+        for m in matrices:
+            want = check(subject, m, True)
+            verdicts.add((command, want.passed))
+            for payload in files(m):
+                got = run_check(command, [subject, payload],
+                                all_failures=True)
+                assert dict(got, wall_time_ms=None) == json_of(command, want)
+    assert len(verdicts) == 6
+    for m in maps:
+        for payload in files(m):
+            out, secondary = harness.run_construction(
+                "from-rb", [alg, payload], None, None)
+            assert secondary is None
+            assert serialize(out) == serialize(induced_pre_from_map(alg, m))
+    for case in ("one", "two"):
+        for payload in files(r):
+            out, secondary = harness.run_construction(
+                "coboundary", [double, payload], case, None)
+            assert secondary is None
+            assert serialize(out) == serialize(special_case_bialgebra(
+                double, r, case))
+    # an input of neither class reaches the second function of a row that
+    # selects by class, which names the kind it reads
+    for run, message in (
+            (lambda: run_check("bimodule", [alg]),
+             "check_pre_bimodule: expected PreBimodule, got Algebra"),
+            (lambda: harness.run_construction("double", [alg], None, None),
+             "build_pre_double: expected PreMatchedPair, got Algebra")):
+        with pytest.raises(PreconditionError) as info:
+            run()
+        assert str(info.value) == message
 
 
 def test_random_element_oracle_agreement():

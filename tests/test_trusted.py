@@ -338,6 +338,31 @@ def test_bimodule_matched_and_o_operator_checks_reject_the_wrong_kind():
         assert str(info.value) == message
 
 
+def test_constructions_reject_the_wrong_kind():
+    # each semidirect product and double names itself, the kind it builds
+    # from and the kind it was handed, before it reads a field of the
+    # wrong structure
+    palg = from_associative(ALG, "succ-left")
+    calls = [
+        (semidirect_pre, regular_af_bimodule(ALG),
+         "semidirect_pre: expected PreBimodule, got AfBimodule"),
+        (semidirect_af, ALG,
+         "semidirect_af: expected AfBimodule, got Algebra"),
+        (semidirect_af, regular_pre_bimodule(palg),
+         "semidirect_af: expected AfBimodule, got PreBimodule"),
+        (build_pre_double, standard_dual_matched(palg, palg),
+         "build_pre_double: expected PreMatchedPair, got AfMatchedPair"),
+        (build_af_double, ALG,
+         "build_af_double: expected AfMatchedPair, got Algebra"),
+        (build_af_double, dual_pre_matched(palg, palg),
+         "build_af_double: expected AfMatchedPair, got PreMatchedPair"),
+    ]
+    for build, subject, message in calls:
+        with pytest.raises(PreconditionError) as info:
+            build(subject)
+        assert str(info.value) == message
+
+
 def test_identity_checks_reject_a_subject_that_is_no_algebra():
     bm = regular_af_bimodule(CORPUS["ut2"])
     for call in (lambda: check_identities(bm, "anti-flexible"),

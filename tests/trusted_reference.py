@@ -14,13 +14,14 @@ from itertools import product
 
 from antiflex.algebra import FROM_ASSOCIATIVE_VARIANTS, Algebra, \
     PreAlgebra, PreconditionError, _divided, check_cyclic_form, \
-    check_identities, require_pass, require_square, require_tensor
+    check_identities, require_pass, require_square, require_tensor, \
+    structure_tensors
 from antiflex.bialgebra import Bialgebra, comult_from_products, \
     verify_bialgebra
 from antiflex.bimodule import BIMODULE_TRANSFORMS, AfBimodule, \
     PreBimodule, _regular_maps, act, check_pre_bimodule, dual_maps
 from antiflex.coboundary import RPair, _DELTAS, _family, _operator_table, \
-    _require_base, _rsums, check_pafybe, coboundary_delta, r_is_symmetric, \
+    _rsums, check_pafybe, coboundary_delta, r_is_symmetric, \
     special_case_rpair
 from antiflex.linalg import ONE, SingularMatrixError, dot, mat_inverse, \
     mat_mul, mat_neg, mat_rank, mat_vec, transpose, zeros_mat, zeros_t3
@@ -28,6 +29,14 @@ from antiflex.matched import AfMatchedPair, PreMatchedPair
 from antiflex.operators import OOperator, check_o_operator, r_map_matrix
 
 from helpers import t3_add
+
+
+def _require_base(caller, palg):
+    """The structure tensors of palg, after raising PreconditionError,
+    naming the caller, unless palg passes the pre-anti-flexible check."""
+    require_pass(check_identities(palg, "pre-anti-flexible"),
+                 "%s: base fails the pre-anti-flexible check" % caller)
+    return structure_tensors(palg)
 
 
 def _require_dual_pair(caller, palgA, palgAstar, check_inputs):
