@@ -184,7 +184,7 @@ def build_runs(objs):
     """The argv of every run, in order, but for the reruns of checks under
     _CHECK_FLAGS."""
     algs, pres = _files(objs, Algebra), _files(objs, PreAlgebra)
-    small = [p for p in pres if "m2" not in p and "nd0-" not in p]
+    small = [p for p in pres if "m2" not in p]  # m2's would add only time
     mats, rpairs = _files(objs, RElement, LinearMap), _files(objs, RPair)
     bms = _files(objs, AfBimodule)
     every = [[f] for f in _files(objs, object)]
