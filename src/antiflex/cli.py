@@ -7,7 +7,6 @@ Exit codes: 0 = pass/success, 1 = check failed, 2 = input or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -15,7 +14,7 @@ from .algebra import PreconditionError, ALGEBRA_KINDS, \
     FROM_ASSOCIATIVE_VARIANTS, PREALGEBRA_KINDS
 from .coboundary import SPECIAL_CASES
 from .harness import FormatError, SearchSpec, CHECK_COMMANDS, CONSTRUCTIONS, \
-    SEARCH_TARGETS, grid_search, load_inputs, parse_scalar, \
+    SEARCH_TARGETS, dumps, grid_search, load_inputs, parse_scalar, \
     random_element_oracle, run_check, run_construction, save_file, \
     search_results
 from .linalg import SingularMatrixError
@@ -26,7 +25,7 @@ def _cmd_check(args):
     report = run_check(args.command, inputs, kind=args.kind,
                        all_failures=args.all_witnesses)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(dumps(report))
     else:
         line = "%s: %s" % (report["command"], report["verdict"])
         if report["witness"] is not None:
@@ -63,16 +62,15 @@ def _cmd_search(args):
         doc = {"report": report,
                "results": search_results(args.target, found)}
         with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    print(json.dumps(report, indent=2))
+            fh.write(dumps(doc) + "\n")
+    print(dumps(report))
     return 0
 
 
 def _cmd_oracle(args):
     (subject,) = load_inputs("oracle", args.kind, [args.subject])
     report = random_element_oracle(args.kind, subject, args.trials, args.seed)
-    print(json.dumps(report, indent=2))
+    print(dumps(report))
     return 0 if report["verdict"] == "pass" else 1
 
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import inf, lcm
 from operator import attrgetter
 
 from .algebra import Algebra, PreAlgebra, CheckReport, PreconditionError, \
@@ -174,27 +174,38 @@ _KINDS = {row.kind: [r for r in _SCHEMA if r.kind == row.kind]
 _ROWS = {row.cls: row for row in _SCHEMA}
 
 
-def _read_tensor(data, extents, nouns, path):
+def _read_tensor(data, extents, nouns, path, memo):
     """The nested lists of Fractions a tensor field holds; nouns[i] names
-    what level i must hold, for the error when it does not.  The path of
-    an entry is formatted only when a level holds a fault: the level is
-    then read again, entry by entry, each under its own path, up to the
-    entry that raises."""
+    what level i must hold, for the error when it does not.  memo maps the
+    scalar strings already read in the tensor to their Fractions; a row of
+    strings it holds is read in one pass, and any other through
+    parse_scalar, which adds what it reads.  The path of an entry is
+    formatted only when a level holds a fault: the level is then read
+    again, entry by entry, each under its own path, up to the entry that
+    raises."""
     n = extents[0]
     if not isinstance(data, list) or len(data) != n:
         raise FormatError("%s: expected %s" % (path, nouns[0] % n))
     leaf = len(extents) == 1
+    if leaf:
+        try:
+            return list(map(memo.__getitem__, data))
+        except (KeyError, TypeError):   # a new string, or not a string
+            pass
     try:
         if leaf:
-            return [parse_scalar(x, path) for x in data]
-        return [_read_tensor(x, extents[1:], nouns[1:], path) for x in data]
+            row = [parse_scalar(x, path) for x in data]
+            memo.update(zip(data, row))
+            return row
+        return [_read_tensor(x, extents[1:], nouns[1:], path, memo)
+                for x in data]
     except FormatError:
         for i, x in enumerate(data):
             at = "%s[%d]" % (path, i)
             if leaf:
                 parse_scalar(x, at)
             else:
-                _read_tensor(x, extents[1:], nouns[1:], at)
+                _read_tensor(x, extents[1:], nouns[1:], at, memo)
         raise
 
 
@@ -258,7 +269,7 @@ def _read(kind, doc, path):
                      "a list of length %d")[-len(what):]
             values[key] = _read_tensor(doc.pop(key, None), [
                 v if isinstance(v, int) else v.dimension
-                for v in map(values.get, what)], nouns, at)
+                for v in map(values.get, what)], nouns, at, dict(_COMMON))
     doc.pop("metadata", None)
     if doc:
         raise FormatError("%s: unknown fields %s"
@@ -316,12 +327,66 @@ def load_file(path):
         return parse_file(fh.read())
 
 
+_ASCII = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float(x):
+    """A float as json writes it: NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encoded(value, indent):
+    """The text json.dumps(value, indent=2) writes for value where its
+    lines are indented by indent (a newline and spaces)."""
+    if isinstance(value, str):
+        return _ASCII(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:    # a list of strings is encoded and joined in C calls
+            items = ("," + inner).join(map(_ASCII, value))
+        except TypeError:
+            items = ("," + inner).join([_encoded(v, inner) for v in value])
+        return "[" + inner + items + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_ASCII(k) + ": " + _encoded(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
+
+
+def dumps(value):
+    """json.dumps(value, indent=2), byte for byte, of a value made of dicts
+    with string keys, lists, tuples, strings, numbers, bools and None: the
+    format of every file and report the package writes.  json's C encoder
+    writes every string, where json.dumps with an indent runs its
+    pure-Python encoder."""
+    return _encoded(value, "\n")
+
+
 def serialize(obj) -> bytes:
     """Canonical JSON bytes for any parseable object; keys emitted in a
     fixed order, scalars in lowest terms."""
     doc = {"format_version": FORMAT_VERSION}
     doc.update(_write(obj))
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (dumps(doc) + "\n").encode("utf-8")
 
 
 def save_file(path, obj):
@@ -381,6 +446,8 @@ def run_check(command, inputs, kind=None, all_failures=False):
 def run_construction(what, inputs, case, variant):
     """Build a named construction from parsed inputs: (primary output,
     secondary output or None)."""
+    if what not in _CONSTRUCTIONS:
+        raise FormatError("unknown construction %r" % (what,))
     out = _run(_CONSTRUCTIONS[what], inputs, {"case": case,
                                               "variant": variant})
     return out if isinstance(out, tuple) else (out, None)
@@ -589,29 +656,41 @@ class SearchSpec:
 
 
 def _quadratic_form(residual, free):
-    """(squares, cross) of a flat int residual homogeneous of degree 2 in
-    free int variables, by polarization (see grid_search): squares[k] is
-    Q_k = residual(e_k), and cross[k] lists (u, the nonzeros (at, x) of
-    B_uk = residual(e_u + e_k) - Q_u - Q_k) for each u < k with B_uk not
-    zero."""
+    """(squares, cross, closing) of a flat int residual homogeneous of
+    degree 2 in free int variables, by polarization (see grid_search):
+    squares[k] is Q_k = residual(e_k); cross[k] lists (u, the nonzeros
+    (at, x) of B_uk = residual(e_u + e_k) - Q_u - Q_k) for each u < k with
+    B_uk not zero; and closing[k] lists the entries that no Q_j and no B_uj
+    with j > k touches, in order."""
     unit = lambda *us: residual([int(v in us) for v in range(free)])
     squares = [unit(k) for k in range(free)]
     cross = [[] for _ in range(free)]
+    last = [-1] * len(squares[0])   # the last depth that touches each entry
     for k in range(free):
         for u in range(k):
             nonzeros = [(at, x - a - b) for at, (x, a, b) in enumerate(zip(
                 unit(u, k), squares[u], squares[k])) if x != a + b]
             if nonzeros:
                 cross[k].append((u, nonzeros))
-    return squares, cross
+                for at, _x in nonzeros:
+                    last[at] = k
+        for at, q in enumerate(squares[k]):
+            if q:
+                last[at] = k
+    closing = [[at for at, j in enumerate(last) if j <= k]
+               for k in range(free)]
+    return squares, cross, closing
 
 
 def _grid_residuals(form, values):
-    """(point, residual of the form) at every point of values**free, in
+    """(point, residual of the form) at the points of values**free, in
     itertools.product order, walked depth first: entry k = x adds
     x * (x * Q_k + sum_{u<k} x_u B_uk) to its prefix's residual, the sum
-    over u taken once per prefix.  point is one list, changed in place."""
-    squares, cross = form
+    over u taken once per prefix.  An entry of closing[k] is final once
+    entry k is set, so a prefix with one that is not zero is not walked
+    further: every point below it has that nonzero entry.  point is one
+    list, changed in place."""
+    squares, cross, closing = form
     free = len(squares)
     point = [0] * free
     partial = [[0] * len(squares[0])] + [None] * free
@@ -631,6 +710,8 @@ def _grid_residuals(form, values):
                   for p, q, l in zip(at, squares[k], linear[k])]
         if k + 1 == free:
             yield point, at
+            continue
+        if any(map(at.__getitem__, closing[k])):
             continue
         k += 1
         partial[k] = at
@@ -655,7 +736,11 @@ def grid_search(spec: SearchSpec, subject):
     by polarization: Q_k = K(e_k), B_uk = K(e_u + e_k) - Q_u - Q_k, and
     exactly K(x) = sum_k x_k**2 Q_k + sum_{u<k} x_u x_k B_uk.  The grid is
     walked depth first in itertools.product order, each candidate's whole
-    residual one update of its prefix's, and kept when it is zero."""
+    residual one update of its prefix's, and kept when it is zero.  A
+    prefix is not walked further once an entry that no later Q_j or B_uj
+    touches is nonzero: that entry is nonzero in the residual of every
+    candidate below it.  The report's "visited" counts the candidates whose
+    whole residual was evaluated; "candidates" is the size of the grid."""
     inputs, precondition, residual_of = _SEARCHES[spec.target]
     ((what, types),) = inputs
     if not isinstance(subject, types):
@@ -688,11 +773,13 @@ def grid_search(spec: SearchSpec, subject):
     residual = residual_of(subject)
     form = _quadratic_form(lambda vals: residual(matrix(vals)), len(shape))
     scale = lcm(*(c.denominator for c in coeffs))
-    found = [matrix([Fraction(v, scale) for v in point])
-             for point, at in _grid_residuals(
-                 form, [int(c * scale) for c in coeffs]) if not any(at)]
+    found, visited = [], 0
+    for point, at in _grid_residuals(form, [int(c * scale) for c in coeffs]):
+        visited += 1
+        if not any(at):
+            found.append(matrix([Fraction(v, scale) for v in point]))
     report = {"format_version": FORMAT_VERSION, "target": spec.target,
-              "candidates": size, "found": len(found),
+              "candidates": size, "visited": visited, "found": len(found),
               "coefficient_set": list(map(str, coeffs))}
     return found, report
 

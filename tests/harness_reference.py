@@ -8,7 +8,11 @@ Also the grid search as it was before each target's residual was compiled
 into a quadratic form: every candidate checked by a whole run of the int
 kernel.  Its O-operator kernel is the per-i one of operators_reference,
 and _o_operator_residual the adapter that the compiled grid read it
-through before the kernel returned one flat tensor."""
+through before the kernel returned one flat tensor.
+
+Also the compiled walk as it was before it pruned subtrees:
+_quadratic_form and _grid_residuals give the whole residual at every
+point of the grid."""
 
 import itertools
 import json
@@ -384,3 +388,58 @@ def _o_operator_residual(tensors):
             out[i * size:(i + 1) * size] = block
         return out
     return residual
+
+
+def _quadratic_form(residual, free):
+    """(squares, cross) of a flat int residual homogeneous of degree 2 in
+    free int variables, by polarization (see grid_search): squares[k] is
+    Q_k = residual(e_k), and cross[k] lists (u, the nonzeros (at, x) of
+    B_uk = residual(e_u + e_k) - Q_u - Q_k) for each u < k with B_uk not
+    zero."""
+    unit = lambda *us: residual([int(v in us) for v in range(free)])
+    squares = [unit(k) for k in range(free)]
+    cross = [[] for _ in range(free)]
+    for k in range(free):
+        for u in range(k):
+            nonzeros = [(at, x - a - b) for at, (x, a, b) in enumerate(zip(
+                unit(u, k), squares[u], squares[k])) if x != a + b]
+            if nonzeros:
+                cross[k].append((u, nonzeros))
+    return squares, cross
+
+
+def _grid_residuals(form, values):
+    """(point, residual of the form) at every point of values**free, in
+    itertools.product order, walked depth first: entry k = x adds
+    x * (x * Q_k + sum_{u<k} x_u B_uk) to its prefix's residual, the sum
+    over u taken once per prefix.  point is one list, changed in place."""
+    squares, cross = form
+    free = len(squares)
+    point = [0] * free
+    partial = [[0] * len(squares[0])] + [None] * free
+    linear = partial[:free]
+    nexts = [0] * free      # the index in values of each entry's next value
+    k = 0
+    while k >= 0:
+        if nexts[k] == len(values):
+            nexts[k] = 0
+            k -= 1
+            continue
+        x = point[k] = values[nexts[k]]
+        nexts[k] += 1
+        at = partial[k]
+        if x:
+            at = [p + x * (x * q + l)
+                  for p, q, l in zip(at, squares[k], linear[k])]
+        if k + 1 == free:
+            yield point, at
+            continue
+        k += 1
+        partial[k] = at
+        line = [0] * len(at)
+        for u, nonzeros in cross[k]:
+            xu = point[u]
+            if xu:
+                for i, b in nonzeros:
+                    line[i] += xu * b
+        linear[k] = line

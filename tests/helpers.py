@@ -81,6 +81,15 @@ def induced_not_dendriform(count=12):
                          "dendriform" % count)
 
 
+def without_visited(report):
+    """A grid search report without its "visited" count, which the
+    per-candidate searches of the references do not keep, after checking
+    that the count lies between the number found and the candidates."""
+    report = dict(report)
+    assert report["found"] <= report.pop("visited") <= report["candidates"]
+    return report
+
+
 def all_corpus_pre():
     return [from_associative(alg, v)
             for alg in CORPUS.values() for v in FROM_ASSOC_VARIANTS]

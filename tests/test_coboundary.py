@@ -22,7 +22,8 @@ from antiflex.algebra import PreAlgebra, from_associative
 
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, apply2, \
     flp_expression, induced_not_dendriform, matrix_units, multiplication_operators, over, permute3, \
-    rand_mat, rand_sym_mat, seeded, sigma13_expression, sparse_mat
+    rand_mat, rand_sym_mat, seeded, sigma13_expression, sparse_mat, \
+    without_visited
 import coboundary_reference
 
 
@@ -528,11 +529,11 @@ def test_pafybe_grid_search_matches_fraction_path(data, subject):
                                 palg)
     expected = coboundary_reference.pafybe_grid_search(palg, coeffs)
     assert found == expected
-    assert report == {"format_version": 1, "target": "pafybe-symmetric",
-                      "candidates": len(coeffs) ** (
-                          palg.dimension * (palg.dimension + 1) // 2),
-                      "found": len(expected),
-                      "coefficient_set": [str(c) for c in coeffs]}
+    assert without_visited(report) == {
+        "format_version": 1, "target": "pafybe-symmetric",
+        "candidates": len(coeffs) ** (
+            palg.dimension * (palg.dimension + 1) // 2),
+        "found": len(expected), "coefficient_set": [str(c) for c in coeffs]}
     assert search_results("pafybe-symmetric", found) == \
         search_results("pafybe-symmetric", expected)
 

@@ -1,4 +1,6 @@
+import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiflex.algebra import ALGEBRA_KINDS, PREALGEBRA_KINDS, Algebra, \
-    PreAlgebra, PreconditionError, from_associative, identity_residuals
+    PreAlgebra, PreconditionError, check_identities, from_associative, \
+    identity_residuals
 from antiflex.bialgebra import Bialgebra, dual_products_from_comult
 from antiflex.bimodule import AfBimodule, regular_af_bimodule, \
     regular_pre_bimodule
@@ -35,7 +38,7 @@ from antiflex.linalg import eye, vec_is_zero, zeros_mat, zeros_t3
 import harness_reference
 from bialgebra_reference import bialgebra_condition_residuals
 from helpers import CORPUS, DIM2_PRE, bialgebra_pairs, bump_t3, \
-    mat_is_zero, split_bialgebra
+    mat_is_zero, non_associative_af, split_bialgebra
 
 
 def test_corpus_round_trip_byte_identical():
@@ -1038,3 +1041,98 @@ def test_schema_rows_of_a_kind_can_be_told_apart():
                 if rows[0].variant else len(rows) == 1 or (
                     len(rows) == 2 and rows[1].variant is None
                     and rows[0].fields[-1][0] not in dict(rows[1].fields)))
+
+
+def test_tensor_rows_read_through_the_memo():
+    # rows of strings read before are read from the tensor's memo, and a
+    # row with a new string, a non-string or an unhashable entry through
+    # parse_scalar, with the same values and messages
+    def parse(matrix):
+        return parse_file(json.dumps({
+            "format_version": 1, "kind": "linear-map", "rows": len(matrix),
+            "cols": 2, "matrix": matrix}))
+
+    third, five = Fraction(2, 3), Fraction(-5)
+    got = parse([["2/3", "-5"], ["4/6", "2/3"], ["-5", "2/3"]]).matrix
+    assert got == ((third, five), (third, third), (five, third))
+    for bad, message in ((7, "scalar must be a \"p/q\" string, got 7"),
+                         (["x"], "scalar must be a \"p/q\" string, got "
+                                 "['x']"),
+                         ("2/0", "malformed scalar '2/0'")):
+        with pytest.raises(FormatError) as exc:
+            parse([["2/3", "-5"], ["2/3", "-5"], ["-5", bad]])
+        assert str(exc.value) == "linear-map.matrix[2][1]: " + message
+
+
+def test_runners_reject_unknown_names():
+    for run, message in (
+            (lambda: run_check("bogus", [CORPUS["t3"]]),
+             "unknown check command 'bogus'"),
+            (lambda: harness.run_construction("bogus", [CORPUS["t3"]], None,
+                                              None),
+             "unknown construction 'bogus'")):
+        with pytest.raises(FormatError) as exc:
+            run()
+        assert str(exc.value) == message
+
+
+_characters = st.one_of(
+    st.characters(), st.characters(categories=["Cs"]),
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+_strings = st.lists(_characters, max_size=6).map("".join)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 40, 10 ** 40), st.floats(),
+    st.sampled_from((-0.0, math.nan, math.inf, -math.inf)), _strings)
+_json_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(_strings, max_size=4), st.dictionaries(_strings, inner,
+                                                    max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_dumps_is_json_dumps_with_indent_two(value):
+    assert harness.dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_refuses_what_json_refuses():
+    for value in (object(), [1, {2}], {"a": [Fraction(1)]}, {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            harness.dumps(value)
+
+
+def test_src_writes_indented_json_through_one_writer():
+    # json.dump and json.dumps with an indent run the pure-Python encoder;
+    # every indented write in src/ goes through harness.dumps
+    src = os.path.dirname(harness.__file__)
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            calls += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("dump", "dumps")
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "json"
+                      and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []
+
+
+def test_rota_baxter_maps_of_non_associative_algebras_induce_pre_algebras():
+    # every Rota-Baxter map over {-1, 0, 1} of the 40 anti-flexible
+    # algebras of non_associative_af() induces a pre-anti-flexible algebra
+    count = 0
+    for alg in non_associative_af():
+        found, _ = grid_search(SearchSpec("rota-baxter", (-1, 0, 1)), alg)
+        for m in found:
+            assert check_identities(induced_pre_from_map(alg, m),
+                                    "pre-anti-flexible").passed, (alg, m)
+        count += len(found)
+    assert count == 2840

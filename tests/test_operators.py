@@ -31,7 +31,7 @@ from antiflex.linalg import SingularMatrixError, eye, mat_rank, \
 from helpers import CORPUS, DIM2_PRE, NOT_DENDRIFORM, all_corpus_pre, \
     basis_vec, induced_not_dendriform, multiplication_operators, \
     non_associative_af, over, rand_mat, rand_sym_mat, rand_t3, rand_vec, \
-    seeded
+    seeded, without_visited
 import harness_reference
 import operators_reference as reference
 
@@ -522,7 +522,7 @@ def test_grid_search_matches_fraction_path(case):
     spec, subject = case
     found, report = grid_search(spec, subject)
     expected, expected_report = reference.grid_search(spec, subject)
-    assert found == expected and report == expected_report
+    assert found == expected and without_visited(report) == expected_report
     assert search_results(spec.target, found) == \
         search_results(spec.target, expected)
 
@@ -533,6 +533,24 @@ def test_grid_search_matches_fraction_path(case):
 
 def _cube(n):
     return st.lists(_matrices(n, n), min_size=n, max_size=n)
+
+
+def _row_major(n, m):
+    """The n x m matrix whose entries are the free values, row by row."""
+    return lambda vals: [vals[i * m:(i + 1) * m] for i in range(n)]
+
+
+def _symmetric(n):
+    """(free, the n x n symmetric matrix whose upper triangle holds the
+    free values, row by row)."""
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def symmetric(vals):
+        r = zeros_mat(n)
+        for (i, j), x in zip(upper, vals):
+            r[i][j] = r[j][i] = x
+        return r
+    return len(upper), symmetric
 
 
 @st.composite
@@ -548,42 +566,140 @@ def compiled_cases(draw):
         subject = AfBimodule(Algebra(n, draw(_cube(n))), m, *(
             draw(st.lists(_matrices(m, m), min_size=n, max_size=n))
             for _ in "lr"))
-        return target, subject, n * m, lambda vals: [
-            vals[i * m:(i + 1) * m] for i in range(n)]
+        return target, subject, n * m, _row_major(n, m)
     if target == "rota-baxter":
-        return target, Algebra(n, draw(_cube(n))), n * n, lambda vals: [
-            vals[i * n:(i + 1) * n] for i in range(n)]
+        return target, Algebra(n, draw(_cube(n))), n * n, _row_major(n, n)
     subject = draw(st.one_of(st.sampled_from(NOT_DENDRIFORM), st.builds(
         PreAlgebra, st.just(n), _cube(n), _cube(n))))
-    n = subject.dimension
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def symmetric(vals):
-        r = zeros_mat(n)
-        for (i, j), x in zip(upper, vals):
-            r[i][j] = r[j][i] = x
-        return r
-    return target, subject, len(upper), symmetric
+    return (target, subject) + _symmetric(subject.dimension)
 
 
 @settings(max_examples=60, deadline=None)
 @given(compiled_cases(), st.lists(st.integers(-3, 3), min_size=1,
                                   max_size=3, unique=True))
 def test_compiled_form_is_the_kernel(case, values):
-    # at every point of a grid the depth-first walk gives the whole int
+    # at every point of a grid the depth-first walk that prunes nothing
+    # (harness_reference) gives, from the compiled form, the whole int
     # residual that the target's kernel gives on the candidate matrix,
     # passing or failing
     target, subject, free, matrix = case
     assume(len(values) ** free <= 729)
     residual = harness._SEARCHES[target][2](subject)
     kernel = lambda vals: residual(matrix(vals))
-    form = harness._quadratic_form(kernel, free)
+    squares, cross, _closing = harness._quadratic_form(kernel, free)
+    assert (squares, cross) == harness_reference._quadratic_form(kernel, free)
     points = [(list(point), at) for point, at in
-              harness._grid_residuals(form, values)]
+              harness_reference._grid_residuals((squares, cross), values)]
     assert [point for point, _ in points] == \
         list(map(list, product(values, repeat=free)))
     for point, at in points:
         assert at == kernel(point), point
+
+
+@st.composite
+def pruned_cases(draw):
+    """A case of compiled_cases, or one on whose grids more than the zero
+    matrix passes: a non_associative_af() algebra for rota-baxter, its
+    regular bimodule for o-operator, or an induced_not_dendriform()
+    pre-algebra for pafybe-symmetric."""
+    if draw(st.booleans()):
+        return draw(compiled_cases())
+    target = draw(st.sampled_from(SEARCH_TARGETS))
+    if target == "pafybe-symmetric":
+        subject = draw(st.sampled_from(induced_not_dendriform()))
+        return (target, subject) + _symmetric(3)
+    alg = draw(st.sampled_from(non_associative_af()))
+    subject = alg if target == "rota-baxter" else regular_af_bimodule(alg)
+    return target, subject, 9, _row_major(3, 3)
+
+
+def _check_pruned_search(target, subject, free, matrix, values):
+    """Assert that closing[k] of the compiled form holds the entries that no
+    Q_j or B_uj with j > k touches; that the pruning walk gives, in grid
+    order, exactly the points none of whose prefixes has a nonzero entry
+    of closing at its depth, each with its whole kernel residual, and that
+    every point it skips has a nonzero entry in its kernel residual; and
+    that grid_search finds what the per-candidate search of
+    harness_reference finds, or raises the same precondition error, with
+    the walk's count of points as its "visited"."""
+    residual = harness._SEARCHES[target][2](subject)
+    kernel = lambda vals: residual(matrix(vals))
+    form = harness._quadratic_form(kernel, free)
+    squares, cross = harness_reference._quadratic_form(kernel, free)
+    touched = set()
+    for k in reversed(range(free)):
+        assert form[2][k] == [at for at in range(len(squares[0]))
+                              if at not in touched], k
+        touched.update(at for at, q in enumerate(squares[k]) if q)
+        touched.update(at for _u, nonzeros in cross[k] for at, _x in nonzeros)
+    # the prefix of a point of depth k, padded with zeros, is the point at
+    # which the kernel gives the prefix's residual
+    cut = {(): False}
+    points = list(product(values, repeat=free))
+    for point in points:
+        for k in range(free - 1):
+            prefix = point[:k + 1]
+            if prefix not in cut:
+                at = kernel(list(prefix) + [0] * (free - k - 1))
+                cut[prefix] = cut[point[:k]] or any(at[i] for i in form[2][k])
+    reached = {tuple(point): at
+               for point, at in harness._grid_residuals(form, values)}
+    assert list(reached) == [p for p in points if not cut[p[:free - 1]]]
+    for point in points:
+        if point in reached:
+            assert reached[point] == kernel(list(point)), point
+        else:
+            assert any(kernel(list(point))), point
+    spec = SearchSpec(target, tuple(values), 3)
+
+    def outcome(search):
+        try:
+            return search(spec, subject)
+        except PreconditionError as exc:
+            return str(exc)
+    got, expected = outcome(grid_search), \
+        outcome(harness_reference.grid_search)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got[0] == expected[0]
+        assert got[1]["visited"] == len(reached)
+        assert without_visited(got[1]) == expected[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pruned_cases(), st.data())
+def test_pruned_search_skips_only_rejected_candidates(case, data):
+    target, subject, free, matrix = case
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3
+                                if 3 ** free <= 729 else 2, unique=True))
+    _check_pruned_search(target, subject, free, matrix, values)
+
+
+def test_pruning_one_depth_early_is_caught(monkeypatch):
+    # a walk that reads each entry one depth before it closes fails the
+    # check of the pruned search
+    walk = harness._grid_residuals
+
+    def early(form, values):
+        squares, cross, closing = form
+        return walk((squares, cross, closing[1:] + closing[-1:]), values)
+    case = ("rota-baxter", CORPUS["ut2"], 9, _row_major(3, 3), (0, 1))
+    _check_pruned_search(*case)
+    monkeypatch.setattr(harness, "_grid_residuals", early)
+    with pytest.raises(AssertionError):
+        _check_pruned_search(*case)
+
+
+def test_pruned_search_on_the_m2_rota_baxter_grid():
+    # the 3**16 candidates over {-1, 0, 1}: each of the 89 maps found is a
+    # Rota-Baxter map, and 357 candidates are reached
+    m2 = CORPUS["m2"]
+    found, report = grid_search(SearchSpec("rota-baxter", (-1, 0, 1), 4), m2)
+    assert (report["candidates"], report["visited"], report["found"]) == \
+        (3 ** 16, 357, 89)
+    assert len(found) == 89
+    assert all(check_rota_baxter(m2, m).passed for m in found)
 
 
 @settings(max_examples=30, deadline=None)
@@ -611,8 +727,12 @@ def test_grid_search_matches_per_candidate_path(data):
             return search(spec, subject)
         except PreconditionError as exc:
             return str(exc)
-    got = outcome(grid_search)
-    assert got == outcome(harness_reference.grid_search)
+    got, expected = outcome(grid_search), \
+        outcome(harness_reference.grid_search)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert (got[0], without_visited(got[1])) == expected
 
 
 def test_grid_search_compiles_each_target_once(monkeypatch):
@@ -782,5 +902,6 @@ def test_grid_search_matches_reference_on_non_associative_bases():
                                 ("o-operator", regular_af_bimodule(alg))):
             for coeffs in ((0, 1),) + (((-1, 0, 1),) if k < 2 else ()):
                 spec = SearchSpec(target, coeffs, 3)
-                assert grid_search(spec, subject) == \
+                found, report = grid_search(spec, subject)
+                assert (found, without_visited(report)) == \
                     harness_reference.grid_search(spec, subject)
